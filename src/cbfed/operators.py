@@ -57,7 +57,9 @@ class PhysicalParams:
 
 
 def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
-    """base**expo with the convention 0**e = 0 (any e), elementwise."""
+    """base**expo for base >= 0 with the convention 0**e = 0 (any e), elementwise."""
+    if expo > 0.0:
+        return base**expo
     if expo == 0.0:
         return np.where(base > 0, 1.0, 0.0)
     out = np.zeros_like(base)
@@ -97,16 +99,21 @@ def convective(y: sp.SpectralField) -> sp.SpectralField:
     grads = sp.gradient_physical(yd)                  # grads[a, b] = d_a y_b
     adv = np.einsum("aX,abX->bX", vals.reshape(g.d, -1), grads.reshape(g.d, g.d, -1))
     adv = adv.reshape((g.d,) + g.shape)
-    ch = np.fft.fftn(adv, axes=g.axes()) / g.N**g.d
+    ch = sp.SpectralField.from_physical(g, adv).c
     ch *= g.dealias
     return sp.leray(sp.SpectralField(g, ch))
 
 
-def shifted_convective(z: sp.SpectralField, around) -> sp.SpectralField:
-    """B(around + z) - B(around); plain B(z) when around is None."""
+def shifted_convective(z: sp.SpectralField, around, base=None) -> sp.SpectralField:
+    """B(around + z) - B(around); plain B(z) when around is None.
+
+    base, when given, is a precomputed B(around).
+    """
     if around is None:
         return convective(z)
-    return convective(z + around) - convective(around)
+    if base is None:
+        base = convective(around)
+    return convective(z + around) - base
 
 
 def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> float:
@@ -185,11 +192,16 @@ def gateaux_second(
     return sp.leray(_from_fine(out, g, factor))
 
 
-def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:
-    """C_p(around + z) - C_p(around); plain C_p(z) when around is None."""
+def shifted_damping(z: sp.SpectralField, around, p: float, base=None) -> sp.SpectralField:
+    """C_p(around + z) - C_p(around); plain C_p(z) when around is None.
+
+    base, when given, is a precomputed C_p(around).
+    """
     if around is None:
         return power_damping(z, p)
-    return power_damping(z + around, p) - power_damping(around, p)
+    if base is None:
+        base = power_damping(around, p)
+    return power_damping(z + around, p) - base
 
 
 def monotonicity_triple(y: sp.SpectralField, z: sp.SpectralField, r: float):

@@ -9,6 +9,12 @@ exp(2*pi*i k.x / L).  With that normalization Parseval reads
 
 The Nyquist planes (k_i = -N/2) are always zeroed, so every stored spectrum
 corresponds to a real trigonometric polynomial with modes |k_i| <= N/2 - 1.
+
+Storage is the full spectrum, shape (d, N, ..., N), and the snapshot format
+(version 1) is unchanged, but the transforms to and from nodal values are
+real: they read or produce only the half spectrum k_d >= 0 of the last axis.
+A forward transform rebuilds the other half from c(-k) = conj c(k), so the
+spectra it returns are exactly Hermitian.
 """
 from __future__ import annotations
 
@@ -46,6 +52,11 @@ class TorusGrid:
         nz = self.k2 > 0
         inv[nz] = 1.0 / self.k2[nz]
         self.inv_k2 = inv
+        # index maps k -> -k: over the leading d-1 axes, and from the kept
+        # half k_d = 1 .. N/2-1 of the last axis onto k_d = N/2+1 .. N-1
+        neg = [(-np.arange(N)) % N] * (d - 1)
+        self.flip_lead = np.ix_(*neg)
+        self.mirror = np.ix_(*neg, np.arange(N // 2 - 1, 0, -1))
 
     @property
     def shape(self):
@@ -88,16 +99,15 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.d,) + grid.shape:
             raise ValueError(f"expected shape {(grid.d,) + grid.shape}, got {values.shape}")
-        c = np.fft.fftn(values, axes=grid.axes()) / grid.N**grid.d
-        c *= grid.keep
-        return cls(grid, c)
+        return cls(grid, _full_spectrum(_rfft(values, grid.d), grid))
 
     @classmethod
     def zero(cls, grid: TorusGrid):
         return cls(grid, np.zeros((grid.d,) + grid.shape, dtype=complex))
 
     def physical(self) -> np.ndarray:
-        return np.real(np.fft.ifftn(self.c, axes=self.grid.axes()) * self.grid.N**self.grid.d)
+        g = self.grid
+        return _irfft(self.c[..., : g.N // 2 + 1], g.shape)
 
     def copy(self):
         return SpectralField(self.grid, self.c.copy())
@@ -215,13 +225,47 @@ def resolvent(a: SpectralField, lam: float) -> SpectralField:
 def gradient_physical(a: SpectralField) -> np.ndarray:
     """Nodal values of all partials: out[i, j] = d u_j / d x_i."""
     g = a.grid
-    ik = (2j * np.pi / g.L) * g.wave
-    gc = ik[:, None] * a.c[None, :]
-    return np.real(np.fft.ifftn(gc, axes=tuple(range(2, g.d + 2))) * g.N**g.d)
+    h = g.N // 2 + 1
+    ik = (2j * np.pi / g.L) * g.wave[..., :h]
+    return _irfft(ik[:, None] * a.c[None, ..., :h], g.shape)
 
 
 # ---------------------------------------------------------------------------
-# zero-padded oversampling
+# real transforms and zero-padded oversampling
+#
+# Nodal values are real, so their spectra are Hermitian and every transform
+# works on the half spectrum k_d = 0 .. M/2 of the last axis of an M^d grid.
+# norm="forward" puts the 1/M^d on the forward transform, which is the
+# normalization of the stored coefficients.
+
+
+def _rfft(vals: np.ndarray, d: int) -> np.ndarray:
+    """Half spectra of real nodal values over their last d axes."""
+    return np.fft.rfftn(vals, axes=tuple(range(vals.ndim - d, vals.ndim)), norm="forward")
+
+
+def _irfft(half: np.ndarray, shape) -> np.ndarray:
+    """Real nodal values of Hermitian spectra given by their last-axis halves."""
+    n = len(shape)
+    axes = tuple(range(half.ndim - n, half.ndim))
+    return np.fft.irfftn(half, s=shape, axes=axes, norm="forward")
+
+
+def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Full coarse spectra from last-axis halves, with the Nyquist planes zeroed.
+
+    The missing half is rebuilt from c(-k) = conj c(k), and the k_d = 0
+    plane, which the half holds whole, is symmetrized the same way, so the
+    result is exactly Hermitian.
+    """
+    h = grid.N // 2 + 1
+    full = np.empty(half.shape[:-1] + (grid.N,), dtype=complex)
+    full[..., :h] = half
+    full[..., h:] = np.conj(half[(Ellipsis,) + grid.mirror])
+    plane = full[..., 0]
+    full[..., 0] = 0.5 * (plane + np.conj(plane[(Ellipsis,) + grid.flip_lead]))
+    full *= grid.keep
+    return full
 
 
 def _block_pairs(N: int, M: int):
@@ -243,16 +287,17 @@ def pad_coeffs(c: np.ndarray, grid: TorusGrid, M: int) -> np.ndarray:
     return out
 
 
-def gather_coeffs(cf: np.ndarray, grid: TorusGrid, M: int) -> np.ndarray:
-    """Restrict fine M^d spectra back to the coarse grid (Nyquist zeroed)."""
-    N, d = grid.N, grid.d
-    out = np.zeros(cf.shape[:-d] + (N,) * d, dtype=complex)
-    for corner in product(range(2), repeat=d):
-        src = tuple(_block_pairs(N, M)[i][0] for i in corner)
-        dst = tuple(_block_pairs(N, M)[i][1] for i in corner)
-        out[(Ellipsis,) + src] = cf[(Ellipsis,) + dst]
-    out *= grid.keep
-    return out
+def _half_blocks(grid: TorusGrid, M: int):
+    """(coarse, fine) index pairs embedding last-axis half spectra N -> M.
+
+    The coarse Nyquist index N/2 of the last axis is left out: it is zero
+    in every stored spectrum.
+    """
+    last = (slice(0, grid.N // 2),)
+    for corner in product(_block_pairs(grid.N, M), repeat=grid.d - 1):
+        src = (Ellipsis,) + tuple(pair[0] for pair in corner) + last
+        dst = (Ellipsis,) + tuple(pair[1] for pair in corner) + last
+        yield src, dst
 
 
 def oversample(a: SpectralField, factor: int) -> np.ndarray:
@@ -261,19 +306,22 @@ def oversample(a: SpectralField, factor: int) -> np.ndarray:
         return a.physical()
     g = a.grid
     M = factor * g.N
-    cf = pad_coeffs(a.c, g, M)
-    axes = tuple(range(1, g.d + 1))
-    return np.real(np.fft.ifftn(cf, axes=axes) * M**g.d)
+    half = np.zeros((g.d,) + (M,) * (g.d - 1) + (M // 2 + 1,), dtype=complex)
+    for src, dst in _half_blocks(g, M):
+        half[dst] = a.c[src]
+    return _irfft(half, (M,) * g.d)
 
 
 def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray:
     """Transform fine nodal values and truncate to the coarse spectrum."""
-    M = factor * grid.N
-    axes = tuple(range(vals.ndim - grid.d, vals.ndim))
-    cf = np.fft.fftn(vals, axes=axes) / M**grid.d
+    cf = _rfft(vals, grid.d)
     if factor == 1:
-        return cf * grid.keep
-    return gather_coeffs(cf, grid, M)
+        return _full_spectrum(cf, grid)
+    N, d = grid.N, grid.d
+    half = np.zeros(cf.shape[:-d] + (N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
+    for src, dst in _half_blocks(grid, factor * N):
+        half[src] = cf[dst]
+    return _full_spectrum(half, grid)
 
 
 # ---------------------------------------------------------------------------

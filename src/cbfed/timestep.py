@@ -58,6 +58,10 @@ class SimConfig:
                 raise ConfigError("yosida mode needs a positive yosida_lam")
         if not (self.T > 0):
             raise ConfigError("final time must be positive")
+        if self.dt is not None and not (self.dt > 0):
+            raise ConfigError("time step dt must be positive")
+        if not (self.record_every >= 1):
+            raise ConfigError("record_every must be at least 1")
 
 
 @dataclass
@@ -153,14 +157,27 @@ def simulate(cfg: SimConfig) -> Trajectory:
     project_mode = K is not None and cfg.constraint_mode == "project"
     yosida_mode = K is not None and cfg.constraint_mode == "yosida"
 
-    def explicit(z):
-        out = f - op.shifted_convective(z, cfg.y_ref) - p.beta * op.shifted_damping(
-            z, cfg.y_ref, p.r
+    # B, C_r and C_q at the reference state are constant over the run
+    y_ref = cfg.y_ref
+    b_ref = cr_ref = cq_ref = None
+    if y_ref is not None:
+        b_ref = op.convective(y_ref)
+        cr_ref = op.power_damping(y_ref, p.r)
+        if p.gamma != 0:
+            cq_ref = op.power_damping(y_ref, p.q)
+
+    def feedback(z):
+        # evaluated once per state: the explicit term and the record share it
+        return cfg.controller(z) if cfg.controller is not None else None
+
+    def explicit(z, u):
+        out = f - op.shifted_convective(z, y_ref, b_ref) - p.beta * op.shifted_damping(
+            z, y_ref, p.r, cr_ref
         )
         if p.gamma != 0:
-            out = out - p.gamma * op.shifted_damping(z, cfg.y_ref, p.q)
-        if cfg.controller is not None:
-            out = out + cfg.controller(z)
+            out = out - p.gamma * op.shifted_damping(z, y_ref, p.q, cq_ref)
+        if u is not None:
+            out = out + u
         if yosida_mode:
             out = out - cx.yosida_term(K, z, cfg.yosida_lam)
         return out
@@ -171,30 +188,27 @@ def simulate(cfg: SimConfig) -> Trajectory:
     times, hs, ghs, vs, lr1s, dists, us = [], [], [], [], [], [], []
     states = []
 
-    def record(m, zc):
+    def record(m, zc, u):
         times.append(m * dt)
         hs.append(sp.norm_H(zc))
         ghs.append(sp.norm_grad(zc))
         vs.append(sp.norm_V(zc))
         lr1s.append(sp.norm_Lp(zc, p.r + 1))
         dists.append(K.distance(zc) if K is not None else 0.0)
-        if cfg.controller is not None:
-            us.append(sp.norm_H(cfg.controller(zc)))
-        else:
-            us.append(0.0)
+        us.append(sp.norm_H(u) if u is not None else 0.0)
         if cfg.record_states:
             states.append((m * dt, zc.copy()))
 
-    record(0, z)
+    u = feedback(z)
+    record(0, z, u)
     prev_N = None
     denom1 = 1.0 + dt * lin
     half = 0.5 * dt * lin
     for m in range(1, nsteps + 1):
+        N = explicit(z, u)
         if cfg.scheme == "imex1" or prev_N is None:
-            N = explicit(z)
             znew = sp.SpectralField(g, (z.c + dt * N.c) / denom1)
         else:
-            N = explicit(z)
             num = z.c * (1.0 - half) + dt * (1.5 * N.c - 0.5 * prev_N.c)
             znew = sp.SpectralField(g, num / (1.0 + half))
         if cfg.scheme == "cnab2":
@@ -203,8 +217,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
         nh = sp.norm_H(z)
         if not np.isfinite(nh) or nh > guard:
             raise SolverDivergence(f"state norm {nh:.3e} exploded at t={m * dt:.4g}")
+        u = feedback(z)
         if m % cfg.record_every == 0 or m == nsteps:
-            record(m, z)
+            record(m, z, u)
 
     t = np.array(times)
     defect = energy_defects(

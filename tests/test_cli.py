@@ -149,6 +149,23 @@ def test_exit_code_config_error(tmp_path):
     assert cli.main(["constants", "--config", cfg3]) == 2
 
 
+@pytest.mark.parametrize(
+    "experiment, override",
+    [
+        ("simulate", "integrator.dt=-0.1"),
+        ("simulate", "integrator.dt=0"),
+        ("simulate", "integrator.record_every=0"),
+        ("stabilize-theta", "integrator.dt=-0.1"),
+        ("stabilize-theta", "integrator.record_every=0"),
+    ],
+)
+def test_exit_code_bad_integrator(tmp_path, experiment, override):
+    out = tmp_path / "o"
+    argv = [experiment, "--set", "grid.N=8", "--set", override, "--output-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_exit_code_regime_violation(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -286,3 +286,23 @@ def test_stability_constants_critical():
     sub = op.PhysicalParams(mu=1, alpha=0.1, beta=1, gamma=0.0, r=2.5, q=1)
     with pytest.raises(RegimeError):
         op.stability_constants(sub)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_shifted_terms_with_precomputed_base(d):
+    # a precomputed B(ye) or C_p(ye) gives the recomputed result bit for bit
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    ye = offset_field(g, (0.9, 0.2, -0.4)[:d], seed=81)
+    z = sp.random_solenoidal(g, seed=82)
+    base = op.convective(ye)
+    assert np.array_equal(op.shifted_convective(z, ye, base).c, op.shifted_convective(z, ye).c)
+    for p in (2, 5):
+        base = op.power_damping(ye, p)
+        assert np.array_equal(op.shifted_damping(z, ye, p, base).c, op.shifted_damping(z, ye, p).c)
+
+
+def test_pow0_conventions():
+    base = np.array([0.0, 0.25, 4.0])
+    np.testing.assert_array_equal(op._pow0(base, 0.0), [0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(op._pow0(base, 1.5), [0.0, 0.125, 8.0])
+    np.testing.assert_array_equal(op._pow0(base, -0.5), [0.0, 2.0, 0.5])

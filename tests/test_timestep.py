@@ -8,7 +8,7 @@ from cbfed import convex as cx
 from cbfed import operators as op
 from cbfed import spectral as sp
 from cbfed import timestep as ts
-from cbfed.errors import SolverDivergence
+from cbfed.errors import ConfigError, SolverDivergence
 
 
 def grid2(N=16):
@@ -148,3 +148,51 @@ def test_blowup_guard():
     cfg = ts.SimConfig(grid=g, params=p, y0=y0, T=50.0, dt=5.0)
     with pytest.raises(SolverDivergence):
         ts.simulate(cfg)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+def test_nonpositive_dt_rejected(dt):
+    g = grid2()
+    with pytest.raises(ConfigError):
+        ts.SimConfig(grid=g, params=smooth_params(), y0=shear_mode(g), T=1.0, dt=dt)
+
+
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_record_every_below_one_rejected(record_every):
+    g = grid2()
+    with pytest.raises(ConfigError):
+        ts.SimConfig(
+            grid=g, params=smooth_params(), y0=shear_mode(g), T=1.0, dt=0.1,
+            record_every=record_every,
+        )
+
+
+@pytest.mark.parametrize("scheme", ["imex1", "cnab2"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_controller_call_per_state(d, scheme, monkeypatch):
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    y_ref = 0.5 * sp.random_solenoidal(g, seed=51)
+    y0 = 0.3 * sp.random_solenoidal(g, seed=52)
+    calls = {"controller": 0, "shifted_convective": 0}
+
+    def controller(z):
+        calls["controller"] += 1
+        return -0.7 * z
+
+    shifted = op.shifted_convective
+
+    def counted(*args, **kwargs):
+        calls["shifted_convective"] += 1
+        return shifted(*args, **kwargs)
+
+    monkeypatch.setattr(op, "shifted_convective", counted)
+    nsteps, dt = 6, 0.01
+    cfg = ts.SimConfig(
+        grid=g, params=smooth_params(), y0=y0, T=nsteps * dt, dt=dt, scheme=scheme,
+        y_ref=y_ref, controller=controller, record_every=1, record_states=True,
+    )
+    traj = ts.simulate(cfg)
+    assert calls == {"controller": nsteps + 1, "shifted_convective": nsteps}
+    # the recorded feedback norm is that of the recorded state
+    expect = [sp.norm_H(-0.7 * z) for _t, z in traj.states]
+    np.testing.assert_array_equal(traj.norm_u, expect)
