@@ -375,7 +375,7 @@ def _run_simulate(cfg, outdir, h):
         "scheme": it["scheme"],
         "T": float(it["T"]),
         "dt": float(dt),
-        "steps": int(len(traj.t) - 1) * int(it["record_every"]),
+        "steps": int(round(traj.t[-1] / dt)),
         "final_norm_H": float(traj.norm_H[-1]),
         "max_energy_defect": float(np.max(traj.energy_defect)),
     }

@@ -40,24 +40,29 @@ class SpanConstraint:
     """Span of a list of orthonormal eigenmodes (or fields)."""
 
     def __init__(self, modes):
-        self.fields = [m.field if isinstance(m, sp.EigenMode) else m for m in modes]
-        if not self.fields:
+        fields = [m.field if isinstance(m, sp.EigenMode) else m for m in modes]
+        if not fields:
             raise ValueError("span constraint needs at least one mode")
+        g = fields[0].grid
+        self._modes = np.stack([w.c for w in fields])          # (n, d, N, ..., N)
+        # rows pair with a spectrum to give (x, w_k) by Parseval, as sp.inner
+        self._dual = g.L**g.d * np.conj(self._modes.reshape(len(fields), -1))
+
+    def _project_c(self, c: np.ndarray) -> np.ndarray:
+        coeffs = np.real(self._dual @ c.reshape(-1))
+        return np.tensordot(coeffs, self._modes, axes=(0, 0))
 
     def project(self, x: sp.SpectralField) -> sp.SpectralField:
-        out = sp.SpectralField.zero(x.grid)
-        for w in self.fields:
-            out = out + sp.inner(x, w) * w
-        return out
+        return sp.SpectralField(x.grid, self._project_c(x.c))
 
     def contains(self, x: sp.SpectralField, tol: float = 1e-10) -> bool:
         return self.distance(x) <= tol * max(1.0, sp.norm_H(x))
 
     def distance(self, x: sp.SpectralField) -> float:
-        return sp.norm_H(x - self.project(x))
+        return sp.norm_H(sp.SpectralField(x.grid, x.c - self._project_c(x.c)))
 
     def __repr__(self):
-        return f"SpanConstraint(n={len(self.fields)})"
+        return f"SpanConstraint(n={len(self._modes)})"
 
 
 def yosida_term(K, x: sp.SpectralField, lam: float) -> sp.SpectralField:

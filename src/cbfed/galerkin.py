@@ -14,6 +14,7 @@ attraction radius for the full nonlinear reduced system.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -25,10 +26,6 @@ from . import spectral as sp
 from . import timestep as ts
 from .controllers import decay_rate_fit
 from .errors import ConfigError, RegimeError, SolverDivergence
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_THETA = 0.5 * (_GAUSS_X + 1.0)          # nodes mapped to [0, 1]
-_THETA_W = 0.5 * _GAUSS_W
 
 
 @dataclass
@@ -132,38 +129,66 @@ def quadratic_term(red, v):
     return np.einsum("ijk,...i,...j->...k", red.g1, v, v)
 
 
-def _second_derivative(A, Z, z2, p):
-    """C_p''(A)(Z, Z) pointwise; A has shape (..., d, X), z2 = |Z|^2."""
-    m2 = np.sum(A**2, axis=-2)
-    az = np.sum(A * Z, axis=-2)
-    out = (p - 1) * op._pow0(m2, (p - 3) / 2.0)[..., None, :] * (
-        2.0 * az[..., None, :] * Z + z2[..., None, :] * A
-    )
-    if p != 3:
-        out += (p - 1) * (p - 3) * (op._pow0(m2, (p - 5) / 2.0) * az**2)[..., None, :] * A
-    return out
+@functools.lru_cache(maxsize=None)
+def _taylor_rule(p):
+    """Nodes theta and weights (1 - theta) w on [0, 1] for the exponent p.
+
+    For odd integer p the integrand (1 - theta) C_p''(y_e + theta z)(z, z) is
+    a polynomial of degree p - 1 in theta, which ceil(p / 2) Gauss nodes
+    integrate exactly; any other p keeps 8 nodes.
+    """
+    odd = float(p).is_integer() and int(p) % 2 == 1
+    x, w = np.polynomial.legendre.leggauss(max(1, (int(p) + 1) // 2) if odd else 8)
+    theta = 0.5 * (x + 1.0)
+    weight = 0.5 * w * (1.0 - theta)
+    theta.setflags(write=False)        # cached: every caller shares the arrays
+    weight.setflags(write=False)
+    return theta, weight
 
 
 def nonlinear_term(red, v):
     """Taylor remainder N(v)_k of the damping beyond its linearization.
 
-    Gauss quadrature in the Taylor parameter of
-    (1 - theta) [beta C_r'' + gamma C_q''](y_e + theta z)(z, z) paired
-    against the modes; all pairings on the precomputed oversampled nodes.
-    v may carry batch axes.
+    N(v)_k = int_0^1 (1 - theta) [beta C_r'' + gamma C_q''](y_e + theta z)(z, z)
+    dtheta paired with w_k, z = sum_i v_i w_i, on the precomputed oversampled
+    nodes.  Each exponent p gets its own Gauss-Legendre rule in theta: for odd
+    integer p the integrand is a polynomial of degree p - 1 in theta, so
+    ceil(p / 2) nodes are exact (2 for p = 3, 3 for p = 5); other p use 8.
+
+    With A = y_e + theta z, C_p''(A)(z, z) = c1 z + c2 A for the pointwise
+    scalars c1 = 2 (p-1) |A|^(p-3) (A.z) and
+    c2 = (p-1) |A|^(p-3) |z|^2 + (p-1)(p-3) |A|^(p-5) (A.z)^2, so the
+    weighted sum over nodes and exponents collapses to a z + b y_e before one
+    matrix product with the modes.  v may carry batch axes.
     """
     p = red.params
     v = np.asarray(v, dtype=float)
+    Y = red._Yf                                          # (d, X)
     Z = np.tensordot(v, red._Wf, axes=(-1, 0))          # (..., d, X)
-    z2 = np.sum(Z**2, axis=-2)
-    th = _THETA.reshape((-1,) + (1,) * Z.ndim)
-    A = red._Yf + th * Z[None]                          # (G, ..., d, X)
-    S = p.beta * _second_derivative(A, Z[None], z2[None], p.r)
-    if p.gamma != 0.0:
-        S = S + p.gamma * _second_derivative(A, Z[None], z2[None], p.q)
+    y2 = np.sum(Y**2, axis=0)
+    yz = np.einsum("ax,...ax->...x", Y, Z)
+    z2 = np.einsum("...ax,...ax->...x", Z, Z)
+    a = np.zeros_like(z2)                                # weight of z
+    b = np.zeros_like(z2)                                # weight of y_e
+    for coef, expo in ((p.beta, p.r), (p.gamma, p.q)):
+        if coef == 0.0:
+            continue
+        # |A|^0 is the constant 1: where A = 0 the term it scales vanishes anyway
+        e3, e5 = (expo - 3) / 2.0, (expo - 5) / 2.0
+        for theta, w in zip(*_taylor_rule(expo)):
+            az = yz + theta * z2                         # A.z
+            m2 = y2 + theta * (yz + az)                  # |A|^2
+            p3 = (expo - 1) * (op._pow0(m2, e3) if e3 else 1.0)
+            c2 = p3 * z2
+            if expo != 3:
+                c2 = c2 + (expo - 1) * (expo - 3) * (op._pow0(m2, e5) if e5 else 1.0) * az**2
+            cw = coef * w
+            a += cw * (2.0 * p3 * az + theta * c2)
+            b += cw * c2
+    S = a[..., None, :] * Z + b[..., None, :] * Y
     cell_f = (red.grid.L / (red._factor * red.grid.N)) ** red.grid.d
-    w = _THETA_W * (1.0 - _THETA)
-    return cell_f * np.einsum("g,g...ax,kax->...k", w, S, red._Wf, optimize=True)
+    flat = S.reshape(S.shape[:-2] + (-1,))
+    return cell_f * (flat @ red._Wf.reshape(red.n, -1).T)
 
 
 def controllability_rank(Lmat, Bmat):
@@ -296,12 +321,11 @@ def reduced_simulate(red, v0, T, dt, gain=None, include_quadratic=True,
                 f"initial coefficient norm {top:.3g} outside the certified "
                 f"radius {warn_radius:.3g}", stacklevel=2,
             )
-    BG = None if gain is None else red.Bmat @ gain
+    closed = red.Lmat if gain is None else red.Lmat - red.Bmat @ gain
+    lin_t = -closed.T
 
     def rhs(u):
-        out = -np.einsum("ki,...i->...k", red.Lmat, u)
-        if BG is not None:
-            out = out + np.einsum("kj,...j->...k", BG, u)
+        out = u @ lin_t
         if include_quadratic:
             out = out - quadratic_term(red, u)
         if include_nonlinear:

@@ -95,15 +95,11 @@ def solve_stationary(
 # smallness / energy certificates
 
 
-def _bracket_pow(base: float, expo: float) -> float:
-    return 1.0 if expo == 0.0 else base**expo
-
-
 def uniqueness_K1(beta: float, gamma: float, r: float, q: float) -> float:
     if gamma == 0:
         return 0.0
     lead = abs(gamma) ** ((r + 1) / (r - q))
-    brk = _bracket_pow(2 * (q + 1) / (beta * (r + 1)), (r - q) / (q + 1))
+    brk = op._bracket_pow(2 * (q + 1) / (beta * (r + 1)), (r - q) / (q + 1))
     return lead * brk * (r - q) / (r + 1)
 
 
@@ -111,7 +107,7 @@ def uniqueness_K2(beta: float, gamma: float, r: float, q: float) -> float:
     if gamma == 0:
         return 0.0
     base = 2.0 ** (q - 1) * q * abs(gamma) * (q - 1) / (beta * (r - 1))
-    return _bracket_pow(base, (q - 1) / (r - q)) * (r - q) / (r - 1)
+    return op._bracket_pow(base, (q - 1) / (r - q)) * (r - q) / (r - 1)
 
 
 def uniqueness_report(params: op.PhysicalParams, forcing, embed_const: float = 1.0) -> dict:

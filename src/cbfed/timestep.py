@@ -139,13 +139,6 @@ def energy_defects(t, h, gh, lr1, params, forcing_norm, control_bound) -> np.nda
     return out
 
 
-def energy_budget(traj: Trajectory, params, forcing_norm: float, control_bound: float = 0.0):
-    """Recompute the defect column from a trajectory's recorded norms."""
-    return energy_defects(
-        traj.t, traj.norm_H, traj.norm_gradH, traj.norm_Lr1, params, forcing_norm, control_bound
-    )
-
-
 def simulate(cfg: SimConfig) -> Trajectory:
     g, p = cfg.grid, cfg.params
     dt = cfg.dt if cfg.dt is not None else default_dt(g, p, cfg.y0, cfg.y_ref)

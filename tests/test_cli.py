@@ -109,6 +109,21 @@ def test_same_config_twice_identical_csv(tmp_path):
     assert len(traj.t) > 1
 
 
+def test_simulate_reports_steps_taken(tmp_path):
+    # 15 steps, recorded at steps 10 and 15: the count is not a multiple of record_every
+    out = tmp_path / "o"
+    argv = [
+        "simulate", "--set", "grid.N=8", "--set", "integrator.T=0.03",
+        "--set", "integrator.dt=0.002", "--set", "integrator.record_every=10",
+        "--output-dir", str(out),
+    ]
+    assert cli.main(argv) == 0
+    outdir = only_run_dir(out)
+    assert load_report(outdir)["report"]["steps"] == 15
+    traj = ts.Trajectory.from_csv(outdir / "trajectory.csv")
+    assert np.allclose(traj.t, [0.0, 0.02, 0.03], rtol=0, atol=1e-15)
+
+
 def test_set_overrides_change_hash(tmp_path):
     body = {
         "experiment": "constants",

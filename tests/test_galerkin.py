@@ -224,6 +224,102 @@ def test_nonlinear_term_taylor_remainder():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def _second_derivative_ref(A, Z, z2, p):
+    """C_p''(A)(Z, Z) pointwise from the vector fields; A has shape (..., d, X)."""
+    m2 = np.sum(A**2, axis=-2)
+    az = np.sum(A * Z, axis=-2)
+    out = (p - 1) * op._pow0(m2, (p - 3) / 2.0)[..., None, :] * (
+        2.0 * az[..., None, :] * Z + z2[..., None, :] * A
+    )
+    if p != 3:
+        out += (p - 1) * (p - 3) * (op._pow0(m2, (p - 5) / 2.0) * az**2)[..., None, :] * A
+    return out
+
+
+def _nonlinear_term_ref(red, v, nodes):
+    """Taylor remainder with one fixed Gauss rule for both exponents, stacked over nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.5 * (x + 1.0)
+    p = red.params
+    Z = np.tensordot(np.asarray(v, dtype=float), red._Wf, axes=(-1, 0))
+    z2 = np.sum(Z**2, axis=-2)
+    A = red._Yf + theta.reshape((-1,) + (1,) * Z.ndim) * Z[None]
+    S = p.beta * _second_derivative_ref(A, Z[None], z2[None], p.r)
+    if p.gamma != 0.0:
+        S = S + p.gamma * _second_derivative_ref(A, Z[None], z2[None], p.q)
+    cell_f = (red.grid.L / (red._factor * red.grid.N)) ** red.grid.d
+    return cell_f * np.einsum("g,g...ax,kax->...k", 0.5 * w * (1.0 - theta), S, red._Wf)
+
+
+def _rel_diff(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _equilibrium_reduction(d, r, q, gamma, beta=0.8):
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = op.PhysicalParams(mu=1.0, alpha=0.1, beta=beta, gamma=gamma, r=r, q=q)
+    y_e = 0.4 * sp.random_solenoidal(g, seed=31, decay=3.0)
+    return gk.assemble_reduction(y_e, 8, p)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [3, 5])
+def test_nonlinear_term_odd_exponent_rule_exact(d, r):
+    red = _equilibrium_reduction(d, r, 2.0, 0.0)
+    assert len(gk._taylor_rule(r)[0]) == (r + 1) // 2
+    rng = np.random.default_rng(71)
+    v = 0.5 * rng.standard_normal((4, 8))
+    got = gk.nonlinear_term(red, v)
+    assert _rel_diff(got, _nonlinear_term_ref(red, v, 16)) < 1e-13
+
+
+def test_nonlinear_term_non_integer_exponent_keeps_eight_nodes():
+    red = _equilibrium_reduction(2, 4.5, 2.0, 0.0)
+    assert len(gk._taylor_rule(4.5)[0]) == 8
+    v = 0.5 * np.random.default_rng(73).standard_normal(8)
+    assert _rel_diff(gk.nonlinear_term(red, v), _nonlinear_term_ref(red, v, 8)) < 1e-13
+
+
+def test_nonlinear_term_batch_matches_rows():
+    red = _equilibrium_reduction(2, 5, 3, -0.4)
+    V = 0.5 * np.random.default_rng(79).standard_normal((6, 8))
+    batch = gk.nonlinear_term(red, V)
+    for b in range(len(V)):
+        assert _rel_diff(batch[b], gk.nonlinear_term(red, V[b])) < 1e-14
+
+
+def test_nonlinear_term_exponents_use_own_rules():
+    # r = 5 needs 3 nodes, q = 3 only 2: a shared 2-node rule would miss the r term
+    red = _equilibrium_reduction(2, 5, 3, -0.4)
+    assert len(gk._taylor_rule(5)[0]) == 3
+    assert len(gk._taylor_rule(3)[0]) == 2
+    v = 0.5 * np.random.default_rng(83).standard_normal((4, 8))
+    got = gk.nonlinear_term(red, v)
+    assert _rel_diff(got, _nonlinear_term_ref(red, v, 16)) < 1e-13
+    assert _rel_diff(_nonlinear_term_ref(red, v, 2), got) > 1e-6
+
+
+def test_reduced_simulate_matches_two_einsum_rhs():
+    red = _equilibrium_reduction(2, 5, 3, -0.4)
+    gs = gk.synthesize_gain(red.Lmat, red.Bmat, 1.0)
+    BG = red.Bmat @ gs.G
+
+    def rhs(u):
+        out = -np.einsum("ki,...i->...k", red.Lmat, u) + np.einsum("kj,...j->...k", BG, u)
+        return out - gk.quadratic_term(red, u) - gk.nonlinear_term(red, u)
+
+    v = 0.05 * np.random.default_rng(89).standard_normal((3, 8))
+    dt, steps = 5e-3, 20
+    _, V = gk.reduced_simulate(red, v, T=steps * dt, dt=dt, gain=gs.G)
+    for _ in range(steps):
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * dt * k1)
+        k3 = rhs(v + 0.5 * dt * k2)
+        k4 = rhs(v + dt * k3)
+        v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert _rel_diff(V[-1], v) < 1e-13
+
+
 def test_reduced_simulate_zero_and_linear():
     red = cubic_reduction()
     gs = gk.synthesize_gain(red.Lmat, red.Bmat, 1.0)
