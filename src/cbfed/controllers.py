@@ -67,8 +67,7 @@ def make_proportional_controller(grid, k_gain, mask):
         raise ConfigError(f"mask shape {m.shape} does not match grid {grid.shape}")
 
     def controller(z):
-        masked = sp.SpectralField.from_physical(grid, m[None] * z.physical())
-        return (-k_gain) * sp.leray(masked)
+        return (-k_gain) * sp.masked_leray(grid, m, z.physical())
 
     return controller
 

@@ -9,9 +9,10 @@ projection.  As the gain k grows, the smallest eigenvalue climbs toward the
 principal eigenvalue of the drag-shifted Stokes problem with the field pinned
 on the control region; that limit is what certifies a decay rate for the
 proportional feedback loop.  The routines here compute the smallest
-eigenvalue at finite gain, extrapolate the large-gain limit from a gain
-ladder, and evaluate an isoperimetric lower bound that depends only on the
-volume of the uncontrolled region.
+eigenvalue at finite gain by preconditioned LOBPCG, extrapolate the
+large-gain limit from a gain ladder, and evaluate an isoperimetric lower
+bound that depends only on the volume of the uncontrolled region and a
+tabulated first Bessel zero.
 """
 from __future__ import annotations
 
@@ -78,36 +79,55 @@ def apply_Ak(y: sp.SpectralField, k_gain: float, mask, mu: float, alpha: float):
     m = _as_indicator(mask, y.grid)
     out = mu * sp.stokes(y) + alpha * y
     if k_gain != 0.0:
-        fed = sp.SpectralField.from_physical(y.grid, m * y.physical())
-        out = out + k_gain * sp.leray(fed)
+        out = out + k_gain * sp.masked_leray(y.grid, m, y.physical())
     return out
 
 
-def _solve_spd(grid, apply_op, precond, rhs, rtol, maxiter):
-    """Preconditioned conjugate gradients for a symmetric positive operator."""
-    x = sp.SpectralField.zero(grid)
-    r = rhs.copy()
-    target = rtol * sp.norm_H(rhs)
-    z = sp.SpectralField(grid, r.c * precond)
-    p = z.copy()
-    rz = sp.inner(r, z)
-    for _ in range(maxiter):
-        if sp.norm_H(r) <= target:
-            return x
-        ap = apply_op(p)
-        pap = sp.inner(p, ap)
-        if pap <= 0.0:
-            raise SolverDivergence("feedback operator lost positivity in the inner solve")
-        step = rz / pap
-        x = x + step * p
-        r = r - step * ap
-        z = sp.SpectralField(grid, r.c * precond)
-        rz_new = sp.inner(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if sp.norm_H(r) <= target:
-        return x
-    raise SolverDivergence("conjugate gradients stalled on the feedback operator")
+# LOBPCG iterations before giving up; 3-d N=12 at k=800 needs ~1400
+MAX_ITERATIONS = 4000
+
+
+def _scrub(field: sp.SpectralField) -> sp.SpectralField:
+    """Unit-norm copy of the field's real solenoidal part.
+
+    The coupling is blind to imaginary and to gradient content, so a
+    roundoff leak of either kind would otherwise be amplified into a fake
+    pure Stokes mode.
+    """
+    w = sp.leray(sp.SpectralField.from_physical(field.grid, field.physical()))
+    return (1.0 / sp.norm_H(w)) * w
+
+
+def _gram(a, b):
+    """Matrix of the inner products (a_i, b_j)."""
+    return np.array([[sp.inner(u, v) for v in b] for u in a])
+
+
+def _rayleigh_ritz(basis, images):
+    """Lowest Ritz value on span(basis) and the coefficients of its unit Ritz vector.
+
+    ``images`` holds the operator applied to ``basis``.  When the Gram matrix
+    is not positive definite the third basis vector is dropped, so the
+    coefficients may be one shorter than the basis.
+    """
+    gram_b = _gram(basis, basis)
+    gram_a = _gram(basis, images)
+    try:
+        chol = np.linalg.cholesky(gram_b)
+    except np.linalg.LinAlgError:
+        gram_b, gram_a = gram_b[:2, :2], gram_a[:2, :2]
+        chol = np.linalg.cholesky(gram_b)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, gram_a).T)
+    vals, vecs = np.linalg.eigh(reduced)
+    return float(vals[0]), np.linalg.solve(chol.T, vecs[:, 0])
+
+
+def _combine(coef, fields):
+    """sum_i coef_i * fields_i over the first len(coef) fields."""
+    out = coef[0] * fields[0]
+    for c, f in zip(coef[1:], fields[1:]):
+        out = out + c * f
+    return out
 
 
 def smallest_eigenvalue_Ak(
@@ -118,15 +138,21 @@ def smallest_eigenvalue_Ak(
     alpha: float,
     tol: float = 1e-9,
     seed: int = 7,
-    max_power: int = 200,
-    max_cg: int = 3000,
 ):
     """Smallest eigenvalue and eigenfield of the masked feedback operator.
 
-    Inverse power iteration; every linear solve runs conjugate gradients
-    preconditioned by the diagonal (mu * Stokes + alpha) inverse.  Returns
-    ``(nu, eigenfield, iterations)`` once the eigen-residual drops below
-    ``tol * max(1, nu)`` times the field norm.
+    Preconditioned LOBPCG with block size one (Knyazev, SIAM J. Sci. Comput.
+    23(2), 2001) on the real solenoidal fields.  Each iteration minimizes
+    the Rayleigh quotient over span(x, T r, p): the current field x, its
+    residual r preconditioned by T = (mu * Stokes + alpha)^{-1} and scrubbed
+    back into the real solenoidal sector, and the previous step p.  That
+    costs one operator apply; x and its image are carried as combinations.
+    Once their residual is small, the scrubbed, normalized x is checked
+    with a fresh apply, and the search returns ``(nu, eigenfield,
+    iterations)`` when that eigen-residual is at most ``tol * max(1, nu)``
+    times the unit field norm.  Raises SolverDivergence on a non-positive or
+    non-finite Ritz value, a collapsed search space, or after
+    ``MAX_ITERATIONS`` iterations.
     """
     m = _as_indicator(mask, grid)
 
@@ -134,26 +160,53 @@ def smallest_eigenvalue_Ak(
         return apply_Ak(field, k_gain, m, mu, alpha)
 
     precond = 1.0 / (mu * grid.lap + alpha)
-    rtol = max(1e-13, 0.01 * tol)
 
     base = np.zeros((grid.d,) + grid.shape)
     base[0] = 1.0
-    v = sp.SpectralField.from_physical(grid, base) + 0.2 * sp.random_solenoidal(
+    x = sp.SpectralField.from_physical(grid, base) + 0.2 * sp.random_solenoidal(
         grid, seed=seed, decay=1.5
     )
-    v = (1.0 / sp.norm_H(v)) * v
-    for it in range(1, max_power + 1):
-        w = _solve_spd(grid, apply_op, precond, v, rtol, max_cg)
-        # scrub roundoff that leaks out of the real solenoidal sector: the
-        # coupling is blind to imaginary and to gradient content, so either
-        # kind of leak gets amplified into a fake pure Stokes mode
-        w = sp.leray(sp.SpectralField.from_physical(grid, w.physical()))
-        v = (1.0 / sp.norm_H(w)) * w
-        av = apply_op(v)
-        nu = sp.inner(av, v)
-        if sp.norm_H(av - nu * v) <= tol * max(1.0, abs(nu)):
-            return float(nu), v, it
-    raise SolverDivergence("inverse power iteration did not converge")
+    x = (1.0 / sp.norm_H(x)) * x
+    ax = apply_op(x)
+    nu = sp.inner(ax, x)
+    p = ap = None
+    for it in range(1, MAX_ITERATIONS + 1):
+        r = ax - nu * x
+        res = sp.norm_H(r)
+        if not (np.isfinite(nu) and nu > 0.0):
+            raise SolverDivergence(
+                f"feedback operator lost positivity: Ritz value {nu:.6g} at "
+                f"LOBPCG iteration {it}, residual {res:.3g}"
+            )
+        if res <= tol * max(1.0, abs(nu)):
+            x = _scrub(x)
+            ax = apply_op(x)
+            nu = sp.inner(ax, x)
+            r = ax - nu * x
+            res = sp.norm_H(r)
+            if res <= tol * max(1.0, abs(nu)):
+                return float(nu), x, it
+        w = _scrub(sp.SpectralField(grid, r.c * precond))
+        aw = apply_op(w)
+        size = 2 if p is None else 3
+        try:
+            nu, coef = _rayleigh_ritz([x, w, p][:size], [ax, aw, ap][:size])
+        except np.linalg.LinAlgError:
+            raise SolverDivergence(
+                f"LOBPCG search space collapsed at iteration {it}: Ritz value "
+                f"{nu:.12g}, residual {res:.3g}"
+            ) from None
+        p = _combine(coef[1:], [w, p])
+        ap = _combine(coef[1:], [aw, ap])
+        x = coef[0] * x + p
+        ax = coef[0] * ax + ap
+        norm_p = sp.norm_H(p)
+        if norm_p > 0.0:  # a zero step fails the next Cholesky and is dropped
+            p, ap = (1.0 / norm_p) * p, (1.0 / norm_p) * ap
+    raise SolverDivergence(
+        f"LOBPCG did not converge in {MAX_ITERATIONS} iterations: last Ritz value "
+        f"{nu:.12g}, residual {res:.3g} (tolerance {tol * max(1.0, abs(nu)):.3g})"
+    )
 
 
 def lambda_star_estimate(
@@ -211,45 +264,19 @@ def lambda_star_estimate(
     }
 
 
-def bessel_j(m: float, x: float) -> float:
-    """First-kind Bessel function by its power series (fine for moderate x)."""
-    if x == 0.0:
-        return 1.0 if m == 0.0 else 0.0
-    half = 0.5 * x
-    term = half**m / math.gamma(m + 1.0)
-    total = term
-    for j in range(1, 200):
-        term *= -(half * half) / (j * (j + m))
-        total += term
-        if abs(term) <= 1e-18 * max(1.0, abs(total)):
-            break
-    return total
-
-
-_ZERO_CACHE: dict = {}
+# first positive zeros j_{m,1} of the Bessel functions J_m of the orders
+# m = d/2 - 1 the bounds use: d = 2 and d = 3 (J_{1/2}(x) ~ sin(x) / sqrt(x))
+_BESSEL_FIRST_ZEROS = {0.0: 2.404825557695773, 0.5: math.pi}
 
 
 def bessel_first_zero(m: float, tol: float = 1e-13) -> float:
-    """Smallest positive root of the order-m Bessel function, by bisection."""
-    if m in _ZERO_CACHE:
-        return _ZERO_CACHE[m]
-    lo = 1e-6
-    hi = lo
-    step = 0.05
-    while bessel_j(m, hi) > 0.0:
-        lo = hi
-        hi += step
-        if hi > 60.0:
-            raise SolverDivergence("no sign change found for the Bessel zero scan")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if bessel_j(m, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    _ZERO_CACHE[m] = z
-    return z
+    """Smallest positive root of the order-m Bessel function, for m in {0, 1/2}.
+
+    Both values are tabulated to double precision, so ``tol`` has no effect.
+    """
+    if m not in _BESSEL_FIRST_ZEROS:
+        raise ConfigError(f"Bessel zero available for orders 0 and 1/2 only, not {m}")
+    return _BESSEL_FIRST_ZEROS[m]
 
 
 def _ball_volume(d: int) -> float:

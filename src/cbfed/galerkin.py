@@ -356,8 +356,7 @@ def make_galerkin_controller(red, gain):
 
     def controller(z):
         c = gain @ restrict(red, z)
-        phys = red.mask[None] * np.tensordot(c, red._Wb, axes=(0, 0))
-        return sp.leray(sp.SpectralField.from_physical(red.grid, phys))
+        return sp.masked_leray(red.grid, red.mask, np.tensordot(c, red._Wb, axes=(0, 0)))
 
     return controller
 

@@ -207,6 +207,11 @@ def leray(a: SpectralField) -> SpectralField:
     return SpectralField(g, a.c - g.wave * (dot * g.inv_k2))
 
 
+def masked_leray(grid: TorusGrid, mask: np.ndarray, values: np.ndarray) -> SpectralField:
+    """Leray projection of nodal values multiplied pointwise by a scalar mask."""
+    return leray(SpectralField.from_physical(grid, mask * values))
+
+
 def stokes(a: SpectralField) -> SpectralField:
     """Apply A = -Laplacian."""
     return SpectralField(a.grid, a.c * a.grid.lap)

@@ -209,6 +209,16 @@ def test_exit_code_solver_divergence(tmp_path):
     assert cli.main(["simulate", "--config", cfg]) == 3
 
 
+def test_proportional_defaults_short_horizon(tmp_path):
+    # full-mask default at k=50: the eigen solve used to stall (exit 3)
+    out = tmp_path / "out"
+    argv = ["stabilize-proportional", "--set", "integrator.T=0.05", "--output-dir", str(out)]
+    assert cli.main(argv) == 0
+    rep = load_report(only_run_dir(out))
+    assert abs(rep["extra"]["nu"] - 50.3) < 1e-9
+    assert rep["report"]["pointwise_ok"]
+
+
 def test_stationary_subcommand(tmp_path):
     cfg = write_config(
         tmp_path,

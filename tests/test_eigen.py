@@ -8,7 +8,7 @@ import scipy.special
 from cbfed import eigen as eg
 from cbfed import operators as op
 from cbfed import spectral as sp
-from cbfed.errors import ConfigError, RegimeError
+from cbfed.errors import ConfigError, RegimeError, SolverDivergence
 
 
 def grid2(N=16):
@@ -68,6 +68,35 @@ def test_smallest_eigenvalue_full_mask_shift():
     assert abs(sp.norm_H(w) - 1.0) < 1e-10
 
 
+def test_smallest_eigenvalue_full_mask_large_gain():
+    # eigenvalues 50.3 + |k|^2: a 2% relative gap stalled inverse power iteration
+    g = sp.TorusGrid(d=2, N=32)
+    nu, _, _ = eg.smallest_eigenvalue_Ak(g, 50.0, np.ones(g.shape), mu=1.0, alpha=0.3)
+    assert abs(nu - 50.3) < 1e-9
+
+
+@pytest.mark.parametrize("k", [0.0, 60.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_smallest_eigenvalue_matches_dense_reference(d, k):
+    g = sp.TorusGrid(d=d, N=8)
+    dm = eg.DomainMask(g, [((0.785, g.L),) + ((0.0, g.L),) * (d - 1)])
+    # complete basis: the constants, then d - 1 polarizations for each of
+    # cosine and sine on the (7^d - 1) / 2 wavevector pairs with |k_i| <= 3
+    modes = sp.eigenbasis(g, d + (d - 1) * (7**d - 1))
+    w = np.stack([md.field.c.ravel() for md in modes])
+    aw = np.stack([eg.apply_Ak(md.field, k, dm, 1.0, 0.3).c.ravel() for md in modes])
+    dense = g.L**d * np.real(w.conj() @ aw.T)
+    want = np.linalg.eigvalsh(dense)[0]
+    nu, _, _ = eg.smallest_eigenvalue_Ak(g, k, dm, mu=1.0, alpha=0.3)
+    assert abs(nu - want) <= 1e-9 * want
+
+
+def test_smallest_eigenvalue_failure_reports_state():
+    g = grid2(8)
+    with pytest.raises(SolverDivergence, match=r"Ritz value -\S+ at LOBPCG iteration \d+, residual"):
+        eg.smallest_eigenvalue_Ak(g, 0.0, np.ones(g.shape), mu=1.0, alpha=-0.5)
+
+
 def test_ladder_monotone_and_extrapolant():
     g = grid2()
     dm = slab_complement_mask(g, 0.25)
@@ -104,12 +133,6 @@ def test_shrinking_complement_raises_limit():
         g, slab_complement_mask(g, 0.125), [10, 20, 40, 80], mu=1.0, alpha=0.3
     )
     assert thin["lambda_star"] > wide["lambda_star"]
-
-
-def test_bessel_series_matches_scipy():
-    for m in (0.0, 0.5, 1.0):
-        for x in (0.5, 1.7, 3.2, 7.9):
-            assert abs(eg.bessel_j(m, x) - scipy.special.jv(m, x)) < 1e-10
 
 
 def test_bessel_first_zeros_frozen():
