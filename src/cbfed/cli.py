@@ -29,18 +29,6 @@ from . import stationary as st
 from . import timestep as ts
 from .errors import ConfigError, RegimeError, SolverDivergence
 
-_EXPERIMENTS = (
-    "stationary",
-    "simulate",
-    "stabilize-theta",
-    "stabilize-galerkin",
-    "stabilize-proportional",
-    "eigen",
-    "reduce",
-    "constants",
-    "verify",
-)
-
 # Every key an experiment may read, with its default.  Unknown keys are
 # rejected so config typos fail loudly instead of silently using a default.
 _DEFAULTS = {
@@ -150,12 +138,19 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------- builders
 
 
-def _build_grid(cfg) -> sp.TorusGrid:
+def _setup(cfg):
+    """Grid, physical parameters and per-purpose seeds of a grid-based run."""
     g = cfg["grid"]
     try:
-        return sp.TorusGrid(d=int(g["d"]), N=int(g["N"]), L=float(g["L"]))
+        grid = sp.TorusGrid(d=int(g["d"]), N=int(g["N"]), L=float(g["L"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    params = _build_params(cfg)
+    rng = np.random.Generator(np.random.Philox(int(cfg["seed"])))
+    seeds = {
+        name: int(rng.integers(0, 2**31)) for name in ("initial", "forcing", "coeffs", "eigen")
+    }
+    return grid, params, seeds
 
 
 def _build_params(cfg) -> op.PhysicalParams:
@@ -224,23 +219,55 @@ def _build_mask(cfg, grid):
     return dm.indicator, dm
 
 
-def _draw_seeds(cfg) -> dict:
-    rng = np.random.Generator(np.random.Philox(int(cfg["seed"])))
-    return {name: int(rng.integers(0, 2**31)) for name in ("initial", "forcing", "coeffs", "eigen")}
+def _states(cfg, grid, params, seeds, initial=True):
+    """(initial state, forcing, reference state) of a run.
 
-
-def _equilibrium(cfg, grid, params, forcing):
-    """Reference state and the forcing the shifted dynamics still sees."""
+    The initial state is the zero field for kind 'zero', and None when
+    `initial` is false (the section is then not read).  A solved equilibrium
+    absorbs the forcing: the shifted dynamics around it sees none.
+    """
+    y0 = None
+    if initial:
+        y0 = _build_field(cfg["initial"], grid, seeds["initial"], "initial")
+        if y0 is None:
+            y0 = sp.SpectralField.zero(grid)
+    forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
     kind = cfg["equilibrium"]["kind"]
     if kind == "zero":
-        return None, forcing
+        return y0, forcing, None
     if kind == "solve":
-        f_e = forcing if forcing is not None else sp.SpectralField.zero(grid)
-        res = st.solve_stationary(grid, params, f_e)
-        if not res.converged:
-            raise SolverDivergence("stationary solve for the equilibrium did not converge")
-        return res.field, None
+        return y0, None, _stationary(grid, params, forcing)[0].field
     raise ConfigError(f"unknown equilibrium kind {kind!r}")
+
+
+def _stationary(grid, params, forcing):
+    """Converged stationary solve for a forcing (zero when None), and that forcing."""
+    f = forcing if forcing is not None else sp.SpectralField.zero(grid)
+    res = st.solve_stationary(grid, params, f)
+    if not res.converged:
+        raise SolverDivergence(f"stationary iteration stalled at residual {res.residual:.3e}")
+    return res, f
+
+
+def _integrator(cfg) -> dict:
+    """Final time, time step (None: CFL default) and recording stride."""
+    it = cfg["integrator"]
+    return {
+        "T": float(it["T"]),
+        "dt": None if it["dt"] is None else float(it["dt"]),
+        "record_every": int(it["record_every"]),
+    }
+
+
+def _loop_args(cfg, grid, params, seeds) -> dict:
+    """Keyword arguments shared by the theta and proportional loops."""
+    z0, forcing, y_ref = _states(cfg, grid, params, seeds)
+    it = cfg["integrator"]
+    return dict(
+        z0=z0, forcing=forcing, y_ref=y_ref, constraint=_build_constraint(cfg),
+        mode=it["mode"], yosida_lam=it["yosida_lam"],
+        slack=float(cfg["controller"]["slack"]), **_integrator(cfg),
+    )
 
 
 # ---------------------------------------------------------------- artifacts
@@ -258,29 +285,6 @@ def _jsonable(obj):
 
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable) + "\n")
-
-
-def _write_trajectory(traj: ts.Trajectory, path: Path, h: str) -> None:
-    traj.to_csv(path)
-    path.write_text(f"# config_hash={h}\n" + path.read_text())
-
-
-def report_decay(trajectory_path, delta_claim: float, window: float = 0.5) -> dict:
-    """Fit the decay rate of a trajectory CSV and check a claimed rate pointwise."""
-    try:
-        traj = ts.Trajectory.from_csv(trajectory_path)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"cannot parse trajectory CSV {trajectory_path}: {exc}") from None
-    delta_fit, _ = ct.decay_rate_fit(traj.t, traj.norm_H, window=window)
-    t_lo = traj.t[-1] - window * (traj.t[-1] - traj.t[0])
-    return {
-        "delta_fit": float(delta_fit),
-        "delta_claim": float(delta_claim),
-        "pointwise_ok": bool(ct.pointwise_decay_ok(traj.t, traj.norm_H, delta_claim)),
-        "window": [float(t_lo), float(traj.t[-1])],
-    }
 
 
 # ---------------------------------------------------------------- runners
@@ -321,16 +325,9 @@ def _run_constants(cfg, outdir, h):
 
 
 def _run_stationary(cfg, outdir, h):
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    seeds = _draw_seeds(cfg)
+    grid, params, seeds = _setup(cfg)
     forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
-    f = forcing if forcing is not None else sp.SpectralField.zero(grid)
-    res = st.solve_stationary(grid, params, f)
-    if not res.converged:
-        raise SolverDivergence(
-            f"stationary iteration stalled at residual {res.residual:.3e}"
-        )
+    res, f = _stationary(grid, params, forcing)
     body = {
         "residual": float(res.residual),
         "iterations": int(res.iterations),
@@ -342,40 +339,32 @@ def _run_stationary(cfg, outdir, h):
 
 
 def _run_simulate(cfg, outdir, h):
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    seeds = _draw_seeds(cfg)
-    y0 = _build_field(cfg["initial"], grid, seeds["initial"], "initial")
-    if y0 is None:
-        y0 = sp.SpectralField.zero(grid)
-    forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
-    y_ref, forcing = _equilibrium(cfg, grid, params, forcing)
-    it = cfg["integrator"]
-    dt = it["dt"]
-    if dt is None:
-        dt = ts.default_dt(grid, params, y0, y_ref)
+    grid, params, seeds = _setup(cfg)
+    y0, forcing, y_ref = _states(cfg, grid, params, seeds)
+    it = _integrator(cfg)
+    if it["dt"] is None:
+        it["dt"] = ts.default_dt(grid, params, y0, y_ref)
+    scheme = cfg["integrator"]["scheme"]
     sim = ts.SimConfig(
         grid=grid,
         params=params,
         y0=y0,
-        T=float(it["T"]),
-        dt=float(dt),
-        scheme=it["scheme"],
+        scheme=scheme,
         forcing=forcing,
         y_ref=y_ref,
         constraint=_build_constraint(cfg),
-        constraint_mode=it["mode"],
-        yosida_lam=it["yosida_lam"],
-        record_every=int(it["record_every"]),
+        constraint_mode=cfg["integrator"]["mode"],
+        yosida_lam=cfg["integrator"]["yosida_lam"],
+        **it,
     )
     traj = ts.simulate(sim)
-    _write_trajectory(traj, outdir / "trajectory.csv", h)
+    traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     sp.write_snapshot(traj.final, outdir / "final.cbfd")
     body = {
-        "scheme": it["scheme"],
-        "T": float(it["T"]),
-        "dt": float(dt),
-        "steps": int(round(traj.t[-1] / dt)),
+        "scheme": scheme,
+        "T": it["T"],
+        "dt": it["dt"],
+        "steps": int(round(traj.t[-1] / it["dt"])),
         "final_norm_H": float(traj.norm_H[-1]),
         "max_energy_defect": float(np.max(traj.energy_defect)),
     }
@@ -383,43 +372,21 @@ def _run_simulate(cfg, outdir, h):
 
 
 def _run_theta(cfg, outdir, h):
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    seeds = _draw_seeds(cfg)
+    grid, params, seeds = _setup(cfg)
     th = ct.theta_threshold(params)
     knobs = cfg["controller"]
     theta = knobs["theta"]
     if theta is None:
         theta = th["c_min"] - params.alpha + float(knobs["delta_target"])
-    z0 = _build_field(cfg["initial"], grid, seeds["initial"], "initial")
-    if z0 is None:
-        z0 = sp.SpectralField.zero(grid)
-    forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
-    y_ref, forcing = _equilibrium(cfg, grid, params, forcing)
-    it = cfg["integrator"]
     report, traj = ct.run_theta_loop(
-        grid,
-        params,
-        float(theta),
-        _build_constraint(cfg),
-        z0,
-        T=float(it["T"]),
-        dt=it["dt"],
-        y_ref=y_ref,
-        forcing=forcing,
-        mode=it["mode"],
-        yosida_lam=it["yosida_lam"],
-        slack=float(knobs["slack"]),
-        record_every=int(it["record_every"]),
+        grid, params, float(theta), **_loop_args(cfg, grid, params, seeds)
     )
-    _write_trajectory(traj, outdir / "trajectory.csv", h)
+    traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     return report, {"threshold": th}, ["trajectory.csv"]
 
 
 def _run_proportional(cfg, outdir, h):
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    seeds = _draw_seeds(cfg)
+    grid, params, seeds = _setup(cfg)
     mask, _ = _build_mask(cfg, grid)
     knobs = cfg["controller"]
     k_gain = float(knobs["k_gain"])
@@ -429,38 +396,16 @@ def _run_proportional(cfg, outdir, h):
     )
     dec = eg.proportional_decay_constant(nu, params, eps=float(knobs["eps"]))
     c_min = dec["rho_star"] + dec["rho1_star"] + dec["rho2_star"]
-    z0 = _build_field(cfg["initial"], grid, seeds["initial"], "initial")
-    if z0 is None:
-        z0 = sp.SpectralField.zero(grid)
-    forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
-    y_ref, forcing = _equilibrium(cfg, grid, params, forcing)
-    it = cfg["integrator"]
     report, traj = ct.run_proportional_loop(
-        grid,
-        params,
-        k_gain,
-        mask,
-        z0,
-        T=float(it["T"]),
-        delta=dec["delta"],
-        c_min=c_min,
-        dt=it["dt"],
-        y_ref=y_ref,
-        forcing=forcing,
-        constraint=_build_constraint(cfg),
-        mode=it["mode"],
-        yosida_lam=it["yosida_lam"],
-        slack=float(knobs["slack"]),
-        record_every=int(it["record_every"]),
+        grid, params, k_gain, mask, delta=dec["delta"], c_min=c_min,
+        **_loop_args(cfg, grid, params, seeds),
     )
-    _write_trajectory(traj, outdir / "trajectory.csv", h)
+    traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     return report, dec, ["trajectory.csv"]
 
 
 def _run_eigen(cfg, outdir, h):
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    seeds = _draw_seeds(cfg)
+    grid, params, seeds = _setup(cfg)
     mask, dm = _build_mask(cfg, grid)
     knobs = cfg["controller"]
     est = eg.lambda_star_estimate(
@@ -493,21 +438,12 @@ def _run_eigen(cfg, outdir, h):
     return body, {"decay": decay}, []
 
 
-def _reduction_from_config(cfg, grid, params, mask):
-    n = int(cfg["controller"]["n"])
-    seeds = _draw_seeds(cfg)
-    forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
-    y_ref, forcing = _equilibrium(cfg, grid, params, forcing)
-    y_e = y_ref if y_ref is not None else sp.SpectralField.zero(grid)
-    red = gk.assemble_reduction(y_e, n, params, mask=mask)
-    return red, forcing
-
-
 def _run_reduce(cfg, outdir, h):
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    mask, dm = _build_mask(cfg, grid)
-    red, _ = _reduction_from_config(cfg, grid, params, mask if dm is not None else None)
+    grid, params, seeds = _setup(cfg)
+    mask, _ = _build_mask(cfg, grid)
+    _, _, y_ref = _states(cfg, grid, params, seeds, initial=False)
+    y_e = y_ref if y_ref is not None else sp.SpectralField.zero(grid)
+    red = gk.assemble_reduction(y_e, int(cfg["controller"]["n"]), params, mask=mask)
     rank = gk.controllability_rank(red.Lmat, red.Bmat)
     np.savez(
         outdir / "reduction.npz",
@@ -528,30 +464,28 @@ def _run_reduce(cfg, outdir, h):
 
 
 def _run_galerkin(cfg, outdir, h):
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    mask, dm = _build_mask(cfg, grid)
-    red, forcing = _reduction_from_config(cfg, grid, params, mask if dm is not None else None)
+    grid, params, seeds = _setup(cfg)
+    mask, _ = _build_mask(cfg, grid)
+    _, forcing, y_ref = _states(cfg, grid, params, seeds, initial=False)
+    y_e = y_ref if y_ref is not None else sp.SpectralField.zero(grid)
     knobs = cfg["controller"]
-    seeds = _draw_seeds(cfg)
+    red = gk.assemble_reduction(y_e, int(knobs["n"]), params, mask=mask)
     gen = np.random.Generator(np.random.Philox(seeds["coeffs"]))
     v0 = float(knobs["v0_scale"]) * gen.standard_normal(red.n)
-    it = cfg["integrator"]
+    it = _integrator(cfg)
     report, (t_r, V), traj = gk.run_galerkin_loop(
         red,
         float(knobs["sigma"]),
         v0,
-        T=float(it["T"]),
+        T=it["T"],
         dt_full=it["dt"],
-        record_every=int(it["record_every"]),
+        record_every=it["record_every"],
         forcing=forcing,
     )
-    _write_trajectory(traj, outdir / "trajectory.csv", h)
-    with open(outdir / "reduced.csv", "w") as fh:
-        fh.write(f"# config_hash={h}\n")
-        fh.write(",".join(["t"] + [f"v{i + 1}" for i in range(red.n)]) + "\n")
-        for i in range(len(t_r)):
-            fh.write(",".join(f"{x:.17g}" for x in [t_r[i], *V[i]]) + "\n")
+    comment = f"config_hash={h}"
+    traj.to_csv(outdir / "trajectory.csv", comment)
+    columns = ["t"] + [f"v{i + 1}" for i in range(red.n)]
+    ts.write_csv(outdir / "reduced.csv", columns, np.column_stack((t_r, V)), comment)
     return report, {"v0_norm": float(np.linalg.norm(v0))}, ["trajectory.csv", "reduced.csv"]
 
 
@@ -726,16 +660,17 @@ def _run_verify(cfg, outdir, h):
 
 
 _RUNNERS = {
-    "constants": _run_constants,
     "stationary": _run_stationary,
     "simulate": _run_simulate,
     "stabilize-theta": _run_theta,
-    "stabilize-proportional": _run_proportional,
     "stabilize-galerkin": _run_galerkin,
+    "stabilize-proportional": _run_proportional,
     "eigen": _run_eigen,
     "reduce": _run_reduce,
+    "constants": _run_constants,
     "verify": _run_verify,
 }
+_EXPERIMENTS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------- entry

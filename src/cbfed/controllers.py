@@ -26,34 +26,39 @@ def make_theta_controller(theta):
     return controller
 
 
-def theta_threshold(params, points=16):
+def theta_threshold(params):
     """Smallest feedback strength that certifies exponential decay.
 
-    Supercritical damping (r > 3): minimizes the sum of the convection
-    absorption constant and the two pumping constants over a log-spaced
-    grid of splitting parameters inside their admissible windows.  The
-    constants are monotone in the splittings, so the window edge wins,
-    but the search is kept as a guard against future regime changes.
+    Supercritical damping (r > 3): the convection absorption constant plus
+    the two pumping constants, taken at the edge of their admissible
+    windows, eps = 1/2 and eps_tilde = 1, where these decreasing constants
+    are smallest.  The edge is evaluated in numpy scalars, so a constant
+    beyond the float range (r very close to 3) gives c_min = inf rather
+    than an OverflowError.  Where the pumping constant does not depend on
+    its splitting (gamma = 0 or q = 1), neither does c_min; eps_tilde is
+    then reported as 1e-3, the lower end of the range that earlier
+    versions searched, so that recorded artifacts stay unchanged.
 
     Critical damping (r = 3, needs 2*beta*mu > 1): the two closed-form
     pumping constants, no free parameter.
 
     Returns {"c_min", "eps", "eps_tilde"}.
     """
-    if params.r > 3:
-        eps_grid = np.logspace(-3, np.log10(0.5), points)
-        eps_tilde_grid = np.logspace(-3, 0.0, points)
-        best = (np.inf, None, None)
-        for e in eps_grid:
-            conv = op.convection_rate(params.mu, params.beta, params.r, e)
-            pump_e = op.pumping_rate(params.beta, params.gamma, params.r, params.q, e)
-            for et in eps_tilde_grid:
-                c = conv + op.pumping_rate(params.beta, params.gamma, params.r, params.q, et) + pump_e
-                if c < best[0]:
-                    best = (c, e, et)
-        return {"c_min": best[0], "eps": best[1], "eps_tilde": best[2]}
-    if params.r == 3:
-        a, b = op.critical_pumping_rates(params)
+    p = params
+    if p.r > 3:
+        eps, eps_tilde = np.float64(0.5), np.float64(1.0)
+        c_min = (
+            op.convection_rate(p.mu, p.beta, p.r, eps)
+            + op.pumping_rate(p.beta, p.gamma, p.r, p.q, eps_tilde)
+            + op.pumping_rate(p.beta, p.gamma, p.r, p.q, eps)
+        )
+        if c_min == np.inf:
+            return {"c_min": c_min, "eps": None, "eps_tilde": None}
+        if p.gamma == 0 or p.q == 1:
+            eps_tilde = 1e-3
+        return {"c_min": c_min, "eps": eps, "eps_tilde": eps_tilde}
+    if p.r == 3:
+        a, b = op.critical_pumping_rates(p)
         return {"c_min": a + b, "eps": None, "eps_tilde": None}
     raise RegimeError("damping feedback threshold needs r >= 3")
 
@@ -102,6 +107,19 @@ def pointwise_decay_ok(times, norms, delta, rel_tol=1e-9):
     return bool(np.all(h <= bound))
 
 
+def _closed_loop(delta_claim, invariance_tol, **sim):
+    """Simulate one closed loop, fit its decay and check the claim and the constraint."""
+    traj = simulate(SimConfig(**sim))
+    delta_fit, _ = decay_rate_fit(traj.t, traj.norm_H)
+    report = {
+        "delta_claim": float(delta_claim),
+        "delta_fit": delta_fit,
+        "pointwise_ok": pointwise_decay_ok(traj.t, traj.norm_H, delta_claim),
+        "invariance_ok": bool(np.max(traj.dist_K) <= invariance_tol),
+    }
+    return report, traj
+
+
 def run_theta_loop(grid, params, theta, constraint, z0, T, dt=None, y_ref=None,
                    forcing=None, mode="project", yosida_lam=None, slack=0.9,
                    record_every=1, invariance_tol=1e-10):
@@ -111,25 +129,14 @@ def run_theta_loop(grid, params, theta, constraint, z0, T, dt=None, y_ref=None,
     whether the trajectory met it pointwise and stayed in the set.
     """
     th = theta_threshold(params)
-    delta1 = theta + params.alpha - th["c_min"]
-    delta_claim = slack * delta1
-    cfg = SimConfig(
+    report, traj = _closed_loop(
+        slack * (theta + params.alpha - th["c_min"]), invariance_tol,
         grid=grid, params=params, y0=z0, T=T, dt=dt, forcing=forcing,
         y_ref=y_ref, constraint=constraint, constraint_mode=mode,
         yosida_lam=yosida_lam, controller=make_theta_controller(theta),
         control_bound=theta, record_every=record_every,
     )
-    traj = simulate(cfg)
-    delta_fit, _ = decay_rate_fit(traj.t, traj.norm_H)
-    report = {
-        "theta": float(theta),
-        "c_min": float(th["c_min"]),
-        "delta_claim": float(delta_claim),
-        "delta_fit": delta_fit,
-        "pointwise_ok": pointwise_decay_ok(traj.t, traj.norm_H, delta_claim),
-        "invariance_ok": bool(np.max(traj.dist_K) <= invariance_tol),
-    }
-    return report, traj
+    return {"theta": float(theta), "c_min": float(th["c_min"]), **report}, traj
 
 
 def run_proportional_loop(grid, params, k_gain, mask, z0, T, delta, c_min,
@@ -142,23 +149,12 @@ def run_proportional_loop(grid, params, k_gain, mask, z0, T, delta, c_min,
     the damped Stokes operator minus the absorption total `c_min`); the
     report records slack * delta as the claim and checks it pointwise.
     """
-    cfg = SimConfig(
+    report, traj = _closed_loop(
+        slack * delta, invariance_tol,
         grid=grid, params=params, y0=z0, T=T, dt=dt, forcing=forcing,
         y_ref=y_ref, constraint=constraint, constraint_mode=mode,
         yosida_lam=yosida_lam,
         controller=make_proportional_controller(grid, k_gain, mask),
         control_bound=k_gain, record_every=record_every,
     )
-    traj = simulate(cfg)
-    delta_fit, _ = decay_rate_fit(traj.t, traj.norm_H)
-    delta_claim = slack * delta
-    report = {
-        "k_gain": float(k_gain),
-        "c_min": float(c_min),
-        "delta_claim": float(delta_claim),
-        "delta_fit": delta_fit,
-        "pointwise_ok": pointwise_decay_ok(traj.t, traj.norm_H, delta_claim),
-        "invariance_ok": True if constraint is None
-        else bool(np.max(traj.dist_K) <= invariance_tol),
-    }
-    return report, traj
+    return {"k_gain": float(k_gain), "c_min": float(c_min), **report}, traj

@@ -64,6 +64,16 @@ class SimConfig:
             raise ConfigError("record_every must be at least 1")
 
 
+def write_csv(path, columns, rows, comment=None) -> None:
+    """Numeric rows at 17 significant digits under a header, after an optional '# ' line."""
+    with open(path, "w") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 @dataclass
 class Trajectory:
     t: np.ndarray
@@ -77,12 +87,8 @@ class Trajectory:
     final: sp.SpectralField | None = None
     states: list = dc_field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                row = (getattr(self, name)[i] for name in COLUMNS)
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    def to_csv(self, path, comment=None) -> None:
+        write_csv(path, COLUMNS, zip(*(getattr(self, name) for name in COLUMNS)), comment)
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -206,6 +212,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
             znew = sp.SpectralField(g, num / (1.0 + half))
         if cfg.scheme == "cnab2":
             prev_N = N
+        # drop roundoff gradient content: a Leray-projected feedback cannot
+        # see it, so it would decay only at the bare rate alpha + mu |k|^2
+        znew = sp.leray(znew)
         z = K.project(znew) if project_mode else znew
         nh = sp.norm_H(z)
         if not np.isfinite(nh) or nh > guard:

@@ -9,20 +9,11 @@ import pytest
 from cbfed import cli
 from cbfed import spectral as sp
 from cbfed import timestep as ts
-from cbfed.errors import ConfigError
 
 
 def write_config(tmp_path, body, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(body))
-    return str(path)
-
-
-def synthetic_csv(tmp_path, t, h, name="traj.csv"):
-    z = np.zeros_like(np.asarray(t, dtype=float))
-    traj = ts.Trajectory(np.asarray(t, float), np.asarray(h, float), z, z, z, z, z, z)
-    path = tmp_path / name
-    traj.to_csv(path)
     return str(path)
 
 
@@ -35,31 +26,6 @@ def only_run_dir(root):
     dirs = [p for p in root.iterdir() if p.is_dir()]
     assert len(dirs) == 1
     return dirs[0]
-
-
-def test_report_decay_exact_exponential(tmp_path):
-    t = np.linspace(0.0, 5.0, 120)
-    path = synthetic_csv(tmp_path, t, np.exp(-t))
-    rep = cli.report_decay(path, delta_claim=1.0)
-    assert set(rep) == {"delta_fit", "delta_claim", "pointwise_ok", "window"}
-    assert abs(rep["delta_fit"] - 1.0) < 1e-8
-    assert rep["delta_claim"] == 1.0
-    assert rep["pointwise_ok"]
-
-
-def test_report_decay_constant_norm(tmp_path):
-    t = np.linspace(0.0, 4.0, 50)
-    path = synthetic_csv(tmp_path, t, np.ones_like(t))
-    rep = cli.report_decay(path, delta_claim=0.1)
-    assert not rep["pointwise_ok"]
-    assert abs(rep["delta_fit"]) < 1e-10
-
-
-def test_report_decay_malformed(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("just,some\nnonsense,here\n")
-    with pytest.raises(ConfigError):
-        cli.report_decay(str(bad), delta_claim=0.5)
 
 
 def test_constants_subcommand(tmp_path):
@@ -85,28 +51,43 @@ def test_constants_subcommand(tmp_path):
     assert "report.json" in man["files"]
 
 
-def test_same_config_twice_identical_csv(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "experiment": "simulate",
-            "grid": {"d": 2, "N": 8},
-            "params": {"mu": 1.0, "alpha": 0.5, "beta": 1.0, "gamma": 0.0, "r": 3.0, "q": 2.0},
-            "initial": {"kind": "random", "amplitude": 0.05, "decay": 2.0},
-            "integrator": {"scheme": "imex1", "T": 0.2, "dt": 0.02},
-            "output_dir": str(tmp_path / "out"),
-            "seed": 3,
-        },
-    )
-    assert cli.main(["simulate", "--config", cfg]) == 0
+_TINY = {
+    "grid": {"d": 2, "N": 8},
+    "params": {"mu": 1.0, "alpha": 0.5, "beta": 1.0, "gamma": 0.0, "r": 3.0, "q": 2.0},
+    "initial": {"kind": "random", "amplitude": 0.05, "decay": 2.0},
+    "integrator": {"scheme": "imex1", "T": 0.2, "dt": 0.02},
+    "seed": 3,
+}
+
+
+# per-experiment additions to _TINY
+_TINY_EXTRA = {
+    "simulate": {},
+    "stabilize-theta": {
+        "constraint": {"kind": "ball", "radius": 0.5},
+        "controller": {"theta": 1.0},
+    },
+    "reduce": {"controller": {"n": 4}},
+    "stabilize-galerkin": {"controller": {"n": 4, "v0_scale": 1e-3}},
+}
+
+
+@pytest.mark.parametrize("experiment", list(_TINY_EXTRA))
+def test_same_config_twice_identical_csv(tmp_path, experiment):
+    body = {**_TINY, **_TINY_EXTRA[experiment]}
+    body.update(experiment=experiment, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, body)
+    assert cli.main([experiment, "--config", cfg]) == 0
     outdir = only_run_dir(tmp_path / "out")
-    first = (outdir / "trajectory.csv").read_bytes()
-    assert cli.main(["simulate", "--config", cfg]) == 0
-    second = (outdir / "trajectory.csv").read_bytes()
-    assert first == second
-    assert first.startswith(b"# config_hash=")
-    traj = ts.Trajectory.from_csv(outdir / "trajectory.csv")
-    assert len(traj.t) > 1
+    with open(outdir / "manifest.json") as fh:
+        files = json.load(fh)["files"]
+    first = {name: (outdir / name).read_bytes() for name in files}
+    assert cli.main([experiment, "--config", cfg]) == 0
+    assert only_run_dir(tmp_path / "out") == outdir
+    assert {name: (outdir / name).read_bytes() for name in files} == first
+    if "trajectory.csv" in files:
+        assert first["trajectory.csv"].startswith(b"# config_hash=")
+        assert len(ts.Trajectory.from_csv(outdir / "trajectory.csv").t) > 1
 
 
 def test_simulate_reports_steps_taken(tmp_path):
@@ -217,6 +198,33 @@ def test_proportional_defaults_short_horizon(tmp_path):
     rep = load_report(only_run_dir(out))
     assert abs(rep["extra"]["nu"] - 50.3) < 1e-9
     assert rep["report"]["pointwise_ok"]
+
+
+def test_proportional_defaults_certificate(tmp_path):
+    # roundoff gradient content in the initial state used to take over the
+    # full-mask loop by t ~ 0.7, so the default T=2 run missed its own claim
+    out = tmp_path / "out"
+    argv = ["stabilize-proportional", "--set", "grid.N=16", "--output-dir", str(out)]
+    assert cli.main(argv) == 0
+    body = load_report(only_run_dir(out))["report"]
+    assert body["pointwise_ok"]
+    assert body["delta_fit"] > body["delta_claim"]
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("stationary", ["initial.kind=snapshot"]),
+        ("eigen", ["equilibrium.kind=bogus", "mask.boxes=[[[1.57,6.28],[0,6.28]]]"]),
+        ("constants", ["initial.kind=bogus"]),
+    ],
+)
+def test_experiment_reads_only_its_sections(tmp_path, experiment, overrides):
+    # each override would fail an experiment that reads that section
+    argv = [experiment, "--set", "grid.N=16", "--output-dir", str(tmp_path / "out")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
 
 
 def test_stationary_subcommand(tmp_path):

@@ -1,6 +1,8 @@
 """Feedback laws: damping feedback, localized proportional feedback, decay fits."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,69 @@ def test_theta_threshold_critical_and_unsupported():
     bad = op.PhysicalParams(mu=0.2, alpha=0.1, beta=1, gamma=0.0, r=3, q=2)
     with pytest.raises(RegimeError):
         ct.theta_threshold(bad)
+
+
+def grid_search_threshold(params, points=16):
+    """The 16x16 log-grid search over (eps, eps_tilde) that the closed form replaced."""
+    if params.r > 3:
+        best = (np.inf, None, None)
+        for e in np.logspace(-3, np.log10(0.5), points):
+            conv = op.convection_rate(params.mu, params.beta, params.r, e)
+            pump_e = op.pumping_rate(params.beta, params.gamma, params.r, params.q, e)
+            for et in np.logspace(-3, 0.0, points):
+                pump_et = op.pumping_rate(params.beta, params.gamma, params.r, params.q, et)
+                c = conv + pump_et + pump_e
+                if c < best[0]:
+                    best = (c, e, et)
+        return {"c_min": best[0], "eps": best[1], "eps_tilde": best[2]}
+    if params.r == 3:
+        a, b = op.critical_pumping_rates(params)
+        return {"c_min": a + b, "eps": None, "eps_tilde": None}
+    raise RegimeError("damping feedback threshold needs r >= 3")
+
+
+def same_bits(a, b):
+    """Both None, or equal as float64 down to the last bit."""
+    if a is None or b is None:
+        return a is None and b is None
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def sweep_params(rs):
+    for mu, beta, gamma, r, q in itertools.product(
+        (0.2, 1.0, 3.0), (0.5, 1.0, 2.0), (0.0, -0.05, -0.3, -1.0, 0.4), rs, (1.0, 1.5, 2.0, 3.0)
+    ):
+        if r > q:
+            yield op.PhysicalParams(mu=mu, alpha=0.3, beta=beta, gamma=gamma, r=r, q=q)
+
+
+def test_theta_threshold_matches_grid_search():
+    regimes = {"supercritical": 0, "critical": 0, "unsupported": 0}
+    for p in sweep_params((2.5, 3.0, 3.5, 5.0, 7.5)):
+        regimes[p.regime] += 1
+        if p.regime == "unsupported":
+            for fn in (ct.theta_threshold, grid_search_threshold):
+                with pytest.raises(RegimeError):
+                    fn(p)
+            continue
+        got, want = ct.theta_threshold(p), grid_search_threshold(p)
+        assert got.keys() == want.keys()
+        assert all(same_bits(got[k], want[k]) for k in want), (p, got, want)
+    assert min(regimes.values()) > 0, regimes
+
+
+def test_theta_threshold_near_critical_matches_grid_search():
+    # r just above 3: the convection constant can exceed the float range
+    # (c_min = inf, eps None) or swamp the pumping terms so far that the
+    # grid search's eps_tilde was decided by rounding ties; c_min and eps
+    # still match bitwise
+    infinite = 0
+    for p in sweep_params((3.001, 3.003, 3.01)):
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = ct.theta_threshold(p), grid_search_threshold(p)
+        assert same_bits(got["c_min"], want["c_min"]) and same_bits(got["eps"], want["eps"]), p
+        infinite += got["c_min"] == np.inf
+    assert infinite > 0
 
 
 def test_proportional_controller_mask_one_is_scaling():
