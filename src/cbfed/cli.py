@@ -303,7 +303,11 @@ def _run_constants(cfg, outdir, h):
         except RegimeError:
             return None
 
-    sc = _try(op.stability_constants, params, eps=eps_split, eps_tilde=eps_tilde)
+    # outside the regime the constants are reported as null; inside it, a
+    # constant beyond the float range is a RegimeError of its own (exit 4)
+    sc = None
+    if params.regime != "unsupported":
+        sc = op.stability_constants(params, eps=eps_split, eps_tilde=eps_tilde)
     th = _try(ct.theta_threshold, params)
     body = {
         "regime": params.regime,

@@ -43,7 +43,7 @@ class GalerkinReduction:
     _Wc: np.ndarray = dc_field(repr=False, default=None)   # mode coefficients
     _Wb: np.ndarray = dc_field(repr=False, default=None)   # base-grid samples
     _Wf: np.ndarray = dc_field(repr=False, default=None)   # oversampled samples
-    _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled
+    _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled; None at 0
     _factor: int = 2
 
 
@@ -105,7 +105,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat,
-        _Wc=Wc, _Wb=Wb, _Wf=Wf_, _Yf=Yf_, _factor=factor,
+        _Wc=Wc, _Wb=Wb, _Wf=Wf_, _Yf=Yf_ if np.any(y_e.c) else None, _factor=factor,
     )
 
 
@@ -159,15 +159,19 @@ def nonlinear_term(red, v):
     scalars c1 = 2 (p-1) |A|^(p-3) (A.z) and
     c2 = (p-1) |A|^(p-3) |z|^2 + (p-1)(p-3) |A|^(p-5) (A.z)^2, so the
     weighted sum over nodes and exponents collapses to a z + b y_e before one
-    matrix product with the modes.  v may carry batch axes.
+    matrix product with the modes.  At y_e = 0 (no _Yf) the y_e terms are
+    scalar zeros and S is a z alone.  v may carry batch axes.
     """
     p = red.params
     v = np.asarray(v, dtype=float)
-    Y = red._Yf                                          # (d, X)
+    Y = red._Yf                                          # (d, X) or None
     Z = np.tensordot(v, red._Wf, axes=(-1, 0))          # (..., d, X)
-    y2 = np.sum(Y**2, axis=0)
-    yz = np.einsum("ax,...ax->...x", Y, Z)
     z2 = np.einsum("...ax,...ax->...x", Z, Z)
+    if Y is None:
+        y2 = yz = 0.0
+    else:
+        y2 = np.sum(Y**2, axis=0)
+        yz = np.einsum("ax,...ax->...x", Y, Z)
     a = np.zeros_like(z2)                                # weight of z
     b = np.zeros_like(z2)                                # weight of y_e
     for coef, expo in ((p.beta, p.r), (p.gamma, p.q)):
@@ -184,8 +188,11 @@ def nonlinear_term(red, v):
                 c2 = c2 + (expo - 1) * (expo - 3) * (op._pow0(m2, e5) if e5 else 1.0) * az**2
             cw = coef * w
             a += cw * (2.0 * p3 * az + theta * c2)
-            b += cw * c2
-    S = a[..., None, :] * Z + b[..., None, :] * Y
+            if Y is not None:
+                b += cw * c2
+    S = a[..., None, :] * Z
+    if Y is not None:
+        S += b[..., None, :] * Y
     cell_f = (red.grid.L / (red._factor * red.grid.N)) ** red.grid.d
     flat = S.reshape(S.shape[:-2] + (-1,))
     return cell_f * (flat @ red._Wf.reshape(red.n, -1).T)

@@ -9,10 +9,18 @@ and C_p(y) = P[|y|^{p-1} y] the projected power damping.  All quadratic and
 power-law products are evaluated pointwise on oversampled nodal grids so the
 discrete pairings reproduce the continuous integral identities to roundoff
 at the tested powers.
+
+C_p has one pointwise kernel, in damping_from_nodal, which takes the nodal
+values on the factor-sp.oversample_factor(p) grid.  power_damping oversamples
+its argument itself.  The time stepper instead evaluates each state once per
+step: it oversamples the state once per distinct factor, takes the recorded
+L^{r+1} norm from the C_r values where sp.norm_factor(r + 1) equals the C_r
+factor (r = 3, 4, 5), adds the reference state's nodal values in place, and
+gets C_r and C_q from those same values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,16 +144,22 @@ def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> 
 # power damping and its derivatives
 
 
+def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, p: float) -> sp.SpectralField:
+    """C_p from the nodal values v of its argument on the factor-oversample_factor(p) grid.
+
+    The pointwise kernel |v|^{p-1} v is written over vals (component axis
+    first), and |v|^2 is gone before the transform back, so no fine array
+    but vals lives through it.
+    """
+    np.multiply(_pow0(np.sum(vals**2, axis=0), (p - 1) / 2.0)[None], vals, out=vals)
+    return sp.leray(_from_fine(vals, grid, sp.oversample_factor(p)))
+
+
 def power_damping(y: sp.SpectralField, p: float) -> sp.SpectralField:
     """C_p(y) = P[|y|^{p-1} y], evaluated on an oversampled grid."""
     if p == 1:
         return sp.leray(y)
-    g = y.grid
-    factor = sp.oversample_factor(p)
-    vals = sp.oversample(y, factor)
-    m2 = np.sum(vals**2, axis=0)
-    out = _pow0(m2, (p - 1) / 2.0)[None] * vals
-    return sp.leray(_from_fine(out, g, factor))
+    return damping_from_nodal(sp.oversample(y, sp.oversample_factor(p)), y.grid, p)
 
 
 def gateaux_first(y: sp.SpectralField, z: sp.SpectralField, p: float) -> sp.SpectralField:
@@ -192,16 +206,11 @@ def gateaux_second(
     return sp.leray(_from_fine(out, g, factor))
 
 
-def shifted_damping(z: sp.SpectralField, around, p: float, base=None) -> sp.SpectralField:
-    """C_p(around + z) - C_p(around); plain C_p(z) when around is None.
-
-    base, when given, is a precomputed C_p(around).
-    """
+def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:
+    """C_p(around + z) - C_p(around); plain C_p(z) when around is None."""
     if around is None:
         return power_damping(z, p)
-    if base is None:
-        base = power_damping(around, p)
-    return power_damping(z + around, p) - base
+    return power_damping(z + around, p) - power_damping(around, p)
 
 
 def monotonicity_triple(y: sp.SpectralField, z: sp.SpectralField, r: float):
@@ -261,16 +270,24 @@ def identity_residual(y: sp.SpectralField, r: float) -> float:
 
 
 def _bracket_pow(base: float, expo: float) -> float:
-    return 1.0 if expo == 0.0 else base**expo
+    # numpy scalars: an exponent (q-1)/(r-q) with q near r gives inf, not OverflowError
+    with np.errstate(over="ignore"):
+        return 1.0 if expo == 0.0 else np.float64(base) ** expo
 
 
 def convection_rate(mu: float, beta: float, r: float, eps: float) -> float:
-    """Rate absorbed by the eps-weighted damping when splitting convection."""
+    """Rate absorbed by the eps-weighted damping when splitting convection.
+
+    Evaluated in numpy scalars: just above r = 3 the power 2/(r-3) leaves
+    the float range, and the rate is then inf rather than an OverflowError.
+    """
     if not (r > 3):
         raise RegimeError("convection absorption constant requires r > 3")
     if not (eps > 0):
         raise ConfigError("eps must be positive")
-    return (r - 3) / (2 * mu * (r - 1)) * (4.0 / (eps * beta * mu * (r - 1))) ** (2.0 / (r - 3))
+    with np.errstate(over="ignore"):
+        bracket = np.float64(4.0 / (eps * beta * mu * (r - 1))) ** (2.0 / (r - 3))
+        return (r - 3) / (2 * mu * (r - 1)) * bracket
 
 
 def pumping_rate(beta: float, gamma: float, r: float, q: float, eps: float) -> float:
@@ -289,7 +306,8 @@ def eta_pair(params: PhysicalParams):
     if params.gamma == 0:
         return eta1, 0.0
     r, q = params.r, params.q
-    lead = (q * abs(params.gamma)) ** ((r - 1) / (r - q))
+    with np.errstate(over="ignore"):
+        lead = np.float64(q * abs(params.gamma)) ** ((r - 1) / (r - q))
     brk = _bracket_pow(4.0 / params.beta * (q - 1) / (r - 1), (q - 1) / (r - q))
     return eta1, lead * brk * (r - q) / (r - 1)
 
@@ -328,7 +346,22 @@ class StabilityConstants:
 def stability_constants(
     params: PhysicalParams, eps: float = 0.5, eps_tilde: float = 1.0, M: float = 0.0
 ) -> StabilityConstants:
-    """Bundle of closed-form constants for the admissible (eps, eps_tilde) window."""
+    """Bundle of closed-form constants for the admissible (eps, eps_tilde) window.
+
+    Raises RegimeError naming the constants that are not finite (r just
+    above 3 puts the convection rate beyond the float range).
+    """
+    sc = _stability_constants(params, eps, eps_tilde, M)
+    bad = [f.name for f in fields(sc) if not np.isfinite(getattr(sc, f.name))]
+    if bad:
+        raise RegimeError(
+            f"closed-form constants not finite at r={params.r:g}, q={params.q:g}: "
+            + ", ".join(bad)
+        )
+    return sc
+
+
+def _stability_constants(params, eps, eps_tilde, M) -> StabilityConstants:
     if not (0 < eps <= 0.5):
         raise ConfigError("eps must lie in (0, 1/2]")
     if not (0 < eps_tilde <= 1.0):

@@ -174,14 +174,35 @@ def oversample_factor(p: float) -> int:
     return max(1, min(int(np.ceil((p + 1) / 2)), 4))
 
 
-def norm_Lp(a: SpectralField, p: float) -> float:
-    """L^p norm by rectangle rule on an oversampled nodal grid."""
-    f = oversample_factor(p)
-    vals = oversample(a, f) if f > 1 else a.physical()
-    M = f * a.grid.N
+def norm_factor(p: float) -> int:
+    """Oversampling factor of norm_Lp.
+
+    For even integer p, |a|^p is a trigonometric polynomial with modes
+    |k_i| <= p (N/2 - 1) < (p/2) N, so the rectangle rule on the factor-p/2
+    grid integrates it exactly; that factor is used up to the cap of
+    oversample_factor.  Every other p uses oversample_factor(p).
+    """
+    if p > 0 and p % 2 == 0:
+        return min(int(p) // 2, oversample_factor(p))
+    return oversample_factor(p)
+
+
+def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float) -> float:
+    """L^p norm by rectangle rule from nodal values on any (M, ..., M) grid."""
+    M = vals.shape[-1]
     mag2 = np.sum(vals**2, axis=0)
-    integral = np.sum(mag2 ** (p / 2.0)) * (a.grid.L / M) ** a.grid.d
+    integral = np.sum(mag2 ** (p / 2.0)) * (grid.L / M) ** grid.d
     return float(integral ** (1.0 / p))
+
+
+def norm_Lp(a: SpectralField, p: float) -> float:
+    """L^p norm by rectangle rule on the factor-norm_factor(p) nodal grid.
+
+    A caller that already holds the nodal values of `a` on that grid (the
+    time stepper's C_r grid when norm_factor(r + 1) == oversample_factor(r))
+    passes them to norm_Lp_nodal instead of transforming again.
+    """
+    return norm_Lp_nodal(oversample(a, norm_factor(p)), a.grid, p)
 
 
 def divergence_max(a: SpectralField) -> float:

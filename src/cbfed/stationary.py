@@ -37,9 +37,10 @@ def _rhs(y, params, f):
     return out
 
 
-def residual_norm(y, params, f) -> float:
+def residual_norm(y, params, rhs) -> float:
+    """||(mu A + alpha) y - rhs||_H, for rhs = _rhs(y, params, f)."""
     lin = sp.SpectralField(y.grid, y.c * (params.mu * y.grid.lap + params.alpha))
-    return sp.norm_H(lin - _rhs(y, params, f))
+    return sp.norm_H(lin - rhs)
 
 
 def solve_stationary(
@@ -59,16 +60,19 @@ def solve_stationary(
     best = np.inf
     stall = 0
     history = []
-    res = residual_norm(y, params, f)
+    # one right-hand side per iterate: the residual's is reused by the update
+    rhs = _rhs(y, params, f)
+    res = residual_norm(y, params, rhs)
     history.append(res)
     for it in range(1, max_iter + 1):
         if not np.isfinite(res):
             raise SolverDivergence("stationary iteration produced non-finite residual")
         if res < tol:
             return StationaryResult(y, res, it - 1, True, omega, history)
-        update = sp.SpectralField(grid, _rhs(y, params, f).c * inv)
+        update = sp.SpectralField(grid, rhs.c * inv)
         y = (1 - omega) * y + omega * update
-        res = residual_norm(y, params, f)
+        rhs = _rhs(y, params, f)
+        res = residual_norm(y, params, rhs)
         history.append(res)
         if res >= best * 0.999:
             stall += 1

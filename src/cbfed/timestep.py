@@ -23,7 +23,7 @@ import numpy as np
 from . import convex as cx
 from . import operators as op
 from . import spectral as sp
-from .errors import ConfigError, SolverDivergence
+from .errors import ConfigError, RegimeError, SolverDivergence
 
 COLUMNS = ("t", "norm_H", "norm_gradH", "norm_V", "norm_Lr1", "dist_K", "norm_u", "energy_defect")
 
@@ -128,7 +128,7 @@ def energy_defects(t, h, gh, lr1, params, forcing_norm, control_bound) -> np.nda
     """
     try:
         k_rate = op.stability_constants(params, M=control_bound).energy_rate
-    except Exception:
+    except RegimeError:
         return np.full(len(t), np.nan)
     h2 = np.asarray(h) ** 2
     out = np.zeros(len(t))
@@ -156,25 +156,52 @@ def simulate(cfg: SimConfig) -> Trajectory:
     project_mode = K is not None and cfg.constraint_mode == "project"
     yosida_mode = K is not None and cfg.constraint_mode == "yosida"
 
-    # B, C_r and C_q at the reference state are constant over the run
+    # the damping terms beta C_r + gamma C_q, grouped by oversampling factor
+    groups = {}
+    for coef, expo in ((p.beta, p.r), (p.gamma, p.q)):
+        if coef != 0:
+            groups.setdefault(sp.oversample_factor(expo), []).append((coef, expo))
+    # the recorded L^{r+1} norm reads the C_r grid values when its factor is theirs
+    fr = sp.oversample_factor(p.r)
+    norm_grid = fr if sp.norm_factor(p.r + 1) == fr else None
+
+    # B and the damping at the reference state are constant over the run, and
+    # so (oversampling is linear) are its nodal values on each damping grid
     y_ref = cfg.y_ref
-    b_ref = cr_ref = cq_ref = None
+    b_ref = None
+    y_nodal = {}
+    d_ref = sp.SpectralField.zero(g)
     if y_ref is not None:
         b_ref = op.convective(y_ref)
-        cr_ref = op.power_damping(y_ref, p.r)
-        if p.gamma != 0:
-            cq_ref = op.power_damping(y_ref, p.q)
+        y_nodal = {factor: sp.oversample(y_ref, factor) for factor in groups}
+        for factor, terms in groups.items():
+            d_ref = d_ref + _damping(y_nodal[factor].copy(), terms, g)
 
     def feedback(z):
         # evaluated once per state: the explicit term and the record share it
         return cfg.controller(z) if cfg.controller is not None else None
 
-    def explicit(z, u):
-        out = f - op.shifted_convective(z, y_ref, b_ref) - p.beta * op.shifted_damping(
-            z, y_ref, p.r, cr_ref
-        )
-        if p.gamma != 0:
-            out = out - p.gamma * op.shifted_damping(z, y_ref, p.q, cq_ref)
+    def evaluate(z, norm):
+        """Shifted damping at z, and ||z||_{L^{r+1}} when norm is set (else None).
+
+        z is oversampled once per distinct factor, one factor at a time; the
+        norm is taken before the reference values are added in place.
+        """
+        damp = -d_ref
+        lr1 = None
+        for factor, terms in groups.items():
+            vals = sp.oversample(z, factor)
+            if norm and factor == norm_grid:
+                lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1)
+            if y_ref is not None:
+                vals += y_nodal[factor]
+            damp = damp + _damping(vals, terms, g)
+        if norm and lr1 is None:
+            lr1 = sp.norm_Lp(z, p.r + 1)
+        return damp, lr1
+
+    def explicit(z, u, damp):
+        out = f - op.shifted_convective(z, y_ref, b_ref) - damp
         if u is not None:
             out = out + u
         if yosida_mode:
@@ -187,24 +214,27 @@ def simulate(cfg: SimConfig) -> Trajectory:
     times, hs, ghs, vs, lr1s, dists, us = [], [], [], [], [], [], []
     states = []
 
-    def record(m, zc, u):
+    def record(m, zc, u, lr1):
         times.append(m * dt)
         hs.append(sp.norm_H(zc))
         ghs.append(sp.norm_grad(zc))
         vs.append(sp.norm_V(zc))
-        lr1s.append(sp.norm_Lp(zc, p.r + 1))
+        lr1s.append(lr1)
         dists.append(K.distance(zc) if K is not None else 0.0)
         us.append(sp.norm_H(u) if u is not None else 0.0)
         if cfg.record_states:
             states.append((m * dt, zc.copy()))
 
+    # each state is evaluated once, right after its Leray/constraint step:
+    # its record and the explicit term of the next step share the evaluation
     u = feedback(z)
-    record(0, z, u)
+    damp, lr1 = evaluate(z, norm=True)
+    record(0, z, u, lr1)
     prev_N = None
     denom1 = 1.0 + dt * lin
     half = 0.5 * dt * lin
     for m in range(1, nsteps + 1):
-        N = explicit(z, u)
+        N = explicit(z, u, damp)
         if cfg.scheme == "imex1" or prev_N is None:
             znew = sp.SpectralField(g, (z.c + dt * N.c) / denom1)
         else:
@@ -220,8 +250,13 @@ def simulate(cfg: SimConfig) -> Trajectory:
         if not np.isfinite(nh) or nh > guard:
             raise SolverDivergence(f"state norm {nh:.3e} exploded at t={m * dt:.4g}")
         u = feedback(z)
-        if m % cfg.record_every == 0 or m == nsteps:
-            record(m, z, u)
+        recorded = m % cfg.record_every == 0
+        if m < nsteps:
+            damp, lr1 = evaluate(z, norm=recorded)
+        else:
+            lr1 = sp.norm_Lp(z, p.r + 1)    # the final state needs only its norm
+        if recorded or m == nsteps:
+            record(m, z, u, lr1)
 
     t = np.array(times)
     defect = energy_defects(
@@ -239,6 +274,19 @@ def simulate(cfg: SimConfig) -> Trajectory:
         final=z,
         states=states,
     )
+
+
+def _damping(vals, terms, grid) -> sp.SpectralField:
+    """Sum of coef C_p(y) over terms [(coef, p), ...] that share one
+    oversampling factor, from the nodal values vals of y on that grid.
+
+    vals is overwritten by the last term; an earlier one gets a copy.
+    """
+    out = sp.SpectralField.zero(grid)
+    for i, (coef, expo) in enumerate(terms):
+        own = vals if i == len(terms) - 1 else vals.copy()
+        out = out + coef * op.damping_from_nodal(own, grid, expo)
+    return out
 
 
 def sup_state_distance(a: Trajectory, b: Trajectory) -> float:

@@ -175,6 +175,18 @@ def test_exit_code_regime_violation(tmp_path):
     assert cli.main(["stabilize-theta", "--config", cfg]) == 4
 
 
+def test_constants_overflow_is_regime_violation(tmp_path, capsys):
+    # r just above 3: the convection rate leaves the float range
+    out = str(tmp_path / "out")
+    assert cli.main(["constants", "--set", "params.r=3.001", "--output-dir", out]) == 4
+    assert "conv_rate" in capsys.readouterr().err
+    # stabilize-theta there still stops at its blow-up guard
+    args = ["stabilize-theta", "--set", "params.r=3.001", "--set", "grid.N=8",
+            "--set", "integrator.T=0.1", "--output-dir", out]
+    with np.errstate(invalid="ignore"):
+        assert cli.main(args) == 3
+
+
 def test_exit_code_solver_divergence(tmp_path):
     cfg = write_config(
         tmp_path,

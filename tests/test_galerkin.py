@@ -1,6 +1,8 @@
 """Reduced n-mode model: assembly, gain synthesis, growth constants, closed loops."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -286,6 +288,21 @@ def test_nonlinear_term_batch_matches_rows():
     batch = gk.nonlinear_term(red, V)
     for b in range(len(V)):
         assert _rel_diff(batch[b], gk.nonlinear_term(red, V[b])) < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nonlinear_term_zero_equilibrium_matches_general_path(d):
+    # at y_e = 0 the reduction keeps no oversampled equilibrium, and the
+    # y_e terms drop out; the general path with explicit zeros agrees
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = op.PhysicalParams(mu=1.0, alpha=0.1, beta=0.8, gamma=-0.4, r=5, q=3)
+    red = gk.assemble_reduction(sp.SpectralField.zero(g), 8, p)
+    assert red._Yf is None
+    general = dataclasses.replace(red, _Yf=np.zeros_like(red._Wf[0]))
+    V = 0.5 * np.random.default_rng(89).standard_normal((5, 8))
+    assert _rel_diff(gk.nonlinear_term(red, V), gk.nonlinear_term(general, V)) < 1e-14
+    for v in V:
+        assert _rel_diff(gk.nonlinear_term(red, v), gk.nonlinear_term(general, v)) < 1e-14
 
 
 def test_nonlinear_term_exponents_use_own_rules():

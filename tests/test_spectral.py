@@ -94,6 +94,19 @@ def test_norm_Lp_odd_powers_second_route():
         assert abs(sp.norm_Lp(f, p) - ref) < 1e-12 * max(1.0, ref)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_norm_Lp_even_powers_exact_at_half_factor(d):
+    # |f|^p for even p has modes below (p/2) N per axis: factor p/2 is exact,
+    # so one more level of oversampling changes the norm only by roundoff
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    f = sp.random_solenoidal(g, seed=5, decay=1.5)
+    assert [sp.norm_factor(p) for p in (2, 4, 6, 8, 10)] == [1, 2, 3, 4, 4]
+    assert [sp.norm_factor(p) for p in (1, 3, 5, 5.5)] == [1, 2, 3, 4]
+    for p in (2, 4, 6):
+        finer = sp.norm_Lp_nodal(sp.oversample(f, p // 2 + 1), g, p)
+        assert abs(sp.norm_Lp(f, p) - finer) < 1e-14 * finer
+
+
 def test_inner_matches_nodal():
     g = grid2(N=24)
     a = sp.random_solenoidal(g, seed=11, decay=2.0)

@@ -65,6 +65,24 @@ def test_smooth_forcing_converges_geometrically():
     assert sp.divergence_max(res.field) < 1e-10
 
 
+def test_one_rhs_per_picard_iterate(monkeypatch):
+    # the residual's right-hand side is reused by the update
+    g = grid2(N=16)
+    p = op.PhysicalParams(mu=1, alpha=0.5, beta=1, gamma=-0.1, r=5, q=2)
+    forcing = 0.5 * sp.random_solenoidal(g, seed=7)
+    calls = []
+    rhs = st._rhs
+
+    def counted(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(st, "_rhs", counted)
+    res = st.solve_stationary(g, p, forcing)
+    assert res.converged and res.iterations > 2
+    assert len(calls) == res.iterations + 1
+
+
 def test_solver_divergence_raised():
     g = grid2(N=16)
     p = op.PhysicalParams(mu=1, alpha=0.5, beta=1, gamma=-0.1, r=5, q=2)

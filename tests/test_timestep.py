@@ -196,3 +196,113 @@ def test_one_controller_call_per_state(d, scheme, monkeypatch):
     # the recorded feedback norm is that of the recorded state
     expect = [sp.norm_H(-0.7 * z) for _t, z in traj.states]
     np.testing.assert_array_equal(traj.norm_u, expect)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per state: checked against the step as it was built before,
+# from op.shifted_damping and the L^{r+1} norm at its earlier factor
+# min(ceil((p + 1) / 2), 4): 4 for r = 4.5 and 5, 3 for r = 3 and 4.  For
+# odd p = 5 (r = 4) the rectangle rule is not exact, and factors 3 and 4
+# differ by ~2e-10 there, so the earlier factor is the reference.
+
+
+def _norm_Lp_earlier_factor(a, p):
+    factor = max(1, min(int(np.ceil((p + 1) / 2)), 4))
+    vals = sp.oversample(a, factor)
+    cell = (a.grid.L / (factor * a.grid.N)) ** a.grid.d
+    return float((np.sum(np.sum(vals**2, axis=0) ** (p / 2.0)) * cell) ** (1.0 / p))
+
+
+def _reference_run(g, p, y0, nsteps, dt, scheme="imex1", y_ref=None, forcing=None):
+    """States and L^{r+1} norms of the unconstrained, uncontrolled step."""
+    lin = p.mu * g.lap + p.alpha
+    f = sp.leray(forcing) if forcing is not None else sp.SpectralField.zero(g)
+    z = y0.copy()
+    states, norms = [z], [_norm_Lp_earlier_factor(z, p.r + 1)]
+    prev_N = None
+    for _ in range(nsteps):
+        N = f - op.shifted_convective(z, y_ref) - p.beta * op.shifted_damping(z, y_ref, p.r)
+        if p.gamma != 0:
+            N = N - p.gamma * op.shifted_damping(z, y_ref, p.q)
+        if scheme == "imex1" or prev_N is None:
+            c = (z.c + dt * N.c) / (1.0 + dt * lin)
+        else:
+            half = 0.5 * dt * lin
+            c = (z.c * (1.0 - half) + dt * (1.5 * N.c - 0.5 * prev_N.c)) / (1.0 + half)
+        if scheme == "cnab2":
+            prev_N = N
+        z = sp.leray(sp.SpectralField(g, c))
+        states.append(z)
+        norms.append(_norm_Lp_earlier_factor(z, p.r + 1))
+    return states, np.array(norms)
+
+
+def _reference_state(g, seed, offset):
+    # a solenoidal field plus a constant flow, so that |y_ref| has no zeros
+    y = 0.5 * sp.random_solenoidal(g, seed=seed, decay=3.0)
+    y.c[(slice(None),) + (0,) * g.d] += np.asarray(offset[: g.d])
+    return y
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_oversample_once_per_factor_per_state(r, monkeypatch):
+    g = grid2()
+    p = smooth_params(r=r, q=2)   # gamma != 0: C_q at factor 2 shares a grid with C_3
+    y_ref = _reference_state(g, 61, (0.6, -0.3))
+    y0 = 0.3 * sp.random_solenoidal(g, seed=62)
+    factors = []
+    oversample = sp.oversample
+
+    def counted(a, factor):
+        factors.append(factor)
+        return oversample(a, factor)
+
+    monkeypatch.setattr(sp, "oversample", counted)
+    nsteps, dt = 5, 0.01
+    cfg = ts.SimConfig(
+        grid=g, params=p, y0=y0, T=nsteps * dt, dt=dt, y_ref=y_ref, record_every=2,
+    )
+    ts.simulate(cfg)
+    distinct = sorted({sp.oversample_factor(r), sp.oversample_factor(2)})
+    fr = sp.oversample_factor(r)
+    # y_ref once per factor, states 0 .. nsteps-1 once per factor, the final
+    # state once on the C_r grid for its norm
+    expect = {f: 1 + nsteps + (f == fr) for f in distinct}
+    assert {f: factors.count(f) for f in set(factors)} == expect
+    assert 4 not in factors
+
+
+@pytest.mark.parametrize("with_ref", [False, True])
+@pytest.mark.parametrize("r", [3, 4, 4.5, 5])
+def test_norm_Lr1_matches_reference_step(r, with_ref):
+    g = grid2()
+    p = smooth_params(r=r, q=2)
+    y_ref = _reference_state(g, 63, (0.6, -0.3)) if with_ref else None
+    y0 = 0.4 * sp.random_solenoidal(g, seed=64, decay=2.5)
+    f = 0.3 * sp.random_solenoidal(g, seed=65, decay=3.0)
+    nsteps, dt = 8, 0.01
+    cfg = ts.SimConfig(grid=g, params=p, y0=y0, T=nsteps * dt, dt=dt, y_ref=y_ref, forcing=f)
+    traj = ts.simulate(cfg)
+    _states, norms = _reference_run(g, p, y0, nsteps, dt, y_ref=y_ref, forcing=f)
+    rel = np.max(np.abs(traj.norm_Lr1 - norms) / norms)
+    assert rel < 1e-13, rel
+
+
+@pytest.mark.parametrize("scheme", ["imex1", "cnab2"])
+def test_3d_shifted_trajectory_matches_reference_step(scheme):
+    g = sp.TorusGrid(d=3, N=8)
+    p = smooth_params(r=5, q=2, gamma=-0.3)
+    y_ref = _reference_state(g, 66, (0.5, -0.2, 0.3))
+    y0 = 0.4 * sp.random_solenoidal(g, seed=67)
+    f = 0.3 * sp.random_solenoidal(g, seed=68, decay=3.0)
+    nsteps, dt = 6, 0.01
+    cfg = ts.SimConfig(
+        grid=g, params=p, y0=y0, T=nsteps * dt, dt=dt, scheme=scheme, y_ref=y_ref,
+        forcing=f, record_states=True,
+    )
+    traj = ts.simulate(cfg)
+    states, norms = _reference_run(g, p, y0, nsteps, dt, scheme, y_ref, f)
+    assert len(traj.states) == len(states)
+    for (_t, z), zr in zip(traj.states, states):
+        assert sp.norm_H(z - zr) <= 1e-12 * sp.norm_H(zr)
+    assert np.max(np.abs(traj.norm_Lr1 - norms) / norms) < 1e-13
