@@ -303,8 +303,13 @@ def _run_constants(cfg, outdir, h):
         except RegimeError:
             return None
 
+    def _finite(x):
+        return x if np.isfinite(x) else None
+
     # outside the regime the constants are reported as null; inside it, a
-    # constant beyond the float range is a RegimeError of its own (exit 4)
+    # constant beyond the float range is a RegimeError of its own (exit 4).
+    # The uniqueness constants K1, K2 need only r > q and are null where
+    # they leave the float range (q just below r).
     sc = None
     if params.regime != "unsupported":
         sc = op.stability_constants(params, eps=eps_split, eps_tilde=eps_tilde)
@@ -320,8 +325,8 @@ def _run_constants(cfg, outdir, h):
         "feedback_shift": sc.growth_rate if sc else None,
         "rho_half": _try(op.convection_rate, params.mu, params.beta, params.r, 0.5),
         "rho_one": _try(op.convection_rate, params.mu, params.beta, params.r, 1.0),
-        "K1": st.uniqueness_K1(params.beta, params.gamma, params.r, params.q),
-        "K2": st.uniqueness_K2(params.beta, params.gamma, params.r, params.q),
+        "K1": _finite(st.uniqueness_K1(params.beta, params.gamma, params.r, params.q)),
+        "K2": _finite(st.uniqueness_K2(params.beta, params.gamma, params.r, params.q)),
         "gamma0": (4 * np.pi / L) * (2.0 / L**d) ** 0.5,
         "c_min": th["c_min"] if th else None,
     }

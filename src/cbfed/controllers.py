@@ -127,8 +127,14 @@ def run_theta_loop(grid, params, theta, constraint, z0, T, dt=None, y_ref=None,
 
     The claimed rate is slack * (theta + alpha - c_min); the report says
     whether the trajectory met it pointwise and stayed in the set.
+    Raises RegimeError when the threshold c_min is not finite (r just above
+    3), since no finite theta then certifies decay.
     """
     th = theta_threshold(params)
+    if not np.isfinite(th["c_min"]):
+        raise RegimeError(
+            f"theta threshold c_min is not finite at r={params.r:g}, q={params.q:g}"
+        )
     report, traj = _closed_loop(
         slack * (theta + params.alpha - th["c_min"]), invariance_tol,
         grid=grid, params=params, y0=z0, T=T, dt=dt, forcing=forcing,

@@ -15,6 +15,13 @@ Storage is the full spectrum, shape (d, N, ..., N), and the snapshot format
 real: they read or produce only the half spectrum k_d >= 0 of the last axis.
 A forward transform rebuilds the other half from c(-k) = conj c(k), so the
 spectra it returns are exactly Hermitian.
+
+The zero-padded transforms to and from the refined (factor*N)^d grids
+(oversample, fine_to_coeffs) run one axis at a time and transform only the
+lines that can be nonzero (inverse) or that are kept (forward).  Each line
+is the same 1-d transform, in the same axis order, that irfftn/rfftn on the
+fully padded array would compute, so the results are bitwise the same
+without the all-zero or discarded lines.
 """
 from __future__ import annotations
 
@@ -313,40 +320,64 @@ def pad_coeffs(c: np.ndarray, grid: TorusGrid, M: int) -> np.ndarray:
     return out
 
 
-def _half_blocks(grid: TorusGrid, M: int):
-    """(coarse, fine) index pairs embedding last-axis half spectra N -> M.
+def _pad_axis(x: np.ndarray, axis: int, M: int) -> np.ndarray:
+    """Embed the coarse rows of `axis` (a negative index) into M padded rows."""
+    shape = list(x.shape)
+    shape[axis] = M
+    out = np.zeros(shape, dtype=complex)
+    lead = (slice(None),) * (x.ndim + axis)
+    for src, dst in _block_pairs(x.shape[axis], M):
+        out[lead + (dst,)] = x[lead + (src,)]
+    return out
 
-    The coarse Nyquist index N/2 of the last axis is left out: it is zero
-    in every stored spectrum.
-    """
-    last = (slice(0, grid.N // 2),)
-    for corner in product(_block_pairs(grid.N, M), repeat=grid.d - 1):
-        src = (Ellipsis,) + tuple(pair[0] for pair in corner) + last
-        dst = (Ellipsis,) + tuple(pair[1] for pair in corner) + last
-        yield src, dst
+
+def _trim_axis(x: np.ndarray, axis: int, N: int) -> np.ndarray:
+    """Keep the fine rows of `axis` (a negative index) that hold coarse modes."""
+    lead = (slice(None),) * (x.ndim + axis)
+    blocks = [x[lead + (dst,)] for _, dst in _block_pairs(N, x.shape[axis])]
+    return np.concatenate(blocks, axis=axis)
 
 
 def oversample(a: SpectralField, factor: int) -> np.ndarray:
-    """Nodal values on the refined (factor*N)^d grid (exact interpolation)."""
+    """Nodal values on the refined (factor*N)^d grid (exact interpolation).
+
+    Only the lines that can be nonzero are transformed: ifft along the
+    leading spatial axes in irfftn's order (first to last), each over the
+    block the previous ones filled, zero-padded to M = factor*N along that
+    axis alone; then one length-M irfft along the last axis of the kept
+    columns 0 .. N/2-1, which numpy zero-pads to M/2+1.  The coarse Nyquist
+    column N/2 is left out: it is zero in every stored spectrum.  Every
+    line is the 1-d transform irfftn would compute, so the values are
+    bitwise those of irfftn on the fully padded half spectrum.
+    """
     if factor == 1:
         return a.physical()
     g = a.grid
     M = factor * g.N
-    half = np.zeros((g.d,) + (M,) * (g.d - 1) + (M // 2 + 1,), dtype=complex)
-    for src, dst in _half_blocks(g, M):
-        half[dst] = a.c[src]
-    return _irfft(half, (M,) * g.d)
+    x = a.c[..., : g.N // 2]
+    for axis in range(-g.d, -1):
+        x = np.fft.ifft(_pad_axis(x, axis, M), axis=axis, norm="forward")
+    return np.fft.irfft(x, n=M, axis=-1, norm="forward")
 
 
 def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray:
-    """Transform fine nodal values and truncate to the coarse spectrum."""
-    cf = _rfft(vals, grid.d)
+    """Transform fine nodal values and truncate to the coarse spectrum.
+
+    For factor > 1 only the kept lines are computed: rfft along the last
+    axis keeping columns 0 .. N/2-1, then fft along the leading spatial axes
+    in rfftn's order (last to first), keeping after each the rows of the
+    coarse wavenumbers before the next axis is transformed.  The discarded
+    lines never feed a kept one, so the coefficients are bitwise those of
+    rfftn on the whole grid followed by truncation.
+    """
     if factor == 1:
-        return _full_spectrum(cf, grid)
+        return _full_spectrum(_rfft(vals, grid.d), grid)
     N, d = grid.N, grid.d
-    half = np.zeros(cf.shape[:-d] + (N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
-    for src, dst in _half_blocks(grid, factor * N):
-        half[src] = cf[dst]
+    x = np.fft.rfft(vals, axis=-1, norm="forward")[..., : N // 2]
+    for axis in range(-2, -d - 1, -1):
+        x = _trim_axis(np.fft.fft(x, axis=axis, norm="forward"), axis, N)
+    half = np.zeros(x.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    half[..., : N // 2] = x
     return _full_spectrum(half, grid)
 
 

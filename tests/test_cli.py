@@ -180,11 +180,23 @@ def test_constants_overflow_is_regime_violation(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["constants", "--set", "params.r=3.001", "--output-dir", out]) == 4
     assert "conv_rate" in capsys.readouterr().err
-    # stabilize-theta there still stops at its blow-up guard
+    # stabilize-theta there refuses its non-finite threshold c_min
     args = ["stabilize-theta", "--set", "params.r=3.001", "--set", "grid.N=8",
             "--set", "integrator.T=0.1", "--output-dir", out]
     with np.errstate(invalid="ignore"):
-        assert cli.main(args) == 3
+        assert cli.main(args) == 4
+
+
+def test_constants_uniqueness_overflow_reports_null(tmp_path):
+    # q just below r, outside the damping regimes: K1 and K2 leave the float
+    # range and are reported as null like the other out-of-regime constants
+    out = tmp_path / "out"
+    args = ["constants", "--set", "params.r=2.5", "--set", "params.q=2.499",
+            "--set", "params.gamma=-3", "--output-dir", str(out)]
+    assert cli.main(args) == 0
+    rep = load_report(only_run_dir(out))["report"]
+    assert rep["regime"] == "unsupported"
+    assert rep["K1"] is None and rep["K2"] is None
 
 
 def test_exit_code_solver_divergence(tmp_path):

@@ -165,6 +165,16 @@ def test_theta_closed_loop_report():
     assert np.max(traj.dist_K) < 1e-10
 
 
+def test_theta_loop_refuses_infinite_threshold():
+    # r just above 3: c_min = inf, so no finite theta certifies decay
+    g = grid2(N=8)
+    p = op.PhysicalParams(mu=1, alpha=0.3, beta=1, gamma=0.0, r=3.001, q=2)
+    assert ct.theta_threshold(p)["c_min"] == np.inf
+    z0 = sp.random_solenoidal(g, seed=12)
+    with pytest.raises(RegimeError, match="c_min"):
+        ct.run_theta_loop(g, p, theta=1.0, constraint=None, z0=z0, T=0.1, dt=0.01)
+
+
 def test_proportional_closed_loop_report():
     g = grid2(N=32)
     p = op.PhysicalParams(mu=1, alpha=0.3, beta=1, gamma=-0.05, r=5, q=2)

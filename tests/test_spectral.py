@@ -364,3 +364,76 @@ def test_fine_to_coeffs_matches_complex_route(d):
         ref = _gather_by_hand(cf, g.N, M, d) * g.keep
         out = sp.fine_to_coeffs(vals, g, factor)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# zero-padded transforms against the full-pad route, bitwise
+#
+# The reference pads the whole spectrum and transforms every line; the code
+# under test skips the lines that are zero or discarded, and computes each
+# remaining line the same way, so the two agree exactly.
+
+
+def _oversample_full_pad(f, factor):
+    g = f.grid
+    M = factor * g.N
+    half = _pad_by_hand(f.c, g.N, M, g.d)[..., : M // 2 + 1]
+    return np.fft.irfftn(half, s=(M,) * g.d, axes=tuple(range(1, g.d + 1)), norm="forward")
+
+
+def _fine_to_coeffs_full_pad(vals, g, factor):
+    M = factor * g.N
+    cf = np.fft.rfftn(vals, axes=tuple(range(1, g.d + 1)), norm="forward")
+    # last axis moved in front, so the leading spatial axes are the last d-1
+    lead = np.moveaxis(cf[..., : g.N // 2], -1, 0)
+    half = np.zeros((g.d,) + (g.N,) * (g.d - 1) + (g.N // 2 + 1,), dtype=complex)
+    half[..., : g.N // 2] = np.moveaxis(_gather_by_hand(lead, g.N, M, g.d - 1), 0, -1)
+    return sp._full_spectrum(half, g)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [4, 8, 16])
+@pytest.mark.parametrize("d", [2, 3])
+def test_oversample_bitwise_matches_full_pad(d, N, factor):
+    f = sp.random_field(sp.TorusGrid(d=d, N=N), seed=66 + N, decay=1.0)
+    assert np.array_equal(sp.oversample(f, factor), _oversample_full_pad(f, factor))
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [4, 8, 16])
+@pytest.mark.parametrize("d", [2, 3])
+def test_fine_to_coeffs_bitwise_matches_full_pad(d, N, factor):
+    g = sp.TorusGrid(d=d, N=N)
+    vals = np.random.default_rng(67 + N).standard_normal((d,) + (factor * N,) * d)
+    out = sp.fine_to_coeffs(vals, g, factor)
+    assert np.array_equal(out, _fine_to_coeffs_full_pad(vals, g, factor))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_padded_transforms_leave_inputs_unmodified(d):
+    g = small_grid(d)
+    f = sp.random_field(g, seed=68, decay=1.0)
+    c = f.c.copy()
+    for factor in (1, 2, 3, 4):
+        vals = sp.oversample(f, factor)
+        before = vals.copy()
+        sp.fine_to_coeffs(vals, g, factor)
+        assert np.array_equal(vals, before)
+    assert np.array_equal(f.c, c)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_padded_transforms_keep_no_state_between_calls(d):
+    g = small_grid(d)
+    a = sp.random_field(g, seed=69, decay=1.0)
+    b = sp.random_field(g, seed=70, decay=1.0)
+    for factor in (2, 3):
+        va, vb = sp.oversample(a, factor), sp.oversample(b, factor)
+        ca, cb = sp.fine_to_coeffs(va, g, factor), sp.fine_to_coeffs(vb, g, factor)
+        assert not np.shares_memory(va, vb) and not np.shares_memory(ca, cb)
+        # fresh calls on copies, in the other order
+        fb = sp.oversample(sp.SpectralField(g, b.c.copy()), factor)
+        fa = sp.oversample(sp.SpectralField(g, a.c.copy()), factor)
+        assert np.array_equal(va, fa) and np.array_equal(vb, fb)
+        assert np.array_equal(cb, sp.fine_to_coeffs(fb.copy(), g, factor))
+        assert np.array_equal(ca, sp.fine_to_coeffs(fa.copy(), g, factor))

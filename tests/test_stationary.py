@@ -100,6 +100,12 @@ def test_uniqueness_constants_frozen():
     assert st.uniqueness_K2(beta=1, gamma=0, r=5, q=2) == 0.0
 
 
+def test_uniqueness_constants_beyond_float_range_are_inf():
+    # q just below r: |gamma|^((r+1)/(r-q)) = 3^3500 leaves the float range
+    assert st.uniqueness_K1(beta=1, gamma=-3, r=2.5, q=2.499) == np.inf
+    assert st.uniqueness_K2(beta=1, gamma=-3, r=2.5, q=2.499) == np.inf
+
+
 def test_uniqueness_and_energy_reports():
     g = grid2(N=16)
     p = op.PhysicalParams(mu=1, alpha=0.5, beta=1, gamma=-0.1, r=5, q=2)
