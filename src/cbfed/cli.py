@@ -66,6 +66,8 @@ _DEFAULTS = {
     "output_dir": "runs",
     "seed": 0,
 }
+# keys whose default is null but which take a number when set
+_NUMBER_OR_NULL = {"controller.theta", "integrator.dt", "integrator.yosida_lam"}
 
 
 # ---------------------------------------------------------------- config
@@ -83,6 +85,17 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
         else:
             out[key] = val
     return out
+
+
+def _check_numbers(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
+    """Reject a value other than an int or float (a bool included) where a number goes."""
+    for key, default in defaults.items():
+        dotted, val = path + key, config[key]
+        if isinstance(default, dict) and default:
+            _check_numbers(val, default, dotted + ".")
+        elif isinstance(default, (int, float)) or (val is not None and dotted in _NUMBER_OR_NULL):
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"config key {dotted!r} expects a number, got {val!r}")
 
 
 def _apply_override(user: dict, item: str) -> None:
@@ -124,6 +137,7 @@ def load_effective_config(experiment, config_path=None, overrides=(), output_dir
             f"config declares experiment {declared!r} but the subcommand is {experiment!r}"
         )
     merged = _merge(_DEFAULTS, user)
+    _check_numbers(merged)
     merged["experiment"] = experiment
     if output_dir is not None:
         merged["output_dir"] = output_dir
@@ -210,13 +224,12 @@ def _build_constraint(cfg):
 def _build_mask(cfg, grid):
     boxes = cfg["mask"]["boxes"]
     if boxes is None:
-        return np.ones(grid.shape), None
+        return np.ones(grid.shape)
     try:
         parsed = [tuple((float(lo), float(hi)) for lo, hi in box) for box in boxes]
     except (TypeError, ValueError):
         raise ConfigError("mask.boxes must be a list of per-axis [lo, hi] lists") from None
-    dm = eg.DomainMask(grid, parsed)
-    return dm.indicator, dm
+    return eg.DomainMask(grid, parsed).indicator
 
 
 def _states(cfg, grid, params, seeds, initial=True):
@@ -396,7 +409,7 @@ def _run_theta(cfg, outdir, h):
 
 def _run_proportional(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
-    mask, _ = _build_mask(cfg, grid)
+    mask = _build_mask(cfg, grid)
     knobs = cfg["controller"]
     k_gain = float(knobs["k_gain"])
     nu, _, _ = eg.smallest_eigenvalue_Ak(
@@ -415,11 +428,11 @@ def _run_proportional(cfg, outdir, h):
 
 def _run_eigen(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
-    mask, dm = _build_mask(cfg, grid)
+    mask = _build_mask(cfg, grid)
     knobs = cfg["controller"]
     est = eg.lambda_star_estimate(
         grid,
-        dm if dm is not None else mask,
+        mask,
         knobs["ladder"],
         mu=params.mu,
         alpha=params.alpha,
@@ -449,7 +462,7 @@ def _run_eigen(cfg, outdir, h):
 
 def _run_reduce(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
-    mask, _ = _build_mask(cfg, grid)
+    mask = _build_mask(cfg, grid)
     _, _, y_ref = _states(cfg, grid, params, seeds, initial=False)
     y_e = y_ref if y_ref is not None else sp.SpectralField.zero(grid)
     red = gk.assemble_reduction(y_e, int(cfg["controller"]["n"]), params, mask=mask)
@@ -474,7 +487,7 @@ def _run_reduce(cfg, outdir, h):
 
 def _run_galerkin(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
-    mask, _ = _build_mask(cfg, grid)
+    mask = _build_mask(cfg, grid)
     _, forcing, y_ref = _states(cfg, grid, params, seeds, initial=False)
     y_e = y_ref if y_ref is not None else sp.SpectralField.zero(grid)
     knobs = cfg["controller"]

@@ -225,12 +225,8 @@ def lambda_star_estimate(
     ``1 / k``; the last two rungs give the reported estimate.  The ladder of
     eigenvalues must be nondecreasing up to solver tolerance.
     """
-    if isinstance(mask, DomainMask):
-        m = mask.indicator
-        comp = mask.complement_volume
-    else:
-        m = _as_indicator(mask, grid)
-        comp = grid.L**grid.d - float(m.sum()) * grid.cell_volume
+    m = _as_indicator(mask, grid)
+    comp = grid.L**grid.d - float(m.sum()) * grid.cell_volume
     if comp <= 0.0:
         raise ConfigError("complement empty: the gain limit needs an uncontrolled region")
     ks = [float(k) for k in k_ladder]
@@ -269,10 +265,10 @@ def lambda_star_estimate(
 _BESSEL_FIRST_ZEROS = {0.0: 2.404825557695773, 0.5: math.pi}
 
 
-def bessel_first_zero(m: float, tol: float = 1e-13) -> float:
+def bessel_first_zero(m: float) -> float:
     """Smallest positive root of the order-m Bessel function, for m in {0, 1/2}.
 
-    Both values are tabulated to double precision, so ``tol`` has no effect.
+    Both values are tabulated to double precision.
     """
     if m not in _BESSEL_FIRST_ZEROS:
         raise ConfigError(f"Bessel zero available for orders 0 and 1/2 only, not {m}")

@@ -56,17 +56,14 @@ def assemble_reduction(y_e, n, params, mask=None):
     modes = sp.eigenbasis(g, n)
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
     factor = max(2, sp.oversample_factor(max(params.r, params.q)))
-    gf = sp.TorusGrid(g.d, factor * g.N, g.L)
-    cell_f = (g.L / gf.N) ** g.d
+    cell_f = (g.L / (factor * g.N)) ** g.d
 
     Wc = np.stack([mode.field.c for mode in modes])
     Wb = np.stack([mode.field.physical() for mode in modes])
     Wf = np.stack([sp.oversample(mode.field, factor) for mode in modes])
-    Df = np.stack(
-        [sp.gradient_physical(op._to_fine(mode.field, factor)) for mode in modes]
-    )
+    Df = np.stack([sp.gradient_physical(mode.field, factor) for mode in modes])
     Yf = sp.oversample(y_e, factor)
-    DYf = sp.gradient_physical(op._to_fine(y_e, factor))
+    DYf = sp.gradient_physical(y_e, factor)
 
     d = g.d
     Wf_ = Wf.reshape(n, d, -1)
@@ -86,11 +83,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     for coef, p in ((params.beta, params.r), (params.gamma, params.q)):
         if coef == 0.0:
             continue
-        m2 = np.sum(Yf_**2, axis=0)
-        a1 = op._pow0(m2, (p - 1) / 2.0)
-        a2 = (p - 1) * op._pow0(m2, (p - 3) / 2.0)
-        dots = np.einsum("ax,iax->ix", Yf_, Wf_)
-        S = a1[None, None] * Wf_ + a2[None, None] * dots[:, None, :] * Yf_[None]
+        S = op.damping_derivative_from_nodal(Yf_, Wf_, p)
         h2 += coef * cell_f * np.einsum("iax,kax->ik", S, Wf_, optimize=True)
 
     Lmat = np.diag(params.mu * lam + params.alpha) + h1.T + h2.T
@@ -177,15 +170,14 @@ def nonlinear_term(red, v):
     for coef, expo in ((p.beta, p.r), (p.gamma, p.q)):
         if coef == 0.0:
             continue
-        # |A|^0 is the constant 1: where A = 0 the term it scales vanishes anyway
         e3, e5 = (expo - 3) / 2.0, (expo - 5) / 2.0
         for theta, w in zip(*_taylor_rule(expo)):
             az = yz + theta * z2                         # A.z
             m2 = y2 + theta * (yz + az)                  # |A|^2
-            p3 = (expo - 1) * (op._pow0(m2, e3) if e3 else 1.0)
+            p3 = (expo - 1) * op._pow0(m2, e3)
             c2 = p3 * z2
             if expo != 3:
-                c2 = c2 + (expo - 1) * (expo - 3) * (op._pow0(m2, e5) if e5 else 1.0) * az**2
+                c2 = c2 + (expo - 1) * (expo - 3) * op._pow0(m2, e5) * az**2
             cw = coef * w
             a += cw * (2.0 * p3 * az + theta * c2)
             if Y is not None:

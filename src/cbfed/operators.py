@@ -11,8 +11,13 @@ discrete pairings reproduce the continuous integral identities to roundoff
 at the tested powers.
 
 C_p has one pointwise kernel, in damping_from_nodal, which takes the nodal
-values on the factor-sp.oversample_factor(p) grid.  power_damping oversamples
-its argument itself.  The time stepper instead evaluates each state once per
+values on the factor-sp.oversample_factor(p) grid.  So has its derivative
+C_p'(y) z = P[|y|^{p-1} z + (p-1)|y|^{p-3} (y.z) y], in
+damping_derivative_from_nodal, which gateaux_first and the reduced model's
+linearization (galerkin.assemble_reduction) share.  Powers of |y| follow
+_pow0: |y|^0 = 1 everywhere, so C_1' = P needs no branch of its own, and a
+negative power is 0 where y = 0.  power_damping oversamples its argument
+itself.  The time stepper instead evaluates each state once per
 step: it oversamples the state once per distinct factor, takes the recorded
 L^{r+1} norm from the C_r values where sp.norm_factor(r + 1) equals the C_r
 factor (r = 3, 4, 5), adds the reference state's nodal values in place, and
@@ -65,33 +70,19 @@ class PhysicalParams:
 
 
 def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
-    """base**expo for base >= 0 with the convention 0**e = 0 (any e), elementwise."""
+    """base**expo for base >= 0, elementwise, with 0**e = 0 for e < 0.
+
+    For e = 0 it is the scalar np.float64(1.0), so |y|^0 = 1 everywhere
+    (C_1' = P) and a zero exponent costs no pass over the array.
+    """
     if expo > 0.0:
         return base**expo
     if expo == 0.0:
-        return np.where(base > 0, 1.0, 0.0)
+        return np.float64(1.0)
     out = np.zeros_like(base)
     nz = base > 0
     out[nz] = base[nz] ** expo
     return out
-
-
-def _fine_grid(grid: sp.TorusGrid, factor: int) -> sp.TorusGrid:
-    if factor == 1:
-        return grid
-    return sp.TorusGrid(grid.d, factor * grid.N, grid.L)
-
-
-def _to_fine(field: sp.SpectralField, factor: int) -> sp.SpectralField:
-    if factor == 1:
-        return field
-    gf = _fine_grid(field.grid, factor)
-    return sp.SpectralField(gf, sp.pad_coeffs(field.c, field.grid, gf.N))
-
-
-def _from_fine(values: np.ndarray, grid: sp.TorusGrid, factor: int) -> sp.SpectralField:
-    c = sp.fine_to_coeffs(values, grid, factor)
-    return sp.SpectralField(grid, c)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +119,10 @@ def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> 
     """b(y, z, w) = int (y.grad) z . w dx by oversampled nodal quadrature."""
     g = y.grid
     factor = 2
-    gf = _fine_grid(g, factor)
     yv = sp.oversample(y, factor)
     wv = sp.oversample(w, factor)
-    zf = _to_fine(z, factor)
-    gz = sp.gradient_physical(zf)                     # gz[a, b] = d_a z_b
-    M = gf.N
+    gz = sp.gradient_physical(z, factor)              # gz[a, b] = d_a z_b
+    M = factor * g.N
     prod = np.einsum(
         "aX,abX,bX->X", yv.reshape(g.d, -1), gz.reshape(g.d, g.d, -1), wv.reshape(g.d, -1)
     )
@@ -151,8 +140,21 @@ def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, p: float) -> sp.Spe
     first), and |v|^2 is gone before the transform back, so no fine array
     but vals lives through it.
     """
-    np.multiply(_pow0(np.sum(vals**2, axis=0), (p - 1) / 2.0)[None], vals, out=vals)
-    return sp.leray(_from_fine(vals, grid, sp.oversample_factor(p)))
+    np.multiply(_pow0(np.sum(vals**2, axis=0), (p - 1) / 2.0), vals, out=vals)
+    return sp.leray(sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, sp.oversample_factor(p))))
+
+
+def damping_derivative_from_nodal(Y: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
+    """Nodal values of the C_p' kernel |Y|^{p-1} Z + (p-1)|Y|^{p-3} (Y.Z) Y.
+
+    Y holds the nodal values of y, component axis first; Z those of the
+    direction, with the same layout and optionally a leading mode axis.
+    The Leray projection is left to the caller.
+    """
+    m2 = np.sum(Y**2, axis=0)
+    dot = np.sum(Y * Z, axis=-Y.ndim)
+    a2 = (p - 1) * _pow0(m2, (p - 3) / 2.0)
+    return _pow0(m2, (p - 1) / 2.0) * Z + np.expand_dims(a2 * dot, -Y.ndim) * Y
 
 
 def power_damping(y: sp.SpectralField, p: float) -> sp.SpectralField:
@@ -163,21 +165,14 @@ def power_damping(y: sp.SpectralField, p: float) -> sp.SpectralField:
 
 
 def gateaux_first(y: sp.SpectralField, z: sp.SpectralField, p: float) -> sp.SpectralField:
-    """Directional derivative C_p'(y) z.
+    """Directional derivative C_p'(y) z = P[|y|^{p-1} z + (p-1)|y|^{p-3} (y.z) y].
 
-    For p = 1 this is P z; otherwise
-    P[|y|^{p-1} z + (p-1)|y|^{p-3} (y.z) y], with the |y| = 0 branch set to 0.
+    With _pow0's conventions this is P z at p = 1.
     """
-    if p == 1:
-        return sp.leray(z)
     g = y.grid
     factor = sp.oversample_factor(p)
-    Y = sp.oversample(y, factor)
-    Z = sp.oversample(z, factor)
-    m2 = np.sum(Y**2, axis=0)
-    dot = np.sum(Y * Z, axis=0)
-    out = _pow0(m2, (p - 1) / 2.0)[None] * Z + (p - 1) * (_pow0(m2, (p - 3) / 2.0) * dot)[None] * Y
-    return sp.leray(_from_fine(out, g, factor))
+    out = damping_derivative_from_nodal(sp.oversample(y, factor), sp.oversample(z, factor), p)
+    return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g, factor)))
 
 
 def gateaux_second(
@@ -187,10 +182,8 @@ def gateaux_second(
 
     P[(p-1)|y|^{p-3}((y.z) w + (y.w) z + (z.w) y)
       + (p-1)(p-3)|y|^{p-5}(y.z)(y.w) y],
-    the second bracket dropped at p = 3 and the |y| = 0 branch set to 0.
+    the second bracket dropped at p = 3; it vanishes at p = 1.
     """
-    if p == 1:
-        return sp.SpectralField.zero(y.grid)
     g = y.grid
     factor = sp.oversample_factor(p)
     Y = sp.oversample(y, factor)
@@ -200,10 +193,10 @@ def gateaux_second(
     yz = np.sum(Y * Z, axis=0)
     yw = np.sum(Y * W, axis=0)
     zw = np.sum(Z * W, axis=0)
-    out = (p - 1) * _pow0(m2, (p - 3) / 2.0)[None] * (yz[None] * W + yw[None] * Z + zw[None] * Y)
+    out = (p - 1) * _pow0(m2, (p - 3) / 2.0) * (yz * W + yw * Z + zw * Y)
     if p != 3:
-        out += (p - 1) * (p - 3) * (_pow0(m2, (p - 5) / 2.0) * yz * yw)[None] * Y
-    return sp.leray(_from_fine(out, g, factor))
+        out += (p - 1) * (p - 3) * (_pow0(m2, (p - 5) / 2.0) * yz * yw) * Y
+    return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g, factor)))
 
 
 def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:
@@ -244,16 +237,16 @@ def identity_residual(y: sp.SpectralField, r: float) -> float:
     """
     g = y.grid
     factor = 4
-    gf = _fine_grid(g, factor)
-    yf = _to_fine(y, factor)
-    Y = yf.physical()
-    G = sp.gradient_physical(yf)
-    lapY = sp.SpectralField(gf, yf.c * gf.lap).physical()
+    Y = sp.oversample(y, factor)
+    G = sp.gradient_physical(y, factor)
+    lapY = sp.oversample(sp.stokes(y), factor)
     m2 = np.sum(Y**2, axis=0)
     mr1 = _pow0(m2, (r - 1) / 2.0)
-    vol = (g.L / gf.N) ** g.d
-    lhs = vol * float(np.sum(lapY * Y * mr1[None]))
+    vol = (g.L / (factor * g.N)) ** g.d
+    lhs = vol * float(np.sum(lapY * Y * mr1))
     rhs1 = vol * float(np.sum(np.sum(G**2, axis=(0, 1)) * mr1))
+    # |y|^{(r+1)/2} is not band-limited: differentiate it on the fine grid itself
+    gf = sp.TorusGrid(g.d, factor * g.N, g.L)
     wpow = _pow0(m2, (r + 1) / 4.0)
     cw = np.fft.fftn(wpow) / gf.N**g.d
     ik = (2j * np.pi / g.L) * gf.wave

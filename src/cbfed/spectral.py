@@ -17,11 +17,11 @@ A forward transform rebuilds the other half from c(-k) = conj c(k), so the
 spectra it returns are exactly Hermitian.
 
 The zero-padded transforms to and from the refined (factor*N)^d grids
-(oversample, fine_to_coeffs) run one axis at a time and transform only the
-lines that can be nonzero (inverse) or that are kept (forward).  Each line
-is the same 1-d transform, in the same axis order, that irfftn/rfftn on the
-fully padded array would compute, so the results are bitwise the same
-without the all-zero or discarded lines.
+(oversample and gradient_physical, fine_to_coeffs) run one axis at a time
+and transform only the lines that can be nonzero (inverse) or that are kept
+(forward).  Each line is the same 1-d transform, in the same axis order,
+that irfftn/rfftn on the fully padded array would compute, so the results
+are bitwise the same without the all-zero or discarded lines.
 """
 from __future__ import annotations
 
@@ -255,12 +255,16 @@ def resolvent(a: SpectralField, lam: float) -> SpectralField:
     return SpectralField(a.grid, a.c / (1.0 + lam * a.grid.lap))
 
 
-def gradient_physical(a: SpectralField) -> np.ndarray:
-    """Nodal values of all partials: out[i, j] = d u_j / d x_i."""
+def gradient_physical(a: SpectralField, factor: int = 1) -> np.ndarray:
+    """Nodal values of all partials on the (factor*N)^d grid: out[i, j] = d u_j / d x_i.
+
+    The half spectra of the partials go through the same zero-padded
+    transform as oversample.
+    """
     g = a.grid
     h = g.N // 2 + 1
     ik = (2j * np.pi / g.L) * g.wave[..., :h]
-    return _irfft(ik[:, None] * a.c[None, ..., :h], g.shape)
+    return _half_to_nodes(ik[:, None] * a.c[None, ..., :h], g, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +313,6 @@ def _block_pairs(N: int, M: int):
     ]
 
 
-def pad_coeffs(c: np.ndarray, grid: TorusGrid, M: int) -> np.ndarray:
-    """Embed coarse spectra (leading component axis) into an M^d spectrum."""
-    N, d = grid.N, grid.d
-    out = np.zeros(c.shape[:-d] + (M,) * d, dtype=complex)
-    for corner in product(range(2), repeat=d):
-        src = tuple(_block_pairs(N, M)[i][0] for i in corner)
-        dst = tuple(_block_pairs(N, M)[i][1] for i in corner)
-        out[(Ellipsis,) + dst] = c[(Ellipsis,) + src]
-    return out
-
-
 def _pad_axis(x: np.ndarray, axis: int, M: int) -> np.ndarray:
     """Embed the coarse rows of `axis` (a negative index) into M padded rows."""
     shape = list(x.shape)
@@ -350,11 +343,15 @@ def oversample(a: SpectralField, factor: int) -> np.ndarray:
     line is the 1-d transform irfftn would compute, so the values are
     bitwise those of irfftn on the fully padded half spectrum.
     """
+    return _half_to_nodes(a.c[..., : a.grid.N // 2 + 1], a.grid, factor)
+
+
+def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int) -> np.ndarray:
+    """oversample of the spectra whose last-axis halves (columns 0 .. N/2) are given."""
     if factor == 1:
-        return a.physical()
-    g = a.grid
+        return _irfft(half, g.shape)
     M = factor * g.N
-    x = a.c[..., : g.N // 2]
+    x = half[..., : g.N // 2]
     for axis in range(-g.d, -1):
         x = np.fft.ifft(_pad_axis(x, axis, M), axis=axis, norm="forward")
     return np.fft.irfft(x, n=M, axis=-1, norm="forward")

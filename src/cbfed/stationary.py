@@ -111,10 +111,8 @@ def uniqueness_K1(beta: float, gamma: float, r: float, q: float) -> float:
 
 
 def uniqueness_K2(beta: float, gamma: float, r: float, q: float) -> float:
-    if gamma == 0:
-        return 0.0
-    base = 2.0 ** (q - 1) * q * abs(gamma) * (q - 1) / (beta * (r - 1))
-    return op._bracket_pow(base, (q - 1) / (r - q)) * (r - q) / (r - 1)
+    """The pumping rate absorbed at eps = 2."""
+    return op.pumping_rate(beta, gamma, r, q, 2.0)
 
 
 def uniqueness_report(params: op.PhysicalParams, forcing, embed_const: float = 1.0) -> dict:

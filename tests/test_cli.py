@@ -146,6 +146,16 @@ def test_exit_code_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "experiment, item", [("constants", 'params.mu="x"'), ("simulate", 'integrator.dt="0.1"')]
+)
+def test_string_for_number_is_config_error(tmp_path, capsys, experiment, item):
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--set", item, "--output-dir", str(out)]) == 2
+    assert repr(item.split("=")[0]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "experiment, override",
     [
         ("simulate", "integrator.dt=-0.1"),
@@ -400,6 +410,19 @@ def test_galerkin_subcommand(tmp_path):
     assert body["decay_fit_reduced"] > 0.85
     assert (outdir / "trajectory.csv").exists()
     assert (outdir / "reduced.csv").exists()
+
+
+def test_galerkin_feedback_with_linear_pumping(tmp_path):
+    # q = 1, gamma = -1.5 < -alpha: the zero state is unstable without feedback,
+    # and the reduced model must carry the pumping term gamma P to match the full loop
+    out = tmp_path / "out"
+    argv = ["stabilize-galerkin", "--output-dir", str(out)]
+    for item in ("grid.N=16", "params.r=3", "params.q=1", "params.gamma=-1.5", "integrator.T=1.5"):
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    body = load_report(only_run_dir(out))["report"]
+    assert body["decay_fit_full"] >= 0.9 * body["sigma"]
+    assert abs(body["decay_fit_full"] - body["decay_fit_reduced"]) < 0.1
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -52,6 +52,15 @@ def test_reduction_zero_equilibrium_shapes():
     assert np.allclose(red.Bmat, np.eye(8), atol=1e-12)  # mask defaults to 1
 
 
+def test_reduction_linear_pumping_at_zero_equilibrium():
+    # C_1'(0) = P: at y_e = 0 the q = 1 pumping shifts every mode by gamma
+    g = grid2()
+    p = op.PhysicalParams(mu=1.0, alpha=0.3, beta=1.0, gamma=-0.5, r=3, q=1)
+    red = gk.assemble_reduction(sp.SpectralField.zero(g), 8, p)
+    assert np.allclose(np.diag(red.Lmat), p.mu * red.lam + p.alpha + p.gamma, atol=1e-12)
+    assert np.allclose(red.Lmat, np.diag(np.diag(red.Lmat)), atol=1e-12)
+
+
 def test_quadratic_tensor_antisymmetry_and_bound():
     red = cubic_reduction()
     g1 = red.g1
@@ -230,7 +239,7 @@ def _second_derivative_ref(A, Z, z2, p):
     """C_p''(A)(Z, Z) pointwise from the vector fields; A has shape (..., d, X)."""
     m2 = np.sum(A**2, axis=-2)
     az = np.sum(A * Z, axis=-2)
-    out = (p - 1) * op._pow0(m2, (p - 3) / 2.0)[..., None, :] * (
+    out = (p - 1) * np.broadcast_to(op._pow0(m2, (p - 3) / 2.0), m2.shape)[..., None, :] * (
         2.0 * az[..., None, :] * Z + z2[..., None, :] * A
     )
     if p != 3:

@@ -316,6 +316,6 @@ def test_shifted_terms_with_precomputed_base(d):
 
 def test_pow0_conventions():
     base = np.array([0.0, 0.25, 4.0])
-    np.testing.assert_array_equal(op._pow0(base, 0.0), [0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(op._pow0(base, 0.0), [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(op._pow0(base, 1.5), [0.0, 0.125, 8.0])
     np.testing.assert_array_equal(op._pow0(base, -0.5), [0.0, 2.0, 0.5])

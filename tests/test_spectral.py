@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbfed import spectral as sp
 
@@ -437,3 +439,22 @@ def test_padded_transforms_keep_no_state_between_calls(d):
         assert np.array_equal(va, fa) and np.array_equal(vb, fb)
         assert np.array_equal(cb, sp.fine_to_coeffs(fb.copy(), g, factor))
         assert np.array_equal(ca, sp.fine_to_coeffs(fa.copy(), g, factor))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    N=st.sampled_from(range(4, 17, 2)),
+    factor=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oversampled_values_restrict_to_base_nodes(d, N, factor, seed):
+    # every factor-th fine node is a base node, where interpolation is exact
+    g = sp.TorusGrid(d=d, N=N)
+    y = sp.random_field(g, seed)
+    every = (slice(None, None, factor),) * d
+    for fine, base in (
+        (sp.oversample(y, factor)[(slice(None),) + every], y.physical()),
+        (sp.gradient_physical(y, factor)[(slice(None),) * 2 + every], sp.gradient_physical(y)),
+    ):
+        np.testing.assert_allclose(fine, base, rtol=0, atol=1e-12 * np.max(np.abs(base)))
