@@ -88,7 +88,8 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
 
 
 def _check_numbers(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
-    """Reject a value other than an int or float (a bool included) where a number goes."""
+    """Reject a value other than an int or float (a bool included) where a number
+    goes, and a non-integral one where the default is an int."""
     for key, default in defaults.items():
         dotted, val = path + key, config[key]
         if isinstance(default, dict) and default:
@@ -96,6 +97,8 @@ def _check_numbers(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> 
         elif isinstance(default, (int, float)) or (val is not None and dotted in _NUMBER_OR_NULL):
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError(f"config key {dotted!r} expects a number, got {val!r}")
+            if isinstance(default, int) and isinstance(val, float) and not val.is_integer():
+                raise ConfigError(f"config key {dotted!r} expects an integer, got {val!r}")
 
 
 def _apply_override(user: dict, item: str) -> None:

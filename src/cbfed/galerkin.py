@@ -6,15 +6,21 @@ divergence-free eigenfields, giving an ODE
     v' + L v + Q(v) + N(v) = B u,
 
 with L the linearization (viscous + damping + convection around the
-equilibrium), Q the quadratic self-advection tensor, N the Taylor
-remainder of the power damping, and B the localized input coupling.  A
-Riccati-based gain places the closed-loop linear spectrum at or beyond a
-requested margin; the growth constants translate that margin into an
-attraction radius for the full nonlinear reduced system.
+equilibrium), Q the quadratic self-advection tensor, N the remainder of
+the power damping beyond its linearization, and B the localized input
+coupling.  A Riccati-based gain places the closed-loop linear spectrum at
+or beyond a requested margin; the growth constants translate that margin
+into an attraction radius for the full nonlinear reduced system.
+
+N is computed as the difference C(y_e + z) - C(y_e) - C'(y_e) z paired
+with the modes, with C = beta C_r + gamma C_q: the first pairing from
+op.damping_weight on the oversampled nodes, the other two from run
+constants of the reduction.  At y_e = 0 it is exact to roundoff in the
+pairing.  Otherwise the subtraction leaves an absolute floor of about
+10 eps max|(C(y_e), w_k)|, which for small |v| is many orders below |L v|.
 """
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -44,6 +50,8 @@ class GalerkinReduction:
     _Wb: np.ndarray = dc_field(repr=False, default=None)   # base-grid samples
     _Wf: np.ndarray = dc_field(repr=False, default=None)   # oversampled samples
     _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled; None at 0
+    _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
+    _D: np.ndarray = dc_field(repr=False, default=None)      # (C'(y_e) w_i, w_k), i the row
     _factor: int = 2
 
 
@@ -80,9 +88,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     )
     # linearized damping: beta (C_r'(y_e) w_i, w_k) + gamma (C_q'(y_e) w_i, w_k)
     h2 = np.zeros((n, n))
-    for coef, p in ((params.beta, params.r), (params.gamma, params.q)):
-        if coef == 0.0:
-            continue
+    for coef, p in params.damping_terms:
         S = op.damping_derivative_from_nodal(Yf_, Wf_, p)
         h2 += coef * cell_f * np.einsum("iax,kax->ik", S, Wf_, optimize=True)
 
@@ -98,8 +104,17 @@ def assemble_reduction(y_e, n, params, mask=None):
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat,
-        _Wc=Wc, _Wb=Wb, _Wf=Wf_, _Yf=Yf_ if np.any(y_e.c) else None, _factor=factor,
+        _Wc=Wc, _Wb=Wb, _Wf=Wf_, _Yf=Yf_ if np.any(y_e.c) else None,
+        _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
+        _factor=factor,
     )
+
+
+def _damping_pairing(A, W, terms, cell_f):
+    """(C(a), w_k) on the oversampled nodes: A holds a there, shape (..., d, X),
+    W the modes, shape (n, d, X).  A is overwritten."""
+    A *= op.damping_weight(np.einsum("...ax,...ax->...x", A, A), terms)[..., None, :]
+    return cell_f * (A.reshape(A.shape[:-2] + (-1,)) @ W.reshape(len(W), -1).T)
 
 
 def restrict(red, z):
@@ -122,72 +137,20 @@ def quadratic_term(red, v):
     return np.einsum("ijk,...i,...j->...k", red.g1, v, v)
 
 
-@functools.lru_cache(maxsize=None)
-def _taylor_rule(p):
-    """Nodes theta and weights (1 - theta) w on [0, 1] for the exponent p.
-
-    For odd integer p the integrand (1 - theta) C_p''(y_e + theta z)(z, z) is
-    a polynomial of degree p - 1 in theta, which ceil(p / 2) Gauss nodes
-    integrate exactly; any other p keeps 8 nodes.
-    """
-    odd = float(p).is_integer() and int(p) % 2 == 1
-    x, w = np.polynomial.legendre.leggauss(max(1, (int(p) + 1) // 2) if odd else 8)
-    theta = 0.5 * (x + 1.0)
-    weight = 0.5 * w * (1.0 - theta)
-    theta.setflags(write=False)        # cached: every caller shares the arrays
-    weight.setflags(write=False)
-    return theta, weight
-
-
 def nonlinear_term(red, v):
-    """Taylor remainder N(v)_k of the damping beyond its linearization.
+    """Remainder N(v)_k = (C(y_e + z) - C(y_e) - C'(y_e) z, w_k) of the damping
+    C = beta C_r + gamma C_q beyond its linearization, z = sum_i v_i w_i.
 
-    N(v)_k = int_0^1 (1 - theta) [beta C_r'' + gamma C_q''](y_e + theta z)(z, z)
-    dtheta paired with w_k, z = sum_i v_i w_i, on the precomputed oversampled
-    nodes.  Each exponent p gets its own Gauss-Legendre rule in theta: for odd
-    integer p the integrand is a polynomial of degree p - 1 in theta, so
-    ceil(p / 2) nodes are exact (2 for p = 3, 3 for p = 5); other p use 8.
-
-    With A = y_e + theta z, C_p''(A)(z, z) = c1 z + c2 A for the pointwise
-    scalars c1 = 2 (p-1) |A|^(p-3) (A.z) and
-    c2 = (p-1) |A|^(p-3) |z|^2 + (p-1)(p-3) |A|^(p-5) (A.z)^2, so the
-    weighted sum over nodes and exponents collapses to a z + b y_e before one
-    matrix product with the modes.  At y_e = 0 (no _Yf) the y_e terms are
-    scalar zeros and S is a z alone.  v may carry batch axes.
+    The first pairing is taken on the precomputed oversampled nodes; the
+    other two are the run constants _c_ref and v @ _D.  At y_e = 0 (no _Yf)
+    nothing is added to z.  v may carry batch axes.
     """
-    p = red.params
     v = np.asarray(v, dtype=float)
-    Y = red._Yf                                          # (d, X) or None
-    Z = np.tensordot(v, red._Wf, axes=(-1, 0))          # (..., d, X)
-    z2 = np.einsum("...ax,...ax->...x", Z, Z)
-    if Y is None:
-        y2 = yz = 0.0
-    else:
-        y2 = np.sum(Y**2, axis=0)
-        yz = np.einsum("ax,...ax->...x", Y, Z)
-    a = np.zeros_like(z2)                                # weight of z
-    b = np.zeros_like(z2)                                # weight of y_e
-    for coef, expo in ((p.beta, p.r), (p.gamma, p.q)):
-        if coef == 0.0:
-            continue
-        e3, e5 = (expo - 3) / 2.0, (expo - 5) / 2.0
-        for theta, w in zip(*_taylor_rule(expo)):
-            az = yz + theta * z2                         # A.z
-            m2 = y2 + theta * (yz + az)                  # |A|^2
-            p3 = (expo - 1) * op._pow0(m2, e3)
-            c2 = p3 * z2
-            if expo != 3:
-                c2 = c2 + (expo - 1) * (expo - 3) * op._pow0(m2, e5) * az**2
-            cw = coef * w
-            a += cw * (2.0 * p3 * az + theta * c2)
-            if Y is not None:
-                b += cw * c2
-    S = a[..., None, :] * Z
-    if Y is not None:
-        S += b[..., None, :] * Y
+    A = np.tensordot(v, red._Wf, axes=(-1, 0))          # (..., d, X)
+    if red._Yf is not None:
+        A += red._Yf
     cell_f = (red.grid.L / (red._factor * red.grid.N)) ** red.grid.d
-    flat = S.reshape(S.shape[:-2] + (-1,))
-    return cell_f * (flat @ red._Wf.reshape(red.n, -1).T)
+    return _damping_pairing(A, red._Wf, red.params.damping_terms, cell_f) - red._c_ref - v @ red._D
 
 
 def controllability_rank(Lmat, Bmat):
@@ -306,8 +269,7 @@ def growth_constants(red, sigma):
     )
 
 
-def reduced_simulate(red, v0, T, dt, gain=None, include_quadratic=True,
-                     include_nonlinear=True, record_every=1, warn_radius=None):
+def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None):
     """Classical RK4 on the reduced ODE; v0 may be (n,) or a batch (B, n).
 
     Returns (times, V) with V[j] the state at times[j].
@@ -324,12 +286,7 @@ def reduced_simulate(red, v0, T, dt, gain=None, include_quadratic=True,
     lin_t = -closed.T
 
     def rhs(u):
-        out = u @ lin_t
-        if include_quadratic:
-            out = out - quadratic_term(red, u)
-        if include_nonlinear:
-            out = out - nonlinear_term(red, u)
-        return out
+        return u @ lin_t - quadratic_term(red, u) - nonlinear_term(red, u)
 
     nsteps = max(1, int(round(T / dt)))
     guard = 1e6 * max(1.0, float(np.max(np.abs(v))))

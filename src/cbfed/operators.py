@@ -10,18 +10,22 @@ power-law products are evaluated pointwise on oversampled nodal grids so the
 discrete pairings reproduce the continuous integral identities to roundoff
 at the tested powers.
 
-C_p has one pointwise kernel, in damping_from_nodal, which takes the nodal
-values on the factor-sp.oversample_factor(p) grid.  So has its derivative
-C_p'(y) z = P[|y|^{p-1} z + (p-1)|y|^{p-3} (y.z) y], in
-damping_derivative_from_nodal, which gateaux_first and the reduced model's
-linearization (galerkin.assemble_reduction) share.  Powers of |y| follow
-_pow0: |y|^0 = 1 everywhere, so C_1' = P needs no branch of its own, and a
-negative power is 0 where y = 0.  power_damping oversamples its argument
-itself.  The time stepper instead evaluates each state once per
-step: it oversamples the state once per distinct factor, takes the recorded
-L^{r+1} norm from the C_r values where sp.norm_factor(r + 1) equals the C_r
-factor (r = 3, 4, 5), adds the reference state's nodal values in place, and
-gets C_r and C_q from those same values.
+The damping has one pointwise weight, damping_weight: the sum
+coef |y|^{p-1} over the (coef, p) terms, from |y|^2.  damping_from_nodal
+applies it to the nodal values of y on one oversampled grid shared by its
+terms and does one transform back and one Leray projection; the reduced
+model (galerkin.nonlinear_term) applies the same weight on its own nodes.
+The derivative C_p'(y) z = P[|y|^{p-1} z + (p-1)|y|^{p-3} (y.z) y] has one
+kernel too, damping_derivative_from_nodal, which gateaux_first and the
+reduced model's linearization (galerkin.assemble_reduction) share.  Powers
+of |y| follow _pow0: |y|^0 = 1 everywhere, so C_1' = P needs no branch of
+its own, and a negative power is 0 where y = 0.  power_damping oversamples
+its argument itself.  The time stepper instead evaluates each state once
+per step: it oversamples the state once per distinct factor, takes the
+recorded L^{r+1} norm from the C_r values where sp.norm_factor(r + 1)
+equals the C_r factor (r = 3, 4, 5), adds the reference state's nodal
+values in place, and gets the damping terms on that grid from those same
+values.
 """
 from __future__ import annotations
 
@@ -55,6 +59,11 @@ class PhysicalParams:
             raise ConfigError("lower exponent q must be >= 1")
         if not (self.r > self.q):
             raise ConfigError("exponents must satisfy r > q")
+
+    @property
+    def damping_terms(self) -> tuple:
+        """(coef, p) of the damping terms beta C_r + gamma C_q with coef != 0."""
+        return tuple((c, p) for c, p in ((self.beta, self.r), (self.gamma, self.q)) if c != 0)
 
     @property
     def regime(self) -> str:
@@ -133,15 +142,23 @@ def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> 
 # power damping and its derivatives
 
 
-def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, p: float) -> sp.SpectralField:
-    """C_p from the nodal values v of its argument on the factor-oversample_factor(p) grid.
+def damping_weight(m2: np.ndarray, terms) -> np.ndarray:
+    """Pointwise weight sum coef |v|^{p-1} over terms [(coef, p), ...], from m2 = |v|^2."""
+    first, *rest = [coef * _pow0(m2, (p - 1) / 2.0) for coef, p in terms]
+    return sum(rest, first)
 
-    The pointwise kernel |v|^{p-1} v is written over vals (component axis
-    first), and |v|^2 is gone before the transform back, so no fine array
-    but vals lives through it.
+
+def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.SpectralField:
+    """sum coef C_p over terms [(coef, p), ...] from the nodal values v of the
+    argument on the oversampled grid that the terms share.
+
+    The summed weight times v is written over vals (component axis first),
+    and |v|^2 is gone before the transform back, so no fine array but vals
+    lives through it.
     """
-    np.multiply(_pow0(np.sum(vals**2, axis=0), (p - 1) / 2.0), vals, out=vals)
-    return sp.leray(sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, sp.oversample_factor(p))))
+    np.multiply(damping_weight(np.sum(vals**2, axis=0), terms), vals, out=vals)
+    factor = vals.shape[1] // grid.N
+    return sp.leray(sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, factor)))
 
 
 def damping_derivative_from_nodal(Y: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
@@ -161,7 +178,7 @@ def power_damping(y: sp.SpectralField, p: float) -> sp.SpectralField:
     """C_p(y) = P[|y|^{p-1} y], evaluated on an oversampled grid."""
     if p == 1:
         return sp.leray(y)
-    return damping_from_nodal(sp.oversample(y, sp.oversample_factor(p)), y.grid, p)
+    return damping_from_nodal(sp.oversample(y, sp.oversample_factor(p)), y.grid, [(1.0, p)])
 
 
 def gateaux_first(y: sp.SpectralField, z: sp.SpectralField, p: float) -> sp.SpectralField:

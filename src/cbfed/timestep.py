@@ -158,9 +158,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
     # the damping terms beta C_r + gamma C_q, grouped by oversampling factor
     groups = {}
-    for coef, expo in ((p.beta, p.r), (p.gamma, p.q)):
-        if coef != 0:
-            groups.setdefault(sp.oversample_factor(expo), []).append((coef, expo))
+    for coef, expo in p.damping_terms:
+        groups.setdefault(sp.oversample_factor(expo), []).append((coef, expo))
     # the recorded L^{r+1} norm reads the C_r grid values when its factor is theirs
     fr = sp.oversample_factor(p.r)
     norm_grid = fr if sp.norm_factor(p.r + 1) == fr else None
@@ -175,7 +174,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
         b_ref = op.convective(y_ref)
         y_nodal = {factor: sp.oversample(y_ref, factor) for factor in groups}
         for factor, terms in groups.items():
-            d_ref = d_ref + _damping(y_nodal[factor].copy(), terms, g)
+            d_ref = d_ref + op.damping_from_nodal(y_nodal[factor].copy(), g, terms)
 
     def feedback(z):
         # evaluated once per state: the explicit term and the record share it
@@ -195,7 +194,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1)
             if y_ref is not None:
                 vals += y_nodal[factor]
-            damp = damp + _damping(vals, terms, g)
+            damp = damp + op.damping_from_nodal(vals, g, terms)
         if norm and lr1 is None:
             lr1 = sp.norm_Lp(z, p.r + 1)
         return damp, lr1
@@ -274,19 +273,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
         final=z,
         states=states,
     )
-
-
-def _damping(vals, terms, grid) -> sp.SpectralField:
-    """Sum of coef C_p(y) over terms [(coef, p), ...] that share one
-    oversampling factor, from the nodal values vals of y on that grid.
-
-    vals is overwritten by the last term; an earlier one gets a copy.
-    """
-    out = sp.SpectralField.zero(grid)
-    for i, (coef, expo) in enumerate(terms):
-        own = vals if i == len(terms) - 1 else vals.copy()
-        out = out + coef * op.damping_from_nodal(own, grid, expo)
-    return out
 
 
 def sup_state_distance(a: Trajectory, b: Trajectory) -> float:

@@ -156,6 +156,29 @@ def test_string_for_number_is_config_error(tmp_path, capsys, experiment, item):
 
 
 @pytest.mark.parametrize(
+    "key", ["grid.N=8.5", "grid.d=2.5", "controller.n=4.5", "integrator.record_every=1.5",
+            "seed=0.5"],
+)
+def test_fraction_for_integer_is_config_error(tmp_path, capsys, key):
+    # int() would truncate it while the hashed config kept the fraction
+    out = tmp_path / "out"
+    args = ["simulate", "--set", "grid.N=8", "--set", key, "--set", "integrator.T=0.02",
+            "--set", "integrator.dt=0.01", "--output-dir", str(out)]
+    assert cli.main(args) == 2
+    assert "expects an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_for_integer_is_accepted(tmp_path):
+    out = tmp_path / "out"
+    args = ["simulate", "--set", "grid.N=8.0", "--set", "integrator.T=0.02",
+            "--set", "integrator.dt=0.01", "--output-dir", str(out)]
+    assert cli.main(args) == 0
+    (run,) = out.iterdir()
+    assert sp.read_snapshot(run / "final.cbfd").grid.N == 8
+
+
+@pytest.mark.parametrize(
     "experiment, override",
     [
         ("simulate", "integrator.dt=-0.1"),
