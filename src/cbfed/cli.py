@@ -14,7 +14,10 @@ import argparse
 import copy
 import hashlib
 import json
+import os
+import shutil
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -476,7 +479,7 @@ def _run_reduce(cfg, outdir, h):
         Lmat=red.Lmat,
         g1=red.g1,
         Bmat=red.Bmat,
-        mode_coeffs=np.stack([m.field.c for m in red.modes]),
+        mode_coeffs=sp.full_spectrum(np.stack([m.field.c for m in red.modes]), red.grid),
         mask=red.mask,
     )
     body = {
@@ -702,31 +705,39 @@ _EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: dict):
-    """Execute one experiment; returns (output directory, report dict)."""
+    """Execute one experiment; returns (output directory, report dict).
+
+    The artifacts go into a temporary sibling of <output_dir>/<hash12>,
+    which is renamed onto it once report.json and manifest.json are written,
+    so a failed run leaves no partial directory.  A rerun replaces it.
+    """
     h = config_hash(config)
-    outdir = Path(config["output_dir"]) / h[:12]
-    outdir.mkdir(parents=True, exist_ok=True)
+    root = Path(config["output_dir"])
+    outdir = root / h[:12]
+    tmp = root / f".{h[:12]}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+    tmp.mkdir(parents=True)
     try:
-        body, extra, files = _RUNNERS[config["experiment"]](config, outdir, h)
+        body, extra, files = _RUNNERS[config["experiment"]](config, tmp, h)
+        report = {
+            "config_hash": h,
+            "experiment": config["experiment"],
+            "config": config,
+            "report": body,
+            "extra": extra,
+        }
+        _write_json(tmp / "report.json", report)
+        manifest = {
+            "config_hash": h,
+            "experiment": config["experiment"],
+            "files": sorted(set(files) | {"report.json", "manifest.json"}),
+        }
+        _write_json(tmp / "manifest.json", manifest)
+        if outdir.exists():
+            shutil.rmtree(outdir)
+        tmp.rename(outdir)
     except BaseException:
-        # don't litter the artifact root with empty dirs from failed runs
-        if not any(outdir.iterdir()):
-            outdir.rmdir()
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
-    report = {
-        "config_hash": h,
-        "experiment": config["experiment"],
-        "config": config,
-        "report": body,
-        "extra": extra,
-    }
-    _write_json(outdir / "report.json", report)
-    manifest = {
-        "config_hash": h,
-        "experiment": config["experiment"],
-        "files": sorted(set(files) | {"report.json", "manifest.json"}),
-    }
-    _write_json(outdir / "manifest.json", manifest)
     return outdir, report
 
 

@@ -44,9 +44,8 @@ class SpanConstraint:
         if not fields:
             raise ValueError("span constraint needs at least one mode")
         g = fields[0].grid
-        self._modes = np.stack([w.c for w in fields])          # (n, d, N, ..., N)
-        # rows pair with a spectrum to give (x, w_k) by Parseval, as sp.inner
-        self._dual = g.L**g.d * np.conj(self._modes.reshape(len(fields), -1))
+        self._modes = np.stack([w.c for w in fields])          # (n, d, N, ..., N/2+1)
+        self._dual = sp.parseval_dual(self._modes, g)
 
     def _project_c(self, c: np.ndarray) -> np.ndarray:
         coeffs = np.real(self._dual @ c.reshape(-1))

@@ -92,9 +92,13 @@ def _scrub(field: sp.SpectralField) -> sp.SpectralField:
 
     The coupling is blind to imaginary and to gradient content, so a
     roundoff leak of either kind would otherwise be amplified into a fake
-    pure Stokes mode.
+    pure Stokes mode.  The real part is taken in spectral space, as the
+    forward transform does (sp.enforce_real): a physical() round trip would
+    only drop the same anti-Hermitian part of the k_d = 0 plane and zero
+    the Nyquist planes.
     """
-    w = sp.leray(sp.SpectralField.from_physical(field.grid, field.physical()))
+    g = field.grid
+    w = sp.leray(sp.SpectralField(g, sp.enforce_real(field.c.copy(), g)))
     return (1.0 / sp.norm_H(w)) * w
 
 

@@ -47,6 +47,7 @@ class GalerkinReduction:
     g1: np.ndarray            # (n, n, n), b(w_i, w_j, w_k) with k the output index
     Bmat: np.ndarray          # (n, n), input coupling (m w_j, w_k)
     _Wc: np.ndarray = dc_field(repr=False, default=None)   # mode coefficients
+    _dual: np.ndarray = dc_field(repr=False, default=None)  # sp.parseval_dual of _Wc
     _Wb: np.ndarray = dc_field(repr=False, default=None)   # base-grid samples
     _Wf: np.ndarray = dc_field(repr=False, default=None)   # oversampled samples
     _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled; None at 0
@@ -104,7 +105,8 @@ def assemble_reduction(y_e, n, params, mask=None):
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat,
-        _Wc=Wc, _Wb=Wb, _Wf=Wf_, _Yf=Yf_ if np.any(y_e.c) else None,
+        _Wc=Wc, _dual=sp.parseval_dual(Wc, g), _Wb=Wb, _Wf=Wf_,
+        _Yf=Yf_ if np.any(y_e.c) else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
         _factor=factor,
     )
@@ -119,10 +121,7 @@ def _damping_pairing(A, W, terms, cell_f):
 
 def restrict(red, z):
     """Mode coefficients (z, w_k) of a field."""
-    flat = z.c.reshape(-1)
-    return red.grid.L ** red.grid.d * np.real(
-        np.einsum("nx,x->n", np.conj(red._Wc.reshape(red.n, -1)), flat)
-    )
+    return np.real(red._dual @ z.c.reshape(-1))
 
 
 def lift(red, v):

@@ -263,11 +263,13 @@ def identity_residual(y: sp.SpectralField, r: float) -> float:
     lhs = vol * float(np.sum(lapY * Y * mr1))
     rhs1 = vol * float(np.sum(np.sum(G**2, axis=(0, 1)) * mr1))
     # |y|^{(r+1)/2} is not band-limited: differentiate it on the fine grid itself
+    # (along each axis without its Nyquist wavenumber: that term is imaginary,
+    # so the complex route drops it with the real part, and irfftn would not)
     gf = sp.TorusGrid(g.d, factor * g.N, g.L)
     wpow = _pow0(m2, (r + 1) / 4.0)
-    cw = np.fft.fftn(wpow) / gf.N**g.d
-    ik = (2j * np.pi / g.L) * gf.wave
-    gw = np.real(np.fft.ifftn(ik * cw[None], axes=gf.axes()) * gf.N**g.d)
+    cw = np.fft.rfftn(wpow, norm="forward")
+    ik = (2j * np.pi / g.L) * gf.wave * (np.abs(gf.wave) != gf.N // 2)
+    gw = np.fft.irfftn(ik * cw[None], s=gf.shape, axes=gf.axes(), norm="forward")
     rhs2 = 4 * (r - 1) / (r + 1) ** 2 * vol * float(np.sum(gw**2))
     return abs(lhs - (rhs1 + rhs2)) / max(1.0, abs(lhs))
 

@@ -7,14 +7,22 @@ exp(2*pi*i k.x / L).  With that normalization Parseval reads
 
     ||u||_{L^2}^2 = L^d * sum_k |c_k|^2.
 
-The Nyquist planes (k_i = -N/2) are always zeroed, so every stored spectrum
-corresponds to a real trigonometric polynomial with modes |k_i| <= N/2 - 1.
+The Nyquist planes (k_i = -N/2, and k_d = N/2 on the last axis) are always
+zeroed, so every stored spectrum corresponds to a real trigonometric
+polynomial with modes |k_i| <= N/2 - 1.
 
-Storage is the full spectrum, shape (d, N, ..., N), and the snapshot format
-(version 1) is unchanged, but the transforms to and from nodal values are
-real: they read or produce only the half spectrum k_d >= 0 of the last axis.
-A forward transform rebuilds the other half from c(-k) = conj c(k), so the
-spectra it returns are exactly Hermitian.
+Storage is the half spectrum of the last axis, shape (d, N, ..., N/2+1):
+the columns k_d = 0 .. N/2, as rfftn returns them.  The other half is
+c(-k) = conj c(k) and is never stored, so every diagonal operator, update,
+sum and norm touches about half the data.  A forward transform keeps its
+half and makes it exactly that of a real field (enforce_real): the k_d = 0
+plane, which holds both k and -k, is replaced by its Hermitian part, and the
+Nyquist planes are zeroed.  In a Parseval sum over the half the k_d = 0
+plane counts once and every other column twice, for itself and its mirror:
+inner, the norms and the mode duals (parseval_dual) weigh it that way.  The
+full spectrum is rebuilt (full_spectrum) only where one is promised: the
+snapshot format (version 1), which stays the full spectrum on disk, the mode
+coefficients a reduction writes out, and reality_defect.
 
 The zero-padded transforms to and from the refined (factor*N)^d grids
 (oversample and gradient_physical, fine_to_coeffs) run one axis at a time
@@ -47,11 +55,11 @@ class TorusGrid:
         self.N = int(N)
         self.L = float(L)
         k1 = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
-        mesh = np.meshgrid(*([k1] * d), indexing="ij")
-        self.wave = np.stack(mesh)                     # (d, N, ..., N) integer wavevectors
+        mesh = np.meshgrid(*([k1] * (d - 1)), np.arange(N // 2 + 1), indexing="ij")
+        self.wave = np.stack(mesh)                     # (d, N, ..., N/2+1) integer wavevectors
         self.k2 = np.sum(self.wave**2, axis=0)         # |k|^2, integer
         self.lap = (2 * np.pi / L) ** 2 * self.k2      # -Laplacian symbol
-        self.keep = np.all(self.wave != -N // 2, axis=0)
+        self.keep = np.all(np.abs(self.wave) != N // 2, axis=0)
         # 2/3 rule, strict: kept |k_i| < N/3 so quadratic aliases fall outside
         kmax_dealias = (N - 1) // 3
         self.dealias = np.all(np.abs(self.wave) <= kmax_dealias, axis=0) & self.keep
@@ -59,7 +67,7 @@ class TorusGrid:
         nz = self.k2 > 0
         inv[nz] = 1.0 / self.k2[nz]
         self.inv_k2 = inv
-        # index maps k -> -k: over the leading d-1 axes, and from the kept
+        # index maps k -> -k: over the leading d-1 axes, and from the stored
         # half k_d = 1 .. N/2-1 of the last axis onto k_d = N/2+1 .. N-1
         neg = [(-np.arange(N)) % N] * (d - 1)
         self.flip_lead = np.ix_(*neg)
@@ -67,7 +75,13 @@ class TorusGrid:
 
     @property
     def shape(self):
+        """Nodal shape (N, ..., N)."""
         return (self.N,) * self.d
+
+    @property
+    def half_shape(self):
+        """Shape (N, ..., N/2+1) of one stored spectrum component."""
+        return (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
 
     @property
     def cell_volume(self):
@@ -93,7 +107,7 @@ class TorusGrid:
 
 
 class SpectralField:
-    """A truncated d-component Fourier series on a TorusGrid."""
+    """A truncated d-component Fourier series on a TorusGrid (last-axis half stored)."""
 
     __slots__ = ("grid", "c")
 
@@ -106,15 +120,14 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.d,) + grid.shape:
             raise ValueError(f"expected shape {(grid.d,) + grid.shape}, got {values.shape}")
-        return cls(grid, _full_spectrum(_rfft(values, grid.d), grid))
+        return cls(grid, enforce_real(_rfft(values, grid.d), grid))
 
     @classmethod
     def zero(cls, grid: TorusGrid):
-        return cls(grid, np.zeros((grid.d,) + grid.shape, dtype=complex))
+        return cls(grid, np.zeros((grid.d,) + grid.half_shape, dtype=complex))
 
     def physical(self) -> np.ndarray:
-        g = self.grid
-        return _irfft(self.c[..., : g.N // 2 + 1], g.shape)
+        return _irfft(self.c, self.grid.shape)
 
     def copy(self):
         return SpectralField(self.grid, self.c.copy())
@@ -158,18 +171,37 @@ class EigenMode:
 # inner products and norms
 
 
+# Parseval over the stored half: the k_d = 0 plane counts once and every
+# other column twice, for k and its mirror -k.  _pairing sums that way with
+# two dot products; parseval_dual puts the same weights into its rows.
+
+
+def _pairing(x: np.ndarray, y: np.ndarray, grid: TorusGrid) -> float:
+    """L^d Re sum_k conj(x_k) y_k over the full spectrum, from stored halves."""
+    total = np.vdot(x, y).real
+    plane = np.vdot(x[..., 0], y[..., 0]).real
+    return float(grid.L**grid.d * (2.0 * total - plane))
+
+
+def parseval_dual(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Rows that pair with a flattened stored spectrum x to give the inner
+    products (x, w_k) as their real parts; coeffs stacks the spectra w_k."""
+    dual = (2.0 * grid.L**grid.d) * np.conj(coeffs)
+    dual[..., 0] *= 0.5
+    return dual.reshape(len(coeffs), -1)
+
+
 def inner(a: SpectralField, b: SpectralField) -> float:
     """L^2 inner product (a, b) via Parseval."""
-    return float(a.grid.L**a.grid.d * np.real(np.vdot(b.c, a.c)))
+    return _pairing(b.c, a.c, a.grid)
 
 
 def norm_H(a: SpectralField) -> float:
-    return float(np.sqrt(a.grid.L**a.grid.d * np.sum(np.abs(a.c) ** 2)))
+    return float(np.sqrt(_pairing(a.c, a.c, a.grid)))
 
 
 def norm_grad(a: SpectralField) -> float:
-    w = a.grid.lap * np.sum(np.abs(a.c) ** 2, axis=0)
-    return float(np.sqrt(a.grid.L**a.grid.d * np.sum(w)))
+    return float(np.sqrt(_pairing(a.c, a.c * a.grid.lap, a.grid)))
 
 
 def norm_V(a: SpectralField) -> float:
@@ -219,8 +251,8 @@ def divergence_max(a: SpectralField) -> float:
 
 
 def reality_defect(a: SpectralField) -> float:
-    """Largest imaginary residue of the inverse transform."""
-    vals = np.fft.ifftn(a.c, axes=a.grid.axes()) * a.grid.N**a.grid.d
+    """Largest imaginary residue of the complex inverse of the full spectrum."""
+    vals = np.fft.ifftn(full_spectrum(a.c, a.grid), axes=a.grid.axes()) * a.grid.N**a.grid.d
     return float(np.max(np.abs(vals.imag)))
 
 
@@ -258,13 +290,12 @@ def resolvent(a: SpectralField, lam: float) -> SpectralField:
 def gradient_physical(a: SpectralField, factor: int = 1) -> np.ndarray:
     """Nodal values of all partials on the (factor*N)^d grid: out[i, j] = d u_j / d x_i.
 
-    The half spectra of the partials go through the same zero-padded
-    transform as oversample.
+    The spectra of the partials go through the same zero-padded transform
+    as oversample.
     """
     g = a.grid
-    h = g.N // 2 + 1
-    ik = (2j * np.pi / g.L) * g.wave[..., :h]
-    return _half_to_nodes(ik[:, None] * a.c[None, ..., :h], g, factor)
+    ik = (2j * np.pi / g.L) * g.wave
+    return _half_to_nodes(ik[:, None] * a.c[None], g, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +319,34 @@ def _irfft(half: np.ndarray, shape) -> np.ndarray:
     return np.fft.irfftn(half, s=shape, axes=axes, norm="forward")
 
 
-def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Full coarse spectra from last-axis halves, with the Nyquist planes zeroed.
+def enforce_real(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Make coarse last-axis halves exactly those of real fields, in place.
 
-    The missing half is rebuilt from c(-k) = conj c(k), and the k_d = 0
-    plane, which the half holds whole, is symmetrized the same way, so the
-    result is exactly Hermitian.
+    The k_d = 0 plane holds both k and -k, so it is replaced by its
+    Hermitian part 0.5 (c(k) + conj c(-k)); the Nyquist planes are zeroed.
+    The columns k_d > 0 stand for their mirrors too and are left as they are.
+    """
+    plane = half[..., 0]
+    half[..., 0] = 0.5 * (plane + np.conj(plane[(Ellipsis,) + grid.flip_lead]))
+    half *= grid.keep
+    return half
+
+
+def full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Full spectra (..., N, ..., N) from stored halves (..., N, ..., N/2+1).
+
+    The columns k_d = N/2+1 .. N-1 are rebuilt from c(-k) = conj c(k).
     """
     h = grid.N // 2 + 1
     full = np.empty(half.shape[:-1] + (grid.N,), dtype=complex)
     full[..., :h] = half
     full[..., h:] = np.conj(half[(Ellipsis,) + grid.mirror])
-    plane = full[..., 0]
-    full[..., 0] = 0.5 * (plane + np.conj(plane[(Ellipsis,) + grid.flip_lead]))
-    full *= grid.keep
     return full
+
+
+def _keep_half(full: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The stored half (a contiguous copy) of full spectra built in the full layout."""
+    return full[..., : grid.N // 2 + 1].copy()
 
 
 def _block_pairs(N: int, M: int):
@@ -343,11 +387,11 @@ def oversample(a: SpectralField, factor: int) -> np.ndarray:
     line is the 1-d transform irfftn would compute, so the values are
     bitwise those of irfftn on the fully padded half spectrum.
     """
-    return _half_to_nodes(a.c[..., : a.grid.N // 2 + 1], a.grid, factor)
+    return _half_to_nodes(a.c, a.grid, factor)
 
 
 def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int) -> np.ndarray:
-    """oversample of the spectra whose last-axis halves (columns 0 .. N/2) are given."""
+    """oversample of the spectra whose stored halves (columns 0 .. N/2) are given."""
     if factor == 1:
         return _irfft(half, g.shape)
     M = factor * g.N
@@ -368,14 +412,14 @@ def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray
     rfftn on the whole grid followed by truncation.
     """
     if factor == 1:
-        return _full_spectrum(_rfft(vals, grid.d), grid)
+        return enforce_real(_rfft(vals, grid.d), grid)
     N, d = grid.N, grid.d
     x = np.fft.rfft(vals, axis=-1, norm="forward")[..., : N // 2]
     for axis in range(-2, -d - 1, -1):
         x = _trim_axis(np.fft.fft(x, axis=axis, norm="forward"), axis, N)
     half = np.zeros(x.shape[:-1] + (N // 2 + 1,), dtype=complex)
     half[..., : N // 2] = x
-    return _full_spectrum(half, grid)
+    return enforce_real(half, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +461,8 @@ def eigenbasis(grid: TorusGrid, n: int):
     for axis in range(d):
         c = np.zeros((d,) + grid.shape, dtype=complex)
         c[axis][(0,) * d] = L ** (-d / 2.0)
-        modes.append(EigenMode(SpectralField(grid, c), 1.0, 0, (0,) * d, "constant", axis))
+        field = SpectralField(grid, _keep_half(c, grid))
+        modes.append(EigenMode(field, 1.0, 0, (0,) * d, "constant", axis))
     if n <= d:
         return modes[:n]
 
@@ -447,7 +492,8 @@ def eigenbasis(grid: TorusGrid, n: int):
                     for comp in range(d):
                         c[comp][pos] = -0.5j * amp * p[comp]
                         c[comp][neg] = +0.5j * amp * p[comp]
-                modes.append(EigenMode(SpectralField(grid, c), lam, shell, k, phase, axis))
+                field = SpectralField(grid, _keep_half(c, grid))
+                modes.append(EigenMode(field, lam, shell, k, phase, axis))
     if len(modes) < n:
         raise ValueError(f"grid supports only {len(modes)} modes, requested {n}")
     return modes[:n]
@@ -458,18 +504,23 @@ def eigenbasis(grid: TorusGrid, n: int):
 
 
 def random_field(grid: TorusGrid, seed: int, decay: float = 2.0) -> SpectralField:
-    """Random real field with spectrum scaled by (1 + |k|^2)^(-decay/2)."""
+    """Random real field with spectrum scaled by (1 + |k|^2)^(-decay/2).
+
+    The draw and its symmetrization run on the full spectrum, then the half
+    is kept.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (grid.d,) + grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c *= (1.0 + grid.k2) ** (-decay / 2.0)
+    k1 = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(np.int64)
+    k2 = sum(np.meshgrid(*([k1**2] * grid.d), indexing="ij"))
+    c *= (1.0 + k2) ** (-decay / 2.0)
     idx = (-np.arange(grid.N)) % grid.N
     flipped = c
     for ax in range(1, grid.d + 1):
         flipped = np.take(flipped, idx, axis=ax)
     c = 0.5 * (c + np.conj(flipped))
-    c *= grid.keep
-    return SpectralField(grid, c)
+    return SpectralField(grid, _keep_half(c, grid) * grid.keep)
 
 
 def random_solenoidal(grid: TorusGrid, seed: int, decay: float = 2.0) -> SpectralField:
@@ -487,6 +538,8 @@ def random_solenoidal(grid: TorusGrid, seed: int, decay: float = 2.0) -> Spectra
 # header (32 bytes, little-endian): magic "CBFD", version u32, d u32, N u32,
 # L f64, mode count u64; payload: for each wavevector in lexicographic order
 # (components -N/2 .. N/2-1), for each velocity component, (re, im) as f64.
+# The payload is the full spectrum: write_snapshot rebuilds it from the stored
+# half, and read_snapshot keeps the half of what it reads.
 
 _HEADER = struct.Struct("<4sIIIdQ")
 SNAPSHOT_VERSION = 1
@@ -499,7 +552,7 @@ def _lex_index(N: int) -> np.ndarray:
 def write_snapshot(field: SpectralField, path) -> None:
     g = field.grid
     idx = _lex_index(g.N)
-    gathered = field.c[(slice(None),) + np.ix_(*([idx] * g.d))]
+    gathered = full_spectrum(field.c, g)[(slice(None),) + np.ix_(*([idx] * g.d))]
     arr = np.moveaxis(gathered, 0, -1)  # (*sorted wavevectors, component)
     flat = np.empty(arr.size * 2, dtype="<f8")
     flat[0::2] = arr.real.ravel()
@@ -531,4 +584,4 @@ def read_snapshot(path) -> SpectralField:
     idx = _lex_index(N)
     c = np.zeros((d,) + grid.shape, dtype=complex)
     c[(slice(None),) + np.ix_(*([idx] * d))] = arr
-    return SpectralField(grid, c)
+    return SpectralField(grid, _keep_half(c, grid))

@@ -208,16 +208,19 @@ def simulate(cfg: SimConfig) -> Trajectory:
         return out
 
     z = K.project(cfg.y0) if project_mode else cfg.y0.copy()
-    guard = _BLOWUP_FACTOR * max(1.0, sp.norm_H(z))
+    nh = sp.norm_H(z)
+    guard = _BLOWUP_FACTOR * max(1.0, nh)
 
     times, hs, ghs, vs, lr1s, dists, us = [], [], [], [], [], [], []
     states = []
 
-    def record(m, zc, u, lr1):
+    def record(m, zc, u, lr1, nh):
+        """nh is norm_H(zc), already taken by the divergence guard."""
+        gh = sp.norm_grad(zc)
         times.append(m * dt)
-        hs.append(sp.norm_H(zc))
-        ghs.append(sp.norm_grad(zc))
-        vs.append(sp.norm_V(zc))
+        hs.append(nh)
+        ghs.append(gh)
+        vs.append(float(np.hypot(nh, gh)))      # norm_V from the same floats
         lr1s.append(lr1)
         dists.append(K.distance(zc) if K is not None else 0.0)
         us.append(sp.norm_H(u) if u is not None else 0.0)
@@ -228,7 +231,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     # its record and the explicit term of the next step share the evaluation
     u = feedback(z)
     damp, lr1 = evaluate(z, norm=True)
-    record(0, z, u, lr1)
+    record(0, z, u, lr1, nh)
     prev_N = None
     denom1 = 1.0 + dt * lin
     half = 0.5 * dt * lin
@@ -255,7 +258,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
         else:
             lr1 = sp.norm_Lp(z, p.r + 1)    # the final state needs only its norm
         if recorded or m == nsteps:
-            record(m, z, u, lr1)
+            record(m, z, u, lr1, nh)
 
     t = np.array(times)
     defect = energy_defects(

@@ -9,6 +9,7 @@ import pytest
 from cbfed import cli
 from cbfed import spectral as sp
 from cbfed import timestep as ts
+from cbfed.errors import SolverDivergence
 
 
 def write_config(tmp_path, body, name="cfg.json"):
@@ -247,6 +248,30 @@ def test_exit_code_solver_divergence(tmp_path):
     assert cli.main(["simulate", "--config", cfg]) == 3
 
 
+def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
+    def failing(cfg, outdir, h):
+        (outdir / "partial.csv").write_text("t\n0.0\n")
+        raise SolverDivergence("blew up after writing")
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", failing)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--output-dir", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_rerun_replaces_run_directory(tmp_path):
+    out = tmp_path / "out"
+    argv = ["constants", "--output-dir", str(out)]
+    assert cli.main(argv) == 0
+    run = only_run_dir(out)
+    first = (run / "report.json").read_bytes()
+    (run / "stale.txt").write_text("left over")
+    assert cli.main(argv) == 0
+    assert only_run_dir(out) == run
+    assert sorted(p.name for p in run.iterdir()) == ["manifest.json", "report.json"]
+    assert (run / "report.json").read_bytes() == first
+
+
 def test_proportional_defaults_short_horizon(tmp_path):
     # full-mask default at k=50: the eigen solve used to stall (exit 3)
     out = tmp_path / "out"
@@ -405,6 +430,13 @@ def test_reduce_subcommand(tmp_path):
         assert bundle["g1"].shape == (8, 8, 8)
         assert bundle["Bmat"].shape == (8, 8)
         assert np.allclose(bundle["lam"], [0, 0, 1, 1, 1, 1, 2, 2])
+        # the mode coefficients are written as full spectra
+        coeffs = bundle["mode_coeffs"]
+    assert coeffs.shape == (8, 2, 16, 16)
+    modes = sp.eigenbasis(sp.TorusGrid(d=2, N=16), 8)
+    assert np.array_equal(coeffs[..., :9], np.stack([m.field.c for m in modes]))
+    mirror = np.conj(coeffs[:, :, (-np.arange(16)) % 16][..., (-np.arange(16)) % 16])
+    assert np.array_equal(coeffs, mirror)
 
 
 def test_galerkin_subcommand(tmp_path):

@@ -83,12 +83,32 @@ def test_smallest_eigenvalue_matches_dense_reference(d, k):
     # complete basis: the constants, then d - 1 polarizations for each of
     # cosine and sine on the (7^d - 1) / 2 wavevector pairs with |k_i| <= 3
     modes = sp.eigenbasis(g, d + (d - 1) * (7**d - 1))
-    w = np.stack([md.field.c.ravel() for md in modes])
-    aw = np.stack([eg.apply_Ak(md.field, k, dm, 1.0, 0.3).c.ravel() for md in modes])
+    w = np.stack([sp.full_spectrum(md.field.c, g).ravel() for md in modes])
+    aw = np.stack(
+        [sp.full_spectrum(eg.apply_Ak(md.field, k, dm, 1.0, 0.3).c, g).ravel() for md in modes]
+    )
     dense = g.L**d * np.real(w.conj() @ aw.T)
     want = np.linalg.eigvalsh(dense)[0]
     nu, _, _ = eg.smallest_eigenvalue_Ak(g, k, dm, mu=1.0, alpha=0.3)
     assert abs(nu - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_scrub_matches_physical_round_trip(d):
+    # leaks of every kind the scrub removes: imaginary and anti-Hermitian
+    # content, gradient content and the Nyquist planes
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    rng = np.random.default_rng(80 + d)
+    shape = (d,) + g.half_shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    leaky = sp.SpectralField(g, sp.random_field(g, seed=81).c * (1 + 1e-3j) + 1e-3 * noise)
+    w = sp.leray(sp.SpectralField.from_physical(g, leaky.physical()))
+    want = (1.0 / sp.norm_H(w)) * w
+    got = eg._scrub(leaky)
+    assert np.max(np.abs(got.c - want.c)) <= 1e-14 * np.max(np.abs(want.c))
+    # the leak is large enough to matter
+    bare = (1.0 / sp.norm_H(leaky)) * leaky
+    assert np.max(np.abs(bare.c - want.c)) > 1e-6 * np.max(np.abs(want.c))
 
 
 def test_smallest_eigenvalue_failure_reports_state():

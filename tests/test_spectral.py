@@ -77,7 +77,7 @@ def test_norm_Lp_even_powers_against_fine_grid():
     f = sp.random_solenoidal(g, seed=3, decay=2.5)
     for p, fine_factor in ((2.0, 4), (4.0, 6), (6.0, 6)):
         M = fine_factor * g.N
-        cf = _pad_by_hand(f.c, g.N, M, g.d)
+        cf = _pad_by_hand(sp.full_spectrum(f.c, g), g.N, M, g.d)
         vals = np.real(np.fft.ifftn(cf, axes=(1, 2)) * M**g.d)
         ref = (np.sum(np.sum(vals**2, axis=0) ** (p / 2)) * (g.L / M) ** g.d) ** (1 / p)
         assert abs(sp.norm_Lp(f, p) - ref) < 1e-10 * max(1.0, ref)
@@ -90,7 +90,7 @@ def test_norm_Lp_odd_powers_second_route():
     for p in (3.0, 5.0, 5.5):
         fac = max(1, min(int(np.ceil((p + 1) / 2)), 4))
         M = fac * g.N
-        cf = _pad_by_hand(f.c, g.N, M, g.d)
+        cf = _pad_by_hand(sp.full_spectrum(f.c, g), g.N, M, g.d)
         vals = np.real(np.fft.ifftn(cf, axes=(1, 2)) * M**g.d)
         ref = (np.sum(np.sum(vals**2, axis=0) ** (p / 2)) * (g.L / M) ** g.d) ** (1 / p)
         assert abs(sp.norm_Lp(f, p) - ref) < 1e-12 * max(1.0, ref)
@@ -132,7 +132,7 @@ def test_gradient_single_mode():
 def test_leray_single_mode():
     # k = (1,0), coeffs (1,1) -> (0,1): subtract k (k.c)/|k|^2
     g = grid2()
-    c = np.zeros((2,) + g.shape, dtype=complex)
+    c = np.zeros((2,) + g.half_shape, dtype=complex)
     k_index = (1, 0)
     c[0][k_index] = 1.0
     c[1][k_index] = 1.0
@@ -141,7 +141,7 @@ def test_leray_single_mode():
     assert abs(p.c[0][k_index] - 0.0) < 1e-14
     assert abs(p.c[1][k_index] - 1.0) < 1e-14
     # mean mode untouched
-    c0 = np.zeros((2,) + g.shape, dtype=complex)
+    c0 = np.zeros((2,) + g.half_shape, dtype=complex)
     c0[0][(0, 0)] = 0.7
     f0 = sp.SpectralField(g, c0)
     p0 = sp.leray(f0)
@@ -270,6 +270,87 @@ def test_snapshot_roundtrip(tmp_path):
     assert sp.norm_H(back - f) == 0.0
 
 
+def _full_hermitian(d, N, seed):
+    # a full spectrum (d, N, ..., N) of a real field, built in the full layout
+    rng = np.random.default_rng(seed)
+    shape = (d,) + (N,) * d
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = 0.5 * (c + np.conj(_negated(c, d)))
+    k = np.fft.fftfreq(N, 1.0 / N)
+    nyquist = np.any(np.stack(np.meshgrid(*([k] * d), indexing="ij")) == -N // 2, axis=0)
+    c[:, nyquist] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_snapshot_version1_full_file_reads_into_half(tmp_path, d):
+    # a version-1 file written by hand from a full spectrum, as the format
+    # has always stored it: reading keeps its half, bitwise
+    N, L = 8, 3.0
+    full = _full_hermitian(d, N, seed=71 + d)
+    idx = np.arange(-N // 2, N // 2) % N
+    arr = np.moveaxis(full[(slice(None),) + np.ix_(*([idx] * d))], 0, -1)
+    flat = np.empty(arr.size * 2, dtype="<f8")
+    flat[0::2] = arr.real.ravel()
+    flat[1::2] = arr.imag.ravel()
+    path = tmp_path / "old.cbfd"
+    path.write_bytes(struct.pack("<4sIIIdQ", b"CBFD", 1, d, N, L, N**d) + flat.tobytes())
+    back = sp.read_snapshot(path)
+    assert back.c.shape == (d,) + (N,) * (d - 1) + (N // 2 + 1,)
+    assert np.array_equal(back.c, full[..., : N // 2 + 1])
+    # writing the half again gives the same values; only the sign of a zero
+    # imaginary part may differ, because conj(0) = -0
+    again = tmp_path / "again.cbfd"
+    sp.write_snapshot(back, again)
+    raw = again.read_bytes()
+    assert raw[:32] == path.read_bytes()[:32]
+    assert np.array_equal(np.frombuffer(raw[32:], dtype="<f8"), flat)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_snapshot_write_read_bitwise(tmp_path, d):
+    g = small_grid(d)
+    for f in (sp.random_solenoidal(g, seed=72), sp.eigenbasis(g, d + 3)[-1].field):
+        path = tmp_path / "state.cbfd"
+        sp.write_snapshot(f, path)
+        assert np.array_equal(sp.read_snapshot(path).c, f.c)
+
+
+def _parseval_full(a, b, weight):
+    # L^d sum over the full spectrum of weight * Re(conj(b_k) a_k), with the
+    # full spectra from the complex FFT of the nodal values
+    g = a.grid
+    axes = tuple(range(1, g.d + 1))
+    fa = np.fft.fftn(a.physical(), axes=axes) / g.N**g.d
+    fb = np.fft.fftn(b.physical(), axes=axes) / g.N**g.d
+    return g.L**g.d * float(np.sum(weight * np.sum(np.real(np.conj(fb) * fa), axis=0)))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    N=st.sampled_from(range(4, 17, 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_parseval_matches_full_layout(d, N, seed):
+    g = sp.TorusGrid(d=d, N=N)
+    a = sp.random_field(g, seed)
+    b = sp.random_field(g, seed ^ 0x5A5A)
+    assert a.c.shape == (d,) + (N,) * (d - 1) + (N // 2 + 1,)
+    k = np.fft.fftfreq(N, 1.0 / N)
+    k2 = sum(np.meshgrid(*([k**2] * d), indexing="ij"))
+    lap = (2 * np.pi / g.L) ** 2 * k2
+    na2, nb2 = _parseval_full(a, a, 1.0), _parseval_full(b, b, 1.0)
+    ng2 = _parseval_full(a, a, lap)
+    # the inner products relative to their Cauchy-Schwarz bound
+    want = _parseval_full(a, b, 1.0)
+    dual = np.real(sp.parseval_dual(b.c[None], g) @ a.c.ravel())[0]
+    for got in (sp.inner(a, b), dual):
+        assert abs(got - want) <= 1e-13 * np.sqrt(na2 * nb2)
+    assert abs(sp.norm_H(a) ** 2 - na2) <= 1e-13 * na2
+    assert abs(sp.norm_grad(a) ** 2 - ng2) <= 1e-13 * ng2
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     p = tmp_path / "bad.cbfd"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -331,7 +412,8 @@ def test_forward_transform_is_hermitian(d):
     g = small_grid(d)
     rng = np.random.default_rng(62)
     c = sp.SpectralField.from_physical(g, rng.standard_normal((d,) + g.shape)).c
-    assert np.array_equal(_negated(c, d), np.conj(c))
+    full = sp.full_spectrum(c, g)
+    assert np.array_equal(_negated(full, d), np.conj(full))
     assert np.all(c[:, ~g.keep] == 0)
     # the complex inverse sees only roundoff-level imaginary residue
     assert sp.reality_defect(sp.SpectralField(g, c)) < 1e-14
@@ -339,6 +421,7 @@ def test_forward_transform_is_hermitian(d):
     # an exactly Hermitian one
     leak = sp.random_solenoidal(g, seed=63).c * (1 + 1e-9j)
     scrub = sp.SpectralField.from_physical(g, sp.SpectralField(g, leak).physical()).c
+    scrub = sp.full_spectrum(scrub, g)
     assert np.array_equal(_negated(scrub, d), np.conj(scrub))
 
 
@@ -349,7 +432,8 @@ def test_oversample_matches_complex_route(d):
     axes = tuple(range(1, d + 1))
     for factor in (2, 3, 4):
         M = factor * g.N
-        ref = np.real(np.fft.ifftn(_pad_by_hand(f.c, g.N, M, d), axes=axes) * M**d)
+        cf = _pad_by_hand(sp.full_spectrum(f.c, g), g.N, M, d)
+        ref = np.real(np.fft.ifftn(cf, axes=axes) * M**d)
         out = sp.oversample(f, factor)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -363,7 +447,8 @@ def test_fine_to_coeffs_matches_complex_route(d):
         M = factor * g.N
         vals = rng.standard_normal((d,) + (M,) * d)
         cf = np.fft.fftn(vals, axes=axes) / M**d
-        ref = _gather_by_hand(cf, g.N, M, d) * g.keep
+        # compare the stored halves
+        ref = _gather_by_hand(cf, g.N, M, d)[..., : g.N // 2 + 1] * g.keep
         out = sp.fine_to_coeffs(vals, g, factor)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -379,7 +464,7 @@ def test_fine_to_coeffs_matches_complex_route(d):
 def _oversample_full_pad(f, factor):
     g = f.grid
     M = factor * g.N
-    half = _pad_by_hand(f.c, g.N, M, g.d)[..., : M // 2 + 1]
+    half = _pad_by_hand(sp.full_spectrum(f.c, g), g.N, M, g.d)[..., : M // 2 + 1]
     return np.fft.irfftn(half, s=(M,) * g.d, axes=tuple(range(1, g.d + 1)), norm="forward")
 
 
@@ -390,7 +475,7 @@ def _fine_to_coeffs_full_pad(vals, g, factor):
     lead = np.moveaxis(cf[..., : g.N // 2], -1, 0)
     half = np.zeros((g.d,) + (g.N,) * (g.d - 1) + (g.N // 2 + 1,), dtype=complex)
     half[..., : g.N // 2] = np.moveaxis(_gather_by_hand(lead, g.N, M, g.d - 1), 0, -1)
-    return sp._full_spectrum(half, g)
+    return sp.enforce_real(half, g)
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])
