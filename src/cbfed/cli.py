@@ -18,6 +18,7 @@ import os
 import shutil
 import sys
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,25 +269,30 @@ def _stationary(grid, params, forcing):
     return res, f
 
 
-def _integrator(cfg) -> dict:
-    """Final time, time step (None: CFL default) and recording stride."""
-    it = cfg["integrator"]
-    return {
-        "T": float(it["T"]),
-        "dt": None if it["dt"] is None else float(it["dt"]),
-        "record_every": int(it["record_every"]),
-    }
+def _sim_config(cfg, grid, params, seeds, initial=True) -> ts.SimConfig:
+    """The time-marching settings of a run; the one reader of `integrator.*`.
 
-
-def _loop_args(cfg, grid, params, seeds) -> dict:
-    """Keyword arguments shared by the theta and proportional loops."""
-    z0, forcing, y_ref = _states(cfg, grid, params, seeds)
+    y0 is None when `initial` is false: the caller's loop sets its own.
+    """
+    y0, forcing, y_ref = _states(cfg, grid, params, seeds, initial)
     it = cfg["integrator"]
-    return dict(
-        z0=z0, forcing=forcing, y_ref=y_ref, constraint=_build_constraint(cfg),
-        mode=it["mode"], yosida_lam=it["yosida_lam"],
-        slack=float(cfg["controller"]["slack"]), **_integrator(cfg),
+    sim = ts.SimConfig(
+        grid=grid,
+        params=params,
+        y0=y0,
+        T=float(it["T"]),
+        dt=None if it["dt"] is None else float(it["dt"]),
+        scheme=it["scheme"],
+        forcing=forcing,
+        y_ref=y_ref,
+        constraint=_build_constraint(cfg),
+        constraint_mode=it["mode"],
+        yosida_lam=it["yosida_lam"],
+        record_every=int(it["record_every"]),
     )
+    # The stabilizers run imex1 whatever the (validated) scheme says: honoring
+    # it moves the recorded prop-3d-n16 benchmark reference (ROADMAP item 3).
+    return sim if cfg["experiment"] == "simulate" else replace(sim, scheme="imex1")
 
 
 # ---------------------------------------------------------------- artifacts
@@ -368,31 +374,16 @@ def _run_stationary(cfg, outdir, h):
 
 def _run_simulate(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
-    y0, forcing, y_ref = _states(cfg, grid, params, seeds)
-    it = _integrator(cfg)
-    if it["dt"] is None:
-        it["dt"] = ts.default_dt(grid, params, y0, y_ref)
-    scheme = cfg["integrator"]["scheme"]
-    sim = ts.SimConfig(
-        grid=grid,
-        params=params,
-        y0=y0,
-        scheme=scheme,
-        forcing=forcing,
-        y_ref=y_ref,
-        constraint=_build_constraint(cfg),
-        constraint_mode=cfg["integrator"]["mode"],
-        yosida_lam=cfg["integrator"]["yosida_lam"],
-        **it,
-    )
+    sim = _sim_config(cfg, grid, params, seeds)
+    dt = sim.dt if sim.dt is not None else ts.default_dt(grid, params, sim.y0, sim.y_ref)
     traj = ts.simulate(sim)
     traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     sp.write_snapshot(traj.final, outdir / "final.cbfd")
     body = {
-        "scheme": scheme,
-        "T": it["T"],
-        "dt": it["dt"],
-        "steps": int(round(traj.t[-1] / it["dt"])),
+        "scheme": sim.scheme,
+        "T": sim.T,
+        "dt": dt,
+        "steps": int(round(traj.t[-1] / dt)),
         "final_norm_H": float(traj.norm_H[-1]),
         "max_energy_defect": float(np.max(traj.energy_defect)),
     }
@@ -407,7 +398,7 @@ def _run_theta(cfg, outdir, h):
     if theta is None:
         theta = th["c_min"] - params.alpha + float(knobs["delta_target"])
     report, traj = ct.run_theta_loop(
-        grid, params, float(theta), **_loop_args(cfg, grid, params, seeds)
+        _sim_config(cfg, grid, params, seeds), float(theta), slack=float(knobs["slack"])
     )
     traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     return report, {"threshold": th}, ["trajectory.csv"]
@@ -425,8 +416,8 @@ def _run_proportional(cfg, outdir, h):
     dec = eg.proportional_decay_constant(nu, params, eps=float(knobs["eps"]))
     c_min = dec["rho_star"] + dec["rho1_star"] + dec["rho2_star"]
     report, traj = ct.run_proportional_loop(
-        grid, params, k_gain, mask, delta=dec["delta"], c_min=c_min,
-        **_loop_args(cfg, grid, params, seeds),
+        _sim_config(cfg, grid, params, seeds), k_gain, mask, delta=dec["delta"],
+        c_min=c_min, slack=float(knobs["slack"]),
     )
     traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     return report, dec, ["trajectory.csv"]
@@ -494,22 +485,13 @@ def _run_reduce(cfg, outdir, h):
 def _run_galerkin(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
     mask = _build_mask(cfg, grid)
-    _, forcing, y_ref = _states(cfg, grid, params, seeds, initial=False)
-    y_e = y_ref if y_ref is not None else sp.SpectralField.zero(grid)
+    sim = _sim_config(cfg, grid, params, seeds, initial=False)
+    y_e = sim.y_ref if sim.y_ref is not None else sp.SpectralField.zero(grid)
     knobs = cfg["controller"]
     red = gk.assemble_reduction(y_e, int(knobs["n"]), params, mask=mask)
     gen = np.random.Generator(np.random.Philox(seeds["coeffs"]))
     v0 = float(knobs["v0_scale"]) * gen.standard_normal(red.n)
-    it = _integrator(cfg)
-    report, (t_r, V), traj = gk.run_galerkin_loop(
-        red,
-        float(knobs["sigma"]),
-        v0,
-        T=it["T"],
-        dt_full=it["dt"],
-        record_every=it["record_every"],
-        forcing=forcing,
-    )
+    report, (t_r, V), traj = gk.run_galerkin_loop(red, float(knobs["sigma"]), v0, sim)
     comment = f"config_hash={h}"
     traj.to_csv(outdir / "trajectory.csv", comment)
     columns = ["t"] + [f"v{i + 1}" for i in range(red.n)]

@@ -7,12 +7,14 @@ finite-dimensional Galerkin feedback has its own module.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import operators as op
 from . import spectral as sp
 from .errors import ConfigError, RegimeError
-from .timestep import SimConfig, simulate
+from .timestep import simulate
 
 
 def make_theta_controller(theta):
@@ -107,60 +109,49 @@ def pointwise_decay_ok(times, norms, delta, rel_tol=1e-9):
     return bool(np.all(h <= bound))
 
 
-def _closed_loop(delta_claim, invariance_tol, **sim):
+def _closed_loop(sim, delta_claim):
     """Simulate one closed loop, fit its decay and check the claim and the constraint."""
-    traj = simulate(SimConfig(**sim))
+    traj = simulate(sim)
     delta_fit, _ = decay_rate_fit(traj.t, traj.norm_H)
     report = {
         "delta_claim": float(delta_claim),
         "delta_fit": delta_fit,
         "pointwise_ok": pointwise_decay_ok(traj.t, traj.norm_H, delta_claim),
-        "invariance_ok": bool(np.max(traj.dist_K) <= invariance_tol),
+        "invariance_ok": bool(np.max(traj.dist_K) <= 1e-10),
     }
     return report, traj
 
 
-def run_theta_loop(grid, params, theta, constraint, z0, T, dt=None, y_ref=None,
-                   forcing=None, mode="project", yosida_lam=None, slack=0.9,
-                   record_every=1, invariance_tol=1e-10):
-    """Closed loop under u = -theta * z with a convex state constraint.
+def run_theta_loop(sim, theta, slack=0.9):
+    """Closed loop of `sim` under u = -theta * z, with its convex state constraint.
 
     The claimed rate is slack * (theta + alpha - c_min); the report says
     whether the trajectory met it pointwise and stayed in the set.
     Raises RegimeError when the threshold c_min is not finite (r just above
     3), since no finite theta then certifies decay.
     """
+    params = sim.params
     th = theta_threshold(params)
     if not np.isfinite(th["c_min"]):
         raise RegimeError(
             f"theta threshold c_min is not finite at r={params.r:g}, q={params.q:g}"
         )
     report, traj = _closed_loop(
-        slack * (theta + params.alpha - th["c_min"]), invariance_tol,
-        grid=grid, params=params, y0=z0, T=T, dt=dt, forcing=forcing,
-        y_ref=y_ref, constraint=constraint, constraint_mode=mode,
-        yosida_lam=yosida_lam, controller=make_theta_controller(theta),
-        control_bound=theta, record_every=record_every,
+        replace(sim, controller=make_theta_controller(theta), control_bound=theta),
+        slack * (theta + params.alpha - th["c_min"]),
     )
     return {"theta": float(theta), "c_min": float(th["c_min"]), **report}, traj
 
 
-def run_proportional_loop(grid, params, k_gain, mask, z0, T, delta, c_min,
-                          dt=None, y_ref=None, forcing=None, constraint=None,
-                          mode="project", yosida_lam=None, slack=0.9,
-                          record_every=1, invariance_tol=1e-10):
-    """Closed loop under u = -k * Leray(mask * z).
+def run_proportional_loop(sim, k_gain, mask, delta, c_min, slack=0.9):
+    """Closed loop of `sim` under u = -k * Leray(mask * z).
 
     `delta` is the decay rate certified upstream (principal eigenvalue of
     the damped Stokes operator minus the absorption total `c_min`); the
     report records slack * delta as the claim and checks it pointwise.
     """
+    controller = make_proportional_controller(sim.grid, k_gain, mask)
     report, traj = _closed_loop(
-        slack * delta, invariance_tol,
-        grid=grid, params=params, y0=z0, T=T, dt=dt, forcing=forcing,
-        y_ref=y_ref, constraint=constraint, constraint_mode=mode,
-        yosida_lam=yosida_lam,
-        controller=make_proportional_controller(grid, k_gain, mask),
-        control_bound=k_gain, record_every=record_every,
+        replace(sim, controller=controller, control_bound=k_gain), slack * delta
     )
     return {"k_gain": float(k_gain), "c_min": float(c_min), **report}, traj

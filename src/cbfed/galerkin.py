@@ -22,7 +22,7 @@ pairing.  Otherwise the subtraction leaves an absolute floor of about
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class GalerkinReduction:
     Bmat: np.ndarray          # (n, n), input coupling (m w_j, w_k)
     _Wc: np.ndarray = dc_field(repr=False, default=None)   # mode coefficients
     _dual: np.ndarray = dc_field(repr=False, default=None)  # sp.parseval_dual of _Wc
-    _Wb: np.ndarray = dc_field(repr=False, default=None)   # base-grid samples
     _Wf: np.ndarray = dc_field(repr=False, default=None)   # oversampled samples
     _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled; None at 0
     _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
@@ -62,7 +61,12 @@ def assemble_reduction(y_e, n, params, mask=None):
     m = np.ones(g.shape) if mask is None else np.asarray(mask, dtype=float)
     if m.shape != g.shape:
         raise ConfigError(f"mask shape {m.shape} does not match grid {g.shape}")
-    modes = sp.eigenbasis(g, n)
+    if n < 1:
+        raise ConfigError(f"the reduction needs at least one mode, got n={n}")
+    try:
+        modes = sp.eigenbasis(g, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
     factor = max(2, sp.oversample_factor(max(params.r, params.q)))
     cell_f = (g.L / (factor * g.N)) ** g.d
@@ -105,7 +109,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat,
-        _Wc=Wc, _dual=sp.parseval_dual(Wc, g), _Wb=Wb, _Wf=Wf_,
+        _Wc=Wc, _dual=sp.parseval_dual(Wc, g), _Wf=Wf_,
         _Yf=Yf_ if np.any(y_e.c) else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
         _factor=factor,
@@ -306,43 +310,47 @@ def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None
 
 
 def make_galerkin_controller(red, gain):
-    """Feedback z -> Leray(mask * sum_j (G restrict(z))_j w_j)."""
+    """Feedback z -> Leray(mask * sum_j (G restrict(z))_j w_j).
+
+    The spectra Leray(mask * w_j) are computed once, so a call is a single
+    contraction with the gain-weighted mode coefficients.
+    """
     gain = np.asarray(gain, dtype=float)
+    images = np.stack([sp.masked_leray(red.grid, red.mask, m.field.physical()).c
+                       for m in red.modes])
 
     def controller(z):
         c = gain @ restrict(red, z)
-        return sp.masked_leray(red.grid, red.mask, np.tensordot(c, red._Wb, axes=(0, 0)))
+        return sp.SpectralField(red.grid, np.tensordot(c, images, axes=(0, 0)))
 
     return controller
 
 
-def run_galerkin_loop(red, sigma, v0, T, dt_full=None, dt_reduced=None,
-                      record_every=1, forcing=None):
-    """Synthesize the gain, run reduced and full closed loops, report both fits."""
+def run_galerkin_loop(red, sigma, v0, sim):
+    """Synthesize the gain, run reduced and full closed loops, report both fits.
+
+    The full loop is `sim` started at lift(v0), shifted around the reduction's
+    equilibrium and projected onto the span of its modes; the reduced model
+    steps at dt/4 (2e-3 when sim.dt is None).
+    """
     gs = synthesize_gain(red.Lmat, red.Bmat, sigma)
     try:
         gc = growth_constants(red, sigma)
     except RegimeError:
         gc = {"gamma0": None, "gamma1_or_2": None, "C4": None, "C5": None, "rho1": None}
-    if dt_reduced is None:
-        dt_reduced = dt_full / 4 if dt_full else 2e-3
     warn_radius = None if gc["rho1"] is None else gc["rho1"] / gs.M_hat
     t_r, V = reduced_simulate(
-        red, v0, T=T, dt=dt_reduced, gain=gs.G,
-        record_every=record_every, warn_radius=warn_radius,
+        red, v0, T=sim.T, dt=sim.dt / 4 if sim.dt else 2e-3, gain=gs.G,
+        record_every=sim.record_every, warn_radius=warn_radius,
     )
     fit_reduced, _ = decay_rate_fit(t_r, np.linalg.norm(V, axis=-1))
-    y_ref = red.y_e if sp.norm_H(red.y_e) > 0 else None
-    cfg = ts.SimConfig(
-        grid=red.grid, params=red.params, y0=lift(red, v0), T=T, dt=dt_full,
-        forcing=forcing, y_ref=y_ref,
+    traj = ts.simulate(replace(
+        sim, y0=lift(red, v0), y_ref=red.y_e if sp.norm_H(red.y_e) > 0 else None,
         controller=make_galerkin_controller(red, gs.G),
         constraint=cx.SpanConstraint([m.field for m in red.modes]),
         constraint_mode="project",
         control_bound=float(np.linalg.norm(gs.G, 2)),
-        record_every=record_every,
-    )
-    traj = ts.simulate(cfg)
+    ))
     fit_full, _ = decay_rate_fit(traj.t, traj.norm_H)
     report = {
         "n": red.n, "rank": gs.rank, "sigma": float(sigma), "M_hat": gs.M_hat,

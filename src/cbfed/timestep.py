@@ -34,7 +34,7 @@ _BLOWUP_FACTOR = 1e6
 class SimConfig:
     grid: sp.TorusGrid
     params: op.PhysicalParams
-    y0: sp.SpectralField
+    y0: sp.SpectralField | None        # None only until a loop sets its own
     T: float
     dt: float | None = None
     scheme: str = "imex1"
@@ -51,7 +51,7 @@ class SimConfig:
     def __post_init__(self):
         if self.scheme not in ("imex1", "cnab2"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.constraint is not None and self.constraint_mode not in ("project", "yosida"):
+        if self.constraint_mode not in ("project", "yosida"):
             raise ConfigError(f"unknown constraint mode {self.constraint_mode!r}")
         if self.constraint is not None and self.constraint_mode == "yosida":
             if not (self.yosida_lam and self.yosida_lam > 0):
@@ -60,6 +60,8 @@ class SimConfig:
             raise ConfigError("final time must be positive")
         if self.dt is not None and not (self.dt > 0):
             raise ConfigError("time step dt must be positive")
+        if self.dt is not None and abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+            raise ConfigError(f"time step dt={self.dt:g} does not divide T={self.T:g}")
         if not (self.record_every >= 1):
             raise ConfigError("record_every must be at least 1")
 

@@ -182,7 +182,8 @@ def test_05_theta_feedback_decay_and_invariance():
     K = cx.BallConstraint(0.5)
     z0 = K.project(0.3 * sp.random_solenoidal(g, seed=14, decay=2.0))
     T = 20.0 / delta1
-    report, traj = ct.run_theta_loop(g, p, theta, K, z0, T=T, dt=0.02, record_every=4)
+    sim = ts.SimConfig(grid=g, params=p, y0=z0, T=T, dt=0.02, constraint=K, record_every=4)
+    report, traj = ct.run_theta_loop(sim, theta)
 
     assert traj.t[-1] >= T - 1e-9
     assert np.max(traj.dist_K) < 1e-13          # never leaves the ball
@@ -230,7 +231,8 @@ def test_06_galerkin_feedback():
     # full-space closed loop tracks the reduced coefficients at first order
     errs = []
     for dt_full in (2e-2, 1e-2):
-        _, (_, Vr), traj = gk.run_galerkin_loop(red, sigma, V0[0], T=1.0, dt_full=dt_full)
+        sim = ts.SimConfig(grid=g, params=p, y0=None, T=1.0, dt=dt_full)
+        _, (_, Vr), traj = gk.run_galerkin_loop(red, sigma, V0[0], sim)
         errs.append(np.linalg.norm(gk.restrict(red, traj.final) - Vr[-1]))
     assert errs[1] < errs[0] < 1e-3
     assert errs[0] / errs[1] > 1.5
@@ -283,7 +285,8 @@ def test_07_eigen_ladder_and_proportional_feedback():
     c_min = dec["rho_star"] + dec["rho1_star"] + dec["rho2_star"]
     z0 = 0.1 * sp.random_solenoidal(g, seed=9, decay=2.5)
     report, _ = ct.run_proportional_loop(
-        g, p, k_gain, dm.indicator, z0, T=3.0, delta=dec["delta"], c_min=c_min, dt=2e-3
+        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain, dm.indicator,
+        delta=dec["delta"], c_min=c_min,
     )
     assert report["pointwise_ok"]           # |z(t)| <= e^{-0.9 delta t} |z0|
 

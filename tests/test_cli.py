@@ -187,13 +187,52 @@ def test_integral_float_for_integer_is_accepted(tmp_path):
         ("simulate", "integrator.record_every=0"),
         ("stabilize-theta", "integrator.dt=-0.1"),
         ("stabilize-theta", "integrator.record_every=0"),
+        # a dt that does not land on T: the run would stop short of the reported T
+        ("simulate", "integrator.T=1 integrator.dt=0.3"),
+        ("stabilize-theta", "integrator.T=0.1 integrator.dt=2"),
+        ("simulate", "integrator.T=0.02 integrator.mode=bogus"),
     ],
 )
 def test_exit_code_bad_integrator(tmp_path, experiment, override):
     out = tmp_path / "o"
-    argv = [experiment, "--set", "grid.N=8", "--set", override, "--output-dir", str(out)]
+    argv = [experiment, "--set", "grid.N=8", "--output-dir", str(out)]
+    for item in override.split():
+        argv += ["--set", item]
     assert cli.main(argv) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("experiment, n", [("reduce", 500), ("stabilize-galerkin", 0)])
+def test_controller_n_out_of_range_is_config_error(tmp_path, capsys, experiment, n):
+    out = tmp_path / "o"
+    argv = [experiment, "--set", "grid.N=8", "--set", f"controller.n={n}",
+            "--output-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert "mode" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# a non-default value for every integrator key, and the SimConfig field it sets
+_INTEGRATOR_PROBES = {
+    "scheme": ("cnab2", "scheme"),
+    "T": (0.5, "T"),
+    "dt": (0.05, "dt"),
+    "mode": ("yosida", "constraint_mode"),
+    "yosida_lam": (0.1, "yosida_lam"),
+    "record_every": (3, "record_every"),
+}
+
+
+def test_sim_config_reads_every_integrator_key():
+    # a key that is accepted and hashed but never read would leave its field at the default
+    assert set(_INTEGRATOR_PROBES) == set(cli._DEFAULTS["integrator"])
+    for key, (value, field) in _INTEGRATOR_PROBES.items():
+        assert value != cli._DEFAULTS["integrator"][key]
+        cfg = cli.load_effective_config(
+            "simulate", overrides=["grid.N=8", f"integrator.{key}={json.dumps(value)}"]
+        )
+        sim = cli._sim_config(cfg, *cli._setup(cfg))
+        assert getattr(sim, field) == value, key
 
 
 def test_exit_code_regime_violation(tmp_path):

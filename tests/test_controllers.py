@@ -10,6 +10,7 @@ from cbfed import controllers as ct
 from cbfed import convex as cx
 from cbfed import operators as op
 from cbfed import spectral as sp
+from cbfed import timestep as ts
 from cbfed.errors import RegimeError
 
 
@@ -156,7 +157,7 @@ def test_theta_closed_loop_report():
     th = ct.theta_threshold(p)
     theta = th["c_min"] - p.alpha + 0.4  # delta1 = 0.4
     report, traj = ct.run_theta_loop(
-        g, p, theta=theta, constraint=K, z0=z0, T=5.0, dt=0.01
+        ts.SimConfig(grid=g, params=p, y0=z0, T=5.0, dt=0.01, constraint=K), theta=theta
     )
     assert set(report) == {"theta", "c_min", "delta_claim", "delta_fit", "pointwise_ok", "invariance_ok"}
     assert report["invariance_ok"] and report["pointwise_ok"]
@@ -172,7 +173,7 @@ def test_theta_loop_refuses_infinite_threshold():
     assert ct.theta_threshold(p)["c_min"] == np.inf
     z0 = sp.random_solenoidal(g, seed=12)
     with pytest.raises(RegimeError, match="c_min"):
-        ct.run_theta_loop(g, p, theta=1.0, constraint=None, z0=z0, T=0.1, dt=0.01)
+        ct.run_theta_loop(ts.SimConfig(grid=g, params=p, y0=z0, T=0.1, dt=0.01), theta=1.0)
 
 
 def test_proportional_closed_loop_report():
@@ -181,7 +182,8 @@ def test_proportional_closed_loop_report():
     mask = np.ones(g.shape)  # fully supported control: u = -k z
     z0 = 0.3 * sp.random_solenoidal(g, seed=12, decay=2.5)
     report, traj = ct.run_proportional_loop(
-        g, p, k_gain=2.0, mask=mask, z0=z0, T=4.0, dt=0.005, delta=1.0, c_min=0.8
+        ts.SimConfig(grid=g, params=p, y0=z0, T=4.0, dt=0.005),
+        k_gain=2.0, mask=mask, delta=1.0, c_min=0.8,
     )
     assert set(report) == {"k_gain", "c_min", "delta_claim", "delta_fit", "pointwise_ok", "invariance_ok"}
     assert report["pointwise_ok"]

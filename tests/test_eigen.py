@@ -195,6 +195,7 @@ def test_proportional_decay_constant():
 
 def test_localized_proportional_loop_decays():
     from cbfed import controllers as ct
+    from cbfed import timestep as ts
 
     g = grid2()
     p = op.PhysicalParams(mu=1.0, alpha=0.3, beta=1.0, gamma=-0.1, r=5, q=2)
@@ -205,7 +206,7 @@ def test_localized_proportional_loop_decays():
     assert rep["positive"]
     z0 = 0.1 * sp.random_solenoidal(g, seed=9, decay=2.5)
     report, _ = ct.run_proportional_loop(
-        g, p, k_gain=k, mask=dm.indicator, z0=z0, T=3.0, dt=2e-3,
+        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain=k, mask=dm.indicator,
         delta=rep["delta"], c_min=rep["rho_star"] + rep["rho1_star"] + rep["rho2_star"],
     )
     assert report["pointwise_ok"]
