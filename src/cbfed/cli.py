@@ -375,7 +375,7 @@ def _run_stationary(cfg, outdir, h):
 def _run_simulate(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
     sim = _sim_config(cfg, grid, params, seeds)
-    dt = sim.dt if sim.dt is not None else ts.default_dt(grid, params, sim.y0, sim.y_ref)
+    dt = ts.step_size(sim)
     traj = ts.simulate(sim)
     traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     sp.write_snapshot(traj.final, outdir / "final.cbfd")

@@ -68,7 +68,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
-    factor = max(2, sp.oversample_factor(max(params.r, params.q)))
+    factor = params.damping_factor
     cell_f = (g.L / (factor * g.N)) ** g.d
 
     Wc = np.stack([mode.field.c for mode in modes])

@@ -10,22 +10,16 @@ power-law products are evaluated pointwise on oversampled nodal grids so the
 discrete pairings reproduce the continuous integral identities to roundoff
 at the tested powers.
 
-The damping has one pointwise weight, damping_weight: the sum
-coef |y|^{p-1} over the (coef, p) terms, from |y|^2.  damping_from_nodal
-applies it to the nodal values of y on one oversampled grid shared by its
-terms and does one transform back and one Leray projection; the reduced
-model (galerkin.nonlinear_term) applies the same weight on its own nodes.
-The derivative C_p'(y) z = P[|y|^{p-1} z + (p-1)|y|^{p-3} (y.z) y] has one
-kernel too, damping_derivative_from_nodal, which gateaux_first and the
-reduced model's linearization (galerkin.assemble_reduction) share.  Powers
-of |y| follow _pow0: |y|^0 = 1 everywhere, so C_1' = P needs no branch of
-its own, and a negative power is 0 where y = 0.  power_damping oversamples
-its argument itself.  The time stepper instead evaluates each state once
-per step: it oversamples the state once per distinct factor, takes the
-recorded L^{r+1} norm from the C_r values where sp.norm_factor(r + 1)
-equals the C_r factor (r = 3, 4, 5), adds the reference state's nodal
-values in place, and gets the damping terms on that grid from those same
-values.
+The damping beta C_r + gamma C_q is evaluated on one oversampled grid,
+PhysicalParams.damping_factor (the C_r grid, the finer one), in the time
+stepper, the stationary solve and the reduced model.  damping_weight is its
+pointwise weight, the sum coef |y|^{p-1} from |y|^2; damping_from_nodal
+applies it to the nodal values on that grid and does one transform back and
+one Leray projection.  The derivative C_p'(y) z has one kernel too,
+damping_derivative_from_nodal, shared by gateaux_first and
+galerkin.assemble_reduction.  Powers of |y| follow _pow0: |y|^0 = 1, so
+C_1' = P needs no branch, and a negative power is 0 where y = 0.
+power_damping evaluates a single term on its own grid.
 """
 from __future__ import annotations
 
@@ -64,6 +58,11 @@ class PhysicalParams:
     def damping_terms(self) -> tuple:
         """(coef, p) of the damping terms beta C_r + gamma C_q with coef != 0."""
         return tuple((c, p) for c, p in ((self.beta, self.r), (self.gamma, self.q)) if c != 0)
+
+    @property
+    def damping_factor(self) -> int:
+        """The one grid of beta C_r + gamma C_q: C_r's, the finer (r > q), and >= 2 (r > 1)."""
+        return sp.oversample_factor(self.r)
 
     @property
     def regime(self) -> str:
@@ -144,8 +143,13 @@ def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> 
 
 def damping_weight(m2: np.ndarray, terms) -> np.ndarray:
     """Pointwise weight sum coef |v|^{p-1} over terms [(coef, p), ...], from m2 = |v|^2."""
-    first, *rest = [coef * _pow0(m2, (p - 1) / 2.0) for coef, p in terms]
-    return sum(rest, first)
+    (coef0, p0), *rest = terms
+    w = coef0 * _pow0(m2, (p0 - 1) / 2.0)
+    for coef, p in rest:            # in place: a second term costs no extra array
+        t = _pow0(m2, (p - 1) / 2.0)
+        t *= coef
+        w += t
+    return w
 
 
 def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.SpectralField:

@@ -34,6 +34,7 @@ are bitwise the same without the all-zero or discarded lines.
 from __future__ import annotations
 
 import struct
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -230,16 +231,18 @@ def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float) -> float:
     """L^p norm by rectangle rule from nodal values on any (M, ..., M) grid."""
     M = vals.shape[-1]
     mag2 = np.sum(vals**2, axis=0)
-    integral = np.sum(mag2 ** (p / 2.0)) * (grid.L / M) ** grid.d
+    half = p / 2.0    # integer p/2: repeated products, about twice as fast as the generic pow
+    whole = half.is_integer() and half >= 1
+    powed = reduce(np.multiply, [mag2] * int(half)) if whole else mag2**half
+    integral = np.sum(powed) * (grid.L / M) ** grid.d
     return float(integral ** (1.0 / p))
 
 
 def norm_Lp(a: SpectralField, p: float) -> float:
     """L^p norm by rectangle rule on the factor-norm_factor(p) nodal grid.
 
-    A caller that already holds the nodal values of `a` on that grid (the
-    time stepper's C_r grid when norm_factor(r + 1) == oversample_factor(r))
-    passes them to norm_Lp_nodal instead of transforming again.
+    simulate, which holds the nodal values on the damping grid, passes them to
+    norm_Lp_nodal instead when norm_factor(r + 1) is PhysicalParams.damping_factor.
     """
     return norm_Lp_nodal(oversample(a, norm_factor(p)), a.grid, p)
 

@@ -31,10 +31,8 @@ class StationaryResult:
 
 
 def _rhs(y, params, f):
-    out = f - op.convective(y) - params.beta * op.power_damping(y, params.r)
-    if params.gamma != 0:
-        out = out - params.gamma * op.power_damping(y, params.q)
-    return out
+    vals = sp.oversample(y, params.damping_factor)
+    return f - op.convective(y) - op.damping_from_nodal(vals, y.grid, params.damping_terms)
 
 
 def residual_norm(y, params, rhs) -> float:

@@ -117,6 +117,15 @@ def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) ->
     return dt
 
 
+def step_size(cfg: SimConfig) -> float:
+    """cfg.dt, or else T over the fewest equal steps no longer than default_dt
+    (the 1e-12 keeps an exact T/default_dt from gaining a step by roundoff)."""
+    if cfg.dt is not None:
+        return cfg.dt
+    cap = default_dt(cfg.grid, cfg.params, cfg.y0, cfg.y_ref)
+    return cfg.T / np.ceil(cfg.T / cap * (1 - 1e-12))
+
+
 def energy_defects(t, h, gh, lr1, params, forcing_norm, control_bound) -> np.ndarray:
     """Discrete defect of the energy inequality along recorded samples.
 
@@ -134,22 +143,20 @@ def energy_defects(t, h, gh, lr1, params, forcing_norm, control_bound) -> np.nda
         return np.full(len(t), np.nan)
     h2 = np.asarray(h) ** 2
     out = np.zeros(len(t))
-    for i in range(1, len(t)):
-        quot = (h2[i] - h2[i - 1]) / (2 * (t[i] - t[i - 1]))
-        out[i] = (
-            quot
-            + 0.5 * params.mu * gh[i] ** 2
-            + params.alpha * h2[i]
-            + params.beta * 2.0 ** (-params.r) * lr1[i] ** (params.r + 1)
-            - 0.25 * forcing_norm**2
-            - k_rate * h2[i]
-        )
+    out[1:] = (
+        np.diff(h2) / (2 * np.diff(t))
+        + 0.5 * params.mu * np.asarray(gh)[1:] ** 2
+        + params.alpha * h2[1:]
+        + params.beta * 2.0 ** (-params.r) * np.asarray(lr1)[1:] ** (params.r + 1)
+        - 0.25 * forcing_norm**2
+        - k_rate * h2[1:]
+    )
     return out
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
     g, p = cfg.grid, cfg.params
-    dt = cfg.dt if cfg.dt is not None else default_dt(g, p, cfg.y0, cfg.y_ref)
+    dt = step_size(cfg)
     nsteps = max(1, int(round(cfg.T / dt)))
     lin = p.mu * g.lap + p.alpha
     f = sp.leray(cfg.forcing) if cfg.forcing is not None else sp.SpectralField.zero(g)
@@ -158,48 +165,34 @@ def simulate(cfg: SimConfig) -> Trajectory:
     project_mode = K is not None and cfg.constraint_mode == "project"
     yosida_mode = K is not None and cfg.constraint_mode == "yosida"
 
-    # the damping terms beta C_r + gamma C_q, grouped by oversampling factor
-    groups = {}
-    for coef, expo in p.damping_terms:
-        groups.setdefault(sp.oversample_factor(expo), []).append((coef, expo))
-    # the recorded L^{r+1} norm reads the C_r grid values when its factor is theirs
-    fr = sp.oversample_factor(p.r)
-    norm_grid = fr if sp.norm_factor(p.r + 1) == fr else None
+    # beta C_r + gamma C_q on one grid, whose values give the L^{r+1} norm too
+    factor, terms = p.damping_factor, p.damping_terms
+    norm_on_grid = sp.norm_factor(p.r + 1) == factor
 
     # B and the damping at the reference state are constant over the run, and
-    # so (oversampling is linear) are its nodal values on each damping grid
+    # so (oversampling is linear) are its nodal values on the damping grid
     y_ref = cfg.y_ref
-    b_ref = None
-    y_nodal = {}
-    d_ref = sp.SpectralField.zero(g)
+    b_ref = y_nodal = d_ref = None
     if y_ref is not None:
         b_ref = op.convective(y_ref)
-        y_nodal = {factor: sp.oversample(y_ref, factor) for factor in groups}
-        for factor, terms in groups.items():
-            d_ref = d_ref + op.damping_from_nodal(y_nodal[factor].copy(), g, terms)
+        y_nodal = sp.oversample(y_ref, factor)
+        d_ref = op.damping_from_nodal(y_nodal.copy(), g, terms)
 
     def feedback(z):
         # evaluated once per state: the explicit term and the record share it
         return cfg.controller(z) if cfg.controller is not None else None
 
     def evaluate(z, norm):
-        """Shifted damping at z, and ||z||_{L^{r+1}} when norm is set (else None).
-
-        z is oversampled once per distinct factor, one factor at a time; the
-        norm is taken before the reference values are added in place.
-        """
-        damp = -d_ref
+        """Shifted damping at z from one oversample, and ||z||_{L^{r+1}} when norm
+        is set (else None), taken before the reference values are added in place."""
+        vals = sp.oversample(z, factor)
         lr1 = None
-        for factor, terms in groups.items():
-            vals = sp.oversample(z, factor)
-            if norm and factor == norm_grid:
-                lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1)
-            if y_ref is not None:
-                vals += y_nodal[factor]
-            damp = damp + op.damping_from_nodal(vals, g, terms)
-        if norm and lr1 is None:
-            lr1 = sp.norm_Lp(z, p.r + 1)
-        return damp, lr1
+        if norm:
+            lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
+        if y_ref is None:
+            return op.damping_from_nodal(vals, g, terms), lr1
+        vals += y_nodal
+        return op.damping_from_nodal(vals, g, terms) - d_ref, lr1
 
     def explicit(z, u, damp):
         out = f - op.shifted_convective(z, y_ref, b_ref) - damp

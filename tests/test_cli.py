@@ -106,6 +106,22 @@ def test_simulate_reports_steps_taken(tmp_path):
     assert np.allclose(traj.t, [0.0, 0.02, 0.03], rtol=0, atol=1e-15)
 
 
+def test_simulate_default_dt_lands_on_T(tmp_path):
+    # the default step 0.01389 is shortened to T/4 so that four steps end at T
+    out = tmp_path / "o"
+    argv = [
+        "simulate", "--set", "grid.N=8", "--set", "integrator.T=0.05",
+        "--output-dir", str(out),
+    ]
+    assert cli.main(argv) == 0
+    outdir = only_run_dir(out)
+    report = load_report(outdir)["report"]
+    assert abs(report["dt"] - 0.0125) < 1e-15
+    assert report["steps"] == 4
+    traj = ts.Trajectory.from_csv(outdir / "trajectory.csv")
+    assert abs(traj.t[-1] - 0.05) < 1e-15
+
+
 def test_set_overrides_change_hash(tmp_path):
     body = {
         "experiment": "constants",

@@ -213,8 +213,21 @@ def _norm_Lp_earlier_factor(a, p):
     return float((np.sum(np.sum(vals**2, axis=0) ** (p / 2.0)) * cell) ** (1.0 / p))
 
 
+def _damping_on(a, factor, expo):
+    """C_expo(a) evaluated on the factor-`factor` grid."""
+    return op.damping_from_nodal(sp.oversample(a, factor), a.grid, [(1.0, expo)])
+
+
+def _shifted_damping_on(z, around, factor, expo):
+    """C(around + z) - C(around) on one grid, as op.shifted_damping does on its own."""
+    if around is None:
+        return _damping_on(z, factor, expo)
+    return _damping_on(z + around, factor, expo) - _damping_on(around, factor, expo)
+
+
 def _reference_run(g, p, y0, nsteps, dt, scheme="imex1", y_ref=None, forcing=None):
-    """States and L^{r+1} norms of the unconstrained, uncontrolled step."""
+    """States and L^{r+1} norms of the unconstrained, uncontrolled step,
+    with gamma C_q on the C_r grid."""
     lin = p.mu * g.lap + p.alpha
     f = sp.leray(forcing) if forcing is not None else sp.SpectralField.zero(g)
     z = y0.copy()
@@ -223,7 +236,7 @@ def _reference_run(g, p, y0, nsteps, dt, scheme="imex1", y_ref=None, forcing=Non
     for _ in range(nsteps):
         N = f - op.shifted_convective(z, y_ref) - p.beta * op.shifted_damping(z, y_ref, p.r)
         if p.gamma != 0:
-            N = N - p.gamma * op.shifted_damping(z, y_ref, p.q)
+            N = N - p.gamma * _shifted_damping_on(z, y_ref, sp.oversample_factor(p.r), p.q)
         if scheme == "imex1" or prev_N is None:
             c = (z.c + dt * N.c) / (1.0 + dt * lin)
         else:
@@ -263,11 +276,10 @@ def test_oversample_once_per_factor_per_state(r, monkeypatch):
         grid=g, params=p, y0=y0, T=nsteps * dt, dt=dt, y_ref=y_ref, record_every=2,
     )
     ts.simulate(cfg)
-    distinct = sorted({sp.oversample_factor(r), sp.oversample_factor(2)})
     fr = sp.oversample_factor(r)
-    # y_ref once per factor, states 0 .. nsteps-1 once per factor, the final
-    # state once on the C_r grid for its norm
-    expect = {f: 1 + nsteps + (f == fr) for f in distinct}
+    # y_ref, states 0 .. nsteps-1 and the final state (for its norm) once
+    # each, all on the C_r grid
+    expect = {fr: nsteps + 2}
     assert {f: factors.count(f) for f in set(factors)} == expect
     assert 4 not in factors
 
@@ -306,3 +318,25 @@ def test_3d_shifted_trajectory_matches_reference_step(scheme):
     for (_t, z), zr in zip(traj.states, states):
         assert sp.norm_H(z - zr) <= 1e-12 * sp.norm_H(zr)
     assert np.max(np.abs(traj.norm_Lr1 - norms) / norms) < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gamma_term_on_finer_grid_reduces_aliasing(d):
+    # from a rough field, C_2 = P[|y| y] aliases on any grid; on the C_5 grid
+    # (factor 3) the step lands closer to a factor-8 evaluation than with
+    # C_2 on its own factor-2 grid.  C_5 is exact on factor 3 in both.
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = smooth_params(r=5, q=2, gamma=-1.0)
+    y0 = 2.0 * sp.random_solenoidal(g, seed=71, decay=0.5)
+    dt = 0.01
+    lin = p.mu * g.lap + p.alpha
+
+    def step(fr, fq):
+        damp = p.beta * _damping_on(y0, fr, p.r) + p.gamma * _damping_on(y0, fq, p.q)
+        N = -op.convective(y0) - damp
+        return sp.leray(sp.SpectralField(g, (y0.c + dt * N.c) / (1.0 + dt * lin)))
+
+    fine = step(8, 8)
+    per_term = step(sp.oversample_factor(p.r), sp.oversample_factor(p.q))
+    one = ts.simulate(ts.SimConfig(grid=g, params=p, y0=y0, T=dt, dt=dt)).final
+    assert sp.norm_H(one - fine) < 0.5 * sp.norm_H(per_term - fine)
