@@ -148,9 +148,9 @@ def smallest_eigenvalue_Ak(
     Preconditioned LOBPCG with block size one (Knyazev, SIAM J. Sci. Comput.
     23(2), 2001) on the real solenoidal fields.  Each iteration minimizes
     the Rayleigh quotient over span(x, T r, p): the current field x, its
-    residual r preconditioned by T = (mu * Stokes + alpha)^{-1} and scrubbed
-    back into the real solenoidal sector, and the previous step p.  That
-    costs one operator apply; x and its image are carried as combinations.
+    residual r preconditioned by T = (mu Stokes + alpha + k mean(m))^{-1} and
+    scrubbed back into the real solenoidal sector, and the previous step p.
+    That costs one operator apply; x and its image are carried as combinations.
     Once their residual is small, the scrubbed, normalized x is checked
     with a fresh apply, and the search returns ``(nu, eigenfield,
     iterations)`` when that eigen-residual is at most ``tol * max(1, nu)``
@@ -163,7 +163,8 @@ def smallest_eigenvalue_Ak(
     def apply_op(field):
         return apply_Ak(field, k_gain, m, mu, alpha)
 
-    precond = 1.0 / (mu * grid.lap + alpha)
+    # k P(m .) at its constant-coefficient part k mean(m) joins the diagonal
+    precond = 1.0 / (mu * grid.lap + alpha + k_gain * float(np.mean(m)))
 
     base = np.zeros((grid.d,) + grid.shape)
     base[0] = 1.0

@@ -52,7 +52,6 @@ class GalerkinReduction:
     _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled; None at 0
     _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
     _D: np.ndarray = dc_field(repr=False, default=None)      # (C'(y_e) w_i, w_k), i the row
-    _factor: int = 2
 
 
 def assemble_reduction(y_e, n, params, mask=None):
@@ -112,7 +111,6 @@ def assemble_reduction(y_e, n, params, mask=None):
         _Wc=Wc, _dual=sp.parseval_dual(Wc, g), _Wf=Wf_,
         _Yf=Yf_ if np.any(y_e.c) else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
-        _factor=factor,
     )
 
 
@@ -152,7 +150,7 @@ def nonlinear_term(red, v):
     A = np.tensordot(v, red._Wf, axes=(-1, 0))          # (..., d, X)
     if red._Yf is not None:
         A += red._Yf
-    cell_f = (red.grid.L / (red._factor * red.grid.N)) ** red.grid.d
+    cell_f = (red.grid.L / (red.params.damping_factor * red.grid.N)) ** red.grid.d
     return _damping_pairing(A, red._Wf, red.params.damping_terms, cell_f) - red._c_ref - v @ red._D
 
 

@@ -144,7 +144,8 @@ def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> 
 def damping_weight(m2: np.ndarray, terms) -> np.ndarray:
     """Pointwise weight sum coef |v|^{p-1} over terms [(coef, p), ...], from m2 = |v|^2."""
     (coef0, p0), *rest = terms
-    w = coef0 * _pow0(m2, (p0 - 1) / 2.0)
+    w = _pow0(m2, (p0 - 1) / 2.0)
+    w *= coef0                      # scaled in place, as every term below
     for coef, p in rest:            # in place: a second term costs no extra array
         t = _pow0(m2, (p - 1) / 2.0)
         t *= coef
@@ -160,7 +161,7 @@ def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.Spectr
     and |v|^2 is gone before the transform back, so no fine array but vals
     lives through it.
     """
-    np.multiply(damping_weight(np.sum(vals**2, axis=0), terms), vals, out=vals)
+    np.multiply(damping_weight(sp.sum_squares(vals), terms), vals, out=vals)
     factor = vals.shape[1] // grid.N
     return sp.leray(sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, factor)))
 

@@ -30,11 +30,14 @@ and transform only the lines that can be nonzero (inverse) or that are kept
 (forward).  Each line is the same 1-d transform, in the same axis order,
 that irfftn/rfftn on the fully padded array would compute, so the results
 are bitwise the same without the all-zero or discarded lines.
+
+oversample can write into a given array (out=): the time stepper and the
+stationary solve each hold one nodal array for the whole loop, so no step
+faults fresh zeroed pages in for its multi-MB fine-grid values.
 """
 from __future__ import annotations
 
 import struct
-from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -227,13 +230,26 @@ def norm_factor(p: float) -> int:
     return oversample_factor(p)
 
 
+def sum_squares(vals: np.ndarray) -> np.ndarray:
+    """|v|^2 over the leading (component) axis, one component at a time:
+    bitwise np.sum(vals**2, axis=0) without its (d, M, ..., M) temporary."""
+    out = np.square(vals[0])
+    for comp in vals[1:]:
+        out += np.square(comp)
+    return out
+
+
 def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float) -> float:
     """L^p norm by rectangle rule from nodal values on any (M, ..., M) grid."""
     M = vals.shape[-1]
-    mag2 = np.sum(vals**2, axis=0)
+    mag2 = sum_squares(vals)
     half = p / 2.0    # integer p/2: repeated products, about twice as fast as the generic pow
-    whole = half.is_integer() and half >= 1
-    powed = reduce(np.multiply, [mag2] * int(half)) if whole else mag2**half
+    if half.is_integer() and half >= 1:
+        powed = mag2.copy()
+        for _ in range(int(half) - 1):
+            powed *= mag2
+    else:
+        powed = np.power(mag2, half, out=mag2)
     integral = np.sum(powed) * (grid.L / M) ** grid.d
     return float(integral ** (1.0 / p))
 
@@ -315,11 +331,11 @@ def _rfft(vals: np.ndarray, d: int) -> np.ndarray:
     return np.fft.rfftn(vals, axes=tuple(range(vals.ndim - d, vals.ndim)), norm="forward")
 
 
-def _irfft(half: np.ndarray, shape) -> np.ndarray:
+def _irfft(half: np.ndarray, shape, out=None) -> np.ndarray:
     """Real nodal values of Hermitian spectra given by their last-axis halves."""
     n = len(shape)
     axes = tuple(range(half.ndim - n, half.ndim))
-    return np.fft.irfftn(half, s=shape, axes=axes, norm="forward")
+    return np.fft.irfftn(half, s=shape, axes=axes, norm="forward", out=out)
 
 
 def enforce_real(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -378,8 +394,11 @@ def _trim_axis(x: np.ndarray, axis: int, N: int) -> np.ndarray:
     return np.concatenate(blocks, axis=axis)
 
 
-def oversample(a: SpectralField, factor: int) -> np.ndarray:
+def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Nodal values on the refined (factor*N)^d grid (exact interpolation).
+
+    When out, a float array of shape (d, factor*N, ..., factor*N), is given,
+    the values are written into it and it is returned.
 
     Only the lines that can be nonzero are transformed: ifft along the
     leading spatial axes in irfftn's order (first to last), each over the
@@ -390,18 +409,18 @@ def oversample(a: SpectralField, factor: int) -> np.ndarray:
     line is the 1-d transform irfftn would compute, so the values are
     bitwise those of irfftn on the fully padded half spectrum.
     """
-    return _half_to_nodes(a.c, a.grid, factor)
+    return _half_to_nodes(a.c, a.grid, factor, out)
 
 
-def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int) -> np.ndarray:
+def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int, out=None) -> np.ndarray:
     """oversample of the spectra whose stored halves (columns 0 .. N/2) are given."""
     if factor == 1:
-        return _irfft(half, g.shape)
+        return _irfft(half, g.shape, out)
     M = factor * g.N
     x = half[..., : g.N // 2]
     for axis in range(-g.d, -1):
         x = np.fft.ifft(_pad_axis(x, axis, M), axis=axis, norm="forward")
-    return np.fft.irfft(x, n=M, axis=-1, norm="forward")
+    return np.fft.irfft(x, n=M, axis=-1, norm="forward", out=out)
 
 
 def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray:

@@ -30,13 +30,14 @@ class StationaryResult:
     residual_history: list = field(default_factory=list)
 
 
-def _rhs(y, params, f):
-    vals = sp.oversample(y, params.damping_factor)
+def _rhs(y, params, f, nodal):
+    """Right-hand side at y; nodal, of the damping grid's shape, is overwritten."""
+    vals = sp.oversample(y, params.damping_factor, out=nodal)
     return f - op.convective(y) - op.damping_from_nodal(vals, y.grid, params.damping_terms)
 
 
 def residual_norm(y, params, rhs) -> float:
-    """||(mu A + alpha) y - rhs||_H, for rhs = _rhs(y, params, f)."""
+    """||(mu A + alpha) y - rhs||_H, for rhs = _rhs(y, params, f, nodal)."""
     lin = sp.SpectralField(y.grid, y.c * (params.mu * y.grid.lap + params.alpha))
     return sp.norm_H(lin - rhs)
 
@@ -58,8 +59,10 @@ def solve_stationary(
     best = np.inf
     stall = 0
     history = []
-    # one right-hand side per iterate: the residual's is reused by the update
-    rhs = _rhs(y, params, f)
+    # one right-hand side per iterate: the residual's is reused by the update.
+    # All of them oversample into one nodal array, held for the whole solve.
+    nodal = np.empty((grid.d,) + (params.damping_factor * grid.N,) * grid.d)
+    rhs = _rhs(y, params, f, nodal)
     res = residual_norm(y, params, rhs)
     history.append(res)
     for it in range(1, max_iter + 1):
@@ -69,7 +72,7 @@ def solve_stationary(
             return StationaryResult(y, res, it - 1, True, omega, history)
         update = sp.SpectralField(grid, rhs.c * inv)
         y = (1 - omega) * y + omega * update
-        rhs = _rhs(y, params, f)
+        rhs = _rhs(y, params, f, nodal)
         res = residual_norm(y, params, rhs)
         history.append(res)
         if res >= best * 0.999:

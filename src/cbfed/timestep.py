@@ -165,12 +165,14 @@ def simulate(cfg: SimConfig) -> Trajectory:
     project_mode = K is not None and cfg.constraint_mode == "project"
     yosida_mode = K is not None and cfg.constraint_mode == "yosida"
 
-    # beta C_r + gamma C_q on one grid, whose values give the L^{r+1} norm too
+    # beta C_r + gamma C_q on one grid, whose values give the L^{r+1} norm too;
+    # every state is oversampled into one nodal array, held for the whole run
     factor, terms = p.damping_factor, p.damping_terms
     norm_on_grid = sp.norm_factor(p.r + 1) == factor
+    nodal = np.empty((g.d,) + (factor * g.N,) * g.d)
 
     # B and the damping at the reference state are constant over the run, and
-    # so (oversampling is linear) are its nodal values on the damping grid
+    # so (oversampling is linear) are its nodal values, in an array of their own
     y_ref = cfg.y_ref
     b_ref = y_nodal = d_ref = None
     if y_ref is not None:
@@ -185,7 +187,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     def evaluate(z, norm):
         """Shifted damping at z from one oversample, and ||z||_{L^{r+1}} when norm
         is set (else None), taken before the reference values are added in place."""
-        vals = sp.oversample(z, factor)
+        vals = sp.oversample(z, factor, out=nodal)
         lr1 = None
         if norm:
             lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
@@ -250,8 +252,10 @@ def simulate(cfg: SimConfig) -> Trajectory:
         recorded = m % cfg.record_every == 0
         if m < nsteps:
             damp, lr1 = evaluate(z, norm=recorded)
+        elif norm_on_grid:    # the final state needs only its norm
+            lr1 = sp.norm_Lp_nodal(sp.oversample(z, factor, out=nodal), g, p.r + 1)
         else:
-            lr1 = sp.norm_Lp(z, p.r + 1)    # the final state needs only its norm
+            lr1 = sp.norm_Lp(z, p.r + 1)
         if recorded or m == nsteps:
             record(m, z, u, lr1, nh)
 

@@ -111,6 +111,15 @@ def test_scrub_matches_physical_round_trip(d):
     assert np.max(np.abs(bare.c - want.c)) > 1e-6 * np.max(np.abs(want.c))
 
 
+def test_large_gain_solve_converges_quickly():
+    # the preconditioner carries the coupling's mean gain k mean(m): without
+    # it this solve takes over 300 iterations
+    g = grid2()
+    dm = eg.DomainMask(g, [((0.785, g.L), (0.0, g.L))])
+    _, _, iters = eg.smallest_eigenvalue_Ak(g, 800.0, dm, mu=1.0, alpha=0.3)
+    assert iters <= 100, iters
+
+
 def test_smallest_eigenvalue_failure_reports_state():
     g = grid2(8)
     with pytest.raises(SolverDivergence, match=r"Ritz value -\S+ at LOBPCG iteration \d+, residual"):

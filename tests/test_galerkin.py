@@ -297,7 +297,7 @@ def _nonlinear_term_ref(red, v, nodes):
     S = p.beta * _second_derivative_ref(A, Z[None], z2[None], p.r)
     if p.gamma != 0.0:
         S = S + p.gamma * _second_derivative_ref(A, Z[None], z2[None], p.q)
-    cell_f = (red.grid.L / (red._factor * red.grid.N)) ** red.grid.d
+    cell_f = (red.grid.L / (red.params.damping_factor * red.grid.N)) ** red.grid.d
     return cell_f * np.einsum("g,g...ax,kax->...k", 0.5 * w * (1.0 - theta), S, red._Wf)
 
 

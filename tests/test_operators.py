@@ -319,3 +319,23 @@ def test_pow0_conventions():
     np.testing.assert_array_equal(op._pow0(base, 0.0), [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(op._pow0(base, 1.5), [0.0, 0.125, 8.0])
     np.testing.assert_array_equal(op._pow0(base, -0.5), [0.0, 2.0, 0.5])
+
+
+def _damping_weight_earlier(m2, terms):
+    # the weight before its first term was scaled in place
+    (coef0, p0), *rest = terms
+    w = coef0 * op._pow0(m2, (p0 - 1) / 2.0)
+    for coef, p in rest:
+        w = w + coef * op._pow0(m2, (p - 1) / 2.0)
+    return w
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_damping_weight_bitwise_matches_earlier_formula(d, q):
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    m2 = sp.sum_squares(sp.oversample(offset_field(g, (0.9, 0.2, -0.4)[:d], seed=83), 3))
+    terms = [(0.8, 5.0), (-0.3, q)]
+    got = op.damping_weight(m2, terms)
+    want = _damping_weight_earlier(m2, terms)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

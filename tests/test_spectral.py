@@ -526,6 +526,51 @@ def test_padded_transforms_keep_no_state_between_calls(d):
         assert np.array_equal(ca, sp.fine_to_coeffs(fa.copy(), g, factor))
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_oversample_into_out_is_bitwise(d):
+    g = small_grid(d)
+    f = sp.random_field(g, seed=71, decay=1.0)
+    for factor in (1, 2, 3, 4):
+        buf = np.full((d,) + (factor * g.N,) * d, np.nan)
+        assert sp.oversample(f, factor, out=buf) is buf
+        assert _same_bits(buf, sp.oversample(f, factor))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sum_squares_is_bitwise_sum_of_squares(d):
+    vals = sp.oversample(sp.random_field(small_grid(d), seed=72, decay=1.0), 3)
+    assert _same_bits(sp.sum_squares(vals), np.sum(vals**2, axis=0))
+
+
+def _norm_Lp_nodal_earlier(vals, grid, p):
+    # the formula before the in-place powers: a product of p/2 copies of
+    # |v|^2 when p/2 is an integer, the generic pow otherwise
+    M = vals.shape[-1]
+    mag2 = np.sum(vals**2, axis=0)
+    half = p / 2.0
+    if half.is_integer() and half >= 1:
+        powed = mag2
+        for _ in range(int(half) - 1):
+            powed = np.multiply(powed, mag2)
+    else:
+        powed = mag2**half
+    return float((np.sum(powed) * (grid.L / M) ** grid.d) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [4.0, 5.5, 6.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_norm_Lp_nodal_bitwise_matches_earlier_formula(d, p):
+    g = small_grid(d)
+    vals = sp.oversample(sp.random_field(g, seed=73, decay=1.0), sp.norm_factor(p))
+    before = vals.copy()
+    assert sp.norm_Lp_nodal(vals, g, p) == _norm_Lp_nodal_earlier(vals, g, p)
+    assert _same_bits(vals, before)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     d=st.sampled_from([2, 3]),

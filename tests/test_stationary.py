@@ -83,6 +83,23 @@ def test_one_rhs_per_picard_iterate(monkeypatch):
     assert len(calls) == res.iterations + 1
 
 
+def test_iterates_oversample_into_one_array(monkeypatch):
+    g = grid2(N=16)
+    p = op.PhysicalParams(mu=1, alpha=0.5, beta=1, gamma=-0.1, r=5, q=2)
+    forcing = 0.5 * sp.random_solenoidal(g, seed=7)
+    outs = []
+    oversample = sp.oversample
+
+    def recorded(a, factor, out=None):
+        outs.append(out)
+        return oversample(a, factor, out=out)
+
+    monkeypatch.setattr(sp, "oversample", recorded)
+    res = st.solve_stationary(g, p, forcing)
+    assert len(outs) == res.iterations + 1
+    assert outs[0] is not None and all(out is outs[0] for out in outs)
+
+
 def test_solver_divergence_raised():
     g = grid2(N=16)
     p = op.PhysicalParams(mu=1, alpha=0.5, beta=1, gamma=-0.1, r=5, q=2)

@@ -266,9 +266,9 @@ def test_oversample_once_per_factor_per_state(r, monkeypatch):
     factors = []
     oversample = sp.oversample
 
-    def counted(a, factor):
+    def counted(a, factor, out=None):
         factors.append(factor)
-        return oversample(a, factor)
+        return oversample(a, factor, out=out)
 
     monkeypatch.setattr(sp, "oversample", counted)
     nsteps, dt = 5, 0.01
@@ -282,6 +282,37 @@ def test_oversample_once_per_factor_per_state(r, monkeypatch):
     expect = {fr: nsteps + 2}
     assert {f: factors.count(f) for f in set(factors)} == expect
     assert 4 not in factors
+
+
+@pytest.mark.parametrize("r", [3, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_states_oversample_into_one_array(d, r, monkeypatch):
+    # every state of the loop is oversampled into the same held array; the
+    # reference state's values get an array of their own
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    y_ref = _reference_state(g, 61, (0.6, -0.3, 0.2))
+    y0 = 0.3 * sp.random_solenoidal(g, seed=62)
+    calls = []
+    oversample = sp.oversample
+
+    def recorded(a, factor, out=None):
+        vals = oversample(a, factor, out=out)
+        calls.append((a, out, vals))
+        return vals
+
+    monkeypatch.setattr(sp, "oversample", recorded)
+    nsteps, dt = 5, 0.01
+    cfg = ts.SimConfig(
+        grid=g, params=smooth_params(r=r), y0=y0, T=nsteps * dt, dt=dt, y_ref=y_ref,
+        record_every=2,
+    )
+    ts.simulate(cfg)
+    (first, first_out, y_nodal), *states = calls
+    assert first is y_ref and first_out is None
+    assert len(states) == nsteps + 1
+    held = states[0][1]
+    assert held is not None and not np.shares_memory(held, y_nodal)
+    assert all(out is held and vals is held for _a, out, vals in states)
 
 
 @pytest.mark.parametrize("with_ref", [False, True])
