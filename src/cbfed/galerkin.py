@@ -117,7 +117,7 @@ def assemble_reduction(y_e, n, params, mask=None):
 def _damping_pairing(A, W, terms, cell_f):
     """(C(a), w_k) on the oversampled nodes: A holds a there, shape (..., d, X),
     W the modes, shape (n, d, X).  A is overwritten."""
-    A *= op.damping_weight(np.einsum("...ax,...ax->...x", A, A), terms)[..., None, :]
+    A *= op.damping_weight(sp.sum_squares(np.moveaxis(A, -2, 0)), terms)[..., None, :]
     return cell_f * (A.reshape(A.shape[:-2] + (-1,)) @ W.reshape(len(W), -1).T)
 
 
@@ -147,7 +147,8 @@ def nonlinear_term(red, v):
     nothing is added to z.  v may carry batch axes.
     """
     v = np.asarray(v, dtype=float)
-    A = np.tensordot(v, red._Wf, axes=(-1, 0))          # (..., d, X)
+    W = red._Wf    # one matmul with the modes flattened to (n, d X), then (..., d, X)
+    A = (v @ W.reshape(len(W), -1)).reshape(v.shape[:-1] + W.shape[1:])
     if red._Yf is not None:
         A += red._Yf
     cell_f = (red.grid.L / (red.params.damping_factor * red.grid.N)) ** red.grid.d

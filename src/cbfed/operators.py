@@ -10,12 +10,24 @@ power-law products are evaluated pointwise on oversampled nodal grids so the
 discrete pairings reproduce the continuous integral identities to roundoff
 at the tested powers.
 
+convective evaluates B in rotational form, P[sum_a y_a Omega_ab] with
+Omega_ab = d_a y_b - d_b y_a, from the 2/3-rule dealiased y: one inverse
+transform of y and the d(d-1)/2 components Omega_ab (a < b) stacked, one
+forward transform of the product.  The advective form differs by
+grad(|y|^2/2).  |y|^2 has modes |k_i| <= 2 ((N-1)//3), whose aliases on the
+N-grid fall outside the dealias mask, so the kept coefficients of the
+difference are those of an exact gradient, and the Leray projection removes
+them: the two forms agree to roundoff.
+
 The damping beta C_r + gamma C_q is evaluated on one oversampled grid,
 PhysicalParams.damping_factor (the C_r grid, the finer one), in the time
 stepper, the stationary solve and the reduced model.  damping_weight is its
 pointwise weight, the sum coef |y|^{p-1} from |y|^2; damping_from_nodal
-applies it to the nodal values on that grid and does one transform back and
-one Leray projection.  The derivative C_p'(y) z has one kernel too,
+applies it to the nodal values on that grid and does one transform back,
+without the Leray projection.  Each caller projects once: simulate projects
+the new state (the update is diagonal in k, so that projects its damping
+too), stationary._rhs its whole right-hand side, and power_damping its
+result.  The derivative C_p'(y) z has one kernel too,
 damping_derivative_from_nodal, shared by gateaux_first and
 galerkin.assemble_reduction.  Powers of |y| follow _pow0: |y|^0 = 1, so
 C_1' = P needs no branch, and a negative power is 0 where y = 0.
@@ -98,14 +110,24 @@ def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
 
 
 def convective(y: sp.SpectralField) -> sp.SpectralField:
-    """B(y) = P[(y.grad) y], with 2/3-rule dealiasing of the product."""
+    """B(y) = P[(y.grad) y] in rotational form, with 2/3-rule dealiasing."""
     g = y.grid
-    c = y.c * g.dealias
-    yd = sp.SpectralField(g, c)
-    vals = yd.physical()
-    grads = sp.gradient_physical(yd)                  # grads[a, b] = d_a y_b
-    adv = np.einsum("aX,abX->bX", vals.reshape(g.d, -1), grads.reshape(g.d, g.d, -1))
-    adv = adv.reshape((g.d,) + g.shape)
+    ik = (2j * np.pi / g.L) * g.wave
+    pairs = [(a, b) for a in range(g.d) for b in range(a + 1, g.d)]
+    # the dealiased spectra of y and of Omega_ab = d_a y_b - d_b y_a (a < b),
+    # stacked so that one inverse transform gives all their nodal values
+    spec = np.empty((g.d + len(pairs),) + g.half_shape, dtype=complex)
+    c = np.multiply(y.c, g.dealias, out=spec[: g.d])
+    for w, (a, b) in zip(spec[g.d :], pairs):
+        np.multiply(ik[a], c[b], out=w)
+        w -= ik[b] * c[a]
+    vals = sp._irfft(spec, g.shape)
+    yv, omega = vals[: g.d], vals[g.d :]
+    # sum_a y_a Omega_ab, so Omega_ba = -Omega_ab: each pair feeds two components
+    adv = np.zeros_like(yv)
+    for w, (a, b) in zip(omega, pairs):
+        adv[b] += yv[a] * w
+        adv[a] -= yv[b] * w
     ch = sp.SpectralField.from_physical(g, adv).c
     ch *= g.dealias
     return sp.leray(sp.SpectralField(g, ch))
@@ -154,8 +176,9 @@ def damping_weight(m2: np.ndarray, terms) -> np.ndarray:
 
 
 def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.SpectralField:
-    """sum coef C_p over terms [(coef, p), ...] from the nodal values v of the
-    argument on the oversampled grid that the terms share.
+    """sum coef |v|^{p-1} v over terms [(coef, p), ...], truncated to the coarse
+    spectrum and not Leray-projected, from the nodal values v of the argument
+    on the oversampled grid that the terms share.  Each caller projects once.
 
     The summed weight times v is written over vals (component axis first),
     and |v|^2 is gone before the transform back, so no fine array but vals
@@ -163,7 +186,7 @@ def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.Spectr
     """
     np.multiply(damping_weight(sp.sum_squares(vals), terms), vals, out=vals)
     factor = vals.shape[1] // grid.N
-    return sp.leray(sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, factor)))
+    return sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, factor))
 
 
 def damping_derivative_from_nodal(Y: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
@@ -183,7 +206,8 @@ def power_damping(y: sp.SpectralField, p: float) -> sp.SpectralField:
     """C_p(y) = P[|y|^{p-1} y], evaluated on an oversampled grid."""
     if p == 1:
         return sp.leray(y)
-    return damping_from_nodal(sp.oversample(y, sp.oversample_factor(p)), y.grid, [(1.0, p)])
+    vals = sp.oversample(y, sp.oversample_factor(p))
+    return sp.leray(damping_from_nodal(vals, y.grid, [(1.0, p)]))
 
 
 def gateaux_first(y: sp.SpectralField, z: sp.SpectralField, p: float) -> sp.SpectralField:

@@ -29,7 +29,10 @@ The zero-padded transforms to and from the refined (factor*N)^d grids
 and transform only the lines that can be nonzero (inverse) or that are kept
 (forward).  Each line is the same 1-d transform, in the same axis order,
 that irfftn/rfftn on the fully padded array would compute, so the results
-are bitwise the same without the all-zero or discarded lines.
+are bitwise the same without the all-zero or discarded lines.  The inverse
+pads its last axis itself: the last leading-axis transform writes into the
+first N/2 columns of a zeroed (..., M, M/2+1) half spectrum, so the final
+irfft reads whole lines instead of zero-padding each short one.
 
 oversample can write into a given array (out=): the time stepper and the
 stationary solve each hold one nodal array for the whole loop, so no step
@@ -282,8 +285,12 @@ def reality_defect(a: SpectralField) -> float:
 def leray(a: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: c_k -> c_k - k (k.c_k)/|k|^2."""
     g = a.grid
-    dot = np.sum(g.wave * a.c, axis=0)
-    return SpectralField(g, a.c - g.wave * (dot * g.inv_k2))
+    dot = g.wave[0] * a.c[0]        # k.c one component at a time, then scaled, in place
+    for k, comp in zip(g.wave[1:], a.c[1:]):
+        dot += k * comp
+    dot *= g.inv_k2
+    out = np.multiply(g.wave, dot)  # the one array of the result
+    return SpectralField(g, np.subtract(a.c, out, out=out))
 
 
 def masked_leray(grid: TorusGrid, mask: np.ndarray, values: np.ndarray) -> SpectralField:
@@ -403,11 +410,12 @@ def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> 
     Only the lines that can be nonzero are transformed: ifft along the
     leading spatial axes in irfftn's order (first to last), each over the
     block the previous ones filled, zero-padded to M = factor*N along that
-    axis alone; then one length-M irfft along the last axis of the kept
-    columns 0 .. N/2-1, which numpy zero-pads to M/2+1.  The coarse Nyquist
-    column N/2 is left out: it is zero in every stored spectrum.  Every
-    line is the 1-d transform irfftn would compute, so the values are
-    bitwise those of irfftn on the fully padded half spectrum.
+    axis alone, the last of them written into columns 0 .. N/2-1 of a zeroed
+    (..., M, M/2+1) array; then one length-M irfft along the last axis of
+    that array.  The coarse Nyquist column N/2 is left out: it is zero in
+    every stored spectrum.  Every line is the 1-d transform irfftn would
+    compute, so the values are bitwise those of irfftn on the fully padded
+    half spectrum.
     """
     return _half_to_nodes(a.c, a.grid, factor, out)
 
@@ -418,9 +426,13 @@ def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int, out=None) -> np.
         return _irfft(half, g.shape, out)
     M = factor * g.N
     x = half[..., : g.N // 2]
-    for axis in range(-g.d, -1):
+    for axis in range(-g.d, -2):
         x = np.fft.ifft(_pad_axis(x, axis, M), axis=axis, norm="forward")
-    return np.fft.irfft(x, n=M, axis=-1, norm="forward", out=out)
+    # the last leading-axis ifft writes into the first N/2 columns of the
+    # zero-padded half spectrum, so the irfft reads M/2+1 columns as they are
+    padded = np.zeros(x.shape[:-2] + (M, M // 2 + 1), dtype=complex)
+    np.fft.ifft(_pad_axis(x, -2, M), axis=-2, norm="forward", out=padded[..., : g.N // 2])
+    return np.fft.irfft(padded, n=M, axis=-1, norm="forward", out=out)
 
 
 def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray:

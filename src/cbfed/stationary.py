@@ -31,9 +31,11 @@ class StationaryResult:
 
 
 def _rhs(y, params, f, nodal):
-    """Right-hand side at y; nodal, of the damping grid's shape, is overwritten."""
+    """Right-hand side at y, Leray-projected once as a whole; nodal, of the
+    damping grid's shape, is overwritten."""
     vals = sp.oversample(y, params.damping_factor, out=nodal)
-    return f - op.convective(y) - op.damping_from_nodal(vals, y.grid, params.damping_terms)
+    damping = op.damping_from_nodal(vals, y.grid, params.damping_terms)
+    return sp.leray(f - op.convective(y) - damping)
 
 
 def residual_norm(y, params, rhs) -> float:

@@ -185,8 +185,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
         return cfg.controller(z) if cfg.controller is not None else None
 
     def evaluate(z, norm):
-        """Shifted damping at z from one oversample, and ||z||_{L^{r+1}} when norm
-        is set (else None), taken before the reference values are added in place."""
+        """Shifted damping at z from one oversample, not Leray-projected (the
+        projection of the new state does it), and ||z||_{L^{r+1}} when norm is
+        set (else None), taken before the reference values are added in place."""
         vals = sp.oversample(z, factor, out=nodal)
         lr1 = None
         if norm:
@@ -241,8 +242,10 @@ def simulate(cfg: SimConfig) -> Trajectory:
             znew = sp.SpectralField(g, num / (1.0 + half))
         if cfg.scheme == "cnab2":
             prev_N = N
-        # drop roundoff gradient content: a Leray-projected feedback cannot
-        # see it, so it would decay only at the bare rate alpha + mu |k|^2
+        # this projects the explicit damping, left unprojected because the
+        # update is diagonal in k; it also drops roundoff gradient content,
+        # which a Leray-projected feedback cannot see, so it would decay only
+        # at the bare rate alpha + mu |k|^2
         znew = sp.leray(znew)
         z = K.project(znew) if project_mode else znew
         nh = sp.norm_H(z)

@@ -331,6 +331,28 @@ def test_nonlinear_term_batch_matches_rows():
         assert _rel_diff(batch[b], gk.nonlinear_term(red, V[b])) < 1e-14
 
 
+def _nonlinear_term_earlier(red, v):
+    """nonlinear_term with the tensordot and the einsum of |v|^2 it had before."""
+    v = np.asarray(v, dtype=float)
+    A = np.tensordot(v, red._Wf, axes=(-1, 0))
+    if red._Yf is not None:
+        A += red._Yf
+    A *= op.damping_weight(np.einsum("...ax,...ax->...x", A, A), red.params.damping_terms)[
+        ..., None, :
+    ]
+    cell_f = (red.grid.L / (red.params.damping_factor * red.grid.N)) ** red.grid.d
+    paired = cell_f * (A.reshape(A.shape[:-2] + (-1,)) @ red._Wf.reshape(red.n, -1).T)
+    return paired - red._c_ref - v @ red._D
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nonlinear_term_bitwise_matches_earlier_contractions(d):
+    red = _equilibrium_reduction(d, 5, 3, -0.4)
+    rng = np.random.default_rng(83)
+    for v in (rng.standard_normal(8), rng.standard_normal((4, 8)), rng.standard_normal((2, 3, 8))):
+        assert np.array_equal(gk.nonlinear_term(red, v), _nonlinear_term_earlier(red, v))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_nonlinear_term_zero_equilibrium_matches_general_path(d):
     # at y_e = 0 the reduction keeps no oversampled equilibrium, and the

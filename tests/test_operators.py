@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbfed import operators as op
 from cbfed import spectral as sp
+from cbfed import stationary
 from cbfed import timestep as ts
 from cbfed.errors import ConfigError, RegimeError
 
@@ -339,3 +342,91 @@ def test_damping_weight_bitwise_matches_earlier_formula(d, q):
     got = op.damping_weight(m2, terms)
     want = _damping_weight_earlier(m2, terms)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the explicit term: rotational convection, unprojected damping
+
+
+def _convective_advective(y):
+    """B(y) = P[(y.grad) y] in advective form, with the former 2/3-rule evaluation."""
+    g = y.grid
+    yd = bandlimit(y)
+    vals = yd.physical()
+    grads = sp.gradient_physical(yd)                  # grads[a, b] = d_a y_b
+    adv = np.einsum("aX,abX->bX", vals.reshape(g.d, -1), grads.reshape(g.d, g.d, -1))
+    ch = sp.SpectralField.from_physical(g, adv.reshape((g.d,) + g.shape)).c * g.dealias
+    return sp.leray(sp.SpectralField(g, ch))
+
+
+def _rel(got, want):
+    return np.max(np.abs(got.c - want.c)) / np.max(np.abs(want.c))
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_convective_matches_advective_form(d, shifted):
+    # the rotational form drops grad |y|^2/2, whose kept coefficients are those
+    # of an exact gradient; Leray removes them, so the forms agree to roundoff
+    g = sp.TorusGrid(d=d, N=32 if d == 2 else 16)
+    z = sp.random_field(g, seed=91, decay=1.0)       # not solenoidal: the form must not need it
+    if not shifted:
+        assert _rel(op.convective(z), _convective_advective(z)) <= 1e-14
+        return
+    around = offset_field(g, (0.5, -0.2, 0.3)[:d], seed=92)
+    want = _convective_advective(z + around) - _convective_advective(around)
+    assert _rel(op.shifted_convective(z, around), want) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_convective_one_base_inverse_transform(d, monkeypatch):
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    y = sp.random_solenoidal(g, seed=93)
+    inverse, gradients = [], []
+    irfft, gradient_physical = sp._irfft, sp.gradient_physical
+
+    def counted_irfft(half, shape, out=None):
+        inverse.append(half.shape)
+        return irfft(half, shape, out)
+
+    def counted_gradient(*args, **kwargs):
+        gradients.append(args)
+        return gradient_physical(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "_irfft", counted_irfft)
+    monkeypatch.setattr(sp, "gradient_physical", counted_gradient)
+    op.convective(y)
+    # y and the d(d-1)/2 components of its vorticity tensor, in one stack
+    assert inverse == [(d + d * (d - 1) // 2,) + g.half_shape]
+    assert gradients == []
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_damping_projected_once_by_each_caller(d):
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=1.0, gamma=-0.1, r=5, q=2)
+    y = offset_field(g, (0.6, -0.3, 0.2)[:d], seed=94)
+    factor = p.damping_factor
+    raw = op.damping_from_nodal(sp.oversample(y, factor), g, p.damping_terms)
+    scale = float(np.max(np.abs(raw.c)))
+    # the damping's own gradient part is left for the caller's one projection
+    assert sp.divergence_max(raw) > 1e-3 * scale
+    assert sp.divergence_max(op.power_damping(y, p.r)) < 1e-13 * scale
+    f = sp.leray(0.5 * sp.random_field(g, seed=95))
+    nodal = np.empty((d,) + (factor * g.N,) * d)
+    rhs = stationary._rhs(y, p, f, nodal)
+    residual = sp.SpectralField(g, y.c * (p.mu * g.lap + p.alpha)) - rhs
+    assert sp.divergence_max(rhs) < 1e-13 * scale
+    assert sp.divergence_max(residual) < 1e-13 * scale
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    N=st.sampled_from(range(8, 33, 2)),
+    L=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotational_and_advective_convection_agree(d, N, L, seed):
+    y = sp.random_field(sp.TorusGrid(d=d, N=N, L=L), seed, decay=1.0)
+    assert _rel(op.convective(y), _convective_advective(y)) <= 1e-13

@@ -166,6 +166,36 @@ def test_leray_idempotent_symmetric_divfree():
     del rng
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    N=st.sampled_from(range(8, 33, 2)),
+    L=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_leray_properties(d, N, L, seed):
+    # idempotent, divergence-free and self-adjoint in H, on any box
+    g = sp.TorusGrid(d=d, N=N, L=L)
+    f = sp.random_field(g, seed, decay=1.0)
+    h = sp.random_field(g, seed ^ 0x5A5A, decay=1.0)
+    pf = sp.leray(f)
+    assert sp.norm_H(sp.leray(pf) - pf) <= 1e-14 * sp.norm_H(f)
+    # max |k.c_k| over integer k, against max |k| |c_k| <= (N/2) sqrt(d) max |c|
+    assert sp.divergence_max(pf) <= 1e-14 * N * np.max(np.abs(f.c))
+    lhs, rhs = sp.inner(pf, h), sp.inner(f, sp.leray(h))
+    assert abs(lhs - rhs) <= 1e-14 * sp.norm_H(f) * sp.norm_H(h)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_leray_bitwise_matches_earlier_formula(d):
+    # c - k (k.c)/|k|^2 with its (d, ...) temporaries, before the one-array form;
+    # np.sum starts from +0, so only the sign of a zero may differ
+    g = small_grid(d)
+    f = sp.random_field(g, seed=73, decay=1.0)
+    dot = np.sum(g.wave * f.c, axis=0)
+    assert np.array_equal(sp.leray(f).c, f.c - g.wave * (dot * g.inv_k2))
+
+
 def test_stokes_eigenvalue_shifted():
     # L = 2pi: |k|^2 = 1 mode has (I + A) eigenvalue 2
     g = grid2()

@@ -315,6 +315,34 @@ def test_states_oversample_into_one_array(d, r, monkeypatch):
     assert all(out is held and vals is held for _a, out, vals in states)
 
 
+@pytest.mark.parametrize("scheme", ["imex1", "cnab2"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_at_most_two_leray_projections_per_step(d, scheme, monkeypatch):
+    # the convection's and the new state's: the damping goes unprojected into
+    # the latter, because the update is diagonal in k
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    y_ref = _reference_state(g, 66, (0.6, -0.3, 0.2))
+    y0 = 0.3 * sp.random_solenoidal(g, seed=67)
+    f = 0.3 * sp.random_solenoidal(g, seed=68, decay=3.0)
+    calls = []
+    leray = sp.leray
+
+    def counted(a):
+        calls.append(a)
+        return leray(a)
+
+    monkeypatch.setattr(sp, "leray", counted)
+    dt, counts = 0.01, []
+    for nsteps in (4, 8):
+        calls.clear()
+        ts.simulate(ts.SimConfig(
+            grid=g, params=smooth_params(), y0=y0, T=nsteps * dt, dt=dt, scheme=scheme,
+            y_ref=y_ref, forcing=f,
+        ))
+        counts.append(len(calls))
+    assert (counts[1] - counts[0]) / 4 <= 2
+
+
 @pytest.mark.parametrize("with_ref", [False, True])
 @pytest.mark.parametrize("r", [3, 4, 4.5, 5])
 def test_norm_Lr1_matches_reference_step(r, with_ref):
