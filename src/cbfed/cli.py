@@ -72,6 +72,8 @@ _DEFAULTS = {
 }
 # keys whose default is null but which take a number when set
 _NUMBER_OR_NULL = {"controller.theta", "integrator.dt", "integrator.yosida_lam"}
+# keys that take a list of numbers (forcing.vector may also stay null)
+_NUMBER_LISTS = {"forcing.vector", "controller.ladder"}
 
 
 # ---------------------------------------------------------------- config
@@ -91,15 +93,24 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     return out
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _check_numbers(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
     """Reject a value other than an int or float (a bool included) where a number
-    goes, and a non-integral one where the default is an int."""
+    goes, a non-integral one where the default is an int, and anything but a
+    list of numbers at a list key."""
     for key, default in defaults.items():
         dotted, val = path + key, config[key]
         if isinstance(default, dict) and default:
             _check_numbers(val, default, dotted + ".")
+        elif dotted in _NUMBER_LISTS:
+            listed = isinstance(val, list) and all(map(_is_number, val))
+            if not listed and not (val is None and default is None):
+                raise ConfigError(f"config key {dotted!r} expects a list of numbers, got {val!r}")
         elif isinstance(default, (int, float)) or (val is not None and dotted in _NUMBER_OR_NULL):
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
+            if not _is_number(val):
                 raise ConfigError(f"config key {dotted!r} expects a number, got {val!r}")
             if isinstance(default, int) and isinstance(val, float) and not val.is_integer():
                 raise ConfigError(f"config key {dotted!r} expects an integer, got {val!r}")
@@ -470,7 +481,7 @@ def _run_reduce(cfg, outdir, h):
         Lmat=red.Lmat,
         g1=red.g1,
         Bmat=red.Bmat,
-        mode_coeffs=sp.full_spectrum(np.stack([m.field.c for m in red.modes]), red.grid),
+        mode_coeffs=sp.full_spectrum(red.span.spectra, red.grid),
         mask=red.mask,
     )
     body = {

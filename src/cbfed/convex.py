@@ -37,31 +37,48 @@ class BallConstraint:
 
 
 class SpanConstraint:
-    """Span of a list of orthonormal eigenmodes (or fields)."""
+    """Span of a list of orthonormal eigenmodes (or fields).
+
+    The span is the one owner of the stacked mode spectra and of their
+    sp.parseval_dual rows: the Galerkin reduction keeps one, and its
+    coefficient map, its expansion and its controller go through it.
+    """
 
     def __init__(self, modes):
         fields = [m.field if isinstance(m, sp.EigenMode) else m for m in modes]
         if not fields:
             raise ValueError("span constraint needs at least one mode")
-        g = fields[0].grid
-        self._modes = np.stack([w.c for w in fields])          # (n, d, N, ..., N/2+1)
-        self._dual = sp.parseval_dual(self._modes, g)
+        self.grid = fields[0].grid
+        self.spectra = np.stack([w.c for w in fields])          # (n, d, N, ..., N/2+1)
+        self._dual = sp.parseval_dual(self.spectra, self.grid)
 
-    def _project_c(self, c: np.ndarray) -> np.ndarray:
-        coeffs = np.real(self._dual @ c.reshape(-1))
-        return np.tensordot(coeffs, self._modes, axes=(0, 0))
+    def coeffs(self, x: sp.SpectralField) -> np.ndarray:
+        """Mode coefficients (x, w_k)."""
+        return np.real(self._dual @ x.c.reshape(-1))
+
+    def expand(self, v) -> sp.SpectralField:
+        """Field sum_k v_k w_k from mode coefficients."""
+        c = np.tensordot(np.asarray(v, dtype=float), self.spectra, axes=(0, 0))
+        return sp.SpectralField(self.grid, c)
 
     def project(self, x: sp.SpectralField) -> sp.SpectralField:
-        return sp.SpectralField(x.grid, self._project_c(x.c))
+        return self.expand(self.coeffs(x))
 
     def contains(self, x: sp.SpectralField, tol: float = 1e-10) -> bool:
         return self.distance(x) <= tol * max(1.0, sp.norm_H(x))
 
     def distance(self, x: sp.SpectralField) -> float:
-        return sp.norm_H(sp.SpectralField(x.grid, x.c - self._project_c(x.c)))
+        """||x - P x||_H, projecting again even where x was just projected.
+
+        The dist_K record of a trajectory and the invariance_ok certificate
+        read from it rest on this value, so it stays a fault check of the
+        projection (a non-orthonormal stack shows here) instead of an
+        assumed 0.
+        """
+        return sp.norm_H(x - self.expand(self.coeffs(x)))
 
     def __repr__(self):
-        return f"SpanConstraint(n={len(self._modes)})"
+        return f"SpanConstraint(n={len(self.spectra)})"
 
 
 def yosida_term(K, x: sp.SpectralField, lam: float) -> sp.SpectralField:

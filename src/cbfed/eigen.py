@@ -13,6 +13,11 @@ eigenvalue at finite gain by preconditioned LOBPCG, extrapolate the
 large-gain limit from a gain ladder, and evaluate an isoperimetric lower
 bound that depends only on the volume of the uncontrolled region and a
 tabulated first Bessel zero.
+
+LOBPCG holds its basis [x, w, p] as one stacked spectrum of shape
+(3, d, N, ..., N/2+1) and the operator images as a second one.  Both Gram
+matrices of a Rayleigh-Ritz step are two real matmuls against one
+sp.parseval_dual of the basis, and the new x and p are ``coef @ basis``.
 """
 from __future__ import annotations
 
@@ -102,20 +107,21 @@ def _scrub(field: sp.SpectralField) -> sp.SpectralField:
     return (1.0 / sp.norm_H(w)) * w
 
 
-def _gram(a, b):
-    """Matrix of the inner products (a_i, b_j)."""
-    return np.array([[sp.inner(u, v) for v in b] for u in a])
-
-
-def _rayleigh_ritz(basis, images):
+def _rayleigh_ritz(grid, basis, images):
     """Lowest Ritz value on span(basis) and the coefficients of its unit Ritz vector.
 
-    ``images`` holds the operator applied to ``basis``.  When the Gram matrix
-    is not positive definite the third basis vector is dropped, so the
+    ``basis`` stacks spectra along its first axis and ``images`` holds the
+    operator applied to them.  Both Gram matrices come from one
+    sp.parseval_dual of the basis and two matmuls.  When the Gram matrix is
+    not positive definite the third basis vector is dropped, so the
     coefficients may be one shorter than the basis.
     """
-    gram_b = _gram(basis, basis)
-    gram_a = _gram(basis, images)
+    # Re(dual @ x) is the dot product of conj(dual) and x viewed as float
+    # pairs; real matmuls at this shape are several times faster than complex
+    dual = sp.parseval_dual(basis, grid)
+    dual = np.conjugate(dual, out=dual).view(float)
+    gram_b = dual @ basis.reshape(len(basis), -1).view(float).T
+    gram_a = dual @ images.reshape(len(basis), -1).view(float).T
     try:
         chol = np.linalg.cholesky(gram_b)
     except np.linalg.LinAlgError:
@@ -124,14 +130,6 @@ def _rayleigh_ritz(basis, images):
     reduced = np.linalg.solve(chol, np.linalg.solve(chol, gram_a).T)
     vals, vecs = np.linalg.eigh(reduced)
     return float(vals[0]), np.linalg.solve(chol.T, vecs[:, 0])
-
-
-def _combine(coef, fields):
-    """sum_i coef_i * fields_i over the first len(coef) fields."""
-    out = coef[0] * fields[0]
-    for c, f in zip(coef[1:], fields[1:]):
-        out = out + c * f
-    return out
 
 
 def smallest_eigenvalue_Ak(
@@ -150,31 +148,42 @@ def smallest_eigenvalue_Ak(
     the Rayleigh quotient over span(x, T r, p): the current field x, its
     residual r preconditioned by T = (mu Stokes + alpha + k mean(m))^{-1} and
     scrubbed back into the real solenoidal sector, and the previous step p.
-    That costs one operator apply; x and its image are carried as combinations.
-    Once their residual is small, the scrubbed, normalized x is checked
-    with a fresh apply, and the search returns ``(nu, eigenfield,
-    iterations)`` when that eigen-residual is at most ``tol * max(1, nu)``
-    times the unit field norm.  Raises SolverDivergence on a non-positive or
-    non-finite Ritz value, a collapsed search space, or after
-    ``MAX_ITERATIONS`` iterations.
+    The rows [x, w, p], w = T r, are one stacked ``(3, d, N, ..., N/2+1)``
+    spectrum and their images a second one; that costs one operator apply
+    per iteration, for w.  The Gram matrices of the Rayleigh-Ritz step come
+    from one sp.parseval_dual of the rows, and x, p and their images are
+    updated as ``coef @ rows``.  Once the residual of x is small, the
+    scrubbed, normalized x is checked with a fresh apply, and the search
+    returns ``(nu, eigenfield, iterations)`` when that eigen-residual is at
+    most ``tol * max(1, nu)`` times the unit field norm.  Raises ConfigError
+    for ``tol <= 0`` or ``k_gain < 0`` before iterating, and
+    SolverDivergence on a non-positive or non-finite Ritz value, a collapsed
+    search space, or after ``MAX_ITERATIONS`` iterations.
     """
+    if not tol > 0.0:
+        raise ConfigError(f"eigen tolerance must be positive, got {tol}")
+    if not k_gain >= 0.0:
+        raise ConfigError(f"k_gain must be nonnegative, got {k_gain}")
     m = _as_indicator(mask, grid)
 
-    def apply_op(field):
-        return apply_Ak(field, k_gain, m, mu, alpha)
+    def apply_op(c):
+        return apply_Ak(sp.SpectralField(grid, c), k_gain, m, mu, alpha).c
 
     # k P(m .) at its constant-coefficient part k mean(m) joins the diagonal
     precond = 1.0 / (mu * grid.lap + alpha + k_gain * float(np.mean(m)))
 
     base = np.zeros((grid.d,) + grid.shape)
     base[0] = 1.0
-    x = sp.SpectralField.from_physical(grid, base) + 0.2 * sp.random_solenoidal(
+    start = sp.SpectralField.from_physical(grid, base) + 0.2 * sp.random_solenoidal(
         grid, seed=seed, decay=1.5
     )
-    x = (1.0 / sp.norm_H(x)) * x
-    ax = apply_op(x)
+    rows = np.empty((3, grid.d) + grid.half_shape, dtype=complex)    # x, w, p
+    images = np.empty_like(rows)
+    x, ax = sp.SpectralField(grid, rows[0]), sp.SpectralField(grid, images[0])
+    rows[0] = (1.0 / sp.norm_H(start)) * start.c
+    images[0] = apply_op(rows[0])
     nu = sp.inner(ax, x)
-    p = ap = None
+    size = 2
     for it in range(1, MAX_ITERATIONS + 1):
         r = ax - nu * x
         res = sp.norm_H(r)
@@ -184,30 +193,32 @@ def smallest_eigenvalue_Ak(
                 f"LOBPCG iteration {it}, residual {res:.3g}"
             )
         if res <= tol * max(1.0, abs(nu)):
-            x = _scrub(x)
-            ax = apply_op(x)
+            scrubbed = _scrub(x)
+            rows[0] = scrubbed.c
+            images[0] = apply_op(rows[0])
             nu = sp.inner(ax, x)
             r = ax - nu * x
             res = sp.norm_H(r)
             if res <= tol * max(1.0, abs(nu)):
-                return float(nu), x, it
-        w = _scrub(sp.SpectralField(grid, r.c * precond))
-        aw = apply_op(w)
-        size = 2 if p is None else 3
+                return float(nu), scrubbed, it
+        rows[1] = _scrub(sp.SpectralField(grid, r.c * precond)).c
+        images[1] = apply_op(rows[1])
         try:
-            nu, coef = _rayleigh_ritz([x, w, p][:size], [ax, aw, ap][:size])
+            nu, coef = _rayleigh_ritz(grid, rows[:size], images[:size])
         except np.linalg.LinAlgError:
             raise SolverDivergence(
                 f"LOBPCG search space collapsed at iteration {it}: Ritz value "
                 f"{nu:.12g}, residual {res:.3g}"
             ) from None
-        p = _combine(coef[1:], [w, p])
-        ap = _combine(coef[1:], [aw, ap])
-        x = coef[0] * x + p
-        ax = coef[0] * ax + ap
-        norm_p = sp.norm_H(p)
+        # new x = coef @ rows and new p the same without x, on the float view
+        mix = np.array([coef, np.concatenate(([0.0], coef[1:]))])
+        for stack in (rows, images):
+            stack[::2] = np.tensordot(mix, stack[: len(coef)].view(float), axes=1).view(complex)
+        size = 3
+        norm_p = sp.norm_H(sp.SpectralField(grid, rows[2]))
         if norm_p > 0.0:  # a zero step fails the next Cholesky and is dropped
-            p, ap = (1.0 / norm_p) * p, (1.0 / norm_p) * ap
+            rows[2] *= 1.0 / norm_p
+            images[2] *= 1.0 / norm_p
     raise SolverDivergence(
         f"LOBPCG did not converge in {MAX_ITERATIONS} iterations: last Ritz value "
         f"{nu:.12g}, residual {res:.3g} (tolerance {tol * max(1.0, abs(nu)):.3g})"

@@ -18,6 +18,11 @@ op.damping_weight on the oversampled nodes, the other two from run
 constants of the reduction.  At y_e = 0 it is exact to roundoff in the
 pairing.  Otherwise the subtraction leaves an absolute floor of about
 10 eps max|(C(y_e), w_k)|, which for small |v| is many orders below |L v|.
+
+The reduction's span (a cx.SpanConstraint) is the one owner of the stacked
+mode spectra and their Parseval dual: it maps a field to its mode
+coefficients (span.coeffs) and back (span.expand), the controller reads the
+coefficients through it, and the full closed loop projects onto it.
 """
 from __future__ import annotations
 
@@ -46,8 +51,7 @@ class GalerkinReduction:
     Lmat: np.ndarray          # (n, n), acts as (Lmat @ v)
     g1: np.ndarray            # (n, n, n), b(w_i, w_j, w_k) with k the output index
     Bmat: np.ndarray          # (n, n), input coupling (m w_j, w_k)
-    _Wc: np.ndarray = dc_field(repr=False, default=None)   # mode coefficients
-    _dual: np.ndarray = dc_field(repr=False, default=None)  # sp.parseval_dual of _Wc
+    span: cx.SpanConstraint = dc_field(repr=False, default=None)  # the stacked modes
     _Wf: np.ndarray = dc_field(repr=False, default=None)   # oversampled samples
     _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled; None at 0
     _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
@@ -70,7 +74,6 @@ def assemble_reduction(y_e, n, params, mask=None):
     factor = params.damping_factor
     cell_f = (g.L / (factor * g.N)) ** g.d
 
-    Wc = np.stack([mode.field.c for mode in modes])
     Wb = np.stack([mode.field.physical() for mode in modes])
     Wf = np.stack([sp.oversample(mode.field, factor) for mode in modes])
     Df = np.stack([sp.gradient_physical(mode.field, factor) for mode in modes])
@@ -108,7 +111,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat,
-        _Wc=Wc, _dual=sp.parseval_dual(Wc, g), _Wf=Wf_,
+        span=cx.SpanConstraint(modes), _Wf=Wf_,
         _Yf=Yf_ if np.any(y_e.c) else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
     )
@@ -119,17 +122,6 @@ def _damping_pairing(A, W, terms, cell_f):
     W the modes, shape (n, d, X).  A is overwritten."""
     A *= op.damping_weight(sp.sum_squares(np.moveaxis(A, -2, 0)), terms)[..., None, :]
     return cell_f * (A.reshape(A.shape[:-2] + (-1,)) @ W.reshape(len(W), -1).T)
-
-
-def restrict(red, z):
-    """Mode coefficients (z, w_k) of a field."""
-    return np.real(red._dual @ z.c.reshape(-1))
-
-
-def lift(red, v):
-    """Field sum v_k w_k from mode coefficients."""
-    c = np.tensordot(np.asarray(v, dtype=float), red._Wc, axes=(0, 0))
-    return sp.SpectralField(red.grid, c)
 
 
 def quadratic_term(red, v):
@@ -162,10 +154,7 @@ def controllability_rank(Lmat, Bmat):
     for _ in range(n):
         blocks.append(cur)
         cur = Lmat @ cur
-    svals = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > n * svals[0] * 1e-12))
+    return int(np.linalg.matrix_rank(np.hstack(blocks), rtol=n * 1e-12))
 
 
 @dataclass
@@ -309,7 +298,7 @@ def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None
 
 
 def make_galerkin_controller(red, gain):
-    """Feedback z -> Leray(mask * sum_j (G restrict(z))_j w_j).
+    """Feedback z -> Leray(mask * sum_j (G c)_j w_j), c = red.span.coeffs(z).
 
     The spectra Leray(mask * w_j) are computed once, so a call is a single
     contraction with the gain-weighted mode coefficients.
@@ -319,7 +308,7 @@ def make_galerkin_controller(red, gain):
                        for m in red.modes])
 
     def controller(z):
-        c = gain @ restrict(red, z)
+        c = gain @ red.span.coeffs(z)
         return sp.SpectralField(red.grid, np.tensordot(c, images, axes=(0, 0)))
 
     return controller
@@ -328,8 +317,8 @@ def make_galerkin_controller(red, gain):
 def run_galerkin_loop(red, sigma, v0, sim):
     """Synthesize the gain, run reduced and full closed loops, report both fits.
 
-    The full loop is `sim` started at lift(v0), shifted around the reduction's
-    equilibrium and projected onto the span of its modes; the reduced model
+    The full loop is `sim` started at red.span.expand(v0), shifted around the
+    reduction's equilibrium and projected onto red.span; the reduced model
     steps at dt/4 (2e-3 when sim.dt is None).
     """
     gs = synthesize_gain(red.Lmat, red.Bmat, sigma)
@@ -344,10 +333,9 @@ def run_galerkin_loop(red, sigma, v0, sim):
     )
     fit_reduced, _ = decay_rate_fit(t_r, np.linalg.norm(V, axis=-1))
     traj = ts.simulate(replace(
-        sim, y0=lift(red, v0), y_ref=red.y_e if sp.norm_H(red.y_e) > 0 else None,
+        sim, y0=red.span.expand(v0), y_ref=red.y_e if sp.norm_H(red.y_e) > 0 else None,
         controller=make_galerkin_controller(red, gs.G),
-        constraint=cx.SpanConstraint([m.field for m in red.modes]),
-        constraint_mode="project",
+        constraint=red.span, constraint_mode="project",
         control_bound=float(np.linalg.norm(gs.G, 2)),
     ))
     fit_full, _ = decay_rate_fit(traj.t, traj.norm_H)

@@ -193,7 +193,8 @@ def _pairing(x: np.ndarray, y: np.ndarray, grid: TorusGrid) -> float:
 def parseval_dual(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Rows that pair with a flattened stored spectrum x to give the inner
     products (x, w_k) as their real parts; coeffs stacks the spectra w_k."""
-    dual = (2.0 * grid.L**grid.d) * np.conj(coeffs)
+    dual = np.conj(coeffs)
+    dual *= 2.0 * grid.L**grid.d
     dual[..., 0] *= 0.5
     return dual.reshape(len(coeffs), -1)
 

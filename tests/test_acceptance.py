@@ -233,7 +233,7 @@ def test_06_galerkin_feedback():
     for dt_full in (2e-2, 1e-2):
         sim = ts.SimConfig(grid=g, params=p, y0=None, T=1.0, dt=dt_full)
         _, (_, Vr), traj = gk.run_galerkin_loop(red, sigma, V0[0], sim)
-        errs.append(np.linalg.norm(gk.restrict(red, traj.final) - Vr[-1]))
+        errs.append(np.linalg.norm(red.span.coeffs(traj.final) - Vr[-1]))
     assert errs[1] < errs[0] < 1e-3
     assert errs[0] / errs[1] > 1.5
 

@@ -163,13 +163,60 @@ def test_exit_code_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "experiment, item", [("constants", 'params.mu="x"'), ("simulate", 'integrator.dt="0.1"')]
+    "experiment, items",
+    [
+        ("constants", 'params.mu="x"'),
+        ("simulate", 'integrator.dt="0.1"'),
+        # list keys take lists of numbers; the last item names the bad key
+        ("simulate", "forcing.kind=constant forcing.vector=5"),
+        ("simulate", 'forcing.kind=constant forcing.vector=[1,"x"]'),
+        ("simulate", "forcing.vector=[true,1]"),
+        ("simulate", "forcing.vector=5"),
+        ("eigen", "mask.boxes=[[[0,3],[0,6.28]]] controller.ladder=5"),
+        ("eigen", 'mask.boxes=[[[0,3],[0,6.28]]] controller.ladder=[1,2,"x",4]'),
+        ("eigen", "mask.boxes=[[[0,3],[0,6.28]]] controller.ladder=null"),
+    ],
 )
-def test_string_for_number_is_config_error(tmp_path, capsys, experiment, item):
+def test_string_for_number_is_config_error(tmp_path, capsys, experiment, items):
     out = tmp_path / "out"
-    assert cli.main([experiment, "--set", item, "--output-dir", str(out)]) == 2
-    assert repr(item.split("=")[0]) in capsys.readouterr().err
+    argv = [experiment, "--output-dir", str(out)]
+    for item in items.split():
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert repr(items.split()[-1].split("=")[0]) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, items",
+    [
+        ("eigen", "mask.boxes=[[[0,3],[0,6.28]]] controller.tol=0"),
+        ("stabilize-proportional", "integrator.T=0.05 controller.k_gain=-1"),
+    ],
+)
+def test_eigen_tolerance_and_gain_are_config_errors(tmp_path, experiment, items):
+    # refused before the LOBPCG solve: tol=0 used to run all its iterations
+    out = tmp_path / "out"
+    argv = [experiment, "--set", "grid.N=8", "--output-dir", str(out)]
+    for item in items.split():
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_galerkin_run_stacks_its_modes_once(tmp_path, monkeypatch):
+    # one span owns the stacked modes and their dual for the reduction,
+    # the controller and the projection of the full loop
+    calls = []
+    dual = sp.parseval_dual
+    monkeypatch.setattr(sp, "parseval_dual", lambda c, g: calls.append(1) or dual(c, g))
+    cfg = cli.load_effective_config(
+        "stabilize-galerkin",
+        overrides=["grid.N=8", "controller.n=4", "integrator.T=0.05", "integrator.dt=0.01"],
+        output_dir=str(tmp_path / "out"),
+    )
+    cli.run(cfg)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

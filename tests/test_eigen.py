@@ -126,6 +126,28 @@ def test_smallest_eigenvalue_failure_reports_state():
         eg.smallest_eigenvalue_Ak(g, 0.0, np.ones(g.shape), mu=1.0, alpha=-0.5)
 
 
+@pytest.mark.parametrize("tol, k_gain", [(0.0, 10.0), (-1e-9, 10.0), (1e-9, -1.0)])
+def test_smallest_eigenvalue_refuses_bad_tol_or_gain(monkeypatch, tol, k_gain):
+    # refused before the first operator apply, not after MAX_ITERATIONS
+    g = grid2(8)
+    monkeypatch.setattr(eg, "apply_Ak", lambda *a, **k: pytest.fail("solver iterated"))
+    with pytest.raises(ConfigError):
+        eg.smallest_eigenvalue_Ak(g, k_gain, np.ones(g.shape), mu=1.0, alpha=0.3, tol=tol)
+
+
+def test_gram_matrices_come_from_stacked_rows(monkeypatch):
+    # the Rayleigh-Ritz Gram matrices come from the stacked rows; only the
+    # start and the final check pair fields one by one
+    g = grid2()
+    calls = []
+    inner = sp.inner
+    monkeypatch.setattr(sp, "inner", lambda a, b: calls.append(1) or inner(a, b))
+    mask = slab_complement_mask(g, 0.5)
+    _, _, iters = eg.smallest_eigenvalue_Ak(g, 60.0, mask, mu=1.0, alpha=0.3)
+    assert iters >= 10
+    assert len(calls) <= 3, (len(calls), iters)
+
+
 def test_ladder_monotone_and_extrapolant():
     g = grid2()
     dm = slab_complement_mask(g, 0.25)

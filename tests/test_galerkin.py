@@ -89,7 +89,7 @@ def test_linear_matrix_matches_field_route():
     red = gk.assemble_reduction(y_e, 8, p)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(8)
-    z = gk.lift(red, v)
+    z = red.span.expand(v)
     lin_conv = op.shifted_convective(z, y_e) - op.convective(z)
     field = (
         p.mu * sp.stokes(z)
@@ -120,8 +120,8 @@ def test_full_controller_adjoint_consistency():
     G = 0.5 * rng.standard_normal((8, 8))
     z = sp.random_solenoidal(red.grid, seed=21, decay=1.5)
     u = gk.make_galerkin_controller(red, G)(z)
-    want = red.Bmat @ (G @ gk.restrict(red, z))
-    got = gk.restrict(red, u)
+    want = red.Bmat @ (G @ red.span.coeffs(z))
+    got = red.span.coeffs(u)
     assert np.max(np.abs(got - want)) < 1e-12
     assert sp.divergence_max(u) < 1e-12
 
@@ -130,7 +130,7 @@ def test_lift_restrict_roundtrip():
     red = cubic_reduction()
     rng = np.random.default_rng(3)
     v = rng.standard_normal(8)
-    assert np.max(np.abs(gk.restrict(red, gk.lift(red, v)) - v)) < 1e-12
+    assert np.max(np.abs(red.span.coeffs(red.span.expand(v)) - v)) < 1e-12
 
 
 def test_controllability_rank_cases():
@@ -202,7 +202,7 @@ def test_quadratic_term_matches_fft_route():
     rng = np.random.default_rng(17)
     for _ in range(5):
         v = rng.standard_normal(8)
-        z = gk.lift(red, v)
+        z = red.span.expand(v)
         want = np.array([sp.inner(op.convective(z), m.field) for m in red.modes])
         got = gk.quadratic_term(red, v)
         assert np.max(np.abs(got - want)) < 1e-11
@@ -212,7 +212,7 @@ def test_nonlinear_term_pure_cubic():
     red = cubic_reduction()  # y_e = 0, r = 3, gamma = 0
     rng = np.random.default_rng(23)
     v = 0.7 * rng.standard_normal(8)
-    z = gk.lift(red, v)
+    z = red.span.expand(v)
     want = np.array(
         [red.params.beta * sp.inner(op.power_damping(z, 3), m.field) for m in red.modes]
     )
@@ -222,7 +222,7 @@ def test_nonlinear_term_pure_cubic():
 
 def _remainder_field_route(red, v):
     """(C(y_e + z) - C(y_e) - C'(y_e) z, w_k) from shifted_damping and gateaux_first."""
-    p, y_e, z = red.params, red.y_e, gk.lift(red, v)
+    p, y_e, z = red.params, red.y_e, red.span.expand(v)
     rem = p.beta * (op.shifted_damping(z, y_e, p.r) - op.gateaux_first(y_e, z, p.r))
     if p.gamma != 0.0:
         rem = rem + p.gamma * (op.shifted_damping(z, y_e, p.q) - op.gateaux_first(y_e, z, p.q))
@@ -512,12 +512,12 @@ def test_full_matches_reduced_first_order():
 
     def full_final(dt):
         cfg = ts.SimConfig(
-            grid=red.grid, params=red.params, y0=gk.lift(red, v0), T=T, dt=dt,
+            grid=red.grid, params=red.params, y0=red.span.expand(v0), T=T, dt=dt,
             controller=gk.make_galerkin_controller(red, gs.G),
             constraint=cx.SpanConstraint([m.field for m in red.modes]),
             constraint_mode="project",
         )
-        return gk.restrict(red, ts.simulate(cfg).final)
+        return red.span.coeffs(ts.simulate(cfg).final)
 
     e1 = np.linalg.norm(full_final(0.01) - v_ref)
     e2 = np.linalg.norm(full_final(0.005) - v_ref)
