@@ -74,6 +74,8 @@ _DEFAULTS = {
 _NUMBER_OR_NULL = {"controller.theta", "integrator.dt", "integrator.yosida_lam"}
 # keys that take a list of numbers (forcing.vector may also stay null)
 _NUMBER_LISTS = {"forcing.vector", "controller.ladder"}
+# keys whose default is null but which take a file path (a string) when set
+_PATHS = {"initial.path", "forcing.path"}
 
 
 # ---------------------------------------------------------------- config
@@ -97,14 +99,18 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _check_numbers(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
+def _check_types(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
     """Reject a value other than an int or float (a bool included) where a number
-    goes, a non-integral one where the default is an int, and anything but a
-    list of numbers at a list key."""
+    goes, a non-integral one where the default is an int, anything but a list
+    of numbers at a list key, and anything but a string or null at a path key,
+    before any file is opened."""
     for key, default in defaults.items():
         dotted, val = path + key, config[key]
         if isinstance(default, dict) and default:
-            _check_numbers(val, default, dotted + ".")
+            _check_types(val, default, dotted + ".")
+        elif dotted in _PATHS:
+            if val is not None and not isinstance(val, str):
+                raise ConfigError(f"config key {dotted!r} expects a path string, got {val!r}")
         elif dotted in _NUMBER_LISTS:
             listed = isinstance(val, list) and all(map(_is_number, val))
             if not listed and not (val is None and default is None):
@@ -155,7 +161,7 @@ def load_effective_config(experiment, config_path=None, overrides=(), output_dir
             f"config declares experiment {declared!r} but the subcommand is {experiment!r}"
         )
     merged = _merge(_DEFAULTS, user)
-    _check_numbers(merged)
+    _check_types(merged)
     merged["experiment"] = experiment
     if output_dir is not None:
         merged["output_dir"] = output_dir
@@ -511,6 +517,18 @@ def _run_galerkin(cfg, outdir, h):
 
 
 # ---------------------------------------------------------------- verify
+#
+# Each check raises CheckFailed through _require, not assert: python -O strips
+# assert statements, and a verify run must fail whatever flags Python runs with.
+
+
+class CheckFailed(Exception):
+    """A verify check found the property it tests violated."""
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise CheckFailed(message)
 
 
 def _check_leray():
@@ -523,7 +541,7 @@ def _check_leray():
         abs(sp.inner(sp.leray(y), z) - sp.inner(y, sp.leray(z))),
         sp.divergence_max(py),
     )
-    assert worst < 1e-11
+    _require(worst < 1e-11, f"worst defect {worst:.2e} exceeds 1e-11")
     return f"worst defect {worst:.2e}"
 
 
@@ -535,7 +553,8 @@ def _check_trilinear():
     scale = max(abs(op.trilinear(y, z, w)), 1.0)
     anti = abs(op.trilinear(y, z, w) + op.trilinear(y, w, z)) / scale
     diag = abs(op.trilinear(y, z, z)) / max(sp.norm_H(z) ** 2, 1.0)
-    assert max(anti, diag) < 1e-10
+    _require(max(anti, diag) < 1e-10,
+             f"antisymmetry {anti:.2e} or diagonal {diag:.2e} exceeds 1e-10")
     return f"antisymmetry {anti:.2e}, diagonal {diag:.2e}"
 
 
@@ -545,7 +564,8 @@ def _check_damping_pairing():
     for r in (3.0, 5.0):
         lhs = sp.inner(op.power_damping(y, r), y)
         rhs = sp.norm_Lp(y, r + 1) ** (r + 1)
-        assert abs(lhs - rhs) / max(abs(rhs), 1e-30) < 1e-8
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-30)
+        _require(rel < 1e-8, f"pairing off the L^{{r+1}} norm by {rel:.2e} at r={r:g}")
     return "pairing matches L^{r+1} norm at r=3,5"
 
 
@@ -561,7 +581,7 @@ def _check_monotonicity():
             rhs = 2.0 ** (1 - r) * sp.norm_Lp(y - z, r + 1) ** (r + 1)
             margin = (lhs - rhs) / max(abs(lhs), 1e-30)
             worst = min(worst, margin)
-    assert worst > -1e-8
+    _require(worst > -1e-8, f"worst relative margin {worst:.2e} below -1e-8")
     return f"worst relative margin {worst:.2e}"
 
 
@@ -574,16 +594,20 @@ def _check_gateaux():
         eps = 1e-6
         fd = (0.5 / eps) * (op.power_damping(y + eps * z, r) - op.power_damping(y - eps * z, r))
         rel = sp.norm_H(dz - fd) / max(sp.norm_H(dz), 1e-30)
-        assert rel < 1e-5
+        _require(rel < 1e-5, f"derivative off central differences by {rel:.2e} at r={r:g}")
     return "first derivative matches central differences at r=3,5"
 
 
 def _check_constants():
-    assert abs(op.convection_rate(1.0, 1.0, 5.0, 1.0) - 0.25) < 1e-12
-    assert abs(op.convection_rate(1.0, 1.0, 5.0, 0.5) - 0.5) < 1e-12
-    assert abs(st.uniqueness_K1(beta=1, gamma=-1, r=5, q=2) - 0.5) < 1e-12
     gamma0 = (4 * np.pi / (2 * np.pi)) * (2.0 / (2 * np.pi) ** 2) ** 0.5
-    assert abs(gamma0 - np.sqrt(2.0) / np.pi) < 1e-12
+    frozen = [
+        ("convection_rate(1, 1, 5, 1)", op.convection_rate(1.0, 1.0, 5.0, 1.0), 0.25),
+        ("convection_rate(1, 1, 5, 0.5)", op.convection_rate(1.0, 1.0, 5.0, 0.5), 0.5),
+        ("uniqueness_K1(1, -1, 5, 2)", st.uniqueness_K1(beta=1, gamma=-1, r=5, q=2), 0.5),
+        ("gamma0 at L = 2 pi", gamma0, np.sqrt(2.0) / np.pi),
+    ]
+    for name, got, want in frozen:
+        _require(abs(got - want) < 1e-12, f"{name} = {got!r}, frozen value {want!r}")
     return "frozen values reproduced to 1e-12"
 
 
@@ -593,14 +617,14 @@ def _check_gain_placement():
     gs = gk.synthesize_gain(Lmat, B, sigma=1.0)
     want = np.array([1.0, 1.0, 2.5, 4.0])
     got = np.sort(gs.spectrum.real)
-    assert np.max(np.abs(got - want)) < 1e-8
+    _require(np.max(np.abs(got - want)) < 1e-8, f"closed-loop spectrum {got}, want {want}")
     return "closed-loop spectrum [1, 1, 2.5, 4]"
 
 
 def _check_eigen_base():
     g = sp.TorusGrid(d=2, N=16)
     nu, _, _ = eg.smallest_eigenvalue_Ak(g, 0.0, np.ones(g.shape), mu=1.0, alpha=0.3)
-    assert abs(nu - 0.3) < 1e-8
+    _require(abs(nu - 0.3) < 1e-8, f"zero-gain eigenvalue {nu!r}, want 0.3")
     return f"zero-gain eigenvalue {nu:.12f}"
 
 
@@ -612,7 +636,7 @@ def _check_snapshot_roundtrip(outdir):
     back = sp.read_snapshot(path)
     err = sp.norm_H(back - y)
     path.unlink()
-    assert err == 0.0
+    _require(err == 0.0, f"round trip moved the field by {err:.2e}")
     return "coefficients restored exactly"
 
 
@@ -624,8 +648,9 @@ def _check_determinism():
         y0 = 0.05 * sp.random_solenoidal(g, seed=12)
         traj = ts.simulate(ts.SimConfig(grid=g, params=p, y0=y0, T=0.1, dt=0.02))
         runs.append(traj)
-    assert np.array_equal(runs[0].norm_H, runs[1].norm_H)
-    assert np.array_equal(runs[0].energy_defect, runs[1].energy_defect)
+    _require(np.array_equal(runs[0].norm_H, runs[1].norm_H), "norm_H differs between runs")
+    _require(np.array_equal(runs[0].energy_defect, runs[1].energy_defect),
+             "energy_defect differs between runs")
     return "identical configs give identical trajectories"
 
 
@@ -637,20 +662,20 @@ def _check_artifact_hashes(target):
         with open(root / "manifest.json") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise AssertionError(f"cannot read manifest in {target}: {exc}") from None
+        raise CheckFailed(f"cannot read manifest in {target}: {exc}") from None
     h = manifest["config_hash"]
-    assert root.name == h[:12], "directory name does not match the config hash"
+    _require(root.name == h[:12], "directory name does not match the config hash")
     for name in manifest["files"]:
         path = root / name
         if name.endswith(".json"):
             with open(path) as fh:
                 obj = json.load(fh)
-            assert obj.get("config_hash") == h, f"{name} hash mismatch"
+            _require(obj.get("config_hash") == h, f"{name} hash mismatch")
         elif name.endswith(".csv"):
             first = path.read_text().splitlines()[0]
-            assert first == f"# config_hash={h}", f"{name} hash mismatch"
+            _require(first == f"# config_hash={h}", f"{name} hash mismatch")
         else:
-            assert path.exists(), f"missing artifact {name}"
+            _require(path.exists(), f"missing artifact {name}")
     return f"{len(manifest['files'])} artifacts consistent with {h[:12]}"
 
 

@@ -42,6 +42,13 @@ class SpanConstraint:
     The span is the one owner of the stacked mode spectra and of their
     sp.parseval_dual rows: the Galerkin reduction keeps one, and its
     coefficient map, its expansion and its controller go through it.
+
+    Both maps are real matmuls on float views of flattened spectra, each
+    complex number read as two floats.  Re(dual @ x) is the dot product of
+    conj(dual) and x in that view, so the dual is kept conjugated as one
+    (n, 2X) float array; a real combination v of the modes is v @ the (n, 2X)
+    view of spectra, read back as complex.  spectra itself stays for the
+    callers that write the modes out.
     """
 
     def __init__(self, modes):
@@ -50,16 +57,18 @@ class SpanConstraint:
             raise ValueError("span constraint needs at least one mode")
         self.grid = fields[0].grid
         self.spectra = np.stack([w.c for w in fields])          # (n, d, N, ..., N/2+1)
-        self._dual = sp.parseval_dual(self.spectra, self.grid)
+        dual = sp.parseval_dual(self.spectra, self.grid)
+        self._dual_f = np.conjugate(dual, out=dual).view(float)            # (n, 2X)
+        self._spectra_f = self.spectra.reshape(len(fields), -1).view(float)  # (n, 2X)
 
     def coeffs(self, x: sp.SpectralField) -> np.ndarray:
         """Mode coefficients (x, w_k)."""
-        return np.real(self._dual @ x.c.reshape(-1))
+        return self._dual_f @ np.ascontiguousarray(x.c, dtype=complex).reshape(-1).view(float)
 
     def expand(self, v) -> sp.SpectralField:
         """Field sum_k v_k w_k from mode coefficients."""
-        c = np.tensordot(np.asarray(v, dtype=float), self.spectra, axes=(0, 0))
-        return sp.SpectralField(self.grid, c)
+        c = np.asarray(v, dtype=float) @ self._spectra_f
+        return sp.SpectralField(self.grid, c.view(complex).reshape(self.spectra.shape[1:]))
 
     def project(self, x: sp.SpectralField) -> sp.SpectralField:
         return self.expand(self.coeffs(x))

@@ -22,7 +22,9 @@ pairing.  Otherwise the subtraction leaves an absolute floor of about
 The reduction's span (a cx.SpanConstraint) is the one owner of the stacked
 mode spectra and their Parseval dual: it maps a field to its mode
 coefficients (span.coeffs) and back (span.expand), the controller reads the
-coefficients through it, and the full closed loop projects onto it.
+coefficients through it, and the full closed loop projects onto it.  The
+span and the controller hold their stacks as (n, 2X) float views of the
+flattened spectra, so each of these maps is one real matmul.
 """
 from __future__ import annotations
 
@@ -300,16 +302,20 @@ def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None
 def make_galerkin_controller(red, gain):
     """Feedback z -> Leray(mask * sum_j (G c)_j w_j), c = red.span.coeffs(z).
 
-    The spectra Leray(mask * w_j) are computed once, so a call is a single
-    contraction with the gain-weighted mode coefficients.
+    The spectra Leray(mask * w_j) are computed once and kept as an (n, 2X)
+    float view, as the span keeps its modes, so a call is the span's
+    coefficient matmul and one real matmul with the gain-weighted
+    coefficients.
     """
     gain = np.asarray(gain, dtype=float)
     images = np.stack([sp.masked_leray(red.grid, red.mask, m.field.physical()).c
                        for m in red.modes])
+    shape = images.shape[1:]
+    images_f = images.reshape(len(images), -1).view(float)
 
     def controller(z):
-        c = gain @ red.span.coeffs(z)
-        return sp.SpectralField(red.grid, np.tensordot(c, images, axes=(0, 0)))
+        c = (gain @ red.span.coeffs(z)) @ images_f
+        return sp.SpectralField(red.grid, c.view(complex).reshape(shape))
 
     return controller
 

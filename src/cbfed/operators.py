@@ -112,15 +112,14 @@ def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
 def convective(y: sp.SpectralField) -> sp.SpectralField:
     """B(y) = P[(y.grad) y] in rotational form, with 2/3-rule dealiasing."""
     g = y.grid
-    ik = (2j * np.pi / g.L) * g.wave
     pairs = [(a, b) for a in range(g.d) for b in range(a + 1, g.d)]
     # the dealiased spectra of y and of Omega_ab = d_a y_b - d_b y_a (a < b),
     # stacked so that one inverse transform gives all their nodal values
     spec = np.empty((g.d + len(pairs),) + g.half_shape, dtype=complex)
     c = np.multiply(y.c, g.dealias, out=spec[: g.d])
     for w, (a, b) in zip(spec[g.d :], pairs):
-        np.multiply(ik[a], c[b], out=w)
-        w -= ik[b] * c[a]
+        np.multiply(g.ik[a], c[b], out=w)
+        w -= g.ik[b] * c[a]
     vals = sp._irfft(spec, g.shape)
     yv, omega = vals[: g.d], vals[g.d :]
     # sum_a y_a Omega_ab, so Omega_ba = -Omega_ab: each pair feeds two components
@@ -297,7 +296,7 @@ def identity_residual(y: sp.SpectralField, r: float) -> float:
     gf = sp.TorusGrid(g.d, factor * g.N, g.L)
     wpow = _pow0(m2, (r + 1) / 4.0)
     cw = np.fft.rfftn(wpow, norm="forward")
-    ik = (2j * np.pi / g.L) * gf.wave * (np.abs(gf.wave) != gf.N // 2)
+    ik = gf.ik * (np.abs(gf.wave) != gf.N // 2)
     gw = np.fft.irfftn(ik * cw[None], s=gf.shape, axes=gf.axes(), norm="forward")
     rhs2 = 4 * (r - 1) / (r + 1) ** 2 * vol * float(np.sum(gw**2))
     return abs(lhs - (rhs1 + rhs2)) / max(1.0, abs(lhs))

@@ -64,6 +64,7 @@ class TorusGrid:
         k1 = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
         mesh = np.meshgrid(*([k1] * (d - 1)), np.arange(N // 2 + 1), indexing="ij")
         self.wave = np.stack(mesh)                     # (d, N, ..., N/2+1) integer wavevectors
+        self.ik = (2j * np.pi / self.L) * self.wave    # symbol of the gradient
         self.k2 = np.sum(self.wave**2, axis=0)         # |k|^2, integer
         self.lap = (2 * np.pi / L) ** 2 * self.k2      # -Laplacian symbol
         self.keep = np.all(np.abs(self.wave) != N // 2, axis=0)
@@ -321,8 +322,7 @@ def gradient_physical(a: SpectralField, factor: int = 1) -> np.ndarray:
     as oversample.
     """
     g = a.grid
-    ik = (2j * np.pi / g.L) * g.wave
-    return _half_to_nodes(ik[:, None] * a.c[None], g, factor)
+    return _half_to_nodes(g.ik[:, None] * a.c[None], g, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,3 +615,37 @@ def test_verify_subcommand(tmp_path, capsys):
     names = [c["name"] for c in rep["report"]["checks"]]
     assert "artifact-hashes" in names
     assert all(c["ok"] for c in rep["report"]["checks"])
+
+
+def _cli_env():
+    # a child interpreter that imports this cbfed
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
+def test_verify_fails_under_optimize(tmp_path):
+    # python -O strips assert statements; a wrong constant must still fail verify
+    code = (
+        "import sys\n"
+        "from cbfed import cli, operators\n"
+        "operators.convection_rate = lambda *args, **kwargs: 0.0\n"
+        f"sys.exit(cli.main(['verify', '--output-dir', {str(tmp_path / 'out')!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert re.search(r"^constants-arithmetic +FAIL +CheckFailed: \S", proc.stdout, re.M)
+    assert "10/11 checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("key", ["initial", "forcing"])
+@pytest.mark.parametrize("value", ["2", "true", "[1]"])
+def test_non_string_path_is_config_error(tmp_path, key, value):
+    # refused before any file is opened: open(2) would read and close stderr
+    argv = [sys.executable, "-m", "cbfed.cli", "simulate", "--set", "grid.N=8",
+            "--set", f"{key}.kind=snapshot", "--set", f"{key}.path={value}",
+            "--output-dir", str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=_cli_env(), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"'{key}.path'" in proc.stderr
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

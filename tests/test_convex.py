@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from cbfed import convex as cx
 from cbfed import spectral as sp
@@ -59,6 +60,32 @@ def test_span_projection_orthogonal():
         assert abs(sp.inner(x - p, m.field)) < 1e-12
     assert K.contains(p)
     assert K.distance(p) < 1e-12
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, N, n", [(2, 32, 8), (3, 8, 10)])
+def test_span_maps_match_complex_formulas(d, N, n):
+    # the float-view matmuls against Re(dual @ x) and tensordot on the complex
+    # spectra, for a non-solenoidal field held in a non-contiguous array
+    g = sp.TorusGrid(d=d, N=N)
+    K = cx.SpanConstraint(sp.eigenbasis(g, n))
+    dual = sp.parseval_dual(K.spectra, g)
+    x = sp.random_field(g, seed=31, decay=1.0)
+    assert sp.divergence_max(x) > 1e-2
+    xs = sp.SpectralField(g, np.asfortranarray(x.c))
+    assert not xs.c.flags.c_contiguous
+    want_c = np.real(dual @ x.c.reshape(-1))
+    assert _rel(K.coeffs(xs), want_c) <= 1e-14
+    want_p = np.tensordot(want_c, K.spectra, axes=(0, 0))
+    assert _rel(K.project(xs).c, want_p) <= 1e-14
+    want_d = sp.norm_H(x - sp.SpectralField(g, want_p))
+    assert abs(K.distance(xs) - want_d) <= 1e-14 * want_d
+    v = np.random.default_rng(5).standard_normal(n)
+    assert _rel(K.expand(v).c, np.tensordot(v, K.spectra, axes=(0, 0))) <= 1e-14
+    assert _rel(K.coeffs(K.expand(v)), v) <= 1e-14
 
 
 def test_resolvent_invariance_ball_and_span():

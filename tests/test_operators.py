@@ -95,6 +95,25 @@ def test_trilinear_antisymmetry_and_zero_energy():
         assert abs(op.trilinear(y, z, w) + op.trilinear(y, w, z)) < 1e-10 * scale
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    N=st.sampled_from(range(8, 21, 2)),
+    L=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**32 - 3),
+)
+def test_trilinear_antisymmetry_property(d, N, L, seed):
+    # b(y, z, w) = -b(y, w, z) and b(y, z, z) = 0 for solenoidal y, with z and
+    # w not solenoidal; the tolerances of the verify check trilinear-antisymmetry
+    g = sp.TorusGrid(d=d, N=N, L=L)
+    y = sp.random_solenoidal(g, seed, decay=1.0)
+    z = sp.random_field(g, seed + 1, decay=1.0)
+    w = sp.random_field(g, seed + 2, decay=1.0)
+    scale = max(abs(op.trilinear(y, z, w)), 1.0)
+    assert abs(op.trilinear(y, z, w) + op.trilinear(y, w, z)) / scale < 1e-10
+    assert abs(op.trilinear(y, z, z)) / max(sp.norm_H(z) ** 2, 1.0) < 1e-10
+
+
 def test_trilinear_needs_solenoidal_first_slot():
     # with div y != 0 the antisymmetry breaks; quadrature must still run
     g = grid2(N=16)
