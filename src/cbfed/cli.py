@@ -162,6 +162,11 @@ def load_effective_config(experiment, config_path=None, overrides=(), output_dir
         )
     merged = _merge(_DEFAULTS, user)
     _check_types(merged)
+    slack, target = merged["controller"]["slack"], merged["controller"]["delta_target"]
+    if not (0 < slack <= 1):  # the loops claim slack * rate: 0 is met by any run
+        raise ConfigError(f"config key 'controller.slack' must lie in (0, 1], got {slack!r}")
+    if not (target > 0):
+        raise ConfigError(f"config key 'controller.delta_target' must be positive, got {target!r}")
     merged["experiment"] = experiment
     if output_dir is not None:
         merged["output_dir"] = output_dir
@@ -604,6 +609,7 @@ def _check_constants():
         ("convection_rate(1, 1, 5, 1)", op.convection_rate(1.0, 1.0, 5.0, 1.0), 0.25),
         ("convection_rate(1, 1, 5, 0.5)", op.convection_rate(1.0, 1.0, 5.0, 0.5), 0.5),
         ("uniqueness_K1(1, -1, 5, 2)", st.uniqueness_K1(beta=1, gamma=-1, r=5, q=2), 0.5),
+        ("uniqueness_K1(1, -1, 5, 1.5)", st.uniqueness_K1(1, -1, 5, 1.5), 0.512104699233823),
         ("gamma0 at L = 2 pi", gamma0, np.sqrt(2.0) / np.pi),
     ]
     for name, got, want in frozen:

@@ -34,12 +34,11 @@ def theta_threshold(params):
     Supercritical damping (r > 3): the convection absorption constant plus
     the two pumping constants, taken at the edge of their admissible
     windows, eps = 1/2 and eps_tilde = 1, where these decreasing constants
-    are smallest.  The edge is evaluated in numpy scalars, so a constant
-    beyond the float range (r very close to 3) gives c_min = inf rather
-    than an OverflowError.  Where the pumping constant does not depend on
-    its splitting (gamma = 0 or q = 1), neither does c_min; eps_tilde is
-    then reported as 1e-3, the lower end of the range that earlier
-    versions searched, so that recorded artifacts stay unchanged.
+    are smallest.  A constant beyond the float range (r very close to 3)
+    gives c_min = inf.  Where the pumping constant does not depend on its
+    splitting (gamma = 0 or q = 1), neither does c_min; eps_tilde is then
+    reported as 1e-3, the lower end of the range that earlier versions
+    searched, so that recorded artifacts stay unchanged.
 
     Critical damping (r = 3, needs 2*beta*mu > 1): the two closed-form
     pumping constants, no free parameter.
@@ -48,7 +47,7 @@ def theta_threshold(params):
     """
     p = params
     if p.r > 3:
-        eps, eps_tilde = np.float64(0.5), np.float64(1.0)
+        eps, eps_tilde = 0.5, 1.0
         c_min = (
             op.convection_rate(p.mu, p.beta, p.r, eps)
             + op.pumping_rate(p.beta, p.gamma, p.r, p.q, eps_tilde)

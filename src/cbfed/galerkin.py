@@ -246,10 +246,8 @@ def growth_constants(red, sigma):
             * max(p.beta * C2 + abs(p.gamma) * C3, p.beta * pump, abs(p.gamma) * pump)
         )
         g0p = gamma0 + gamma2
-        C4 = (4 * gamma2 / sigma * (p.r - p.q) / (p.r - 1)) ** (
-            (p.r - p.q) / (p.q - 1)
-        ) * (p.q - 1) / (p.r - 1)
-        C5 = (2 * g0p / sigma * (p.r - 3) / (p.r - 1)) ** ((p.r - 3) / 2.0) * 2 / (p.r - 1)
+        C4 = op.young_constant(1.0, p.r - p.q, sigma / (4 * gamma2), p.r - 1)
+        C5 = op.young_constant(1.0, p.r - 3, sigma / (2 * g0p), p.r - 1)
         a = (1 + C4) * gamma2
         x = (-g0p * C5 + np.sqrt((g0p * C5) ** 2 + 2 * a * sigma)) / (2 * a)
         out.update(regime="supercritical", C2=C2, C3=C3, C4=C4, C5=C5,

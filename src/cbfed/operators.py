@@ -305,29 +305,33 @@ def identity_residual(y: sp.SpectralField, r: float) -> float:
 # ---------------------------------------------------------------------------
 # closed-form absorption constants
 #
-# Convention for the degenerate exponents: a pumping constant is 0 outright
-# when gamma = 0; otherwise a bracket raised to the power 0 counts as 1.
+# Each constant is one Young bound C = sup_s (c1 s^b - c2 s^a), so c1 s^b <= c2 s^a + C:
+#   convection_rate  (1, 2, eps beta mu/2, r-1)/(2 mu): s^2/(2 mu) vs (eps beta/4) s^{r-1}
+#   eta_pair's eta2  (q|gamma|, q-1, beta/4, r-1): q|gamma| s^{q-1} vs (beta/4) s^{r-1}
+#   galerkin C4, C5  (1, r-q, sigma/(4 gamma2), r-1), (1, r-3, sigma/(2 gamma0'), r-1)
+#   stationary K1    (|gamma|, q+1, beta/2, r+1): |gamma| s^{q+1} vs (beta/2) s^{r+1}
+#   pumping_rate     (1, q-1, eps beta/(2^q q|gamma|), r-1), and for r = 3 the
+#                    critical_pumping_rates (1, q-1, 1/(2^q q|gamma| mu), 2) and
+#                    (1, q-1, (beta - 1/(2 mu))/(2^q q|gamma|), 2). With c1 = 1 these
+#                    lack a power of |gamma| (ROADMAP item 1); they keep today's values
+#                    until its derivation and a re-recorded benchmark reference land.
+# A pumping constant is 0 outright when gamma = 0; with b = 0 the bound is c1.
 
 
-def _bracket_pow(base: float, expo: float) -> float:
-    # numpy scalars: an exponent (q-1)/(r-q) with q near r gives inf, not OverflowError
-    with np.errstate(over="ignore"):
-        return 1.0 if expo == 0.0 else np.float64(base) ** expo
+def young_constant(c1: float, b: float, c2: float, a: float) -> float:
+    """sup_{s >= 0} (c1 s^b - c2 s^a), c1, c2 > 0, 0 <= b < a; inf or 0 beyond float range."""
+    with np.errstate(over="ignore"):  # one power of one bracket: never nan
+        bracket = c1 * (np.float64(b) / (a * c2)) ** (b / a)
+        return (a - b) / a * bracket ** (a / (a - b))
 
 
 def convection_rate(mu: float, beta: float, r: float, eps: float) -> float:
-    """Rate absorbed by the eps-weighted damping when splitting convection.
-
-    Evaluated in numpy scalars: just above r = 3 the power 2/(r-3) leaves
-    the float range, and the rate is then inf rather than an OverflowError.
-    """
+    """Convection rate absorbed by the eps-weighted damping; inf just above r = 3."""
     if not (r > 3):
         raise RegimeError("convection absorption constant requires r > 3")
     if not (eps > 0):
         raise ConfigError("eps must be positive")
-    with np.errstate(over="ignore"):
-        bracket = np.float64(4.0 / (eps * beta * mu * (r - 1))) ** (2.0 / (r - 3))
-        return (r - 3) / (2 * mu * (r - 1)) * bracket
+    return young_constant(1.0, 2.0, eps * beta * mu / 2, r - 1) / (2 * mu)
 
 
 def pumping_rate(beta: float, gamma: float, r: float, q: float, eps: float) -> float:
@@ -336,8 +340,7 @@ def pumping_rate(beta: float, gamma: float, r: float, q: float, eps: float) -> f
         raise ConfigError("eps must be positive")
     if gamma == 0:
         return 0.0
-    base = 2.0**q * q * abs(gamma) * (q - 1) / (eps * beta * (r - 1))
-    return (r - q) / (r - 1) * _bracket_pow(base, (q - 1) / (r - q))
+    return young_constant(1.0, q - 1, eps * beta / (2.0**q * q * abs(gamma)), r - 1)
 
 
 def eta_pair(params: PhysicalParams):
@@ -345,11 +348,8 @@ def eta_pair(params: PhysicalParams):
     eta1 = convection_rate(params.mu, params.beta, params.r, 1.0)
     if params.gamma == 0:
         return eta1, 0.0
-    r, q = params.r, params.q
-    with np.errstate(over="ignore"):
-        lead = np.float64(q * abs(params.gamma)) ** ((r - 1) / (r - q))
-    brk = _bracket_pow(4.0 / params.beta * (q - 1) / (r - 1), (q - 1) / (r - q))
-    return eta1, lead * brk * (r - q) / (r - 1)
+    q = params.q
+    return eta1, young_constant(q * abs(params.gamma), q - 1, params.beta / 4, params.r - 1)
 
 
 def critical_pumping_rates(params: PhysicalParams):
@@ -361,10 +361,9 @@ def critical_pumping_rates(params: PhysicalParams):
     if params.gamma == 0:
         return 0.0, 0.0
     q = params.q
-    gq = 2.0 ** (q - 1) * q * abs(params.gamma) * (q - 1)
-    expo = (q - 1) / (3 - q)
-    r1 = _bracket_pow(gq * params.mu, expo) * (3 - q) / 2.0
-    r2 = _bracket_pow(gq / (params.beta - 1.0 / (2 * params.mu)), expo) * (3 - q) / 2.0
+    gq = 2.0**q * q * abs(params.gamma)
+    r1 = young_constant(1.0, q - 1, 1.0 / gq / params.mu, 2.0)  # gq * mu may underflow to 0
+    r2 = young_constant(1.0, q - 1, (params.beta - 1.0 / (2 * params.mu)) / gq, 2.0)
     return r1, r2
 
 

@@ -103,14 +103,10 @@ def solve_stationary(
 
 
 def uniqueness_K1(beta: float, gamma: float, r: float, q: float) -> float:
+    """|gamma| s^{q+1} <= (beta/2) s^{r+1} + K1, the split of `energy_report`."""
     if gamma == 0:
         return 0.0
-    # numpy scalars: with q near r the power leaves the float range and K1 is
-    # inf, not an OverflowError
-    with np.errstate(over="ignore"):
-        lead = np.float64(abs(gamma)) ** ((r + 1) / (r - q))
-    brk = op._bracket_pow(2 * (q + 1) / (beta * (r + 1)), (r - q) / (q + 1))
-    return lead * brk * (r - q) / (r + 1)
+    return op.young_constant(abs(gamma), q + 1, beta / 2, r + 1)
 
 
 def uniqueness_K2(beta: float, gamma: float, r: float, q: float) -> float:

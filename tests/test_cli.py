@@ -13,6 +13,7 @@ import pytest
 
 from cbfed import cli
 from cbfed import spectral as sp
+from cbfed import stationary as st
 from cbfed import timestep as ts
 from cbfed.errors import SolverDivergence
 
@@ -207,6 +208,36 @@ def test_eigen_tolerance_and_gain_are_config_errors(tmp_path, experiment, items)
         argv += ["--set", item]
     assert cli.main(argv) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "experiment, item",
+    [
+        ("stabilize-theta", "controller.slack=-1"),
+        ("stabilize-theta", "controller.slack=0"),
+        ("stabilize-theta", "controller.slack=1.5"),
+        ("stabilize-proportional", "controller.slack=0"),
+        ("stabilize-theta", "controller.delta_target=0"),
+        ("stabilize-theta", "controller.delta_target=-0.5"),
+    ],
+)
+def test_vacuous_claim_is_config_error(tmp_path, capsys, experiment, item):
+    # the loops claim slack * rate: slack=-1 used to exit 0 with a negative claim
+    out = tmp_path / "out"
+    argv = [experiment, "--set", "grid.N=8", "--set", "integrator.T=0.1",
+            "--set", item, "--output-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert repr(item.split("=")[0]) in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unit_slack_is_accepted(tmp_path):
+    out = tmp_path / "out"
+    argv = ["stabilize-theta", "--set", "grid.N=8", "--set", "integrator.T=0.1",
+            "--set", "controller.slack=1", "--set", "controller.delta_target=0.1",
+            "--output-dir", str(out)]
+    assert cli.main(argv) == 0
+    assert abs(load_report(only_run_dir(out))["report"]["delta_claim"] - 0.1) < 1e-12
 
 
 def test_galerkin_run_stacks_its_modes_once(tmp_path, monkeypatch):
@@ -615,6 +646,20 @@ def test_verify_subcommand(tmp_path, capsys):
     names = [c["name"] for c in rep["report"]["checks"]]
     assert "artifact-hashes" in names
     assert all(c["ok"] for c in rep["report"]["checks"])
+
+
+def test_check_constants_pins_K1_off_the_unit_bracket(monkeypatch):
+    assert cli._check_constants() == "frozen values reproduced to 1e-12"
+
+    def inverted(beta, gamma, r, q):
+        # K1 with its bracket exponent (q+1)/(r-q) inverted: equal at a unit bracket
+        brk = (2 * (q + 1) / (beta * (r + 1))) ** ((r - q) / (q + 1))
+        return abs(gamma) ** ((r + 1) / (r - q)) * brk * (r - q) / (r + 1)
+
+    assert abs(inverted(1, -1, 5, 2) - 0.5) < 1e-12
+    monkeypatch.setattr(st, "uniqueness_K1", inverted)
+    with pytest.raises(cli.CheckFailed, match=r"uniqueness_K1\(1, -1, 5, 1.5\)"):
+        cli._check_constants()
 
 
 def _cli_env():

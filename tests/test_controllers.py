@@ -8,6 +8,7 @@ import pytest
 
 from cbfed import controllers as ct
 from cbfed import convex as cx
+from cbfed import eigen as eg
 from cbfed import operators as op
 from cbfed import spectral as sp
 from cbfed import timestep as ts
@@ -23,6 +24,20 @@ def test_theta_controller_is_scaling():
     z = sp.random_solenoidal(g, seed=1)
     u = ct.make_theta_controller(0.7)(z)
     assert sp.norm_H(u + 0.7 * z) < 1e-14
+
+
+def test_benchmark_constants_at_weak_pumping():
+    # theta-2d-n128 and prop-3d-n16 run at gamma = -0.1, and the benchmark
+    # reference pins what these constants feed (c_min, delta_claim)
+    p = op.PhysicalParams(mu=1, alpha=0.3, beta=1, gamma=-0.1, r=5, q=2)
+    dec = eg.proportional_decay_constant(1.0, p)
+    for got, want in [
+        (ct.theta_threshold(p)["c_min"], 1.491207385527988),
+        (dec["rho_star"], 0.25),
+        (dec["rho1_star"], 0.3481191625209584),
+        (dec["rho2_star"], 0.43860266073192994),
+    ]:
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_theta_threshold_supercritical():

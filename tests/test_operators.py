@@ -160,6 +160,42 @@ def test_power_damping_pairing():
         assert abs(lhs - rhs) < 1e-9 * max(1.0, rhs)
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    N=st.sampled_from([8, 12, 16]),
+    r=st.sampled_from([3.0, 4.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+    amp=st.floats(0.01, 100.0),
+)
+def test_power_damping_pairing_property(d, N, r, seed, amp):
+    # (C_r(y), y) = ||y||_{L^{r+1}}^{r+1}, to the 1e-8 of the verify check damping-pairing
+    y = amp * sp.random_solenoidal(sp.TorusGrid(d=d, N=N), seed)
+    lhs = sp.inner(op.power_damping(y, r), y)
+    rhs = sp.norm_Lp(y, r + 1) ** (r + 1)
+    assert abs(lhs - rhs) < 1e-8 * max(abs(rhs), 1e-30)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    N=st.sampled_from([8, 12, 16]),
+    r=st.sampled_from([3.0, 4.0, 5.0]),
+    seed=st.integers(0, 2**32 - 2),
+    amp_y=st.floats(0.01, 100.0),
+    amp_z=st.floats(0.01, 100.0),
+)
+def test_strong_monotonicity_property(d, N, r, seed, amp_y, amp_z):
+    # (C_r(y) - C_r(z), y - z) >= 2^{1-r} ||y - z||_{L^{r+1}}^{r+1}, with the
+    # relative margin -1e-8 of the verify check strong-monotonicity
+    g = sp.TorusGrid(d=d, N=N)
+    y = amp_y * sp.random_solenoidal(g, seed)
+    z = amp_z * sp.random_solenoidal(g, seed + 1)
+    lhs = sp.inner(op.power_damping(y, r) - op.power_damping(z, r), y - z)
+    rhs = 2.0 ** (1 - r) * sp.norm_Lp(y - z, r + 1) ** (r + 1)
+    assert (lhs - rhs) / max(abs(lhs), 1e-30) > -1e-8
+
+
 def test_power_damping_p1_is_projection():
     g = grid2(N=16)
     y = sp.random_field(g, seed=77, decay=1.5)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from cbfed import operators as op
 from cbfed import spectral as sp
@@ -121,6 +123,53 @@ def test_uniqueness_constants_beyond_float_range_are_inf():
     # q just below r: |gamma|^((r+1)/(r-q)) = 3^3500 leaves the float range
     assert st.uniqueness_K1(beta=1, gamma=-3, r=2.5, q=2.499) == np.inf
     assert st.uniqueness_K2(beta=1, gamma=-3, r=2.5, q=2.499) == np.inf
+
+
+# log grid on which the Young bounds are checked pointwise
+_S = np.geomspace(1e-4, 1e4, 200001)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    beta=hst.floats(0.1, 5.0),
+    gamma=hst.floats(-5.0, -0.01),
+    q=hst.floats(1.0, 4.0),
+    gap=hst.floats(0.2, 3.0),
+)
+def test_uniqueness_K1_meets_its_split(beta, gamma, q, gap):
+    # energy_report absorbs |gamma| s^{q+1} into (beta/2) s^{r+1}: K1 must bound
+    # the difference for every s (the exponent (r-q)/(q+1) did not)
+    r = q + gap
+    k1 = st.uniqueness_K1(beta, gamma, r, q)
+    worst = np.max(abs(gamma) * _S ** (q + 1) - beta / 2 * _S ** (r + 1))
+    assert k1 >= worst * (1 - 1e-9)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    c1=hst.floats(0.01, 10.0),
+    c2=hst.floats(0.01, 10.0),
+    b=hst.floats(0.0, 4.0),
+    gap=hst.floats(0.1, 4.0),
+)
+def test_young_constant_is_the_supremum(c1, c2, b, gap):
+    a = b + gap
+    s_star = (b * c1 / (a * c2)) ** (1 / (a - b))
+    assume(_S[0] <= s_star <= _S[-1])
+    worst = np.max(c1 * _S**b - c2 * _S**a)
+    assert abs(op.young_constant(c1, b, c2, a) - worst) <= 1e-6 * abs(worst)
+
+
+def test_uniqueness_K1_off_the_unit_bracket():
+    # (beta, gamma, r, q) -> sup_s |gamma| s^{q+1} - (beta/2) s^{r+1}
+    for args, want in [
+        ((1, -1, 5, 1.5), 0.512104699233823),
+        ((0.3, -2, 4, 2), 18.101933598375618),
+        ((2, -0.5, 5, 3), 1 / 54),
+        ((1, -0.5, 2.5, 2.499), 5.2561714876846694e-05),  # a power of 3500
+    ]:
+        got = st.uniqueness_K1(*args)
+        assert np.isfinite(got) and abs(got - want) < 1e-12 * want, args
 
 
 def test_uniqueness_and_energy_reports():
