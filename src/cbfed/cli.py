@@ -6,7 +6,8 @@ prefixes the output directory and is embedded in every JSON report and CSV,
 so a run is reproducible from its artifacts alone.
 
 Exit codes: 0 success, 1 failed verification, 2 bad config, 3 solver
-divergence, 4 parameters outside a guaranteed regime.
+divergence, 4 parameters outside a guaranteed regime, 5 internal error (any
+other exception).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from . import operators as op
 from . import spectral as sp
 from . import stationary as st
 from . import timestep as ts
-from .errors import ConfigError, RegimeError, SolverDivergence
+from .errors import EXIT_INTERNAL, ConfigError, RegimeError, SolverDivergence
 
 # Every key an experiment may read, with its default.  Unknown keys are
 # rejected so config typos fail loudly instead of silently using a default.
@@ -416,9 +417,15 @@ def _run_theta(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
     th = ct.theta_threshold(params)
     knobs = cfg["controller"]
+    floor = th["c_min"] - params.alpha    # at or below it the claimed rate is not positive
     theta = knobs["theta"]
     if theta is None:
-        theta = th["c_min"] - params.alpha + float(knobs["delta_target"])
+        theta = max(0.0, floor + float(knobs["delta_target"]))
+    elif np.isfinite(floor) and not (theta >= 0 and theta > floor):  # inf: exit 4 below
+        raise ConfigError(
+            f"config key 'controller.theta' must be nonnegative and above "
+            f"c_min - alpha = {floor:.6g}, got {theta!r}"
+        )
     report, traj = ct.run_theta_loop(
         _sim_config(cfg, grid, params, seeds), float(theta), slack=float(knobs["slack"])
     )
@@ -796,6 +803,9 @@ def main(argv=None) -> int:
     except (ConfigError, SolverDivergence, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except Exception as exc:  # a defect, not a config or run outcome; ^C still propagates
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if config["experiment"] == "verify":
         rows = report["report"]["checks"]
         width = max(len(r["name"]) for r in rows)

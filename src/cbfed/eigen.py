@@ -34,8 +34,9 @@ class DomainMask:
     """Indicator of the control region, a union of axis-aligned boxes.
 
     Boxes are half-open products of intervals, one ``(lo, hi)`` pair per
-    axis.  The complement (where no feedback acts) must be nonempty, and so
-    must the control region itself.
+    axis.  The control region must be nonempty; it may cover the whole
+    torus, which is the same as no mask (only `lambda_star_estimate` needs
+    an uncontrolled region).
     """
 
     def __init__(self, grid: sp.TorusGrid, boxes):
@@ -64,8 +65,6 @@ class DomainMask:
         self.complement_volume = grid.L**grid.d - covered
         if covered <= 0.0:
             raise ConfigError("control region has zero volume")
-        if self.complement_volume <= 0.0:
-            raise ConfigError("complement of the control region is empty")
 
 
 def _as_indicator(mask, grid: sp.TorusGrid) -> np.ndarray:
@@ -243,7 +242,7 @@ def lambda_star_estimate(
     """
     m = _as_indicator(mask, grid)
     comp = grid.L**grid.d - float(m.sum()) * grid.cell_volume
-    if comp <= 0.0:
+    if m.all():   # on the nodes: comp of a full mask is roundoff above 0 at N = 12
         raise ConfigError("complement empty: the gain limit needs an uncontrolled region")
     ks = [float(k) for k in k_ladder]
     if len(ks) < 4:

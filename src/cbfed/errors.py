@@ -20,3 +20,4 @@ class RegimeError(ValueError):
 
 
 EXIT_OK = 0
+EXIT_INTERNAL = 5   # any other exception: a defect of the program

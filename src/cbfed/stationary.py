@@ -64,19 +64,19 @@ def solve_stationary(
     # one right-hand side per iterate: the residual's is reused by the update.
     # All of them oversample into one nodal array, held for the whole solve.
     nodal = np.empty((grid.d,) + (params.damping_factor * grid.N,) * grid.d)
-    rhs = _rhs(y, params, f, nodal)
-    res = residual_norm(y, params, rhs)
-    history.append(res)
-    for it in range(1, max_iter + 1):
-        if not np.isfinite(res):
-            raise SolverDivergence("stationary iteration produced non-finite residual")
-        if res < tol:
-            return StationaryResult(y, res, it - 1, True, omega, history)
-        update = sp.SpectralField(grid, rhs.c * inv)
-        y = (1 - omega) * y + omega * update
+    for it in range(max_iter + 1):
+        if it > 0:
+            update = sp.SpectralField(grid, rhs.c * inv)
+            y = (1 - omega) * y + omega * update
         rhs = _rhs(y, params, f, nodal)
         res = residual_norm(y, params, rhs)
         history.append(res)
+        if not np.isfinite(res):
+            raise SolverDivergence("stationary iteration produced non-finite residual")
+        if res < tol:
+            return StationaryResult(y, res, it, True, omega, history)
+        if it == 0:   # stagnation is judged from the first update on
+            continue
         if res >= best * 0.999:
             stall += 1
             if stall >= 5:
@@ -90,8 +90,6 @@ def solve_stationary(
         else:
             best = res
             stall = 0
-    if res < tol:
-        return StationaryResult(y, res, max_iter, True, omega, history)
     raise SolverDivergence(
         f"stationary iteration did not reach tol={tol:.1e} in {max_iter} steps "
         f"(residual {res:.3e})"

@@ -12,6 +12,14 @@ every step (catching-up) or through its Yosida relaxation with parameter lam.
 
 Two schemes: backward Euler on the linear part with explicit everything else
 ("imex1"), and Crank-Nicolson / Adams-Bashforth 2 ("cnab2").
+
+`simulate` makes one pass per state m = 0..nsteps.  A pass with m > 0 first
+steps from the previous state, Leray-projects, applies the constraint and
+checks for blow-up (the initial state is not checked).  Every pass then
+evaluates the feedback and, from one oversample, the explicit damping and the
+L^{r+1} norm, and records the state when m is a multiple of record_every or
+the last one.  The final state's damping is computed like any other, but no
+step uses it.
 """
 from __future__ import annotations
 
@@ -180,104 +188,65 @@ def simulate(cfg: SimConfig) -> Trajectory:
         y_nodal = sp.oversample(y_ref, factor)
         d_ref = op.damping_from_nodal(y_nodal.copy(), g, terms)
 
-    def feedback(z):
-        # evaluated once per state: the explicit term and the record share it
-        return cfg.controller(z) if cfg.controller is not None else None
-
-    def evaluate(z, norm):
-        """Shifted damping at z from one oversample, not Leray-projected (the
-        projection of the new state does it), and ||z||_{L^{r+1}} when norm is
-        set (else None), taken before the reference values are added in place."""
-        vals = sp.oversample(z, factor, out=nodal)
-        lr1 = None
-        if norm:
-            lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
-        if y_ref is None:
-            return op.damping_from_nodal(vals, g, terms), lr1
-        vals += y_nodal
-        return op.damping_from_nodal(vals, g, terms) - d_ref, lr1
-
-    def explicit(z, u, damp):
-        out = f - op.shifted_convective(z, y_ref, b_ref) - damp
-        if u is not None:
-            out = out + u
-        if yosida_mode:
-            out = out - cx.yosida_term(K, z, cfg.yosida_lam)
-        return out
-
     z = K.project(cfg.y0) if project_mode else cfg.y0.copy()
     nh = sp.norm_H(z)
     guard = _BLOWUP_FACTOR * max(1.0, nh)
-
-    times, hs, ghs, vs, lr1s, dists, us = [], [], [], [], [], [], []
-    states = []
-
-    def record(m, zc, u, lr1, nh):
-        """nh is norm_H(zc), already taken by the divergence guard."""
-        gh = sp.norm_grad(zc)
-        times.append(m * dt)
-        hs.append(nh)
-        ghs.append(gh)
-        vs.append(float(np.hypot(nh, gh)))      # norm_V from the same floats
-        lr1s.append(lr1)
-        dists.append(K.distance(zc) if K is not None else 0.0)
-        us.append(sp.norm_H(u) if u is not None else 0.0)
-        if cfg.record_states:
-            states.append((m * dt, zc.copy()))
-
-    # each state is evaluated once, right after its Leray/constraint step:
-    # its record and the explicit term of the next step share the evaluation
-    u = feedback(z)
-    damp, lr1 = evaluate(z, norm=True)
-    record(0, z, u, lr1, nh)
+    rows, states = [], []     # one row of COLUMNS[:-1] per recorded state
     prev_N = None
     denom1 = 1.0 + dt * lin
     half = 0.5 * dt * lin
-    for m in range(1, nsteps + 1):
-        N = explicit(z, u, damp)
-        if cfg.scheme == "imex1" or prev_N is None:
-            znew = sp.SpectralField(g, (z.c + dt * N.c) / denom1)
+    for m in range(nsteps + 1):
+        if m > 0:
+            N = f - op.shifted_convective(z, y_ref, b_ref) - damp
+            if u is not None:
+                N = N + u
+            if yosida_mode:
+                N = N - cx.yosida_term(K, z, cfg.yosida_lam)
+            if cfg.scheme == "imex1" or prev_N is None:
+                znew = sp.SpectralField(g, (z.c + dt * N.c) / denom1)
+            else:
+                num = z.c * (1.0 - half) + dt * (1.5 * N.c - 0.5 * prev_N.c)
+                znew = sp.SpectralField(g, num / (1.0 + half))
+            if cfg.scheme == "cnab2":
+                prev_N = N
+            # this projects the explicit damping, left unprojected because the
+            # update is diagonal in k; it also drops roundoff gradient content,
+            # which a Leray-projected feedback cannot see, so it would decay only
+            # at the bare rate alpha + mu |k|^2
+            znew = sp.leray(znew)
+            z = K.project(znew) if project_mode else znew
+            nh = sp.norm_H(z)
+            if not np.isfinite(nh) or nh > guard:
+                raise SolverDivergence(f"state norm {nh:.3e} exploded at t={m * dt:.4g}")
+        # one feedback and one evaluation per state, shared by its record and
+        # the explicit term of the next step: the shifted damping from one
+        # oversample, not Leray-projected (the next Leray step does it), and
+        # ||z||_{L^{r+1}}, taken before the reference values are added in place
+        u = cfg.controller(z) if cfg.controller is not None else None
+        recorded = m % cfg.record_every == 0 or m == nsteps
+        vals = sp.oversample(z, factor, out=nodal)
+        if recorded:
+            lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
+        if y_ref is None:
+            damp = op.damping_from_nodal(vals, g, terms)
         else:
-            num = z.c * (1.0 - half) + dt * (1.5 * N.c - 0.5 * prev_N.c)
-            znew = sp.SpectralField(g, num / (1.0 + half))
-        if cfg.scheme == "cnab2":
-            prev_N = N
-        # this projects the explicit damping, left unprojected because the
-        # update is diagonal in k; it also drops roundoff gradient content,
-        # which a Leray-projected feedback cannot see, so it would decay only
-        # at the bare rate alpha + mu |k|^2
-        znew = sp.leray(znew)
-        z = K.project(znew) if project_mode else znew
-        nh = sp.norm_H(z)
-        if not np.isfinite(nh) or nh > guard:
-            raise SolverDivergence(f"state norm {nh:.3e} exploded at t={m * dt:.4g}")
-        u = feedback(z)
-        recorded = m % cfg.record_every == 0
-        if m < nsteps:
-            damp, lr1 = evaluate(z, norm=recorded)
-        elif norm_on_grid:    # the final state needs only its norm
-            lr1 = sp.norm_Lp_nodal(sp.oversample(z, factor, out=nodal), g, p.r + 1)
-        else:
-            lr1 = sp.norm_Lp(z, p.r + 1)
-        if recorded or m == nsteps:
-            record(m, z, u, lr1, nh)
+            vals += y_nodal
+            damp = op.damping_from_nodal(vals, g, terms) - d_ref
+        if recorded:
+            gh = sp.norm_grad(z)
+            rows.append((
+                m * dt, nh, gh,
+                float(np.hypot(nh, gh)),      # norm_V from the same floats
+                lr1,
+                K.distance(z) if K is not None else 0.0,
+                sp.norm_H(u) if u is not None else 0.0,
+            ))
+            if cfg.record_states:
+                states.append((m * dt, z.copy()))
 
-    t = np.array(times)
-    defect = energy_defects(
-        t, np.array(hs), np.array(ghs), np.array(lr1s), p, fnorm, cfg.control_bound
-    )
-    return Trajectory(
-        t,
-        np.array(hs),
-        np.array(ghs),
-        np.array(vs),
-        np.array(lr1s),
-        np.array(dists),
-        np.array(us),
-        defect,
-        final=z,
-        states=states,
-    )
+    t, h, gh, v, lr1, dist, un = np.array(rows).T
+    defect = energy_defects(t, h, gh, lr1, p, fnorm, cfg.control_bound)
+    return Trajectory(t, h, gh, v, lr1, dist, un, defect, final=z, states=states)
 
 
 def sup_state_distance(a: Trajectory, b: Trajectory) -> float:

@@ -240,6 +240,88 @@ def test_unit_slack_is_accepted(tmp_path):
     assert abs(load_report(only_run_dir(out))["report"]["delta_claim"] - 0.1) < 1e-12
 
 
+@pytest.mark.parametrize("theta", ["0", "-1", "0.2", "NaN"])
+def test_theta_without_positive_claim_is_config_error(tmp_path, capsys, theta):
+    # default params: c_min = 0.5, alpha = 0.3, so theta must exceed 0.2;
+    # theta = 0 used to exit 0 with a claim of -0.18
+    out = tmp_path / "out"
+    argv = ["stabilize-theta", "--set", "grid.N=8", "--set", "integrator.T=0.1",
+            "--set", f"controller.theta={theta}", "--output-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert "'controller.theta'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_default_theta_is_clipped_at_zero(tmp_path):
+    # r = 3, gamma = 0: c_min = 0, so c_min - alpha + delta_target is -0.05;
+    # that default used to exit 2 naming no config key
+    out = tmp_path / "out"
+    argv = ["stabilize-theta", "--set", "grid.N=8", "--set", "integrator.T=0.1",
+            "--set", "params.r=3", "--output-dir", str(out)]
+    assert cli.main(argv) == 0
+    body = load_report(only_run_dir(out))["report"]
+    assert body["theta"] == 0.0
+    assert abs(body["delta_claim"] - 0.9 * 0.3) < 1e-12
+    assert body["pointwise_ok"] and body["delta_fit"] > body["delta_claim"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_loops_stabilize_a_flow_unstable_without_feedback(tmp_path, d):
+    # q = 1, gamma = -1.5 < -alpha: the constant modes grow at |gamma| - alpha
+    def report(experiment, *items):
+        out = tmp_path / experiment
+        argv = [experiment, "--output-dir", str(out)]
+        for item in (f"grid.d={d}", "grid.N=8", "integrator.T=1", "params.q=1",
+                     "params.gamma=-1.5", "initial.amplitude=0.1") + items:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+        return only_run_dir(out)
+
+    traj = ts.Trajectory.from_csv(report("simulate") / "trajectory.csv")
+    assert traj.norm_H[-1] > traj.norm_H[0]
+    box = json.dumps([[[0.785, 6.28]] + [[0.0, 6.28]] * (d - 1)])
+    for experiment, items in [
+        ("stabilize-theta", ()),
+        ("stabilize-proportional", ("controller.k_gain=20", f"mask.boxes={box}")),
+    ]:
+        body = load_report(report(experiment, *items))["report"]
+        assert body["pointwise_ok"], experiment
+        assert body["delta_fit"] > body["delta_claim"] > 0, experiment
+
+
+@pytest.mark.parametrize("experiment", ["stabilize-proportional", "stabilize-galerkin"])
+def test_full_box_mask_is_the_null_mask(tmp_path, experiment):
+    # a box over the whole torus used to exit 2 (empty complement)
+    reports = []
+    for name, boxes in [("null", "null"), ("full", "[[[0,6.283185307179586],[0,6.283185307179586]]]")]:
+        out = tmp_path / name
+        argv = [experiment, "--set", "grid.N=8", "--set", "integrator.T=0.1",
+                "--set", f"mask.boxes={boxes}", "--output-dir", str(out)]
+        assert cli.main(argv) == 0
+        reports.append(load_report(only_run_dir(out))["report"])
+    assert reports[0] == reports[1]
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def crashing(cfg, outdir, h):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", crashing)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--output-dir", str(out)]) == 5
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: something broke\n"
+    assert list(out.iterdir()) == []
+
+
+def test_keyboard_interrupt_is_not_caught(tmp_path, monkeypatch):
+    def interrupted(cfg, outdir, h):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["simulate", "--output-dir", str(tmp_path / "out")])
+
+
 def test_galerkin_run_stacks_its_modes_once(tmp_path, monkeypatch):
     # one span owns the stacked modes and their dual for the reduction,
     # the controller and the projection of the full loop

@@ -28,8 +28,18 @@ def test_domain_mask_boxes_and_volume():
     assert abs(dm.complement_volume - (g.L**2 - np.pi**2)) < 1e-12
     with pytest.raises(ConfigError):
         eg.DomainMask(g, [])
+    full = eg.DomainMask(g, [((0.0, g.L), (0.0, g.L))])  # the same as no mask
+    with pytest.raises(ConfigError):  # only the gain limit needs a complement
+        eg.lambda_star_estimate(g, full, [10.0, 20.0, 40.0, 80.0], mu=1.0, alpha=0.3)
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_lambda_star_refuses_a_full_mask(N):
+    # at N = 12 the complement volume L^2 - N^2 h^2 is 7e-15, not 0, and the
+    # full mask used to run the whole ladder
+    g = sp.TorusGrid(d=2, N=N)
     with pytest.raises(ConfigError):
-        eg.DomainMask(g, [((0.0, g.L), (0.0, g.L))])  # complement empty
+        eg.lambda_star_estimate(g, np.ones(g.shape), [10.0, 20.0, 40.0, 80.0], mu=1.0, alpha=0.3)
 
 
 def test_apply_operator_trivials():
