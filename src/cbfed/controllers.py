@@ -16,6 +16,9 @@ from . import spectral as sp
 from .errors import ConfigError, RegimeError
 from .timestep import simulate
 
+_FIT_WINDOW = 0.5
+_POINTWISE_REL_TOL = 1e-9
+
 
 def make_theta_controller(theta):
     """Feedback z -> -theta * z."""
@@ -78,17 +81,17 @@ def make_proportional_controller(grid, k_gain, mask):
     return controller
 
 
-def decay_rate_fit(times, norms, window=0.5):
+def decay_rate_fit(times, norms):
     """Least-squares exponential rate over the trailing part of a norm history.
 
     Fits -log(norms) = a + delta * t on samples with t in the last
-    `window` fraction of the time span.  Returns (delta, r_squared).
+    _FIT_WINDOW fraction of the time span.  Returns (delta, r_squared).
     """
     t = np.asarray(times, dtype=float)
     h = np.asarray(norms, dtype=float)
     if t.shape != h.shape or t.ndim != 1 or t.size < 2:
         raise ConfigError("need matching 1-d times and norms with at least 2 samples")
-    t0 = t[-1] - window * (t[-1] - t[0])
+    t0 = t[-1] - _FIT_WINDOW * (t[-1] - t[0])
     keep = (t >= t0 - 1e-12) & (h > 0)
     if np.count_nonzero(keep) < 2:
         raise ConfigError("not enough positive samples in the fit window")
@@ -100,11 +103,11 @@ def decay_rate_fit(times, norms, window=0.5):
     return float(slope), float(r2)
 
 
-def pointwise_decay_ok(times, norms, delta, rel_tol=1e-9):
-    """True if norms[i] <= norms[0] * exp(-delta * t_i) up to relative slack."""
+def pointwise_decay_ok(times, norms, delta):
+    """True if norms[i] <= norms[0] * exp(-delta * t_i) up to relative slack _POINTWISE_REL_TOL."""
     t = np.asarray(times, dtype=float)
     h = np.asarray(norms, dtype=float)
-    bound = h[0] * np.exp(-delta * (t - t[0])) * (1.0 + rel_tol) + 1e-300
+    bound = h[0] * np.exp(-delta * (t - t[0])) * (1.0 + _POINTWISE_REL_TOL) + 1e-300
     return bool(np.all(h <= bound))
 
 

@@ -3,7 +3,7 @@
 A constraint object needs three methods: project(x), contains(x, tol),
 distance(x).  The two families used by the feedback laws are H-balls and
 spans of low eigenmodes; both contain 0 and are invariant under the Stokes
-resolvent, which is what the invariance checker certifies numerically.
+resolvent.
 """
 from __future__ import annotations
 
@@ -95,24 +95,3 @@ def yosida_term(K, x: sp.SpectralField, lam: float) -> sp.SpectralField:
     if not (lam > 0):
         raise ValueError("Yosida parameter must be positive")
     return (1.0 / lam) * (x - K.project(x))
-
-
-def resolvent_invariance_margin(
-    K, grid: sp.TorusGrid, lams, samples: int = 20, seed: int = 0, witnesses=()
-) -> float:
-    """Worst escape distance of (I + lam A)^{-1} K from K.
-
-    Samples random members of K (projections of random fields, pushed toward
-    the set where they sit), applies the resolvent for each lam, and returns
-    the largest distance back to K.  Nonpositive-to-tiny means invariant;
-    the caller can pass explicit witnesses to stress a suspect set.
-    """
-    worst = 0.0
-    points = [K.project(sp.random_solenoidal(grid, seed=seed + t, decay=1.0)) for t in range(samples)]
-    points += [K.project(2.0 * sp.random_solenoidal(grid, seed=seed + 1000 + t, decay=0.5)) for t in range(samples)]
-    points += list(witnesses)
-    for x in points:
-        for lam in lams:
-            y = sp.resolvent(x, lam)
-            worst = max(worst, K.distance(y))
-    return worst

@@ -203,6 +203,8 @@ def synthesize_gain(Lmat, Bmat, sigma):
     X = 0.5 * (X + X.T)
     G = -0.5 * Bmat.T @ X
     closed = Lmat - Bmat @ G
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(closed))):
+        raise SolverDivergence(f"gain synthesis overflowed at sigma={sigma:g}")
     spectrum, vecs = np.linalg.eig(closed)
     if spectrum.real.min() < sigma - 1e-8:
         raise SolverDivergence(

@@ -220,86 +220,11 @@ def gateaux_first(y: sp.SpectralField, z: sp.SpectralField, p: float) -> sp.Spec
     return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g, factor)))
 
 
-def gateaux_second(
-    y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField, p: float
-) -> sp.SpectralField:
-    """Symmetric bilinear second derivative C_p''(y)(z, w).
-
-    P[(p-1)|y|^{p-3}((y.z) w + (y.w) z + (z.w) y)
-      + (p-1)(p-3)|y|^{p-5}(y.z)(y.w) y],
-    the second bracket dropped at p = 3; it vanishes at p = 1.
-    """
-    g = y.grid
-    factor = sp.oversample_factor(p)
-    Y = sp.oversample(y, factor)
-    Z = sp.oversample(z, factor)
-    W = sp.oversample(w, factor)
-    m2 = np.sum(Y**2, axis=0)
-    yz = np.sum(Y * Z, axis=0)
-    yw = np.sum(Y * W, axis=0)
-    zw = np.sum(Z * W, axis=0)
-    out = (p - 1) * _pow0(m2, (p - 3) / 2.0) * (yz * W + yw * Z + zw * Y)
-    if p != 3:
-        out += (p - 1) * (p - 3) * (_pow0(m2, (p - 5) / 2.0) * yz * yw) * Y
-    return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g, factor)))
-
-
 def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:
     """C_p(around + z) - C_p(around); plain C_p(z) when around is None."""
     if around is None:
         return power_damping(z, p)
     return power_damping(z + around, p) - power_damping(around, p)
-
-
-def monotonicity_triple(y: sp.SpectralField, z: sp.SpectralField, r: float):
-    """(lhs, mid, low) of the strong-monotonicity chain for C_r.
-
-    lhs = (C_r(y) - C_r(z), y - z)
-    mid = 1/2 || |y|^{(r-1)/2}(y-z) ||^2 + 1/2 || |z|^{(r-1)/2}(y-z) ||^2
-    low = 2^{1-r} ||y - z||_{L^{r+1}}^{r+1}
-    """
-    g = y.grid
-    diff = y - z
-    lhs = sp.inner(power_damping(y, r) - power_damping(z, r), diff)
-    factor = 4
-    Y = sp.oversample(y, factor)
-    Z = sp.oversample(z, factor)
-    D = sp.oversample(diff, factor)
-    d2 = np.sum(D**2, axis=0)
-    vol = (g.L / (factor * g.N)) ** g.d
-    my = _pow0(np.sum(Y**2, axis=0), (r - 1) / 2.0)
-    mz = _pow0(np.sum(Z**2, axis=0), (r - 1) / 2.0)
-    mid = 0.5 * vol * float(np.sum(my * d2) + np.sum(mz * d2))
-    low = 2.0 ** (1 - r) * sp.norm_Lp(diff, r + 1) ** (r + 1)
-    return lhs, mid, low
-
-
-def identity_residual(y: sp.SpectralField, r: float) -> float:
-    """Relative defect of the torus integration-by-parts identity
-
-    int (-Lap y).|y|^{r-1} y = int |grad y|^2 |y|^{r-1}
-                               + 4 (r-1)/(r+1)^2 int |grad |y|^{(r+1)/2}|^2.
-    """
-    g = y.grid
-    factor = 4
-    Y = sp.oversample(y, factor)
-    G = sp.gradient_physical(y, factor)
-    lapY = sp.oversample(sp.stokes(y), factor)
-    m2 = np.sum(Y**2, axis=0)
-    mr1 = _pow0(m2, (r - 1) / 2.0)
-    vol = (g.L / (factor * g.N)) ** g.d
-    lhs = vol * float(np.sum(lapY * Y * mr1))
-    rhs1 = vol * float(np.sum(np.sum(G**2, axis=(0, 1)) * mr1))
-    # |y|^{(r+1)/2} is not band-limited: differentiate it on the fine grid itself
-    # (along each axis without its Nyquist wavenumber: that term is imaginary,
-    # so the complex route drops it with the real part, and irfftn would not)
-    gf = sp.TorusGrid(g.d, factor * g.N, g.L)
-    wpow = _pow0(m2, (r + 1) / 4.0)
-    cw = np.fft.rfftn(wpow, norm="forward")
-    ik = gf.ik * (np.abs(gf.wave) != gf.N // 2)
-    gw = np.fft.irfftn(ik * cw[None], s=gf.shape, axes=gf.axes(), norm="forward")
-    rhs2 = 4 * (r - 1) / (r + 1) ** 2 * vol * float(np.sum(gw**2))
-    return abs(lhs - (rhs1 + rhs2)) / max(1.0, abs(lhs))
 
 
 # ---------------------------------------------------------------------------

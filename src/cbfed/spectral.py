@@ -21,8 +21,8 @@ Nyquist planes are zeroed.  In a Parseval sum over the half the k_d = 0
 plane counts once and every other column twice, for itself and its mirror:
 inner, the norms and the mode duals (parseval_dual) weigh it that way.  The
 full spectrum is rebuilt (full_spectrum) only where one is promised: the
-snapshot format (version 1), which stays the full spectrum on disk, the mode
-coefficients a reduction writes out, and reality_defect.
+snapshot format (version 1), which stays the full spectrum on disk, and the
+mode coefficients a reduction writes out.
 
 The zero-padded transforms to and from the refined (factor*N)^d grids
 (oversample and gradient_physical, fine_to_coeffs) run one axis at a time
@@ -58,6 +58,10 @@ class TorusGrid:
             raise ValueError("N must be an even integer >= 4")
         if not (L > 0):
             raise ValueError("period L must be positive")
+        L64 = np.float64(L)
+        with np.errstate(over="ignore"):    # L**d and (2 pi/L)**2 scale every norm and A
+            if not all(0 < s < np.inf for s in (L64**d, (2 * np.pi / L64) ** 2)):
+                raise ValueError(f"period L={L:g} puts L**d or (2 pi/L)**2 out of float range")
         self.d = int(d)
         self.N = int(N)
         self.L = float(L)
@@ -274,12 +278,6 @@ def divergence_max(a: SpectralField) -> float:
     return float(np.max(np.abs(dot)))
 
 
-def reality_defect(a: SpectralField) -> float:
-    """Largest imaginary residue of the complex inverse of the full spectrum."""
-    vals = np.fft.ifftn(full_spectrum(a.c, a.grid), axes=a.grid.axes()) * a.grid.N**a.grid.d
-    return float(np.max(np.abs(vals.imag)))
-
-
 # ---------------------------------------------------------------------------
 # linear operators (diagonal in Fourier space)
 
@@ -303,16 +301,6 @@ def masked_leray(grid: TorusGrid, mask: np.ndarray, values: np.ndarray) -> Spect
 def stokes(a: SpectralField) -> SpectralField:
     """Apply A = -Laplacian."""
     return SpectralField(a.grid, a.c * a.grid.lap)
-
-
-def stokes_shifted(a: SpectralField) -> SpectralField:
-    """Apply I + A (spectrum 1 + 4 pi^2 |k|^2 / L^2)."""
-    return SpectralField(a.grid, a.c * (1.0 + a.grid.lap))
-
-
-def resolvent(a: SpectralField, lam: float) -> SpectralField:
-    """Apply (I + lam A)^{-1}; a contraction for lam >= 0."""
-    return SpectralField(a.grid, a.c / (1.0 + lam * a.grid.lap))
 
 
 def gradient_physical(a: SpectralField, factor: int = 1) -> np.ndarray:

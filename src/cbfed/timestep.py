@@ -24,7 +24,7 @@ step uses it.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class SimConfig:
     controller: object | None = None   # callable z -> feedback field
     control_bound: float = 0.0
     record_every: int = 1
-    record_states: bool = False
 
     def __post_init__(self):
         if self.scheme not in ("imex1", "cnab2"):
@@ -66,8 +65,8 @@ class SimConfig:
                 raise ConfigError("yosida mode needs a positive yosida_lam")
         if not (self.T > 0):
             raise ConfigError("final time must be positive")
-        if self.dt is not None and not (self.dt > 0):
-            raise ConfigError("time step dt must be positive")
+        if self.dt is not None and not (self.dt > 0 and np.isfinite(self.T / self.dt)):
+            raise ConfigError(f"time step dt={self.dt:g} must be positive, with T/dt finite")
         if self.dt is not None and abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
             raise ConfigError(f"time step dt={self.dt:g} does not divide T={self.T:g}")
         if not (self.record_every >= 1):
@@ -95,7 +94,6 @@ class Trajectory:
     norm_u: np.ndarray
     energy_defect: np.ndarray
     final: sp.SpectralField | None = None
-    states: list = dc_field(default_factory=list)
 
     def to_csv(self, path, comment=None) -> None:
         write_csv(path, COLUMNS, zip(*(getattr(self, name) for name in COLUMNS)), comment)
@@ -118,7 +116,8 @@ def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) ->
     lam_max = (2 * np.pi / grid.L) ** 2 * float(np.max(grid.k2[grid.keep]))
     dt = 0.25 / (params.mu * lam_max)
     total = y0 if y_ref is None else y0 + y_ref
-    vmax = float(np.max(np.sqrt(np.sum(total.physical() ** 2, axis=0))))
+    with np.errstate(over="ignore"):    # an infinite speed gives dt = 0, which step_size refuses
+        vmax = float(np.max(np.sqrt(np.sum(total.physical() ** 2, axis=0))))
     if vmax > 0:
         kmax = grid.N // 2 - 1
         dt = min(dt, 0.5 / (vmax * kmax * 2 * np.pi / grid.L))
@@ -127,10 +126,13 @@ def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) ->
 
 def step_size(cfg: SimConfig) -> float:
     """cfg.dt, or else T over the fewest equal steps no longer than default_dt
-    (the 1e-12 keeps an exact T/default_dt from gaining a step by roundoff)."""
+    (the 1e-12 keeps an exact T/default_dt from gaining a step by roundoff);
+    a ConfigError if default_dt is not positive or T/default_dt is not finite."""
     if cfg.dt is not None:
         return cfg.dt
     cap = default_dt(cfg.grid, cfg.params, cfg.y0, cfg.y_ref)
+    if not (cap > 0 and np.isfinite(cfg.T / cap)):
+        raise ConfigError(f"no default step for T={cfg.T:g} (got {cap:g}); set integrator.dt")
     return cfg.T / np.ceil(cfg.T / cap * (1 - 1e-12))
 
 
@@ -191,7 +193,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     z = K.project(cfg.y0) if project_mode else cfg.y0.copy()
     nh = sp.norm_H(z)
     guard = _BLOWUP_FACTOR * max(1.0, nh)
-    rows, states = [], []     # one row of COLUMNS[:-1] per recorded state
+    rows = []     # one row of COLUMNS[:-1] per recorded state
     prev_N = None
     denom1 = 1.0 + dt * lin
     half = 0.5 * dt * lin
@@ -241,21 +243,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 K.distance(z) if K is not None else 0.0,
                 sp.norm_H(u) if u is not None else 0.0,
             ))
-            if cfg.record_states:
-                states.append((m * dt, z.copy()))
 
     t, h, gh, v, lr1, dist, un = np.array(rows).T
     defect = energy_defects(t, h, gh, lr1, p, fnorm, cfg.control_bound)
-    return Trajectory(t, h, gh, v, lr1, dist, un, defect, final=z, states=states)
-
-
-def sup_state_distance(a: Trajectory, b: Trajectory) -> float:
-    """sup over shared sample times of ||z_a(t) - z_b(t)||_H."""
-    if len(a.states) != len(b.states):
-        raise ValueError("trajectories recorded different sample counts")
-    worst = 0.0
-    for (ta, za), (tb, zb) in zip(a.states, b.states):
-        if abs(ta - tb) > 1e-12 * max(1.0, abs(ta)):
-            raise ValueError("trajectories sampled at different times")
-        worst = max(worst, sp.norm_H(za - zb))
-    return worst
+    return Trajectory(t, h, gh, v, lr1, dist, un, defect, final=z)

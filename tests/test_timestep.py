@@ -10,6 +10,8 @@ from cbfed import spectral as sp
 from cbfed import timestep as ts
 from cbfed.errors import ConfigError, SolverDivergence
 
+import reference_routes as ref
+
 
 def grid2(N=16):
     return sp.TorusGrid(d=2, N=N)
@@ -109,13 +111,13 @@ def test_yosida_runs_approach_projection():
     def run(mode, lam=None, dt=5e-3):
         cfg = ts.SimConfig(
             grid=g, params=p, y0=y0, T=0.5, dt=dt, forcing=f,
-            constraint=K, constraint_mode=mode, yosida_lam=lam, record_states=True,
+            constraint=K, constraint_mode=mode, yosida_lam=lam,
         )
-        return ts.simulate(cfg)
+        return ref.record_states(cfg)[1]
 
     runs = {lam: run("yosida", lam) for lam in (0.1, 0.05, 0.025)}
-    sup01 = ts.sup_state_distance(runs[0.1], runs[0.05])
-    sup02 = ts.sup_state_distance(runs[0.05], runs[0.025])
+    sup01 = ref.sup_state_distance(runs[0.1], runs[0.05])
+    sup02 = ref.sup_state_distance(runs[0.05], runs[0.025])
     assert sup02 < sup01
 
 
@@ -189,12 +191,12 @@ def test_one_controller_call_per_state(d, scheme, monkeypatch):
     nsteps, dt = 6, 0.01
     cfg = ts.SimConfig(
         grid=g, params=smooth_params(), y0=y0, T=nsteps * dt, dt=dt, scheme=scheme,
-        y_ref=y_ref, controller=controller, record_every=1, record_states=True,
+        y_ref=y_ref, controller=controller, record_every=1,
     )
-    traj = ts.simulate(cfg)
+    traj, states = ref.record_states(cfg)
     assert calls == {"controller": nsteps + 1, "shifted_convective": nsteps}
     # the recorded feedback norm is that of the recorded state
-    expect = [sp.norm_H(-0.7 * z) for _t, z in traj.states]
+    expect = [sp.norm_H(-0.7 * z) for _t, z in states]
     np.testing.assert_array_equal(traj.norm_u, expect)
 
 
@@ -369,12 +371,12 @@ def test_3d_shifted_trajectory_matches_reference_step(scheme):
     nsteps, dt = 6, 0.01
     cfg = ts.SimConfig(
         grid=g, params=p, y0=y0, T=nsteps * dt, dt=dt, scheme=scheme, y_ref=y_ref,
-        forcing=f, record_states=True,
+        forcing=f,
     )
-    traj = ts.simulate(cfg)
+    traj, recorded = ref.record_states(cfg)
     states, norms = _reference_run(g, p, y0, nsteps, dt, scheme, y_ref, f)
-    assert len(traj.states) == len(states)
-    for (_t, z), zr in zip(traj.states, states):
+    assert len(recorded) == len(states)
+    for (_t, z), zr in zip(recorded, states):
         assert sp.norm_H(z - zr) <= 1e-12 * sp.norm_H(zr)
     assert np.max(np.abs(traj.norm_Lr1 - norms) / norms) < 1e-13
 
