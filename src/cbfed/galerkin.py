@@ -19,6 +19,13 @@ constants of the reduction.  At y_e = 0 it is exact to roundoff in the
 pairing.  Otherwise the subtraction leaves an absolute floor of about
 10 eps max|(C(y_e), w_k)|, which for small |v| is many orders below |L v|.
 
+assemble_reduction runs one mode at a time: each mode is oversampled into
+its row of _Wf, each mode gradient lives only while its column of the
+quadratic tensor and its row of the linearized convection are taken, and
+the damping derivative is paired one mode at a time.  So the only n-mode
+array on the oversampled grid is _Wf, which the reduced model keeps for N
+anyway, and the assembly's peak memory is about twice that array.
+
 The reduction's span (a cx.SpanConstraint) is the one owner of the stacked
 mode spectra and their Parseval dual: it maps a field to its mode
 coefficients (span.coeffs) and back (span.expand), the controller reads the
@@ -61,7 +68,11 @@ class GalerkinReduction:
 
 
 def assemble_reduction(y_e, n, params, mask=None):
-    """Project the linearization about y_e onto the first n eigenmodes."""
+    """Project the linearization about y_e onto the first n eigenmodes.
+
+    The assembly runs one mode at a time, so the only n-mode array it holds
+    on the oversampled grid is _Wf, the mode samples the reduction keeps.
+    """
     g = y_e.grid
     m = np.ones(g.shape) if mask is None else np.asarray(mask, dtype=float)
     if m.shape != g.shape:
@@ -75,38 +86,46 @@ def assemble_reduction(y_e, n, params, mask=None):
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
     factor = params.damping_factor
     cell_f = (g.L / (factor * g.N)) ** g.d
-
-    Wb = np.stack([mode.field.physical() for mode in modes])
-    Wf = np.stack([sp.oversample(mode.field, factor) for mode in modes])
-    Df = np.stack([sp.gradient_physical(mode.field, factor) for mode in modes])
-    Yf = sp.oversample(y_e, factor)
-    DYf = sp.gradient_physical(y_e, factor)
-
     d = g.d
+
+    Wf = np.empty((n, d) + (factor * g.N,) * d)
+    for j, mode in enumerate(modes):
+        sp.oversample(mode.field, factor, out=Wf[j])
     Wf_ = Wf.reshape(n, d, -1)
-    Df_ = Df.reshape(n, d, d, -1)
-    Yf_ = Yf.reshape(d, -1)
-    DYf_ = DYf.reshape(d, d, -1)
+    Yf_ = sp.oversample(y_e, factor).reshape(d, -1)
+    nonzero_eq = bool(np.any(y_e.c))
 
-    g1 = cell_f * np.einsum("iax,jabx,kbx->ijk", Wf_, Df_, Wf_, optimize=True)
-
-    # linearized convection: b(w_i, y_e, w_k) + b(y_e, w_i, w_k)
-    h1 = cell_f * (
-        np.einsum("iax,abx,kbx->ik", Wf_, DYf_, Wf_, optimize=True)
-        + np.einsum("ax,iabx,kbx->ik", Yf_, Df_, Wf_, optimize=True)
-    )
+    # g1[i, j, k] = b(w_i, w_j, w_k); linearized convection
+    # h1[i, k] = b(w_i, y_e, w_k) + b(y_e, w_i, w_k), zero at y_e = 0.
+    # Each gradient is dropped once its einsums are taken, before the next.
+    g1 = np.empty((n, n, n))
+    h1 = np.zeros((n, n))
+    if nonzero_eq:
+        DYf_ = sp.gradient_physical(y_e, factor).reshape(d, d, -1)
+        h1 += np.einsum("iax,abx,kbx->ik", Wf_, DYf_, Wf_)
+        del DYf_
+    for j, mode in enumerate(modes):
+        D_j = sp.gradient_physical(mode.field, factor).reshape(d, d, -1)
+        g1[:, j] = np.einsum("iax,abx,kbx->ik", Wf_, D_j, Wf_)
+        if nonzero_eq:
+            h1[j] += np.einsum("ax,abx,kbx->k", Yf_, D_j, Wf_)
+        del D_j
+    g1 *= cell_f
+    h1 *= cell_f
     # linearized damping: beta (C_r'(y_e) w_i, w_k) + gamma (C_q'(y_e) w_i, w_k)
     h2 = np.zeros((n, n))
+    W_flat = Wf.reshape(n, -1)
     for coef, p in params.damping_terms:
-        S = op.damping_derivative_from_nodal(Yf_, Wf_, p)
-        h2 += coef * cell_f * np.einsum("iax,kax->ik", S, Wf_, optimize=True)
+        for i in range(n):
+            S = op.damping_derivative_from_nodal(Yf_, Wf_[i], p)
+            h2[i] += coef * cell_f * (S.reshape(-1) @ W_flat.T)
 
     Lmat = np.diag(params.mu * lam + params.alpha) + h1.T + h2.T
 
     # input coupling on the base grid so that it matches the discrete inner
     # products of the physical-space controller exactly
     cell = g.cell_volume
-    Wb_ = Wb.reshape(n, d, -1)
+    Wb_ = np.stack([mode.field.physical() for mode in modes]).reshape(n, d, -1)
     Bmat = cell * np.einsum("jax,kax->jk", m.reshape(-1)[None, None] * Wb_, Wb_, optimize=True)
     Bmat = 0.5 * (Bmat + Bmat.T)
 
@@ -114,7 +133,7 @@ def assemble_reduction(y_e, n, params, mask=None):
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat,
         span=cx.SpanConstraint(modes), _Wf=Wf_,
-        _Yf=Yf_ if np.any(y_e.c) else None,
+        _Yf=Yf_ if nonzero_eq else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
     )
 
@@ -206,7 +225,7 @@ def synthesize_gain(Lmat, Bmat, sigma):
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(closed))):
         raise SolverDivergence(f"gain synthesis overflowed at sigma={sigma:g}")
     spectrum, vecs = np.linalg.eig(closed)
-    if spectrum.real.min() < sigma - 1e-8:
+    if spectrum.real.min() < sigma - 1e-8 * max(1.0, sigma):
         raise SolverDivergence(
             f"closed-loop margin {spectrum.real.min():.3e} fell short of {sigma}"
         )
@@ -284,18 +303,21 @@ def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None
     nsteps = max(1, int(round(T / dt)))
     guard = 1e6 * max(1.0, float(np.max(np.abs(v))))
     times, states = [0.0], [v.copy()]
-    for m in range(1, nsteps + 1):
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * dt * k1)
-        k3 = rhs(v + 0.5 * dt * k2)
-        k4 = rhs(v + dt * k3)
-        v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        top = float(np.max(np.abs(v)))
-        if not np.isfinite(top) or top > guard:
-            raise SolverDivergence(f"reduced state exploded at t={m * dt:.4g}")
-        if m % record_every == 0 or m == nsteps:
-            times.append(m * dt)
-            states.append(v.copy())
+    # a diverging state overflows inside the right-hand side; the guard after
+    # each step reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, nsteps + 1):
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * dt * k1)
+            k3 = rhs(v + 0.5 * dt * k2)
+            k4 = rhs(v + dt * k3)
+            v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            top = float(np.max(np.abs(v)))
+            if not np.isfinite(top) or top > guard:
+                raise SolverDivergence(f"reduced state exploded at t={m * dt:.4g}")
+            if m % record_every == 0 or m == nsteps:
+                times.append(m * dt)
+                states.append(v.copy())
     return np.array(times), np.stack(states)
 
 

@@ -414,6 +414,18 @@ def test_gain_synthesis_overflow_is_solver_divergence(tmp_path, capsys):
     assert "gain synthesis overflowed" in capsys.readouterr().err
 
 
+def test_reduced_divergence_is_one_stderr_line(tmp_path, capfd):
+    # a child interpreter, so numpy's RuntimeWarnings would reach stderr as they do
+    # for a user; the guard's SolverDivergence is the one line printed
+    argv = [sys.executable, "-m", "cbfed.cli", "stabilize-galerkin", "--set", "grid.N=8",
+            "--set", "integrator.T=0.1", "--set", "controller.sigma=1e4",
+            "--output-dir", str(tmp_path / "o")]
+    proc = subprocess.run(argv, env=_cli_env(), stdin=subprocess.DEVNULL, timeout=120)
+    assert proc.returncode == 3
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: reduced state exploded"), lines
+
+
 @pytest.mark.parametrize("experiment, n", [("reduce", 500), ("stabilize-galerkin", 0)])
 def test_controller_n_out_of_range_is_config_error(tmp_path, capsys, experiment, n):
     out = tmp_path / "o"
@@ -729,6 +741,17 @@ def test_galerkin_feedback_with_linear_pumping(tmp_path):
     body = load_report(only_run_dir(out))["report"]
     assert body["decay_fit_full"] >= 0.9 * body["sigma"]
     assert abs(body["decay_fit_full"] - body["decay_fit_reduced"]) < 0.1
+
+
+def test_galerkin_feedback_in_3d(tmp_path):
+    out = tmp_path / "out"
+    argv = ["stabilize-galerkin", "--output-dir", str(out)]
+    for item in ("grid.d=3", "grid.N=8", "integrator.T=0.1"):
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    body = load_report(only_run_dir(out))["report"]
+    assert body["decay_fit_reduced"] >= body["sigma"]
+    assert body["decay_fit_full"] >= body["sigma"]
 
 
 def test_verify_subcommand(tmp_path, capsys):

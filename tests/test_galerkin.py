@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cbfed import operators as op
 from cbfed import spectral as sp
 from cbfed import timestep as ts
 from cbfed.errors import RegimeError
+from cbfed.stationary import solve_stationary
 
 
 def grid2(N=16):
@@ -70,8 +72,13 @@ def test_quadratic_tensor_antisymmetry_and_bound():
     assert np.max(np.abs(g1)) <= bound * (1 + 1e-12)
 
 
-def test_quadratic_tensor_matches_direct_quadrature():
-    red = cubic_reduction()
+@pytest.mark.parametrize("d", [2, 3])
+def test_quadratic_tensor_matches_direct_quadrature(d):
+    if d == 2:
+        red = cubic_reduction()
+    else:
+        g = sp.TorusGrid(d=3, N=8)
+        red = gk.assemble_reduction(sp.SpectralField.zero(g), 8, cubic_params())
     fields = [m.field for m in red.modes]
     worst = 0.0
     for i in range(red.n):
@@ -82,8 +89,9 @@ def test_quadratic_tensor_matches_direct_quadrature():
     assert worst < 1e-10
 
 
-def test_linear_matrix_matches_field_route():
-    g = grid2()
+@pytest.mark.parametrize("d", [2, 3])
+def test_linear_matrix_matches_field_route(d):
+    g = grid2() if d == 2 else sp.TorusGrid(d=3, N=8)
     p = op.PhysicalParams(mu=0.7, alpha=0.2, beta=0.8, gamma=-0.4, r=5, q=3)
     y_e = 0.3 * sp.random_solenoidal(g, seed=5, decay=3.0)
     red = gk.assemble_reduction(y_e, 8, p)
@@ -101,6 +109,88 @@ def test_linear_matrix_matches_field_route():
     want = np.array([sp.inner(field, m.field) for m in red.modes])
     got = red.Lmat @ v
     assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+def _assemble_stacked(y_e, n, params):
+    """Wf_, g1, Lmat, _D and _c_ref by the stacked formulas assemble_reduction
+    used before it ran one mode at a time: all mode samples and all mode
+    gradients at once, one einsum per tensor."""
+    g = y_e.grid
+    modes = sp.eigenbasis(g, n)
+    lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
+    factor = params.damping_factor
+    cell_f = (g.L / (factor * g.N)) ** g.d
+
+    Wf = np.stack([sp.oversample(mode.field, factor) for mode in modes])
+    Df = np.stack([sp.gradient_physical(mode.field, factor) for mode in modes])
+    Yf = sp.oversample(y_e, factor)
+    DYf = sp.gradient_physical(y_e, factor)
+
+    d = g.d
+    Wf_ = Wf.reshape(n, d, -1)
+    Df_ = Df.reshape(n, d, d, -1)
+    Yf_ = Yf.reshape(d, -1)
+    DYf_ = DYf.reshape(d, d, -1)
+
+    g1 = cell_f * np.einsum("iax,jabx,kbx->ijk", Wf_, Df_, Wf_, optimize=True)
+
+    # linearized convection: b(w_i, y_e, w_k) + b(y_e, w_i, w_k)
+    h1 = cell_f * (
+        np.einsum("iax,abx,kbx->ik", Wf_, DYf_, Wf_, optimize=True)
+        + np.einsum("ax,iabx,kbx->ik", Yf_, Df_, Wf_, optimize=True)
+    )
+    # linearized damping: beta (C_r'(y_e) w_i, w_k) + gamma (C_q'(y_e) w_i, w_k)
+    h2 = np.zeros((n, n))
+    for coef, p in params.damping_terms:
+        S = op.damping_derivative_from_nodal(Yf_, Wf_, p)
+        h2 += coef * cell_f * np.einsum("iax,kax->ik", S, Wf_, optimize=True)
+
+    Lmat = np.diag(params.mu * lam + params.alpha) + h1.T + h2.T
+    c_ref = gk._damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f)
+    return Wf_, g1, Lmat, h2, c_ref
+
+
+_ASSEMBLY_PARAMS = {
+    "r5q3": op.PhysicalParams(mu=0.7, alpha=0.2, beta=0.8, gamma=-0.4, r=5, q=3),
+    "r3q1": op.PhysicalParams(mu=1.0, alpha=0.3, beta=1.0, gamma=-0.5, r=3, q=1),  # C_1' = P
+}
+
+
+def _assembly_case(d, equilibrium, params):
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    if equilibrium == "zero":
+        return sp.SpectralField.zero(g)
+    solved = solve_stationary(g, params, sp.random_solenoidal(g, seed=5, decay=2.0))
+    assert solved.converged and sp.norm_H(solved.field) > 0.1
+    return solved.field
+
+
+@pytest.mark.parametrize("params", list(_ASSEMBLY_PARAMS))
+@pytest.mark.parametrize("equilibrium", ["zero", "solved"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_assembly_matches_stacked_formulas(d, equilibrium, params):
+    p = _ASSEMBLY_PARAMS[params]
+    y_e = _assembly_case(d, equilibrium, p)
+    red = gk.assemble_reduction(y_e, 8, p)
+    Wf_, g1, Lmat, h2, c_ref = _assemble_stacked(y_e, 8, p)
+    assert np.array_equal(red._Wf, Wf_)
+    for got, want in ((red.g1, g1), (red.Lmat, Lmat), (red._D, h2), (red._c_ref, c_ref)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("equilibrium", ["zero", "solved"])
+def test_assembly_peak_memory_is_a_few_sample_arrays(equilibrium):
+    # one mode gradient at a time: the mode samples _Wf are the one n-mode
+    # array on the oversampled grid, and the peak stays near 2x _Wf
+    p = _ASSEMBLY_PARAMS["r5q3"]
+    y_e = _assembly_case(3, equilibrium, p)
+    tracemalloc.start()
+    try:
+        red = gk.assemble_reduction(y_e, 8, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * red._Wf.nbytes
 
 
 def test_input_matrix_box_mask():
@@ -174,6 +264,17 @@ def test_gain_diagonal_placement():
     assert np.allclose(gs.G, np.diag([-0.7, -0.1, 0.0, 0.0]), atol=1e-8)
     assert gs.M_hat < 1 + 1e-8
     assert min(gs.spectrum.real) >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("sigma", [1e8, 1e10])
+def test_gain_places_a_large_margin(sigma):
+    # the margin is checked to 1e-8 relative: at sigma = 1e8 the placed spectrum
+    # sits within roundoff of sigma, below the absolute sigma - 1e-8
+    g = sp.TorusGrid(d=2, N=8)
+    p = op.PhysicalParams(mu=1.0, alpha=0.3, beta=1.0, gamma=0.0, r=5, q=2)
+    red = gk.assemble_reduction(sp.SpectralField.zero(g), 8, p)
+    gs = gk.synthesize_gain(red.Lmat, red.Bmat, sigma)
+    assert gs.spectrum.real.min() >= sigma * (1 - 1e-8)
 
 
 def test_gain_riccati_residual_random():
