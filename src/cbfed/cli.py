@@ -187,8 +187,8 @@ def _setup(cfg):
     g = cfg["grid"]
     try:
         grid = sp.TorusGrid(d=int(g["d"]), N=int(g["N"]), L=float(g["L"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:       # the message opens with the rejected argument
+        raise ConfigError(f"grid.{exc}") from None
     params = _build_params(cfg)
     rng = np.random.Generator(np.random.Philox(int(cfg["seed"])))
     seeds = {

@@ -12,19 +12,34 @@ coupling.  A Riccati-based gain places the closed-loop linear spectrum at
 or beyond a requested margin; the growth constants translate that margin
 into an attraction radius for the full nonlinear reduced system.
 
+Every pairing is a rectangle rule on one quadrature grid of quad_N nodes
+per axis (quadrature_nodes).  At y_e = 0 with every damping exponent an odd
+integer, each integrand is a trigonometric polynomial of degree at most
+(r+1) B per axis, B the largest |k_i| of the modes, and the grid is the
+smallest even quad_N > (r+1) B, at least 4: the rule is then exact, and at
+the defaults (r = 5, B = 1) it takes 8^d nodes instead of the 96^d of the
+damping grid.  The modes are sampled there from their stored spectra
+(sp.sample), which holds them exactly since B < quad_N/2.  In every other
+case (a fractional power or a nonzero equilibrium), and wherever the damping
+grid damping_factor N is no larger, the grid is the damping grid, and the
+tensors are bitwise those of the oversampled nodes.  The input coupling B
+and the controller stay on the base grid, where the physical-space
+controller pairs.
+
 N is computed as the difference C(y_e + z) - C(y_e) - C'(y_e) z paired
 with the modes, with C = beta C_r + gamma C_q: the first pairing from
-op.damping_weight on the oversampled nodes, the other two from run
+op.damping_weight on the quadrature nodes, the other two from run
 constants of the reduction.  At y_e = 0 it is exact to roundoff in the
 pairing.  Otherwise the subtraction leaves an absolute floor of about
 10 eps max|(C(y_e), w_k)|, which for small |v| is many orders below |L v|.
 
-assemble_reduction runs one mode at a time: each mode is oversampled into
-its row of _Wf, each mode gradient lives only while its column of the
+assemble_reduction runs one mode at a time: each mode is sampled into its
+row of _Wf, each mode gradient lives only while its column of the
 quadratic tensor and its row of the linearized convection are taken, and
-the damping derivative is paired one mode at a time.  So the only n-mode
-array on the oversampled grid is _Wf, which the reduced model keeps for N
-anyway, and the assembly's peak memory is about twice that array.
+the damping derivative, its powers of |y_e| taken once per term, is paired
+one mode at a time.  So the only n-mode array on the quadrature grid is
+_Wf, which the reduced model keeps for N anyway, and the assembly's peak
+memory is about twice that array.
 
 The reduction's span (a cx.SpanConstraint) is the one owner of the stacked
 mode spectra and their Parseval dual: it maps a field to its mode
@@ -60,18 +75,38 @@ class GalerkinReduction:
     Lmat: np.ndarray          # (n, n), acts as (Lmat @ v)
     g1: np.ndarray            # (n, n, n), b(w_i, w_j, w_k) with k the output index
     Bmat: np.ndarray          # (n, n), input coupling (m w_j, w_k)
+    quad_N: int               # nodes per axis of the quadrature grid (quadrature_nodes)
     span: cx.SpanConstraint = dc_field(repr=False, default=None)  # the stacked modes
-    _Wf: np.ndarray = dc_field(repr=False, default=None)   # oversampled samples
-    _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium, oversampled; None at 0
+    _Wf: np.ndarray = dc_field(repr=False, default=None)   # mode samples on the quad_N grid
+    _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium there; None at 0
     _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
     _D: np.ndarray = dc_field(repr=False, default=None)      # (C'(y_e) w_i, w_k), i the row
+
+
+def quadrature_nodes(y_e, modes, params):
+    """Nodes per axis of the grid on which the reduction pairs its modes.
+
+    At y_e = 0 with every damping exponent an odd integer, each pairing is a
+    trigonometric polynomial of degree at most (r+1) B per axis, B the largest
+    |k_i| of the modes' wavevectors: the remainder and the linearized damping
+    reach (p+1) B, the quadratic tensor 3 B.  The rectangle rule on M > (r+1) B
+    nodes integrates it exactly, so M is the smallest even such integer, at
+    least 4 and never more than the damping grid.  Every other case keeps the
+    damping grid, damping_factor N.
+    """
+    full = params.damping_factor * y_e.grid.N
+    if np.any(y_e.c) or not all(p % 2 == 1 for _, p in params.damping_terms):
+        return full
+    B = max(max(abs(k) for k in mode.wavevector) for mode in modes)
+    return min(max(4, (int(params.r) + 1) * B + 2), full)
 
 
 def assemble_reduction(y_e, n, params, mask=None):
     """Project the linearization about y_e onto the first n eigenmodes.
 
-    The assembly runs one mode at a time, so the only n-mode array it holds
-    on the oversampled grid is _Wf, the mode samples the reduction keeps.
+    The modes are sampled on the quadrature_nodes grid.  The assembly runs one
+    mode at a time, so the only n-mode array it holds on that grid is _Wf, the
+    mode samples the reduction keeps.
     """
     g = y_e.grid
     m = np.ones(g.shape) if mask is None else np.asarray(mask, dtype=float)
@@ -84,15 +119,18 @@ def assemble_reduction(y_e, n, params, mask=None):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
-    factor = params.damping_factor
-    cell_f = (g.L / (factor * g.N)) ** g.d
     d = g.d
+    M = quadrature_nodes(y_e, modes, params)
+    cell_f = (g.L / M) ** d
 
-    Wf = np.empty((n, d) + (factor * g.N,) * d)
+    def gradient(a):    # nodal values of all partials of a on the M grid
+        return sp.sample(g.ik[:, None] * a.c[None], g, M).reshape(d, d, -1)
+
+    Wf = np.empty((n, d) + (M,) * d)
     for j, mode in enumerate(modes):
-        sp.oversample(mode.field, factor, out=Wf[j])
+        sp.sample(mode.field.c, g, M, out=Wf[j])
     Wf_ = Wf.reshape(n, d, -1)
-    Yf_ = sp.oversample(y_e, factor).reshape(d, -1)
+    Yf_ = sp.sample(y_e.c, g, M).reshape(d, -1)
     nonzero_eq = bool(np.any(y_e.c))
 
     # g1[i, j, k] = b(w_i, w_j, w_k); linearized convection
@@ -101,24 +139,26 @@ def assemble_reduction(y_e, n, params, mask=None):
     g1 = np.empty((n, n, n))
     h1 = np.zeros((n, n))
     if nonzero_eq:
-        DYf_ = sp.gradient_physical(y_e, factor).reshape(d, d, -1)
+        DYf_ = gradient(y_e)
         h1 += np.einsum("iax,abx,kbx->ik", Wf_, DYf_, Wf_)
         del DYf_
     for j, mode in enumerate(modes):
-        D_j = sp.gradient_physical(mode.field, factor).reshape(d, d, -1)
+        D_j = gradient(mode.field)
         g1[:, j] = np.einsum("iax,abx,kbx->ik", Wf_, D_j, Wf_)
         if nonzero_eq:
             h1[j] += np.einsum("ax,abx,kbx->k", Yf_, D_j, Wf_)
         del D_j
     g1 *= cell_f
     h1 *= cell_f
-    # linearized damping: beta (C_r'(y_e) w_i, w_k) + gamma (C_q'(y_e) w_i, w_k)
+    # linearized damping: beta (C_r'(y_e) w_i, w_k) + gamma (C_q'(y_e) w_i, w_k),
+    # with the powers of |y_e| taken once per term
     h2 = np.zeros((n, n))
     W_flat = Wf.reshape(n, -1)
     for coef, p in params.damping_terms:
+        kernel = op.damping_derivative(Yf_, p)
         for i in range(n):
-            S = op.damping_derivative_from_nodal(Yf_, Wf_[i], p)
-            h2[i] += coef * cell_f * (S.reshape(-1) @ W_flat.T)
+            h2[i] += coef * cell_f * (kernel(Wf_[i]).reshape(-1) @ W_flat.T)
+        del kernel
 
     Lmat = np.diag(params.mu * lam + params.alpha) + h1.T + h2.T
 
@@ -131,7 +171,7 @@ def assemble_reduction(y_e, n, params, mask=None):
 
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
-        Lmat=Lmat, g1=g1, Bmat=Bmat,
+        Lmat=Lmat, g1=g1, Bmat=Bmat, quad_N=M,
         span=cx.SpanConstraint(modes), _Wf=Wf_,
         _Yf=Yf_ if nonzero_eq else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
@@ -139,7 +179,7 @@ def assemble_reduction(y_e, n, params, mask=None):
 
 
 def _damping_pairing(A, W, terms, cell_f):
-    """(C(a), w_k) on the oversampled nodes: A holds a there, shape (..., d, X),
+    """(C(a), w_k) on the quadrature nodes: A holds a there, shape (..., d, X),
     W the modes, shape (n, d, X).  A is overwritten."""
     A *= op.damping_weight(sp.sum_squares(np.moveaxis(A, -2, 0)), terms)[..., None, :]
     return cell_f * (A.reshape(A.shape[:-2] + (-1,)) @ W.reshape(len(W), -1).T)
@@ -155,7 +195,7 @@ def nonlinear_term(red, v):
     """Remainder N(v)_k = (C(y_e + z) - C(y_e) - C'(y_e) z, w_k) of the damping
     C = beta C_r + gamma C_q beyond its linearization, z = sum_i v_i w_i.
 
-    The first pairing is taken on the precomputed oversampled nodes; the
+    The first pairing is taken on the precomputed quadrature nodes; the
     other two are the run constants _c_ref and v @ _D.  At y_e = 0 (no _Yf)
     nothing is added to z.  v may carry batch axes.
     """
@@ -164,7 +204,7 @@ def nonlinear_term(red, v):
     A = (v @ W.reshape(len(W), -1)).reshape(v.shape[:-1] + W.shape[1:])
     if red._Yf is not None:
         A += red._Yf
-    cell_f = (red.grid.L / (red.params.damping_factor * red.grid.N)) ** red.grid.d
+    cell_f = (red.grid.L / red.quad_N) ** red.grid.d
     return _damping_pairing(A, red._Wf, red.params.damping_terms, cell_f) - red._c_ref - v @ red._D
 
 

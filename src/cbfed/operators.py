@@ -27,10 +27,11 @@ applies it to the nodal values on that grid and does one transform back,
 without the Leray projection.  Each caller projects once: simulate projects
 the new state (the update is diagonal in k, so that projects its damping
 too), stationary._rhs its whole right-hand side, and power_damping its
-result.  The derivative C_p'(y) z has one kernel too,
-damping_derivative_from_nodal, shared by gateaux_first and
-galerkin.assemble_reduction.  Powers of |y| follow _pow0: |y|^0 = 1, so
-C_1' = P needs no branch, and a negative power is 0 where y = 0.
+result.  The derivative C_p'(y) z has one kernel too, damping_derivative,
+shared by gateaux_first and galerkin.assemble_reduction; it takes the powers
+of |y| once and then serves any number of directions.  Powers of |y| follow
+_pow0: |y|^0 = 1, so C_1' = P needs no branch, and a negative power is 0
+where y = 0.
 power_damping evaluates a single term on its own grid.
 """
 from __future__ import annotations
@@ -188,17 +189,27 @@ def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.Spectr
     return sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, factor))
 
 
-def damping_derivative_from_nodal(Y: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
-    """Nodal values of the C_p' kernel |Y|^{p-1} Z + (p-1)|Y|^{p-3} (Y.Z) Y.
+def damping_derivative(Y: np.ndarray, p: float):
+    """The C_p'(y) kernel Z -> |Y|^{p-1} Z + (p-1)|Y|^{p-3} (Y.Z) Y, as a function.
 
-    Y holds the nodal values of y, component axis first; Z those of the
-    direction, with the same layout and optionally a leading mode axis.
-    The Leray projection is left to the caller.
+    Y holds the nodal values of y, component axis first; Z those of a
+    direction, with the same layout and optionally a leading mode axis.  The
+    powers of |Y| are taken once, here, and serve every direction.  The Leray
+    projection is left to the caller.
     """
     m2 = np.sum(Y**2, axis=0)
-    dot = np.sum(Y * Z, axis=-Y.ndim)
+    w1 = _pow0(m2, (p - 1) / 2.0)
     a2 = (p - 1) * _pow0(m2, (p - 3) / 2.0)
-    return _pow0(m2, (p - 1) / 2.0) * Z + np.expand_dims(a2 * dot, -Y.ndim) * Y
+    del m2
+
+    def kernel(Z: np.ndarray) -> np.ndarray:
+        dot = np.sum(Y * Z, axis=-Y.ndim)
+        dot *= a2
+        out = w1 * Z
+        out += np.expand_dims(dot, -Y.ndim) * Y
+        return out
+
+    return kernel
 
 
 def power_damping(y: sp.SpectralField, p: float) -> sp.SpectralField:
@@ -216,7 +227,7 @@ def gateaux_first(y: sp.SpectralField, z: sp.SpectralField, p: float) -> sp.Spec
     """
     g = y.grid
     factor = sp.oversample_factor(p)
-    out = damping_derivative_from_nodal(sp.oversample(y, factor), sp.oversample(z, factor), p)
+    out = damping_derivative(sp.oversample(y, factor), p)(sp.oversample(z, factor))
     return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g, factor)))
 
 

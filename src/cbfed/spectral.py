@@ -37,6 +37,12 @@ irfft reads whole lines instead of zero-padding each short one.
 oversample can write into a given array (out=): the time stepper and the
 stationary solve each hold one nodal array for the whole loop, so no step
 faults fresh zeroed pages in for its multi-MB fine-grid values.
+
+sample gives nodal values on any even M^d grid, M below N included: the
+Galerkin reduction's quadrature grid, sized from its modes' bandwidth.  For
+M a multiple of N it is oversample's transform; otherwise the spectrum is
+copied, truncated to |k_i| < M/2, into the M-grid half and one irfftn
+follows.
 """
 from __future__ import annotations
 
@@ -52,16 +58,21 @@ class TorusGrid:
     """Uniform N^d collocation grid on [0, L]^d with cached wavenumber arrays."""
 
     def __init__(self, d: int, N: int, L: float = 2 * np.pi):
+        # each message opens with the argument it rejects, so a caller can name its source
         if d not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
+            raise ValueError(f"d={d}: the dimension must be 2 or 3")
         if N < 4 or N % 2:
-            raise ValueError("N must be an even integer >= 4")
+            raise ValueError(f"N={N}: must be an even integer >= 4")
         if not (L > 0):
-            raise ValueError("period L must be positive")
+            raise ValueError(f"L={L:g}: the period L must be positive")
+        # L**d weighs every Parseval sum and (2 pi/L)**2 scales A.  A field whose
+        # 2 d N**d stored coefficients have modulus up to 1 must keep a finite
+        # norm: beyond that a random initial state normalizes to 0.
         L64 = np.float64(L)
-        with np.errstate(over="ignore"):    # L**d and (2 pi/L)**2 scale every norm and A
-            if not all(0 < s < np.inf for s in (L64**d, (2 * np.pi / L64) ** 2)):
-                raise ValueError(f"period L={L:g} puts L**d or (2 pi/L)**2 out of float range")
+        with np.errstate(over="ignore", under="ignore"):
+            if not all(0 < s < np.inf for s in (L64**d * (2 * d * N**d), (2 * np.pi / L64) ** 2)):
+                raise ValueError(f"L={L:g}: the period L puts the Parseval weight L**d or "
+                                 "(2 pi/L)**2 out of float range")
         self.d = int(d)
         self.N = int(N)
         self.L = float(L)
@@ -407,6 +418,25 @@ def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> 
     half spectrum.
     """
     return _half_to_nodes(a.c, a.grid, factor, out)
+
+
+def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
+    """Nodal values on the M^d grid (M even, >= 4) of the spectra whose stored
+    halves on g are given, keeping their modes |k_i| < M/2.
+
+    When M is a multiple of N this is oversample's transform, bit for bit.
+    Otherwise the kept modes are copied into a zeroed M-grid half spectrum
+    and one irfftn gives the values; they are exact when the spectra have no
+    mode at |k_i| >= M/2, whether M is below or above N.
+    """
+    if M % g.N == 0:
+        return _half_to_nodes(half, g, M // g.N, out)
+    K = min(g.N, M) // 2 - 1
+    idx = np.r_[: K + 1, -K:0]       # wavenumbers 0 .. K, -K .. -1, valid on both grids
+    kept = (Ellipsis,) + np.ix_(*[idx] * (g.d - 1), np.arange(K + 1))
+    spec = np.zeros(half.shape[: -g.d] + (M,) * (g.d - 1) + (M // 2 + 1,), dtype=complex)
+    spec[kept] = half[kept]
+    return _irfft(spec, (M,) * g.d, out)
 
 
 def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int, out=None) -> np.ndarray:

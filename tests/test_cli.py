@@ -395,6 +395,8 @@ def test_exit_code_bad_integrator(tmp_path, experiment, override):
         # L**d or (2 pi/L)**2 overflows
         ("grid.L=1e-300", "period L"),
         ("grid.L=1e200", "period L"),
+        # L**d is finite, but a norm over the grid's coefficients overflows
+        ("grid.L=1e154", "grid.L"),
     ],
 )
 def test_out_of_range_input_is_config_error(tmp_path, capsys, overrides, named):

@@ -142,7 +142,7 @@ def _assemble_stacked(y_e, n, params):
     # linearized damping: beta (C_r'(y_e) w_i, w_k) + gamma (C_q'(y_e) w_i, w_k)
     h2 = np.zeros((n, n))
     for coef, p in params.damping_terms:
-        S = op.damping_derivative_from_nodal(Yf_, Wf_, p)
+        S = op.damping_derivative(Yf_, p)(Wf_)
         h2 += coef * cell_f * np.einsum("iax,kax->ik", S, Wf_, optimize=True)
 
     Lmat = np.diag(params.mu * lam + params.alpha) + h1.T + h2.T
@@ -173,15 +173,80 @@ def test_assembly_matches_stacked_formulas(d, equilibrium, params):
     y_e = _assembly_case(d, equilibrium, p)
     red = gk.assemble_reduction(y_e, 8, p)
     Wf_, g1, Lmat, h2, c_ref = _assemble_stacked(y_e, 8, p)
-    assert np.array_equal(red._Wf, Wf_)
+    # at y_e = 0 with odd exponents the reduction samples its modes on its own,
+    # smaller quadrature grid; the tensors are still those of the damping grid
+    want_Wf = _modes_on_grid(red.modes, red.quad_N) if equilibrium == "zero" else Wf_
+    assert np.array_equal(red._Wf, want_Wf)
     for got, want in ((red.g1, g1), (red.Lmat, Lmat), (red._D, h2), (red._c_ref, c_ref)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _modes_on_grid(modes, M):
+    """Mode samples on the M^d grid: each stored coefficient goes to its
+    wavevector's place in a zeroed M-grid half spectrum, then one irfftn."""
+    g = modes[0].field.grid
+    out = []
+    for mode in modes:
+        spec = np.zeros((g.d,) + (M,) * (g.d - 1) + (M // 2 + 1,), dtype=complex)
+        for idx in zip(*np.nonzero(np.any(mode.field.c != 0, axis=0))):
+            k = g.wave[(slice(None),) + idx]
+            spec[(slice(None),) + tuple(k[:-1] % M) + (k[-1],)] = mode.field.c[(slice(None),) + idx]
+        out.append(np.fft.irfftn(spec, s=(M,) * g.d, axes=tuple(range(1, g.d + 1)), norm="forward"))
+    return np.stack(out).reshape(len(modes), g.d, -1)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "r, q, gamma", [(5, 3, -0.4), (3, 1, -0.5), (7, 3, -0.4), (5, 2, 0.0)],
+    ids=["r5q3", "r3q1", "r7q3", "r5-no-pumping"],
+)
+def test_zero_equilibrium_pairs_exactly_on_a_smaller_grid(r, q, gamma, d, n):
+    # odd exponents at y_e = 0: every pairing is a trigonometric polynomial, so
+    # the small grid gives the damping grid's tensors and remainder to roundoff
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = op.PhysicalParams(mu=0.7, alpha=0.2, beta=0.8, gamma=gamma, r=r, q=q)
+    y_e = sp.SpectralField.zero(g)
+    red = gk.assemble_reduction(y_e, n, p)
+    full = p.damping_factor * g.N
+    assert red.quad_N < full
+    Wf_, g1, Lmat, h2, c_ref = _assemble_stacked(y_e, n, p)
+    # g1 is measured against its bound: with few modes it is zero up to roundoff
+    g1_bound = np.sqrt(32 * np.pi**2 / g.L ** (d + 2))
+    assert np.max(np.abs(red.g1 - g1)) <= 1e-13 * g1_bound
+    for got, want in ((red.Lmat, Lmat), (red._D, h2), (red._c_ref, c_ref)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    on_damping_grid = dataclasses.replace(red, _Wf=Wf_, quad_N=full, _D=h2, _c_ref=c_ref)
+    rng = np.random.default_rng(101)
+    for size in (1e-3, 1.0, 10.0):
+        v = size * rng.standard_normal((3, n))
+        want = gk.nonlinear_term(on_damping_grid, v)
+        # the difference form subtracts v @ _D, so its roundoff scales with that too
+        scale = np.max(np.abs(want)) + np.max(np.abs(v @ h2))
+        assert np.max(np.abs(gk.nonlinear_term(red, v) - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "d, r, q, gamma", [(2, 4.5, 3, -0.4), (3, 4.5, 3, -0.4), (2, 5, 2, -0.4), (3, 5, 2, -0.4)],
+    ids=["r4.5", "r4.5-d3", "q2-pumped", "q2-pumped-d3"],
+)
+def test_damping_grid_outside_the_polynomial_rule(d, r, q, gamma):
+    # a fractional power at y_e = 0 keeps the modes on the damping grid; a
+    # solved equilibrium does too (test_assembly_matches_stacked_formulas)
+    p = op.PhysicalParams(mu=0.7, alpha=0.2, beta=0.8, gamma=gamma, r=r, q=q)
+    y_e = _assembly_case(d, "zero", p)
+    red = gk.assemble_reduction(y_e, 8, p)
+    factor = p.damping_factor
+    assert red.quad_N == factor * y_e.grid.N
+    want = np.stack([sp.oversample(m.field, factor) for m in red.modes])
+    assert np.array_equal(red._Wf, want.reshape(red._Wf.shape))
 
 
 @pytest.mark.parametrize("equilibrium", ["zero", "solved"])
 def test_assembly_peak_memory_is_a_few_sample_arrays(equilibrium):
     # one mode gradient at a time: the mode samples _Wf are the one n-mode
-    # array on the oversampled grid, and the peak stays near 2x _Wf
+    # array on the quadrature grid.  The bound is 4x the mode samples on the
+    # damping grid, which the solved case uses and the zero case undercuts
     p = _ASSEMBLY_PARAMS["r5q3"]
     y_e = _assembly_case(3, equilibrium, p)
     tracemalloc.start()
@@ -190,7 +255,7 @@ def test_assembly_peak_memory_is_a_few_sample_arrays(equilibrium):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * red._Wf.nbytes
+    assert peak <= 4 * red.n * y_e.grid.d * (p.damping_factor * y_e.grid.N) ** y_e.grid.d * 8
 
 
 def test_input_matrix_box_mask():
@@ -415,7 +480,7 @@ def _nonlinear_term_ref(red, v, nodes):
     S = p.beta * _second_derivative_ref(A, Z[None], z2[None], p.r)
     if p.gamma != 0.0:
         S = S + p.gamma * _second_derivative_ref(A, Z[None], z2[None], p.q)
-    cell_f = (red.grid.L / (red.params.damping_factor * red.grid.N)) ** red.grid.d
+    cell_f = (red.grid.L / red.quad_N) ** red.grid.d
     return cell_f * np.einsum("g,g...ax,kax->...k", 0.5 * w * (1.0 - theta), S, red._Wf)
 
 
@@ -458,7 +523,7 @@ def _nonlinear_term_earlier(red, v):
     A *= op.damping_weight(np.einsum("...ax,...ax->...x", A, A), red.params.damping_terms)[
         ..., None, :
     ]
-    cell_f = (red.grid.L / (red.params.damping_factor * red.grid.N)) ** red.grid.d
+    cell_f = (red.grid.L / red.quad_N) ** red.grid.d
     paired = cell_f * (A.reshape(A.shape[:-2] + (-1,)) @ red._Wf.reshape(red.n, -1).T)
     return paired - red._c_ref - v @ red._D
 
