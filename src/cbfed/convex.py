@@ -3,7 +3,9 @@
 A constraint object needs three methods: project(x), contains(x, tol),
 distance(x).  The two families used by the feedback laws are H-balls and
 spans of low eigenmodes; both contain 0 and are invariant under the Stokes
-resolvent.
+resolvent.  A span also has a bandwidth, the largest |k_i| of its modes,
+which bounds every state projected onto it: the time stepper sizes its
+transform grids from it (timestep.simulate).
 """
 from __future__ import annotations
 
@@ -57,6 +59,9 @@ class SpanConstraint:
             raise ValueError("span constraint needs at least one mode")
         self.grid = fields[0].grid
         self.spectra = np.stack([w.c for w in fields])          # (n, d, N, ..., N/2+1)
+        # the largest |k_i| of any mode: a projected state has no mode beyond it
+        held = np.any(self.spectra != 0, axis=(0, 1))
+        self.bandwidth = int(np.max(np.abs(self.grid.wave[:, held]), initial=0))
         dual = sp.parseval_dual(self.spectra, self.grid)
         self._dual_f = np.conjugate(dual, out=dual).view(float)            # (n, 2X)
         self._spectra_f = self.spectra.reshape(len(fields), -1).view(float)  # (n, 2X)

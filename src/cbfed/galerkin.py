@@ -15,14 +15,15 @@ into an attraction radius for the full nonlinear reduced system.
 Every pairing is a rectangle rule on one quadrature grid of quad_N nodes
 per axis (quadrature_nodes).  At y_e = 0 with every damping exponent an odd
 integer, each integrand is a trigonometric polynomial of degree at most
-(r+1) B per axis, B the largest |k_i| of the modes, and the grid is the
-smallest even quad_N > (r+1) B, at least 4: the rule is then exact, and at
-the defaults (r = 5, B = 1) it takes 8^d nodes instead of the 96^d of the
-damping grid.  The modes are sampled there from their stored spectra
-(sp.sample), which holds them exactly since B < quad_N/2.  In every other
-case (a fractional power or a nonzero equilibrium), and wherever the damping
-grid damping_factor N is no larger, the grid is the damping grid, and the
-tensors are bitwise those of the oversampled nodes.  The input coupling B
+(r+1) B per axis, B the largest |k_i| of the modes (span.bandwidth), and
+the grid is the smallest even quad_N > (r+1) B, at least 4
+(sp.alias_free_nodes): the rule is then exact, and at the defaults (r = 5,
+B = 1) it takes 8^d nodes instead of the 96^d of the damping grid.  The
+modes are sampled there from their stored spectra (sp.sample), which holds
+them exactly since B < quad_N/2.  In every other case (a fractional power
+or a nonzero equilibrium), and wherever the damping grid damping_factor N
+is no larger, the grid is the damping grid, and the tensors are bitwise
+those of the oversampled nodes.  The input coupling B
 and the controller stay on the base grid, where the physical-space
 controller pairs.
 
@@ -46,7 +47,10 @@ mode spectra and their Parseval dual: it maps a field to its mode
 coefficients (span.coeffs) and back (span.expand), the controller reads the
 coefficients through it, and the full closed loop projects onto it.  The
 span and the controller hold their stacks as (n, 2X) float views of the
-flattened spectra, so each of these maps is one real matmul.
+flattened spectra, so each of these maps is one real matmul.  Every state
+of the full loop has the span's bandwidth, so in the case of the small
+quadrature grid (y_e = 0, odd exponents) timestep.simulate steps it on
+grids sized from that bandwidth too.
 """
 from __future__ import annotations
 
@@ -83,22 +87,21 @@ class GalerkinReduction:
     _D: np.ndarray = dc_field(repr=False, default=None)      # (C'(y_e) w_i, w_k), i the row
 
 
-def quadrature_nodes(y_e, modes, params):
+def quadrature_nodes(y_e, bandwidth, params):
     """Nodes per axis of the grid on which the reduction pairs its modes.
 
     At y_e = 0 with every damping exponent an odd integer, each pairing is a
-    trigonometric polynomial of degree at most (r+1) B per axis, B the largest
-    |k_i| of the modes' wavevectors: the remainder and the linearized damping
+    trigonometric polynomial of degree at most (r+1) B per axis, B the modes'
+    bandwidth (their largest |k_i|): the remainder and the linearized damping
     reach (p+1) B, the quadratic tensor 3 B.  The rectangle rule on M > (r+1) B
-    nodes integrates it exactly, so M is the smallest even such integer, at
-    least 4 and never more than the damping grid.  Every other case keeps the
-    damping grid, damping_factor N.
+    nodes integrates it exactly, so M is the smallest even such integer
+    (sp.alias_free_nodes), at least 4 and never more than the damping grid.
+    Every other case keeps the damping grid, damping_factor N.
     """
     full = params.damping_factor * y_e.grid.N
-    if np.any(y_e.c) or not all(p % 2 == 1 for _, p in params.damping_terms):
+    if np.any(y_e.c) or not params.odd_integer_damping:
         return full
-    B = max(max(abs(k) for k in mode.wavevector) for mode in modes)
-    return min(max(4, (int(params.r) + 1) * B + 2), full)
+    return min(sp.alias_free_nodes((int(params.r) + 1) * bandwidth, 0), full)
 
 
 def assemble_reduction(y_e, n, params, mask=None):
@@ -120,7 +123,8 @@ def assemble_reduction(y_e, n, params, mask=None):
         raise ConfigError(str(exc)) from None
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
     d = g.d
-    M = quadrature_nodes(y_e, modes, params)
+    span = cx.SpanConstraint(modes)
+    M = quadrature_nodes(y_e, span.bandwidth, params)
     cell_f = (g.L / M) ** d
 
     def gradient(a):    # nodal values of all partials of a on the M grid
@@ -172,7 +176,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat, quad_N=M,
-        span=cx.SpanConstraint(modes), _Wf=Wf_,
+        span=span, _Wf=Wf_,
         _Yf=Yf_ if nonzero_eq else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
     )

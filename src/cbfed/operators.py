@@ -17,14 +17,19 @@ forward transform of the product.  The advective form differs by
 grad(|y|^2/2).  |y|^2 has modes |k_i| <= 2 ((N-1)//3), whose aliases on the
 N-grid fall outside the dealias mask, so the kept coefficients of the
 difference are those of an exact gradient, and the Leray projection removes
-them: the two forms agree to roundoff.
+them: the two forms agree to roundoff.  Given M, the product runs on the M^d
+grid instead (sp.sample and sp.unsample); convection_nodes sizes it from a
+field's bandwidth so that the kept coefficients stay exact.
 
 The damping beta C_r + gamma C_q is evaluated on one oversampled grid,
 PhysicalParams.damping_factor (the C_r grid, the finer one), in the time
 stepper, the stationary solve and the reduced model.  damping_weight is its
 pointwise weight, the sum coef |y|^{p-1} from |y|^2; damping_from_nodal
-applies it to the nodal values on that grid and does one transform back,
-without the Leray projection.  Each caller projects once: simulate projects
+applies it to the nodal values on that grid, or on any even M^d grid, and
+does one transform back (sp.unsample), without the Leray projection.  With
+odd integer exponents (PhysicalParams.odd_integer_damping) the damping is a
+polynomial in y, and damping_nodes gives the grid, sized from a field's
+bandwidth, on which it is exact.  Each caller projects once: simulate projects
 the new state (the update is diagonal in k, so that projects its damping
 too), stationary._rhs its whole right-hand side, and power_damping its
 result.  The derivative C_p'(y) z has one kernel too, damping_derivative,
@@ -78,6 +83,12 @@ class PhysicalParams:
         return sp.oversample_factor(self.r)
 
     @property
+    def odd_integer_damping(self) -> bool:
+        """Every exponent in damping_terms an odd integer: the damping is then a
+        polynomial in y, and grids sized from a field's bandwidth are exact."""
+        return all(p % 2 == 1 for _, p in self.damping_terms)
+
+    @property
     def regime(self) -> str:
         if self.r > 3:
             return "supercritical"
@@ -110,8 +121,13 @@ def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
 # convection
 
 
-def convective(y: sp.SpectralField) -> sp.SpectralField:
-    """B(y) = P[(y.grad) y] in rotational form, with 2/3-rule dealiasing."""
+def convective(y: sp.SpectralField, M: int | None = None) -> sp.SpectralField:
+    """B(y) = P[(y.grad) y] in rotational form, with 2/3-rule dealiasing.
+
+    The product runs on the base grid, or on the M^d grid when M is given
+    (convection_nodes): exact there for a y whose modes lie within the
+    bandwidth that M was sized from.
+    """
     g = y.grid
     pairs = [(a, b) for a in range(g.d) for b in range(a + 1, g.d)]
     # the dealiased spectra of y and of Omega_ab = d_a y_b - d_b y_a (a < b),
@@ -121,28 +137,39 @@ def convective(y: sp.SpectralField) -> sp.SpectralField:
     for w, (a, b) in zip(spec[g.d :], pairs):
         np.multiply(g.ik[a], c[b], out=w)
         w -= g.ik[b] * c[a]
-    vals = sp._irfft(spec, g.shape)
+    vals = sp._irfft(spec, g.shape) if M is None else sp.sample(spec, g, M)
     yv, omega = vals[: g.d], vals[g.d :]
     # sum_a y_a Omega_ab, so Omega_ba = -Omega_ab: each pair feeds two components
     adv = np.zeros_like(yv)
     for w, (a, b) in zip(omega, pairs):
         adv[b] += yv[a] * w
         adv[a] -= yv[b] * w
-    ch = sp.SpectralField.from_physical(g, adv).c
+    ch = sp.SpectralField.from_physical(g, adv).c if M is None else sp.unsample(adv, g)
     ch *= g.dealias
     return sp.leray(sp.SpectralField(g, ch))
 
 
-def shifted_convective(z: sp.SpectralField, around, base=None) -> sp.SpectralField:
+def shifted_convective(z: sp.SpectralField, around, base=None, M=None) -> sp.SpectralField:
     """B(around + z) - B(around); plain B(z) when around is None.
 
-    base, when given, is a precomputed B(around).
+    base, when given, is a precomputed B(around); M is passed to convective.
     """
     if around is None:
-        return convective(z)
+        return convective(z, M)
     if base is None:
-        base = convective(around)
-    return convective(z + around) - base
+        base = convective(around, M)
+    return convective(z + around, M) - base
+
+
+def convection_nodes(grid: sp.TorusGrid, bandwidth: int) -> int:
+    """Nodes per axis on which convective is exact for fields of the given
+    bandwidth (largest |k_i|): the dealiased field has bandwidth
+    b = min(bandwidth, (N-1)//3), its products 2b, and the coefficients kept
+    by the dealias mask reach min(2b, (N-1)//3) (sp.alias_free_nodes).
+    """
+    top = (grid.N - 1) // 3
+    b = min(bandwidth, top)
+    return sp.alias_free_nodes(2 * b, min(2 * b, top))
 
 
 def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> float:
@@ -185,8 +212,20 @@ def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.Spectr
     lives through it.
     """
     np.multiply(damping_weight(sp.sum_squares(vals), terms), vals, out=vals)
-    factor = vals.shape[1] // grid.N
-    return sp.SpectralField(grid, sp.fine_to_coeffs(vals, grid, factor))
+    return sp.SpectralField(grid, sp.unsample(vals, grid))
+
+
+def damping_nodes(params: PhysicalParams, grid: sp.TorusGrid, bandwidth: int) -> int:
+    """Nodes per axis on which beta C_r + gamma C_q is exact for fields of the
+    given bandwidth B (largest |k_i|), when params.odd_integer_damping.
+
+    |y|^{p-1} y is then a polynomial in y of degree p, so the damping has
+    bandwidth rB and its coarse coefficients reach min(rB, N/2 - 1): the
+    grid is sp.alias_free_nodes of those.  There the rectangle rule for
+    |y|^{r+1} is exact too, since M > (r+1) B.
+    """
+    rB = int(params.r) * bandwidth
+    return sp.alias_free_nodes(rB, min(rB, grid.N // 2 - 1))
 
 
 def damping_derivative(Y: np.ndarray, p: float):

@@ -38,14 +38,19 @@ oversample can write into a given array (out=): the time stepper and the
 stationary solve each hold one nodal array for the whole loop, so no step
 faults fresh zeroed pages in for its multi-MB fine-grid values.
 
-sample gives nodal values on any even M^d grid, M below N included: the
-Galerkin reduction's quadrature grid, sized from its modes' bandwidth.  For
-M a multiple of N it is oversample's transform; otherwise the spectrum is
-copied, truncated to |k_i| < M/2, into the M-grid half and one irfftn
-follows.
+sample gives nodal values on any even M^d grid, M below N included, and
+unsample takes nodal values on such a grid back to the coarse halves.  For
+M a multiple of N they are oversample's and fine_to_coeffs' transforms;
+otherwise the modes |k_i| < min(N, M)/2 are copied between the two halves
+around one irfftn or rfftn, through an index built once per (N, d, M).
+alias_free_nodes sizes such a grid from a bandwidth: the smallest even M
+on which the kept coefficients of a trigonometric polynomial are exact.  It
+sizes the Galerkin reduction's quadrature grid and the time stepper's grids
+for states held in a span.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from itertools import product
 
@@ -263,8 +268,10 @@ def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float) -> float:
     """L^p norm by rectangle rule from nodal values on any (M, ..., M) grid."""
     M = vals.shape[-1]
     mag2 = sum_squares(vals)
-    half = p / 2.0    # integer p/2: repeated products, about twice as fast as the generic pow
-    if half.is_integer() and half >= 1:
+    # a small integer p/2: repeated products, about twice as fast as the
+    # generic pow; past 4 their count grows with p, and pow's does not
+    half = p / 2.0
+    if half in (1.0, 2.0, 3.0, 4.0):
         powed = mag2.copy()
         for _ in range(int(half) - 1):
             powed *= mag2
@@ -420,6 +427,30 @@ def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> 
     return _half_to_nodes(a.c, a.grid, factor, out)
 
 
+def alias_free_nodes(degree: int, kept: int) -> int:
+    """The smallest even M >= 4 with M > degree + kept.
+
+    On M nodes per axis the DFT of a trigonometric polynomial of degree
+    `degree` per axis gives its exact coefficients at every |k_i| <= kept:
+    a mode aliases onto k only from k + jM, j != 0, at least M - kept away.
+    With kept = 0 that is the rectangle rule's exact integral.
+    """
+    top = degree + kept
+    return max(4, top + 2 - top % 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_modes(N: int, d: int, M: int):
+    """Index of the modes |k_i| < min(N, M)/2 in a stored half, valid on the
+    N grid and the M grid alike (wavenumbers 0 .. K, then -K .. -1)."""
+    K = min(N, M) // 2 - 1
+    idx = np.r_[: K + 1, -K:0]
+    index = np.ix_(*[idx] * (d - 1), np.arange(K + 1))
+    for axis in index:    # shared by every caller, so read-only
+        axis.flags.writeable = False
+    return (Ellipsis,) + index
+
+
 def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
     """Nodal values on the M^d grid (M even, >= 4) of the spectra whose stored
     halves on g are given, keeping their modes |k_i| < M/2.
@@ -431,12 +462,30 @@ def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
     """
     if M % g.N == 0:
         return _half_to_nodes(half, g, M // g.N, out)
-    K = min(g.N, M) // 2 - 1
-    idx = np.r_[: K + 1, -K:0]       # wavenumbers 0 .. K, -K .. -1, valid on both grids
-    kept = (Ellipsis,) + np.ix_(*[idx] * (g.d - 1), np.arange(K + 1))
+    kept = _kept_modes(g.N, g.d, M)
     spec = np.zeros(half.shape[: -g.d] + (M,) * (g.d - 1) + (M // 2 + 1,), dtype=complex)
     spec[kept] = half[kept]
     return _irfft(spec, (M,) * g.d, out)
+
+
+def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
+    """Stored halves on g of real nodal values on any even M^d grid: the
+    inverse of sample, keeping the modes |k_i| < min(N, M)/2.
+
+    When M is a multiple of N this is fine_to_coeffs, bit for bit.
+    Otherwise one rfftn on the M grid and a copy of the kept modes into a
+    zeroed coarse half, made that of a real field (enforce_real).  The
+    coefficients are exact when the values are of a trigonometric
+    polynomial of degree D per axis and M > D + min(D, N/2 - 1)
+    (alias_free_nodes).
+    """
+    M = vals.shape[-1]
+    if M % g.N == 0:
+        return fine_to_coeffs(vals, g, M // g.N)
+    kept = _kept_modes(g.N, g.d, M)
+    half = np.zeros(vals.shape[: -g.d] + g.half_shape, dtype=complex)
+    half[kept] = _rfft(vals, g.d)[kept]
+    return enforce_real(half, g)
 
 
 def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int, out=None) -> np.ndarray:

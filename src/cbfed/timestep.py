@@ -16,10 +16,22 @@ Two schemes: backward Euler on the linear part with explicit everything else
 `simulate` makes one pass per state m = 0..nsteps.  A pass with m > 0 first
 steps from the previous state, Leray-projects, applies the constraint and
 checks for blow-up (the initial state is not checked).  Every pass then
-evaluates the feedback and, from one oversample, the explicit damping and the
+evaluates the feedback and, from one sample, the explicit damping and the
 L^{r+1} norm, and records the state when m is a multiple of record_every or
 the last one.  The final state's damping is computed like any other, but no
 step uses it.
+
+States held in a span.  A project-mode constraint with a bandwidth B (a
+cx.SpanConstraint) leaves every evaluated state without modes beyond
+|k_i| = B.  With no reference state and every damping exponent an odd
+integer, simulate picks its grids once per run from B: the damping and the
+L^{r+1} norm on op.damping_nodes, the convection on op.convection_nodes,
+each where it is smaller than the damping grid or the base grid.  Both are
+exact there, so the run matches the one on the full grids to roundoff; at
+the stabilize-galerkin defaults (N = 32, r = 5, B = 1) that is 12^2 nodes
+instead of 96^2 for the damping and 6^2 instead of 32^2 for the convection.
+Every other case (a ball or no constraint, yosida mode, a reference state,
+a fractional or even exponent) keeps the damping and base grids.
 """
 from __future__ import annotations
 
@@ -176,10 +188,19 @@ def simulate(cfg: SimConfig) -> Trajectory:
     yosida_mode = K is not None and cfg.constraint_mode == "yosida"
 
     # beta C_r + gamma C_q on one grid, whose values give the L^{r+1} norm too;
-    # every state is oversampled into one nodal array, held for the whole run
+    # every state is sampled into one nodal array, held for the whole run.
+    # A span's bandwidth can shrink that grid and the convection's (see above)
     factor, terms = p.damping_factor, p.damping_terms
-    norm_on_grid = sp.norm_factor(p.r + 1) == factor
-    nodal = np.empty((g.d,) + (factor * g.N,) * g.d)
+    M, M_conv = factor * g.N, None
+    bandwidth = getattr(K, "bandwidth", None) if project_mode and cfg.y_ref is None else None
+    if bandwidth is not None and p.odd_integer_damping:
+        M = min(M, op.damping_nodes(p, g, bandwidth))
+        M_conv = op.convection_nodes(g, bandwidth)
+        if M_conv == g.N:
+            M_conv = None
+    banded = M < factor * g.N
+    norm_on_grid = banded or sp.norm_factor(p.r + 1) == factor
+    nodal = np.empty((g.d,) + (M,) * g.d)
 
     # B and the damping at the reference state are constant over the run, and
     # so (oversampling is linear) are its nodal values, in an array of their own
@@ -199,7 +220,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     half = 0.5 * dt * lin
     for m in range(nsteps + 1):
         if m > 0:
-            N = f - op.shifted_convective(z, y_ref, b_ref) - damp
+            N = f - op.shifted_convective(z, y_ref, b_ref, M_conv) - damp
             if u is not None:
                 N = N + u
             if yosida_mode:
@@ -222,11 +243,11 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 raise SolverDivergence(f"state norm {nh:.3e} exploded at t={m * dt:.4g}")
         # one feedback and one evaluation per state, shared by its record and
         # the explicit term of the next step: the shifted damping from one
-        # oversample, not Leray-projected (the next Leray step does it), and
+        # sample, not Leray-projected (the next Leray step does it), and
         # ||z||_{L^{r+1}}, taken before the reference values are added in place
         u = cfg.controller(z) if cfg.controller is not None else None
         recorded = m % cfg.record_every == 0 or m == nsteps
-        vals = sp.oversample(z, factor, out=nodal)
+        vals = sp.sample(z.c, g, M, out=nodal) if banded else sp.oversample(z, factor, out=nodal)
         if recorded:
             lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
         if y_ref is None:

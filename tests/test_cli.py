@@ -428,6 +428,17 @@ def test_reduced_divergence_is_one_stderr_line(tmp_path, capfd):
     assert len(lines) == 1 and lines[0].startswith("error: reduced state exploded"), lines
 
 
+def test_huge_even_norm_exponent_returns(tmp_path):
+    # r + 1 = 1e308 has an integer half; the L^{r+1} norm once took that many
+    # repeated products, so the run never returned
+    argv = [sys.executable, "-m", "cbfed.cli", "simulate", "--set", "grid.N=8",
+            "--set", "integrator.T=0.05", "--set", "params.r=1e308",
+            "--output-dir", str(tmp_path / "o")]
+    proc = subprocess.run(argv, env=_cli_env(), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 2), proc.stderr
+
+
 @pytest.mark.parametrize("experiment, n", [("reduce", 500), ("stabilize-galerkin", 0)])
 def test_controller_n_out_of_range_is_config_error(tmp_path, capsys, experiment, n):
     out = tmp_path / "o"

@@ -487,3 +487,48 @@ def test_damping_projected_once_by_each_caller(d):
 def test_rotational_and_advective_convection_agree(d, N, L, seed):
     y = sp.random_field(sp.TorusGrid(d=d, N=N, L=L), seed, decay=1.0)
     assert _rel(op.convective(y), _convective_advective(y)) <= 1e-13
+
+
+def _banded(g, B, seed):
+    """A random solenoidal field with no mode beyond |k_i| = B, not small."""
+    y = 3.0 * sp.random_solenoidal(g, seed=seed, decay=0.5)
+    return sp.leray(sp.SpectralField(g, y.c * np.all(np.abs(g.wave) <= B, axis=0)))
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_convection_on_the_bandwidth_grid(d, B):
+    # the kept coefficients of the product are exact on the bandwidth grid
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    y = _banded(g, B, seed=96)
+    M = op.convection_nodes(g, B)
+    assert M <= g.N
+    assert _rel(op.convective(y, M), op.convective(y)) <= 1e-14
+
+
+@pytest.mark.parametrize("B", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r, q, gamma", [(5, 3, -0.4), (3, 1, -0.5), (7, 5, 0.0)])
+def test_damping_on_the_bandwidth_grid(d, B, r, q, gamma):
+    # odd exponents: the damping's kept coefficients and the L^{r+1} norm from
+    # the same values are those of the damping grid
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=0.8, gamma=gamma, r=r, q=q)
+    assert p.odd_integer_damping
+    y = _banded(g, B, seed=97)
+    M = op.damping_nodes(p, g, B)
+    small = sp.sample(y.c, g, M)
+    full = sp.oversample(y, p.damping_factor)
+    lr1 = sp.norm_Lp_nodal(small, g, r + 1), sp.norm_Lp_nodal(full, g, r + 1)
+    assert abs(lr1[0] - lr1[1]) <= 1e-14 * lr1[1]
+    got = op.damping_from_nodal(small, g, p.damping_terms)
+    assert _rel(got, op.damping_from_nodal(full, g, p.damping_terms)) <= 1e-14
+
+
+@pytest.mark.parametrize("r, q, gamma, odd", [
+    (5, 3, -0.4, True), (5, 2, 0.0, True), (3, 1, -0.5, True),
+    (5, 2, -0.4, False), (4.5, 3, -0.4, False), (4, 3, 0.0, False),
+])
+def test_odd_integer_damping(r, q, gamma, odd):
+    p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=0.8, gamma=gamma, r=r, q=q)
+    assert p.odd_integer_damping is odd

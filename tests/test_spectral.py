@@ -620,3 +620,24 @@ def test_oversampled_values_restrict_to_base_nodes(d, N, factor, seed):
         (sp.gradient_physical(y, factor)[(slice(None),) * 2 + every], sp.gradient_physical(y)),
     ):
         np.testing.assert_allclose(fine, base, rtol=0, atol=1e-12 * np.max(np.abs(base)))
+
+
+@pytest.mark.parametrize("degree, kept, M", [
+    (0, 0, 4), (2, 0, 4), (3, 0, 4), (6, 0, 8), (4, 4, 10), (5, 5, 12), (10, 7, 18),
+])
+def test_alias_free_nodes(degree, kept, M):
+    assert sp.alias_free_nodes(degree, kept) == M
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unsample_inverts_sample(d):
+    g = small_grid(d)
+    f = sp.random_field(g, seed=74, decay=1.0)
+    for M in (4, 6, g.N + 2, 3 * g.N + 2):
+        K = min(M, g.N) // 2 - 1       # sample keeps |k_i| <= K, and so does unsample
+        want = f.c * np.all(np.abs(g.wave) <= K, axis=0)
+        got = sp.unsample(sp.sample(f.c, g, M), g)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), M
+    for factor in (1, 2, 3):
+        vals = sp.oversample(f, factor)
+        assert np.array_equal(sp.unsample(vals, g), sp.fine_to_coeffs(vals, g, factor))

@@ -1,6 +1,8 @@
 """Time integration: IMEX schemes, constraint handling, trajectory records."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -401,3 +403,76 @@ def test_gamma_term_on_finer_grid_reduces_aliasing(d):
     per_term = step(sp.oversample_factor(p.r), sp.oversample_factor(p.q))
     one = ts.simulate(ts.SimConfig(grid=g, params=p, y0=y0, T=dt, dt=dt)).final
     assert sp.norm_H(one - fine) < 0.5 * sp.norm_H(per_term - fine)
+
+
+# ---------------------------------------------------------------------------
+# states held in a span: with no reference state and odd integer exponents,
+# the damping and the convection run on grids sized from the span's bandwidth
+
+
+class _HiddenBandwidth:
+    """The span's three constraint methods without its bandwidth, so the
+    stepper keeps the damping and base grids: the reference run."""
+
+    def __init__(self, span):
+        self._span = span
+
+    def project(self, x):
+        return self._span.project(x)
+
+    def contains(self, x, tol=1e-10):
+        return self._span.contains(x, tol)
+
+    def distance(self, x):
+        return self._span.distance(x)
+
+
+def _span_runs(d, n, params, bandwidth, amplitude):
+    """The same project-mode span run on the bandwidth grids and on the
+    damping and base grids.  The amplitude makes the damping a visible share
+    of the step: at the benchmark's 0.01 it is about 1e-8 of the linear term."""
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    span = cx.SpanConstraint(sp.eigenbasis(g, n))
+    assert span.bandwidth == bandwidth
+    y0 = amplitude * sp.random_solenoidal(g, seed=81)
+    z0 = span.project(y0)
+    linear = sp.norm_H(sp.SpectralField(g, z0.c * (params.mu * g.lap + params.alpha)))
+    damping = sum(abs(c) * sp.norm_H(op.power_damping(z0, p)) for c, p in params.damping_terms)
+    assert damping > 0.01 * linear
+    f = 0.5 * sp.random_solenoidal(g, seed=82, decay=3.0)
+    nsteps, dt = 8, 1e-3
+    cfg = ts.SimConfig(
+        grid=g, params=params, y0=y0, T=nsteps * dt, dt=dt, forcing=f,
+        constraint=span, constraint_mode="project", controller=lambda z: -0.5 * z,
+    )
+    return ts.simulate(cfg), ts.simulate(replace(cfg, constraint=_HiddenBandwidth(span)))
+
+
+_SPANS = [(2, 6, 1, 3.0), (2, 14, 2, 3.0), (3, 15, 1, 5.0), (3, 56, 2, 5.0)]
+
+
+@pytest.mark.parametrize("d, n, bandwidth, amplitude", _SPANS, ids=["d2B1", "d2B2", "d3B1", "d3B2"])
+@pytest.mark.parametrize(
+    "r, q, gamma", [(5, 3, -0.4), (3, 1, -0.5), (5, 2, 0.0)],
+    ids=["r5q3", "r3q1", "r5-no-pumping"],
+)
+def test_span_states_on_bandwidth_grids_match_full_grids(d, n, bandwidth, amplitude, r, q, gamma):
+    p = op.PhysicalParams(mu=0.7, alpha=0.2, beta=0.8, gamma=gamma, r=r, q=q)
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    assert op.damping_nodes(p, g, bandwidth) < p.damping_factor * g.N
+    got, want = _span_runs(d, n, p, bandwidth, amplitude)
+    for name in ("t", "norm_H", "norm_gradH", "norm_V", "norm_Lr1", "norm_u"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+    assert sp.norm_H(got.final - want.final) <= 1e-13 * sp.norm_H(want.final)
+
+
+@pytest.mark.parametrize("d, n, bandwidth, amplitude", _SPANS[1::2], ids=["d2B2", "d3B2"])
+@pytest.mark.parametrize("r, q, gamma", [(4.5, 3, -0.4), (5, 2, -0.4)], ids=["r4.5", "q2-pumped"])
+def test_span_states_outside_the_rule_keep_the_full_grids(d, n, bandwidth, amplitude, r, q, gamma):
+    # a fractional or even exponent: the run is bitwise that on today's grids
+    p = op.PhysicalParams(mu=0.7, alpha=0.2, beta=0.8, gamma=gamma, r=r, q=q)
+    got, want = _span_runs(d, n, p, bandwidth, amplitude)
+    for name in ts.COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.final.c, want.final.c)
