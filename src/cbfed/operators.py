@@ -17,9 +17,10 @@ forward transform of the product.  The advective form differs by
 grad(|y|^2/2).  |y|^2 has modes |k_i| <= 2 ((N-1)//3), whose aliases on the
 N-grid fall outside the dealias mask, so the kept coefficients of the
 difference are those of an exact gradient, and the Leray projection removes
-them: the two forms agree to roundoff.  Given M, the product runs on the M^d
-grid instead (sp.sample and sp.unsample); convection_nodes sizes it from a
-field's bandwidth so that the kept coefficients stay exact.
+them: the two forms agree to roundoff.  The product runs on an M^d grid
+through sp.sample and sp.unsample, the base grid unless M is given;
+convection_nodes sizes a smaller one from a field's bandwidth so that the
+kept coefficients stay exact.
 
 The damping beta C_r + gamma C_q is evaluated on one oversampled grid,
 PhysicalParams.damping_factor (the C_r grid, the finer one), in the time
@@ -124,11 +125,12 @@ def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
 def convective(y: sp.SpectralField, M: int | None = None) -> sp.SpectralField:
     """B(y) = P[(y.grad) y] in rotational form, with 2/3-rule dealiasing.
 
-    The product runs on the base grid, or on the M^d grid when M is given
-    (convection_nodes): exact there for a y whose modes lie within the
-    bandwidth that M was sized from.
+    The product runs on the M^d grid, the base grid by default; a smaller M
+    (convection_nodes) is exact for a y whose modes lie within the bandwidth
+    that M was sized from.
     """
     g = y.grid
+    M = M or g.N
     pairs = [(a, b) for a in range(g.d) for b in range(a + 1, g.d)]
     # the dealiased spectra of y and of Omega_ab = d_a y_b - d_b y_a (a < b),
     # stacked so that one inverse transform gives all their nodal values
@@ -137,14 +139,14 @@ def convective(y: sp.SpectralField, M: int | None = None) -> sp.SpectralField:
     for w, (a, b) in zip(spec[g.d :], pairs):
         np.multiply(g.ik[a], c[b], out=w)
         w -= g.ik[b] * c[a]
-    vals = sp._irfft(spec, g.shape) if M is None else sp.sample(spec, g, M)
+    vals = sp.sample(spec, g, M)
     yv, omega = vals[: g.d], vals[g.d :]
     # sum_a y_a Omega_ab, so Omega_ba = -Omega_ab: each pair feeds two components
     adv = np.zeros_like(yv)
     for w, (a, b) in zip(omega, pairs):
         adv[b] += yv[a] * w
         adv[a] -= yv[b] * w
-    ch = sp.SpectralField.from_physical(g, adv).c if M is None else sp.unsample(adv, g)
+    ch = sp.unsample(adv, g)
     ch *= g.dealias
     return sp.leray(sp.SpectralField(g, ch))
 

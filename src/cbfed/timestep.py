@@ -191,13 +191,11 @@ def simulate(cfg: SimConfig) -> Trajectory:
     # every state is sampled into one nodal array, held for the whole run.
     # A span's bandwidth can shrink that grid and the convection's (see above)
     factor, terms = p.damping_factor, p.damping_terms
-    M, M_conv = factor * g.N, None
+    M, M_conv = factor * g.N, g.N
     bandwidth = getattr(K, "bandwidth", None) if project_mode and cfg.y_ref is None else None
     if bandwidth is not None and p.odd_integer_damping:
         M = min(M, op.damping_nodes(p, g, bandwidth))
         M_conv = op.convection_nodes(g, bandwidth)
-        if M_conv == g.N:
-            M_conv = None
     banded = M < factor * g.N
     norm_on_grid = banded or sp.norm_factor(p.r + 1) == factor
     nodal = np.empty((g.d,) + (M,) * g.d)
