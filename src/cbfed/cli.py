@@ -168,6 +168,8 @@ def load_effective_config(experiment, config_path=None, overrides=(), output_dir
         raise ConfigError(f"config key 'controller.slack' must lie in (0, 1], got {slack!r}")
     if not (target > 0):
         raise ConfigError(f"config key 'controller.delta_target' must be positive, got {target!r}")
+    if merged["seed"] < 0:  # the Philox seed sequence takes non-negative integers only
+        raise ConfigError(f"config key 'seed' must be non-negative, got {merged['seed']!r}")
     merged["experiment"] = experiment
     if output_dir is not None:
         merged["output_dir"] = output_dir
@@ -645,10 +647,12 @@ def _check_snapshot_roundtrip(outdir):
     g = sp.TorusGrid(d=2, N=16)
     y = sp.random_solenoidal(g, seed=8)
     path = outdir / "roundtrip.cbfd"
-    sp.write_snapshot(y, path)
-    back = sp.read_snapshot(path)
+    try:
+        sp.write_snapshot(y, path)
+        back = sp.read_snapshot(path)
+    finally:                    # the manifest lists no roundtrip file
+        path.unlink(missing_ok=True)
     err = sp.norm_H(back - y)
-    path.unlink()
     _require(err == 0.0, f"round trip moved the field by {err:.2e}")
     return "coefficients restored exactly"
 

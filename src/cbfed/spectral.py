@@ -24,33 +24,30 @@ full spectrum is rebuilt (full_spectrum) only where one is promised: the
 snapshot format (version 1), which stays the full spectrum on disk, and the
 mode coefficients a reduction writes out.
 
-The zero-padded transforms to and from the refined (factor*N)^d grids
-(oversample and gradient_physical, fine_to_coeffs) run one axis at a time
-and transform only the lines that can be nonzero (inverse) or that are kept
-(forward).  Each line is the same 1-d transform, in the same axis order,
-that irfftn/rfftn on the fully padded array would compute, so the results
-are bitwise the same without the all-zero or discarded lines.  The inverse
-pads its last axis itself: the last leading-axis transform writes into the
-first N/2 columns of a zeroed (..., M, M/2+1) half spectrum, so the final
-irfft reads whole lines instead of zero-padding each short one.
+sample gives nodal values on any even M^d grid, M above or below N, and
+unsample takes nodal values on such a grid back to the stored halves; both
+keep the modes |k_i| < min(N, M)/2.  At M = N they are one irfftn and one
+rfftn.  For every other M they run one axis at a time and resize each axis
+(zero-pad or cut it, _resize_axis) just before its inverse transform or just
+after its forward one, so no line of padded zeros is transformed along an
+earlier axis and no cut line along a later one.  Each line that is
+transformed is the same 1-d transform, in the same axis order, that irfftn
+or rfftn on the whole M-grid half spectrum computes, so the results are
+bitwise those of a copy of the kept modes around one irfftn or rfftn.
+oversample, gradient_physical and fine_to_coeffs are that pair on the
+(factor*N)^d grid.
 
-oversample can write into a given array (out=): the time stepper and the
-stationary solve each hold one nodal array for the whole loop, so no step
-faults fresh zeroed pages in for its multi-MB fine-grid values.
+sample and oversample can write into a given array (out=): the time stepper
+and the stationary solve each hold one nodal array for the whole loop, so
+no step faults fresh zeroed pages in for its multi-MB fine-grid values.
 
-sample gives nodal values on any even M^d grid, M below N included, and
-unsample takes nodal values on such a grid back to the coarse halves.  For
-M a multiple of N they are oversample's and fine_to_coeffs' transforms;
-otherwise the modes |k_i| < min(N, M)/2 are copied between the two halves
-around one irfftn or rfftn, through an index built once per (N, d, M).
-alias_free_nodes sizes such a grid from a bandwidth: the smallest even M
-on which the kept coefficients of a trigonometric polynomial are exact.  It
+alias_free_nodes sizes a grid from a bandwidth: the smallest even M on
+which the kept coefficients of a trigonometric polynomial are exact.  It
 sizes the Galerkin reduction's quadrature grid and the time stepper's grids
 for states held in a span.
 """
 from __future__ import annotations
 
-import functools
 import struct
 from itertools import product
 
@@ -324,11 +321,10 @@ def stokes(a: SpectralField) -> SpectralField:
 def gradient_physical(a: SpectralField, factor: int = 1) -> np.ndarray:
     """Nodal values of all partials on the (factor*N)^d grid: out[i, j] = d u_j / d x_i.
 
-    The spectra of the partials go through the same zero-padded transform
-    as oversample.
+    The spectra of the partials go through sample, as oversample's do.
     """
     g = a.grid
-    return _half_to_nodes(g.ik[:, None] * a.c[None], g, factor)
+    return sample(g.ik[:, None] * a.c[None], g, factor * g.N)
 
 
 # ---------------------------------------------------------------------------
@@ -382,49 +378,24 @@ def _keep_half(full: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return full[..., : grid.N // 2 + 1].copy()
 
 
-def _block_pairs(N: int, M: int):
-    # (coarse slab, fine slab) index pairs for spectrum embedding
-    return [
-        (slice(0, N // 2), slice(0, N // 2)),
-        (slice(N // 2, N), slice(M - N // 2, M)),
-    ]
-
-
-def _pad_axis(x: np.ndarray, axis: int, M: int) -> np.ndarray:
-    """Embed the coarse rows of `axis` (a negative index) into M padded rows."""
+def _resize_axis(x: np.ndarray, axis: int, M: int) -> np.ndarray:
+    """x with `axis` (a negative index, n rows in FFT order) padded or cut to
+    M rows: the rows |k| < min(n, M)/2 are copied, the others are zero."""
+    n = x.shape[axis]
+    K = min(n, M) // 2
     shape = list(x.shape)
     shape[axis] = M
     out = np.zeros(shape, dtype=complex)
     lead = (slice(None),) * (x.ndim + axis)
-    for src, dst in _block_pairs(x.shape[axis], M):
-        out[lead + (dst,)] = x[lead + (src,)]
+    out[lead + (slice(0, K),)] = x[lead + (slice(0, K),)]
+    out[lead + (slice(M - K + 1, M),)] = x[lead + (slice(n - K + 1, n),)]
     return out
 
 
-def _trim_axis(x: np.ndarray, axis: int, N: int) -> np.ndarray:
-    """Keep the fine rows of `axis` (a negative index) that hold coarse modes."""
-    lead = (slice(None),) * (x.ndim + axis)
-    blocks = [x[lead + (dst,)] for _, dst in _block_pairs(N, x.shape[axis])]
-    return np.concatenate(blocks, axis=axis)
-
-
 def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Nodal values on the refined (factor*N)^d grid (exact interpolation).
-
-    When out, a float array of shape (d, factor*N, ..., factor*N), is given,
-    the values are written into it and it is returned.
-
-    Only the lines that can be nonzero are transformed: ifft along the
-    leading spatial axes in irfftn's order (first to last), each over the
-    block the previous ones filled, zero-padded to M = factor*N along that
-    axis alone, the last of them written into columns 0 .. N/2-1 of a zeroed
-    (..., M, M/2+1) array; then one length-M irfft along the last axis of
-    that array.  The coarse Nyquist column N/2 is left out: it is zero in
-    every stored spectrum.  Every line is the 1-d transform irfftn would
-    compute, so the values are bitwise those of irfftn on the fully padded
-    half spectrum.
-    """
-    return _half_to_nodes(a.c, a.grid, factor, out)
+    """Nodal values on the refined (factor*N)^d grid (exact interpolation):
+    sample at M = factor*N, into out when it is given."""
+    return sample(a.c, a.grid, factor * a.grid.N, out)
 
 
 def alias_free_nodes(degree: int, kept: int) -> int:
@@ -439,89 +410,60 @@ def alias_free_nodes(degree: int, kept: int) -> int:
     return max(4, top + 2 - top % 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _kept_modes(N: int, d: int, M: int):
-    """Index of the modes |k_i| < min(N, M)/2 in a stored half, valid on the
-    N grid and the M grid alike (wavenumbers 0 .. K, then -K .. -1)."""
-    K = min(N, M) // 2 - 1
-    idx = np.r_[: K + 1, -K:0]
-    index = np.ix_(*[idx] * (d - 1), np.arange(K + 1))
-    for axis in index:    # shared by every caller, so read-only
-        axis.flags.writeable = False
-    return (Ellipsis,) + index
-
-
 def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
     """Nodal values on the M^d grid (M even, >= 4) of the spectra whose stored
     halves on g are given, keeping their modes |k_i| < M/2.
 
-    When M is a multiple of N this is oversample's transform, bit for bit.
-    Otherwise the kept modes are copied into a zeroed M-grid half spectrum
-    and one irfftn gives the values; they are exact when the spectra have no
-    mode at |k_i| >= M/2, whether M is below or above N.
+    When out, a float array of shape (..., M, ..., M), is given, the values
+    are written into it and it is returned.  At M = N this is one irfftn.
+    Otherwise only the columns k_d < min(N, M)/2 are transformed along the
+    leading axes, in irfftn's order (first to last), each axis resized to M
+    rows just before its ifft; the last of them is written into those
+    columns of a zeroed (..., M, M/2+1) array, so one length-M irfft along
+    the last axis reads whole lines.  The values are bitwise those of
+    irfftn on the kept modes copied into a zeroed M-grid half spectrum, and
+    exact when the spectra have no mode at |k_i| >= M/2.
     """
-    if M % g.N == 0:
-        return _half_to_nodes(half, g, M // g.N, out)
-    kept = _kept_modes(g.N, g.d, M)
-    spec = np.zeros(half.shape[: -g.d] + (M,) * (g.d - 1) + (M // 2 + 1,), dtype=complex)
-    spec[kept] = half[kept]
-    return _irfft(spec, (M,) * g.d, out)
+    if M == g.N:
+        return _irfft(half, g.shape, out)
+    K = min(g.N, M) // 2
+    x = half[..., :K]
+    for axis in range(-g.d, -2):
+        x = np.fft.ifft(_resize_axis(x, axis, M), axis=axis, norm="forward")
+    spec = np.zeros(x.shape[:-2] + (M, M // 2 + 1), dtype=complex)
+    np.fft.ifft(_resize_axis(x, -2, M), axis=-2, norm="forward", out=spec[..., :K])
+    return np.fft.irfft(spec, n=M, axis=-1, norm="forward", out=out)
 
 
 def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     """Stored halves on g of real nodal values on any even M^d grid: the
-    inverse of sample, keeping the modes |k_i| < min(N, M)/2.
+    inverse of sample, keeping the modes |k_i| < min(N, M)/2, made those of
+    real fields (enforce_real).
 
-    When M is a multiple of N this is fine_to_coeffs, bit for bit.
-    Otherwise one rfftn on the M grid and a copy of the kept modes into a
-    zeroed coarse half, made that of a real field (enforce_real).  The
-    coefficients are exact when the values are of a trigonometric
-    polynomial of degree D per axis and M > D + min(D, N/2 - 1)
-    (alias_free_nodes).
+    At M = N this is one rfftn.  Otherwise an rfft along the last axis keeps
+    the columns k_d < min(N, M)/2, and the leading axes follow in rfftn's
+    order (last to first), each resized to N rows just after its fft.  The
+    cut lines never feed a kept one, so the coefficients are bitwise those
+    of rfftn on the whole grid followed by a copy of the kept modes.  They
+    are exact when the values are of a trigonometric polynomial of degree D
+    per axis and M > D + min(D, N/2 - 1) (alias_free_nodes).
     """
     M = vals.shape[-1]
-    if M % g.N == 0:
-        return fine_to_coeffs(vals, g, M // g.N)
-    kept = _kept_modes(g.N, g.d, M)
-    half = np.zeros(vals.shape[: -g.d] + g.half_shape, dtype=complex)
-    half[kept] = _rfft(vals, g.d)[kept]
+    if M == g.N:
+        return enforce_real(_rfft(vals, g.d), g)
+    K = min(g.N, M) // 2
+    x = np.fft.rfft(vals, axis=-1, norm="forward")[..., :K]
+    for axis in range(-2, -g.d - 1, -1):
+        x = _resize_axis(np.fft.fft(x, axis=axis, norm="forward"), axis, g.N)
+    half = np.zeros(x.shape[:-1] + (g.N // 2 + 1,), dtype=complex)
+    half[..., :K] = x
     return enforce_real(half, g)
 
 
-def _half_to_nodes(half: np.ndarray, g: TorusGrid, factor: int, out=None) -> np.ndarray:
-    """oversample of the spectra whose stored halves (columns 0 .. N/2) are given."""
-    if factor == 1:
-        return _irfft(half, g.shape, out)
-    M = factor * g.N
-    x = half[..., : g.N // 2]
-    for axis in range(-g.d, -2):
-        x = np.fft.ifft(_pad_axis(x, axis, M), axis=axis, norm="forward")
-    # the last leading-axis ifft writes into the first N/2 columns of the
-    # zero-padded half spectrum, so the irfft reads M/2+1 columns as they are
-    padded = np.zeros(x.shape[:-2] + (M, M // 2 + 1), dtype=complex)
-    np.fft.ifft(_pad_axis(x, -2, M), axis=-2, norm="forward", out=padded[..., : g.N // 2])
-    return np.fft.irfft(padded, n=M, axis=-1, norm="forward", out=out)
-
-
 def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray:
-    """Transform fine nodal values and truncate to the coarse spectrum.
-
-    For factor > 1 only the kept lines are computed: rfft along the last
-    axis keeping columns 0 .. N/2-1, then fft along the leading spatial axes
-    in rfftn's order (last to first), keeping after each the rows of the
-    coarse wavenumbers before the next axis is transformed.  The discarded
-    lines never feed a kept one, so the coefficients are bitwise those of
-    rfftn on the whole grid followed by truncation.
-    """
-    if factor == 1:
-        return enforce_real(_rfft(vals, grid.d), grid)
-    N, d = grid.N, grid.d
-    x = np.fft.rfft(vals, axis=-1, norm="forward")[..., : N // 2]
-    for axis in range(-2, -d - 1, -1):
-        x = _trim_axis(np.fft.fft(x, axis=axis, norm="forward"), axis, N)
-    half = np.zeros(x.shape[:-1] + (N // 2 + 1,), dtype=complex)
-    half[..., : N // 2] = x
-    return enforce_real(half, grid)
+    """Stored halves of nodal values on the (factor*N)^d grid, truncated to
+    the coarse modes: unsample, which reads the grid from the values."""
+    return unsample(vals, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,34 @@ def reality_defect(a: sp.SpectralField) -> float:
     return float(np.max(np.abs(vals.imag)))
 
 
+def _kept_modes(g: sp.TorusGrid, M: int):
+    """Index of the modes |k_i| < min(N, M)/2 in a stored half, valid on the
+    N grid and the M grid alike (wavenumbers 0 .. K, then -K .. -1)."""
+    K = min(g.N, M) // 2 - 1
+    idx = np.r_[: K + 1, -K:0]
+    return (Ellipsis,) + np.ix_(*[idx] * (g.d - 1), np.arange(K + 1))
+
+
+def sample_kept_modes(half: np.ndarray, g: sp.TorusGrid, M: int) -> np.ndarray:
+    """Nodal values on the M^d grid: the kept modes copied into a zeroed
+    M-grid half spectrum, then one irfftn over every line."""
+    kept = _kept_modes(g, M)
+    spec = np.zeros(half.shape[: -g.d] + (M,) * (g.d - 1) + (M // 2 + 1,), dtype=complex)
+    spec[kept] = half[kept]
+    axes = tuple(range(spec.ndim - g.d, spec.ndim))
+    return np.fft.irfftn(spec, s=(M,) * g.d, axes=axes, norm="forward")
+
+
+def unsample_kept_modes(vals: np.ndarray, g: sp.TorusGrid) -> np.ndarray:
+    """Stored halves on g of nodal values on an M^d grid: one rfftn over every
+    line, then the kept modes copied into a zeroed half, made real."""
+    kept = _kept_modes(g, vals.shape[-1])
+    half = np.zeros(vals.shape[: -g.d] + g.half_shape, dtype=complex)
+    axes = tuple(range(vals.ndim - g.d, vals.ndim))
+    half[kept] = np.fft.rfftn(vals, axes=axes, norm="forward")[kept]
+    return sp.enforce_real(half, g)
+
+
 def stokes_shifted(a: sp.SpectralField) -> sp.SpectralField:
     """Apply I + A (spectrum 1 + 4 pi^2 |k|^2 / L^2)."""
     return sp.SpectralField(a.grid, a.c * (1.0 + a.grid.lap))

@@ -231,6 +231,15 @@ def test_vacuous_claim_is_config_error(tmp_path, capsys, experiment, item):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # np.random.Philox refuses a negative seed: it used to exit 5 as an internal error
+    out = tmp_path / "out"
+    argv = ["simulate", "--set", "grid.N=8", "--set", "seed=-1", "--output-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unit_slack_is_accepted(tmp_path):
     out = tmp_path / "out"
     argv = ["stabilize-theta", "--set", "grid.N=8", "--set", "integrator.T=0.1",
@@ -795,6 +804,18 @@ def test_verify_subcommand(tmp_path, capsys):
     names = [c["name"] for c in rep["report"]["checks"]]
     assert "artifact-hashes" in names
     assert all(c["ok"] for c in rep["report"]["checks"])
+
+
+def test_failed_snapshot_roundtrip_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def unreadable(path):
+        raise ValueError("snapshot unreadable")
+
+    monkeypatch.setattr(sp, "read_snapshot", unreadable)
+    assert cli.main(["verify", "--output-dir", str(tmp_path / "out")]) == 1
+    assert re.search(r"^snapshot-roundtrip +FAIL +ValueError: snapshot unreadable",
+                     capsys.readouterr().out, re.M)
+    run_dir = only_run_dir(tmp_path / "out")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "report.json"]
 
 
 def test_check_constants_pins_K1_off_the_unit_bracket(monkeypatch):

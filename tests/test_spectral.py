@@ -641,3 +641,23 @@ def test_unsample_inverts_sample(d):
     for factor in (1, 2, 3):
         vals = sp.oversample(f, factor)
         assert np.array_equal(sp.unsample(vals, g), sp.fine_to_coeffs(vals, g, factor))
+
+
+@pytest.mark.parametrize("N", [8, 12, 16])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sample_unsample_bitwise_match_kept_mode_route(d, N):
+    # the reference copies the kept modes around one irfftn/rfftn over every
+    # line; sample and unsample skip lines, so the bits must still agree
+    g = sp.TorusGrid(d=d, N=N)
+    f = sp.random_field(g, seed=75 + N, decay=1.0).c
+    rng = np.random.default_rng(76 + N)
+    for c in (f, np.stack([f, (0.5 - 0.3j) * f])):
+        for M in (4, N - 2, N, N + 2, 3 * N + 2):
+            assert _same_bits(sp.sample(c, g, M), ref.sample_kept_modes(c, g, M)), M
+            lead = c.shape[: -d]
+            for vals in (rng.standard_normal(lead + (M,) * d), sp.sample(c, g, M)):
+                # + 0.0 turns a -0.0 into +0.0 and leaves every other value's
+                # bits alone: at M = N enforce_real zeroes the Nyquist planes
+                # in place, which leaves the sign of a zero to the data there
+                got, want = sp.unsample(vals, g), ref.unsample_kept_modes(vals, g)
+                assert _same_bits(got + 0.0, want + 0.0), M
