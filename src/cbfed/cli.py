@@ -3,7 +3,8 @@
 One JSON config file drives every experiment; ``--set key.path=value`` flags
 override single keys.  The effective (merged) config is hashed, the hash
 prefixes the output directory and is embedded in every JSON report and CSV,
-so a run is reproducible from its artifacts alone.
+so a run is reproducible from its artifacts alone.  ``verify`` runs each
+property of cbfed.checks at fixed grids and seeds, one report row each.
 
 Exit codes: 0 success, 1 failed verification, 2 bad config, 3 solver
 divergence, 4 parameters outside a guaranteed regime, 5 internal error (any
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checks as ck
 from . import controllers as ct
 from . import convex as cx
 from . import eigen as eg
@@ -76,7 +78,7 @@ _NUMBER_OR_NULL = {"controller.theta", "integrator.dt", "integrator.yosida_lam"}
 # keys that take a list of numbers (forcing.vector may also stay null)
 _NUMBER_LISTS = {"forcing.vector", "controller.ladder"}
 # keys whose default is null but which take a file path (a string) when set
-_PATHS = {"initial.path", "forcing.path"}
+_PATHS = {"initial.path", "forcing.path", "verify.target"}
 
 
 # ---------------------------------------------------------------- config
@@ -216,7 +218,13 @@ def _build_field(spec: dict, grid: sp.TorusGrid, seed: int, what: str):
     if kind == "zero":
         return None
     if kind == "random":
-        f = sp.random_solenoidal(grid, seed=seed, decay=float(spec["decay"]))
+        decay = float(spec["decay"])
+        try:
+            f = sp.random_solenoidal(grid, seed=seed, decay=decay)
+        except ValueError:
+            raise ConfigError(
+                f"config key '{what}.decay' gives a draw of zero or non-finite norm, got {decay!r}"
+            ) from None
         return float(spec["amplitude"]) * f
     if kind == "constant":
         vec = spec.get("vector")
@@ -531,185 +539,40 @@ def _run_galerkin(cfg, outdir, h):
 
 
 # ---------------------------------------------------------------- verify
-#
-# Each check raises CheckFailed through _require, not assert: python -O strips
-# assert statements, and a verify run must fail whatever flags Python runs with.
-
-
-class CheckFailed(Exception):
-    """A verify check found the property it tests violated."""
-
-
-def _require(ok, message: str) -> None:
-    if not ok:
-        raise CheckFailed(message)
-
-
-def _check_leray():
-    g = sp.TorusGrid(d=2, N=32)
-    y = sp.random_field(g, seed=0)
-    z = sp.random_field(g, seed=1)
-    py = sp.leray(y)
-    worst = max(
-        sp.norm_H(sp.leray(py) - py),
-        abs(sp.inner(sp.leray(y), z) - sp.inner(y, sp.leray(z))),
-        sp.divergence_max(py),
-    )
-    _require(worst < 1e-11, f"worst defect {worst:.2e} exceeds 1e-11")
-    return f"worst defect {worst:.2e}"
-
-
-def _check_trilinear():
-    g = sp.TorusGrid(d=2, N=32)
-    y = sp.random_solenoidal(g, seed=2)
-    z = sp.random_solenoidal(g, seed=3)
-    w = sp.random_solenoidal(g, seed=4)
-    scale = max(abs(op.trilinear(y, z, w)), 1.0)
-    anti = abs(op.trilinear(y, z, w) + op.trilinear(y, w, z)) / scale
-    diag = abs(op.trilinear(y, z, z)) / max(sp.norm_H(z) ** 2, 1.0)
-    _require(max(anti, diag) < 1e-10,
-             f"antisymmetry {anti:.2e} or diagonal {diag:.2e} exceeds 1e-10")
-    return f"antisymmetry {anti:.2e}, diagonal {diag:.2e}"
-
-
-def _check_damping_pairing():
-    g = sp.TorusGrid(d=2, N=32)
-    y = sp.random_solenoidal(g, seed=5)
-    for r in (3.0, 5.0):
-        lhs = sp.inner(op.power_damping(y, r), y)
-        rhs = sp.norm_Lp(y, r + 1) ** (r + 1)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        _require(rel < 1e-8, f"pairing off the L^{{r+1}} norm by {rel:.2e} at r={r:g}")
-    return "pairing matches L^{r+1} norm at r=3,5"
-
-
-def _check_monotonicity():
-    g = sp.TorusGrid(d=2, N=16)
-    rng = np.random.default_rng(11)
-    worst = np.inf
-    for r in (3.0, 4.0, 5.0):
-        for _ in range(20):
-            y = sp.random_solenoidal(g, seed=int(rng.integers(2**31)))
-            z = sp.random_solenoidal(g, seed=int(rng.integers(2**31)))
-            lhs = sp.inner(op.power_damping(y, r) - op.power_damping(z, r), y - z)
-            rhs = 2.0 ** (1 - r) * sp.norm_Lp(y - z, r + 1) ** (r + 1)
-            margin = (lhs - rhs) / max(abs(lhs), 1e-30)
-            worst = min(worst, margin)
-    _require(worst > -1e-8, f"worst relative margin {worst:.2e} below -1e-8")
-    return f"worst relative margin {worst:.2e}"
-
-
-def _check_gateaux():
-    g = sp.TorusGrid(d=2, N=16)
-    y = sp.random_solenoidal(g, seed=6)
-    z = sp.random_solenoidal(g, seed=7)
-    for r in (3.0, 5.0):
-        dz = op.gateaux_first(y, z, r)
-        eps = 1e-6
-        fd = (0.5 / eps) * (op.power_damping(y + eps * z, r) - op.power_damping(y - eps * z, r))
-        rel = sp.norm_H(dz - fd) / max(sp.norm_H(dz), 1e-30)
-        _require(rel < 1e-5, f"derivative off central differences by {rel:.2e} at r={r:g}")
-    return "first derivative matches central differences at r=3,5"
-
-
-def _check_constants():
-    gamma0 = (4 * np.pi / (2 * np.pi)) * (2.0 / (2 * np.pi) ** 2) ** 0.5
-    frozen = [
-        ("convection_rate(1, 1, 5, 1)", op.convection_rate(1.0, 1.0, 5.0, 1.0), 0.25),
-        ("convection_rate(1, 1, 5, 0.5)", op.convection_rate(1.0, 1.0, 5.0, 0.5), 0.5),
-        ("uniqueness_K1(1, -1, 5, 2)", st.uniqueness_K1(beta=1, gamma=-1, r=5, q=2), 0.5),
-        ("uniqueness_K1(1, -1, 5, 1.5)", st.uniqueness_K1(1, -1, 5, 1.5), 0.512104699233823),
-        ("gamma0 at L = 2 pi", gamma0, np.sqrt(2.0) / np.pi),
-    ]
-    for name, got, want in frozen:
-        _require(abs(got - want) < 1e-12, f"{name} = {got!r}, frozen value {want!r}")
-    return "frozen values reproduced to 1e-12"
-
-
-def _check_gain_placement():
-    Lmat = np.diag([0.3, 0.9, 2.5, 4.0])
-    B = np.eye(4)
-    gs = gk.synthesize_gain(Lmat, B, sigma=1.0)
-    want = np.array([1.0, 1.0, 2.5, 4.0])
-    got = np.sort(gs.spectrum.real)
-    _require(np.max(np.abs(got - want)) < 1e-8, f"closed-loop spectrum {got}, want {want}")
-    return "closed-loop spectrum [1, 1, 2.5, 4]"
-
-
-def _check_eigen_base():
-    g = sp.TorusGrid(d=2, N=16)
-    nu, _, _ = eg.smallest_eigenvalue_Ak(g, 0.0, np.ones(g.shape), mu=1.0, alpha=0.3)
-    _require(abs(nu - 0.3) < 1e-8, f"zero-gain eigenvalue {nu!r}, want 0.3")
-    return f"zero-gain eigenvalue {nu:.12f}"
-
-
-def _check_snapshot_roundtrip(outdir):
-    g = sp.TorusGrid(d=2, N=16)
-    y = sp.random_solenoidal(g, seed=8)
-    path = outdir / "roundtrip.cbfd"
-    try:
-        sp.write_snapshot(y, path)
-        back = sp.read_snapshot(path)
-    finally:                    # the manifest lists no roundtrip file
-        path.unlink(missing_ok=True)
-    err = sp.norm_H(back - y)
-    _require(err == 0.0, f"round trip moved the field by {err:.2e}")
-    return "coefficients restored exactly"
-
-
-def _check_determinism():
-    g = sp.TorusGrid(d=2, N=8)
-    p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=1.0, gamma=0.0, r=3.0, q=2.0)
-    runs = []
-    for _ in range(2):
-        y0 = 0.05 * sp.random_solenoidal(g, seed=12)
-        traj = ts.simulate(ts.SimConfig(grid=g, params=p, y0=y0, T=0.1, dt=0.02))
-        runs.append(traj)
-    _require(np.array_equal(runs[0].norm_H, runs[1].norm_H), "norm_H differs between runs")
-    _require(np.array_equal(runs[0].energy_defect, runs[1].energy_defect),
-             "energy_defect differs between runs")
-    return "identical configs give identical trajectories"
-
-
-def _check_artifact_hashes(target):
-    if not target:
-        return "no target configured"
-    root = Path(target)
-    try:
-        with open(root / "manifest.json") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckFailed(f"cannot read manifest in {target}: {exc}") from None
-    h = manifest["config_hash"]
-    _require(root.name == h[:12], "directory name does not match the config hash")
-    for name in manifest["files"]:
-        path = root / name
-        if name.endswith(".json"):
-            with open(path) as fh:
-                obj = json.load(fh)
-            _require(obj.get("config_hash") == h, f"{name} hash mismatch")
-        elif name.endswith(".csv"):
-            first = path.read_text().splitlines()[0]
-            _require(first == f"# config_hash={h}", f"{name} hash mismatch")
-        else:
-            _require(path.exists(), f"missing artifact {name}")
-    return f"{len(manifest['files'])} artifacts consistent with {h[:12]}"
 
 
 def _run_verify(cfg, outdir, h):
-    target = cfg["verify"]["target"]
+    g8, g16, g32 = (sp.TorusGrid(d=2, N=N) for N in (8, 16, 32))
+
+    def sol(g, *seeds):
+        return [sp.random_solenoidal(g, seed=s) for s in seeds]
+
+    def monotonicity_cases():
+        rng = np.random.default_rng(11)
+        for r in (3.0, 4.0, 5.0):
+            for _ in range(20):
+                yield *sol(g16, int(rng.integers(2**31)), int(rng.integers(2**31))), r
+
+    def determinism_run():
+        p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=1.0, gamma=0.0, r=3.0, q=2.0)
+        y0 = 0.05 * sol(g8, 12)[0]
+        return ts.simulate(ts.SimConfig(grid=g8, params=p, y0=y0, T=0.1, dt=0.02))
+
     checks = [
-        ("leray-projection", _check_leray),
-        ("trilinear-antisymmetry", _check_trilinear),
-        ("damping-pairing", _check_damping_pairing),
-        ("strong-monotonicity", _check_monotonicity),
-        ("gateaux-consistency", _check_gateaux),
-        ("constants-arithmetic", _check_constants),
-        ("gain-placement", _check_gain_placement),
-        ("eigen-smallest", _check_eigen_base),
-        ("snapshot-roundtrip", lambda: _check_snapshot_roundtrip(outdir)),
-        ("determinism", _check_determinism),
-        ("artifact-hashes", lambda: _check_artifact_hashes(target)),
+        ("leray-projection",
+         lambda: ck.leray_projection(sp.random_field(g32, 0), sp.random_field(g32, 1))),
+        ("trilinear-antisymmetry", lambda: ck.trilinear_antisymmetry(*sol(g32, 2, 3, 4))),
+        ("damping-pairing", lambda: ck.damping_pairing(*sol(g32, 5), (3.0, 5.0))),
+        ("strong-monotonicity", lambda: ck.strong_monotonicity(monotonicity_cases())),
+        ("gateaux-consistency", lambda: ck.gateaux_consistency(*sol(g16, 6, 7), (3.0, 5.0))),
+        ("constants-arithmetic", ck.constants_arithmetic),
+        ("gain-placement", lambda: ck.gain_placement(
+            np.diag([0.3, 0.9, 2.5, 4.0]), np.eye(4), 1.0, [1.0, 1.0, 2.5, 4.0])),
+        ("eigen-smallest", lambda: ck.eigen_smallest(g16, mu=1.0, alpha=0.3)),
+        ("snapshot-roundtrip",  # the check removes the file, which the manifest omits
+         lambda: ck.snapshot_roundtrip(*sol(g16, 8), outdir / "roundtrip.cbfd")),
+        ("determinism", lambda: ck.determinism(determinism_run)),
+        ("artifact-hashes", lambda: ck.artifact_hashes(cfg["verify"]["target"])),
     ]
     rows = []
     for name, fn in checks:

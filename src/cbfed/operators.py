@@ -269,7 +269,7 @@ def gateaux_first(y: sp.SpectralField, z: sp.SpectralField, p: float) -> sp.Spec
     g = y.grid
     factor = sp.oversample_factor(p)
     out = damping_derivative(sp.oversample(y, factor), p)(sp.oversample(z, factor))
-    return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g, factor)))
+    return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g)))
 
 
 def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:

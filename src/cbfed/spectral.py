@@ -34,8 +34,8 @@ earlier axis and no cut line along a later one.  Each line that is
 transformed is the same 1-d transform, in the same axis order, that irfftn
 or rfftn on the whole M-grid half spectrum computes, so the results are
 bitwise those of a copy of the kept modes around one irfftn or rfftn.
-oversample, gradient_physical and fine_to_coeffs are that pair on the
-(factor*N)^d grid.
+oversample and gradient_physical are sample on the (factor*N)^d grid, and
+fine_to_coeffs is unsample.
 
 sample and oversample can write into a given array (out=): the time stepper
 and the stationary solve each hold one nodal array for the whole loop, so
@@ -460,9 +460,9 @@ def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     return enforce_real(half, g)
 
 
-def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray:
-    """Stored halves of nodal values on the (factor*N)^d grid, truncated to
-    the coarse modes: unsample, which reads the grid from the values."""
+def fine_to_coeffs(vals: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Stored halves of nodal values on a fine grid, truncated to the coarse
+    modes: unsample, which reads the fine grid from the values."""
     return unsample(vals, grid)
 
 
@@ -568,10 +568,12 @@ def random_field(grid: TorusGrid, seed: int, decay: float = 2.0) -> SpectralFiel
 
 
 def random_solenoidal(grid: TorusGrid, seed: int, decay: float = 2.0) -> SpectralField:
-    """Divergence-free unit-H-norm random field, deterministic per seed."""
-    f = leray(random_field(grid, seed, decay))
-    nrm = norm_H(f)
-    if nrm == 0:
+    """Divergence-free unit-H-norm random field, deterministic per seed; a draw
+    of zero or non-finite norm (an overflowing decay) is a ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = leray(random_field(grid, seed, decay))
+        nrm = norm_H(f)
+    if not 0 < nrm < np.inf:
         raise ValueError("degenerate random draw")
     return (1.0 / nrm) * f
 

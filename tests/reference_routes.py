@@ -44,7 +44,7 @@ def gateaux_second(
     out = (p - 1) * op._pow0(m2, (p - 3) / 2.0) * (yz * W + yw * Z + zw * Y)
     if p != 3:
         out += (p - 1) * (p - 3) * (op._pow0(m2, (p - 5) / 2.0) * yz * yw) * Y
-    return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g, factor)))
+    return sp.leray(sp.SpectralField(g, sp.fine_to_coeffs(out, g)))
 
 
 def monotonicity_triple(y: sp.SpectralField, z: sp.SpectralField, r: float):

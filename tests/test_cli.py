@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbfed import cli
+from cbfed import checks, cli
 from cbfed import spectral as sp
 from cbfed import stationary as st
 from cbfed import timestep as ts
@@ -49,13 +49,9 @@ def test_constants_subcommand(tmp_path):
     rep = load_report(outdir)
     assert rep["experiment"] == "constants"
     assert len(rep["config_hash"]) == 64
-    assert outdir.name == rep["config_hash"][:12]
     assert abs(rep["report"]["rho_half"] - 0.5) < 1e-12
     assert abs(rep["report"]["rho_one"] - 0.25) < 1e-12
-    with open(outdir / "manifest.json") as fh:
-        man = json.load(fh)
-    assert man["config_hash"] == rep["config_hash"]
-    assert "report.json" in man["files"]
+    assert checks.artifact_hashes(outdir) == f"2 artifacts consistent with {outdir.name}"
 
 
 _TINY = {
@@ -92,8 +88,8 @@ def test_same_config_twice_identical_csv(tmp_path, experiment):
     assert cli.main([experiment, "--config", cfg]) == 0
     assert only_run_dir(tmp_path / "out") == outdir
     assert {name: (outdir / name).read_bytes() for name in files} == first
+    checks.artifact_hashes(outdir)
     if "trajectory.csv" in files:
-        assert first["trajectory.csv"].startswith(b"# config_hash=")
         assert len(ts.Trajectory.from_csv(outdir / "trajectory.csv").t) > 1
 
 
@@ -819,7 +815,7 @@ def test_failed_snapshot_roundtrip_leaves_no_file(tmp_path, monkeypatch, capsys)
 
 
 def test_check_constants_pins_K1_off_the_unit_bracket(monkeypatch):
-    assert cli._check_constants() == "frozen values reproduced to 1e-12"
+    assert checks.constants_arithmetic() == "frozen values reproduced to 1e-12"
 
     def inverted(beta, gamma, r, q):
         # K1 with its bracket exponent (q+1)/(r-q) inverted: equal at a unit bracket
@@ -828,8 +824,8 @@ def test_check_constants_pins_K1_off_the_unit_bracket(monkeypatch):
 
     assert abs(inverted(1, -1, 5, 2) - 0.5) < 1e-12
     monkeypatch.setattr(st, "uniqueness_K1", inverted)
-    with pytest.raises(cli.CheckFailed, match=r"uniqueness_K1\(1, -1, 5, 1.5\)"):
-        cli._check_constants()
+    with pytest.raises(checks.CheckFailed, match=r"uniqueness_K1\(1, -1, 5, 1.5\)"):
+        checks.constants_arithmetic()
 
 
 def _cli_env():
@@ -850,6 +846,30 @@ def test_verify_fails_under_optimize(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert re.search(r"^constants-arithmetic +FAIL +CheckFailed: \S", proc.stdout, re.M)
     assert "10/11 checks passed" in proc.stdout
+
+
+def test_non_string_verify_target_is_config_error(tmp_path, capsys):
+    # a config error, not a failed artifact-hashes row
+    assert cli.main(["verify", "--set", "verify.target=123", "--output-dir", str(tmp_path)]) == 2
+    assert "'verify.target'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["initial", "forcing"])
+def test_overflowing_decay_is_config_error(tmp_path, capsys, key):
+    # (1 + |k|^2)^150 overflows: the draw never had a finite norm to explode from
+    argv = ["simulate", "--set", f"{key}.kind=random", "--set", f"{key}.decay=-300",
+            "--set", "integrator.T=0.01", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{key}.decay'" in err
+
+
+@pytest.mark.parametrize("experiment", cli._EXPERIMENTS)
+def test_every_subcommand_runs_at_its_defaults(tmp_path, capsys, experiment):
+    # eigen's default mask controls the whole box: no region is left uncontrolled
+    rc = cli.main([experiment, "--set", "grid.N=8", "--output-dir", str(tmp_path)])
+    err = "error: complement empty: the gain limit needs an uncontrolled region\n"
+    assert (rc, capsys.readouterr().err) == ((2, err) if experiment == "eigen" else (0, ""))
 
 
 @pytest.mark.parametrize("key", ["initial", "forcing"])

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from cbfed import checks
 from cbfed import controllers as ct
 from cbfed import convex as cx
 from cbfed import galerkin as gk
@@ -324,11 +325,10 @@ def test_gain_scalar_and_already_stable():
 
 def test_gain_diagonal_placement():
     L = np.diag([0.3, 0.9, 2.5, 4.0])
+    checks.gain_placement(L, np.eye(4), 1.0, [1.0, 1.0, 2.5, 4.0])
     gs = gk.synthesize_gain(L, np.eye(4), 1.0)
-    assert np.allclose(np.sort(gs.spectrum.real), [1.0, 1.0, 2.5, 4.0], atol=1e-8)
     assert np.allclose(gs.G, np.diag([-0.7, -0.1, 0.0, 0.0]), atol=1e-8)
     assert gs.M_hat < 1 + 1e-8
-    assert min(gs.spectrum.real) >= 1.0 - 1e-8
 
 
 @pytest.mark.parametrize("sigma", [1e8, 1e10])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from cbfed import checks
 from cbfed import operators as op
 from cbfed import spectral as sp
 from cbfed import stationary as st
@@ -111,8 +112,8 @@ def test_solver_divergence_raised():
 
 
 def test_uniqueness_constants_frozen():
-    # K1 at r=5, q=2, gamma=-1, beta=1: 1 * (6/6)^1 * 3/6 = 1/2
-    assert abs(st.uniqueness_K1(beta=1, gamma=-1, r=5, q=2) - 0.5) < 1e-12
+    # K1 at r=5, q=2, gamma=-1, beta=1: 1 * (6/6)^1 * 3/6 = 1/2, a pin of the check
+    checks.constants_arithmetic()
     # q = 1 collapses K2 to (r-q)/(r-1), independent of gamma, beta
     assert abs(st.uniqueness_K2(beta=7, gamma=-2, r=5, q=1) - 1.0) < 1e-12
     assert st.uniqueness_K1(beta=1, gamma=0, r=5, q=2) == 0.0
