@@ -82,13 +82,12 @@ def gateaux_consistency(y, z, rs, eps=1e-6, tol=1e-5):
 
 def constants_arithmetic(tol=1e-12):
     """The closed-form constants at hand-evaluated points: the one home of these pins."""
-    gamma0 = (4 * np.pi / (2 * np.pi)) * (2.0 / (2 * np.pi) ** 2) ** 0.5
     frozen = [
         ("convection_rate(1, 1, 5, 1)", op.convection_rate(1.0, 1.0, 5.0, 1.0), 0.25),
         ("convection_rate(1, 1, 5, 0.5)", op.convection_rate(1.0, 1.0, 5.0, 0.5), 0.5),
         ("uniqueness_K1(1, -1, 5, 2)", st.uniqueness_K1(beta=1, gamma=-1, r=5, q=2), 0.5),
         ("uniqueness_K1(1, -1, 5, 1.5)", st.uniqueness_K1(1, -1, 5, 1.5), 0.512104699233823),
-        ("gamma0 at L = 2 pi", gamma0, np.sqrt(2.0) / np.pi),
+        ("gamma0 at L = 2 pi", gk.quadratic_gamma0(2 * np.pi, 2), np.sqrt(2.0) / np.pi),
     ]
     for name, got, want in frozen:
         _require(abs(got - want) < tol, f"{name} = {got!r}, frozen value {want!r}")
@@ -111,14 +110,14 @@ def eigen_smallest(grid, mu, alpha, tol=1e-8):
 
 
 def snapshot_roundtrip(y, path):
-    """y written to path (removed after) reads back to its exact coefficients."""
+    """y written to path (removed after) reads back to its coefficients, bit for bit."""
     try:
         sp.write_snapshot(y, path)
         back = sp.read_snapshot(path)
     finally:
         Path(path).unlink(missing_ok=True)
-    err = sp.norm_H(back - y)
-    _require(err == 0.0, f"round trip moved the field by {err:.2e}")
+    same = back.c.shape == y.c.shape and back.c.tobytes() == y.c.tobytes()
+    _require(same, "round trip changed the coefficients' bytes")
     return "coefficients restored exactly"
 
 

@@ -99,14 +99,17 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """An int (not a bool) or a finite float: JSON NaN and Infinity parse as floats."""
+    if isinstance(val, float):
+        return bool(np.isfinite(val))
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _check_types(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
-    """Reject a value other than an int or float (a bool included) where a number
-    goes, a non-integral one where the default is an int, anything but a list
-    of numbers at a list key, and anything but a string or null at a path key,
-    before any file is opened."""
+    """Reject a value other than an int or a finite float (a bool, NaN and
+    Infinity included) where a number goes, a non-integral one where the
+    default is an int, anything but a list of such numbers at a list key, and
+    anything but a string or null at a path key, before any file is opened."""
     for key, default in defaults.items():
         dotted, val = path + key, config[key]
         if isinstance(default, dict) and default:
@@ -117,10 +120,12 @@ def _check_types(config: dict, defaults: dict = _DEFAULTS, path: str = "") -> No
         elif dotted in _NUMBER_LISTS:
             listed = isinstance(val, list) and all(map(_is_number, val))
             if not listed and not (val is None and default is None):
-                raise ConfigError(f"config key {dotted!r} expects a list of numbers, got {val!r}")
+                raise ConfigError(
+                    f"config key {dotted!r} expects a list of finite numbers, got {val!r}"
+                )
         elif isinstance(default, (int, float)) or (val is not None and dotted in _NUMBER_OR_NULL):
             if not _is_number(val):
-                raise ConfigError(f"config key {dotted!r} expects a number, got {val!r}")
+                raise ConfigError(f"config key {dotted!r} expects a finite number, got {val!r}")
             if isinstance(default, int) and isinstance(val, float) and not val.is_integer():
                 raise ConfigError(f"config key {dotted!r} expects an integer, got {val!r}")
 
@@ -269,7 +274,7 @@ def _build_mask(cfg, grid):
         parsed = [tuple((float(lo), float(hi)) for lo, hi in box) for box in boxes]
     except (TypeError, ValueError):
         raise ConfigError("mask.boxes must be a list of per-axis [lo, hi] lists") from None
-    return eg.DomainMask(grid, parsed).indicator
+    return eg.box_indicator(grid, parsed)
 
 
 def _states(cfg, grid, params, seeds, initial=True):
@@ -296,10 +301,7 @@ def _states(cfg, grid, params, seeds, initial=True):
 def _stationary(grid, params, forcing):
     """Converged stationary solve for a forcing (zero when None), and that forcing."""
     f = forcing if forcing is not None else sp.SpectralField.zero(grid)
-    res = st.solve_stationary(grid, params, f)
-    if not res.converged:
-        raise SolverDivergence(f"stationary iteration stalled at residual {res.residual:.3e}")
-    return res, f
+    return st.solve_stationary(grid, params, f), f
 
 
 def _sim_config(cfg, grid, params, seeds, initial=True) -> ts.SimConfig:
@@ -385,7 +387,7 @@ def _run_constants(cfg, outdir, h):
         "rho_one": _try(op.convection_rate, params.mu, params.beta, params.r, 1.0),
         "K1": _finite(st.uniqueness_K1(params.beta, params.gamma, params.r, params.q)),
         "K2": _finite(st.uniqueness_K2(params.beta, params.gamma, params.r, params.q)),
-        "gamma0": (4 * np.pi / L) * (2.0 / L**d) ** 0.5,
+        "gamma0": gk.quadratic_gamma0(L, d),
         "c_min": th["c_min"] if th else None,
     }
     return body, {}, []

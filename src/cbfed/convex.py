@@ -1,11 +1,12 @@
 """Closed convex constraint sets and their Moreau-Yosida machinery.
 
-A constraint object needs three methods: project(x), contains(x, tol),
-distance(x).  The two families used by the feedback laws are H-balls and
-spans of low eigenmodes; both contain 0 and are invariant under the Stokes
-resolvent.  A span also has a bandwidth, the largest |k_i| of its modes,
-which bounds every state projected onto it: the time stepper sizes its
-transform grids from it (timestep.simulate).
+A constraint object needs two methods, project(x) and distance(x): the
+time stepper calls both, and yosida_term calls project.  The two families
+used by the feedback laws are H-balls and spans of low eigenmodes; both
+contain 0 and are invariant under the Stokes resolvent.  A span also has a
+bandwidth, the largest |k_i| of its modes, which bounds every state
+projected onto it: the time stepper sizes its transform grids from it
+(timestep.simulate).
 """
 from __future__ import annotations
 
@@ -28,9 +29,6 @@ class BallConstraint:
             return x.copy()
         return (self.radius / n) * x
 
-    def contains(self, x: sp.SpectralField, tol: float = 1e-12) -> bool:
-        return sp.norm_H(x) <= self.radius * (1 + tol)
-
     def distance(self, x: sp.SpectralField) -> float:
         return max(0.0, sp.norm_H(x) - self.radius)
 
@@ -39,7 +37,7 @@ class BallConstraint:
 
 
 class SpanConstraint:
-    """Span of a list of orthonormal eigenmodes (or fields).
+    """Span of a list of orthonormal eigenmodes (sp.EigenMode).
 
     The span is the one owner of the stacked mode spectra and of their
     sp.parseval_dual rows: the Galerkin reduction keeps one, and its
@@ -54,7 +52,7 @@ class SpanConstraint:
     """
 
     def __init__(self, modes):
-        fields = [m.field if isinstance(m, sp.EigenMode) else m for m in modes]
+        fields = [m.field for m in modes]
         if not fields:
             raise ValueError("span constraint needs at least one mode")
         self.grid = fields[0].grid
@@ -77,9 +75,6 @@ class SpanConstraint:
 
     def project(self, x: sp.SpectralField) -> sp.SpectralField:
         return self.expand(self.coeffs(x))
-
-    def contains(self, x: sp.SpectralField, tol: float = 1e-10) -> bool:
-        return self.distance(x) <= tol * max(1.0, sp.norm_H(x))
 
     def distance(self, x: sp.SpectralField) -> float:
         """||x - P x||_H, projecting again even where x was just projected.

@@ -4,7 +4,8 @@ The operator sends a divergence-free field y to
 
     mu * (Stokes y) + alpha * y + k * P(m y),
 
-where m is the indicator of the control region and P the solenoidal
+where m is the indicator of the control region, an array of nodal values
+on the grid (box_indicator builds it from boxes), and P the solenoidal
 projection.  As the gain k grows, the smallest eigenvalue climbs toward the
 principal eigenvalue of the drag-shifted Stokes problem with the field pinned
 on the control region; that limit is what certifies a decay rate for the
@@ -30,48 +31,33 @@ from . import spectral as sp
 from .errors import ConfigError, SolverDivergence
 
 
-class DomainMask:
-    """Indicator of the control region, a union of axis-aligned boxes.
+def box_indicator(grid: sp.TorusGrid, boxes) -> np.ndarray:
+    """Nodal indicator of the control region, a union of axis-aligned boxes.
 
     Boxes are half-open products of intervals, one ``(lo, hi)`` pair per
     axis.  The control region must be nonempty; it may cover the whole
     torus, which is the same as no mask (only `lambda_star_estimate` needs
     an uncontrolled region).
     """
-
-    def __init__(self, grid: sp.TorusGrid, boxes):
-        if not boxes:
-            raise ConfigError("control region needs at least one box")
-        nodes = grid.nodes()
-        ind = np.zeros(grid.shape, dtype=bool)
-        clean = []
-        for box in boxes:
-            if len(box) != grid.d:
-                raise ConfigError("each box needs one (lo, hi) pair per axis")
-            hit = np.ones(grid.shape, dtype=bool)
-            pairs = []
-            for a, (lo, hi) in enumerate(box):
-                lo, hi = float(lo), float(hi)
-                if not (0.0 <= lo < hi <= grid.L + 1e-12):
-                    raise ConfigError("box edges must satisfy 0 <= lo < hi <= L")
-                hit &= (nodes[a] >= lo - 1e-12) & (nodes[a] < hi - 1e-12)
-                pairs.append((lo, hi))
-            ind |= hit
-            clean.append(tuple(pairs))
-        self.grid = grid
-        self.boxes = clean
-        self.indicator = ind.astype(float)
-        covered = float(self.indicator.sum()) * grid.cell_volume
-        self.complement_volume = grid.L**grid.d - covered
-        if covered <= 0.0:
-            raise ConfigError("control region has zero volume")
+    if not boxes:
+        raise ConfigError("control region needs at least one box")
+    nodes = grid.nodes()
+    ind = np.zeros(grid.shape, dtype=bool)
+    for box in boxes:
+        if len(box) != grid.d:
+            raise ConfigError("each box needs one (lo, hi) pair per axis")
+        hit = np.ones(grid.shape, dtype=bool)
+        for a, (lo, hi) in enumerate(box):
+            if not (0.0 <= lo < hi <= grid.L + 1e-12):
+                raise ConfigError("box edges must satisfy 0 <= lo < hi <= L")
+            hit &= (nodes[a] >= lo - 1e-12) & (nodes[a] < hi - 1e-12)
+        ind |= hit
+    if not ind.any():
+        raise ConfigError("control region has zero volume")
+    return ind.astype(float)
 
 
 def _as_indicator(mask, grid: sp.TorusGrid) -> np.ndarray:
-    if isinstance(mask, DomainMask):
-        if mask.grid != grid:
-            raise ConfigError("mask was built on a different grid")
-        return mask.indicator
     m = np.asarray(mask, dtype=float)
     if m.shape != grid.shape:
         raise ConfigError(f"mask shape {m.shape} does not match the grid {grid.shape}")

@@ -279,6 +279,12 @@ def synthesize_gain(Lmat, Bmat, sigma):
     )
 
 
+def quadratic_gamma0(L: float, d: int) -> float:
+    """gamma0 = (4 pi/L)(2/L^d)^{1/2}: ||Q(v)|| <= gamma0 ||v||^2 for the
+    quadratic term of any span of unit-norm modes on [0, L]^d."""
+    return 4 * np.pi / L * np.sqrt(2.0 / L**d)
+
+
 def growth_constants(red, sigma):
     """Constants turning the linear margin into a nonlinear attraction radius.
 
@@ -289,7 +295,7 @@ def growth_constants(red, sigma):
         raise ConfigError("margin sigma must be positive")
     p, g, n = red.params, red.grid, red.n
     L, d = g.L, g.d
-    gamma0 = 4 * np.pi / L * np.sqrt(2.0 / L**d)
+    gamma0 = quadratic_gamma0(L, d)
     out = {
         "regime": None, "sigma": float(sigma), "n": n, "gamma0": gamma0,
         "C1": None, "C2": None, "C3": None, "C4": None, "C5": None,

@@ -582,30 +582,23 @@ def random_solenoidal(grid: TorusGrid, seed: int, decay: float = 2.0) -> Spectra
 # snapshot file format
 #
 # header (32 bytes, little-endian): magic "CBFD", version u32, d u32, N u32,
-# L f64, mode count u64; payload: for each wavevector in lexicographic order
-# (components -N/2 .. N/2-1), for each velocity component, (re, im) as f64.
-# The payload is the full spectrum: write_snapshot rebuilds it from the stored
-# half, and read_snapshot keeps the half of what it reads.
+# L f64, mode count u64; payload: the full spectrum, fftshifted so that each
+# wavevector axis runs k = -N/2 .. N/2-1, with the velocity component as the
+# last axis, in C order as little-endian complex128, i.e. (re, im) f64 pairs.
+# write_snapshot rebuilds the full spectrum from the stored half, and
+# read_snapshot keeps the half of what it reads.
 
 _HEADER = struct.Struct("<4sIIIdQ")
 SNAPSHOT_VERSION = 1
 
 
-def _lex_index(N: int) -> np.ndarray:
-    return np.arange(-N // 2, N // 2) % N
-
-
 def write_snapshot(field: SpectralField, path) -> None:
     g = field.grid
-    idx = _lex_index(g.N)
-    gathered = full_spectrum(field.c, g)[(slice(None),) + np.ix_(*([idx] * g.d))]
-    arr = np.moveaxis(gathered, 0, -1)  # (*sorted wavevectors, component)
-    flat = np.empty(arr.size * 2, dtype="<f8")
-    flat[0::2] = arr.real.ravel()
-    flat[1::2] = arr.imag.ravel()
+    axes = tuple(range(1, g.d + 1))
+    arr = np.moveaxis(np.fft.fftshift(full_spectrum(field.c, g), axes=axes), 0, -1)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(b"CBFD", SNAPSHOT_VERSION, g.d, g.N, g.L, g.N**g.d))
-        fh.write(flat.tobytes())
+        fh.write(arr.astype("<c16").tobytes())
 
 
 def read_snapshot(path) -> SpectralField:
@@ -621,13 +614,9 @@ def read_snapshot(path) -> SpectralField:
         grid = TorusGrid(d=d, N=N, L=L)
         if count != N**d:
             raise ValueError("inconsistent mode count")
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    if payload.size != count * d * 2:
+        payload = fh.read()
+    if len(payload) != count * d * 16:
         raise ValueError("truncated snapshot payload")
-    arr = payload[0::2] + 1j * payload[1::2]
-    arr = arr.reshape((N,) * d + (d,))
-    arr = np.moveaxis(arr, -1, 0)
-    idx = _lex_index(N)
-    c = np.zeros((d,) + grid.shape, dtype=complex)
-    c[(slice(None),) + np.ix_(*([idx] * d))] = arr
+    arr = np.frombuffer(payload, dtype="<c16").reshape((N,) * d + (d,))
+    c = np.fft.ifftshift(np.moveaxis(arr, -1, 0), axes=tuple(range(1, d + 1)))
     return SpectralField(grid, _keep_half(c, grid))

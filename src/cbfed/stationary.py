@@ -7,7 +7,8 @@ The fixed point solved is
 iterated with under-relaxation that halves itself (up to four times) when the
 residual stagnates.  The residual is measured in H on the discrete equation
 itself, so a converged state satisfies the same operators the time stepper
-uses.
+uses.  solve_stationary returns only a state whose residual is below tol;
+every other exit raises SolverDivergence.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ class StationaryResult:
     field: sp.SpectralField
     residual: float
     iterations: int
-    converged: bool
     relaxation: float
     residual_history: list = field(default_factory=list)
 
@@ -74,7 +74,7 @@ def solve_stationary(
         if not np.isfinite(res):
             raise SolverDivergence("stationary iteration produced non-finite residual")
         if res < tol:
-            return StationaryResult(y, res, it, True, omega, history)
+            return StationaryResult(y, res, it, omega, history)
         if it == 0:   # stagnation is judged from the first update on
             continue
         if res >= best * 0.999:
@@ -112,18 +112,18 @@ def uniqueness_K2(beta: float, gamma: float, r: float, q: float) -> float:
     return op.pumping_rate(beta, gamma, r, q, 2.0)
 
 
-def uniqueness_report(params: op.PhysicalParams, forcing, embed_const: float = 1.0) -> dict:
+def uniqueness_report(params: op.PhysicalParams, forcing) -> dict:
     """Sufficient smallness condition for the stationary state to be unique.
 
     min(mu, alpha) >= 2 K2 + C (||f_e||^2/(beta mu) + K1 |T^d|/beta)^{1/2};
-    the embedding constant C is user-supplied (default 1), so the margin is a
+    the embedding constant C is taken as 1, not derived, so the margin is a
     heuristic indicator, not a certificate.
     """
     f = sp.leray(forcing)
     k1 = uniqueness_K1(params.beta, params.gamma, params.r, params.q)
     k2 = uniqueness_K2(params.beta, params.gamma, params.r, params.q)
     vol = f.grid.L**f.grid.d
-    rhs = 2 * k2 + embed_const * np.sqrt(
+    rhs = 2 * k2 + np.sqrt(
         sp.norm_H(f) ** 2 / (params.beta * params.mu) + k1 * vol / params.beta
     )
     lhs = min(params.mu, params.alpha)

@@ -864,6 +864,23 @@ def test_overflowing_decay_is_config_error(tmp_path, capsys, key):
     assert err.count("\n") == 1 and f"'{key}.decay'" in err
 
 
+@pytest.mark.parametrize("experiment, items, key", [
+    ("simulate", ["initial.amplitude=NaN", "integrator.T=0.01"], "initial.amplitude"),
+    ("simulate", ["forcing.kind=random", "forcing.amplitude=Infinity"], "forcing.amplitude"),
+    ("constants", ["params.gamma=NaN"], "params.gamma"),
+    ("eigen", ["mask.boxes=[[[0,3],[0,6.28]]]", "controller.ladder=[10,20,-Infinity,80]"],
+     "controller.ladder"),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, experiment, items, key):
+    # json.loads reads NaN and Infinity as floats; they used to run (exit 3, 4 or 5)
+    argv = [experiment, "--output-dir", str(tmp_path)]
+    for item in items:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{key}'" in err and "finite" in err
+
+
 @pytest.mark.parametrize("experiment", cli._EXPERIMENTS)
 def test_every_subcommand_runs_at_its_defaults(tmp_path, capsys, experiment):
     # eigen's default mask controls the whole box: no region is left uncontrolled

@@ -18,18 +18,24 @@ def grid2(N=16):
 
 def slab_complement_mask(g, width_frac):
     """Control region = everything but a slab of the given width fraction."""
-    return eg.DomainMask(g, [((g.L * width_frac, g.L), (0.0, g.L))])
+    return eg.box_indicator(g, [((g.L * width_frac, g.L), (0.0, g.L))])
 
 
 def test_domain_mask_boxes_and_volume():
     g = grid2()
-    dm = eg.DomainMask(g, [((0.0, np.pi), (0.0, np.pi))])
-    assert dm.indicator.shape == g.shape
-    assert abs(dm.indicator.sum() * g.cell_volume - np.pi**2) < 1e-12
-    assert abs(dm.complement_volume - (g.L**2 - np.pi**2)) < 1e-12
-    with pytest.raises(ConfigError):
-        eg.DomainMask(g, [])
-    full = eg.DomainMask(g, [((0.0, g.L), (0.0, g.L))])  # the same as no mask
+    m = eg.box_indicator(g, [((0.0, np.pi), (0.0, np.pi))])
+    assert m.shape == g.shape
+    assert abs(m.sum() * g.cell_volume - np.pi**2) < 1e-12
+    assert abs((1.0 - m).sum() * g.cell_volume - (g.L**2 - np.pi**2)) < 1e-12
+    for boxes, message in [
+        ([], "at least one box"),
+        ([((0.0, 1.0),)], r"one \(lo, hi\) pair per axis"),
+        ([((2.0, 1.0), (0.0, 1.0))], "0 <= lo < hi <= L"),
+        ([((0.01, 0.02), (0.0, g.L))], "zero volume"),   # between two nodes
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            eg.box_indicator(g, boxes)
+    full = eg.box_indicator(g, [((0.0, g.L), (0.0, g.L))])  # the same as no mask
     with pytest.raises(ConfigError):  # only the gain limit needs a complement
         eg.lambda_star_estimate(g, full, [10.0, 20.0, 40.0, 80.0], mu=1.0, alpha=0.3)
 
@@ -90,7 +96,7 @@ def test_smallest_eigenvalue_full_mask_large_gain():
 @pytest.mark.parametrize("d", [2, 3])
 def test_smallest_eigenvalue_matches_dense_reference(d, k):
     g = sp.TorusGrid(d=d, N=8)
-    dm = eg.DomainMask(g, [((0.785, g.L),) + ((0.0, g.L),) * (d - 1)])
+    dm = eg.box_indicator(g, [((0.785, g.L),) + ((0.0, g.L),) * (d - 1)])
     # complete basis: the constants, then d - 1 polarizations for each of
     # cosine and sine on the (7^d - 1) / 2 wavevector pairs with |k_i| <= 3
     modes = sp.eigenbasis(g, d + (d - 1) * (7**d - 1))
@@ -126,7 +132,7 @@ def test_large_gain_solve_converges_quickly():
     # the preconditioner carries the coupling's mean gain k mean(m): without
     # it this solve takes over 300 iterations
     g = grid2()
-    dm = eg.DomainMask(g, [((0.785, g.L), (0.0, g.L))])
+    dm = eg.box_indicator(g, [((0.785, g.L), (0.0, g.L))])
     _, _, iters = eg.smallest_eigenvalue_Ak(g, 800.0, dm, mu=1.0, alpha=0.3)
     assert iters <= 100, iters
 
@@ -172,7 +178,7 @@ def test_ladder_monotone_and_extrapolant():
     nu_far, _, _ = eg.smallest_eigenvalue_Ak(g, 800.0, dm, mu=1.0, alpha=0.3)
     assert abs(rep["lambda_star"] - nu_far) <= 0.05 * nu_far
     # the certified lower bound sits below the ladder limit
-    assert rep["lambda_star"] >= eg.rfk_bound(dm.complement_volume, 2) - 1e-6
+    assert rep["lambda_star"] >= eg.rfk_bound(rep["complement_volume"], 2) - 1e-6
 
 
 def test_ladder_guards():
@@ -248,7 +254,7 @@ def test_localized_proportional_loop_decays():
     assert rep["positive"]
     z0 = 0.1 * sp.random_solenoidal(g, seed=9, decay=2.5)
     report, _ = ct.run_proportional_loop(
-        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain=k, mask=dm.indicator,
+        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain=k, mask=dm,
         delta=rep["delta"], c_min=rep["rho_star"] + rep["rho1_star"] + rep["rho2_star"],
     )
     assert report["pointwise_ok"]

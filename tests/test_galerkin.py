@@ -162,7 +162,7 @@ def _assembly_case(d, equilibrium, params):
     if equilibrium == "zero":
         return sp.SpectralField.zero(g)
     solved = solve_stationary(g, params, sp.random_solenoidal(g, seed=5, decay=2.0))
-    assert solved.converged and sp.norm_H(solved.field) > 0.1
+    assert solved.residual < 1e-11 and sp.norm_H(solved.field) > 0.1
     return solved.field
 
 
@@ -697,7 +697,7 @@ def test_full_matches_reduced_first_order():
         cfg = ts.SimConfig(
             grid=red.grid, params=red.params, y0=red.span.expand(v0), T=T, dt=dt,
             controller=gk.make_galerkin_controller(red, gs.G),
-            constraint=cx.SpanConstraint([m.field for m in red.modes]),
+            constraint=cx.SpanConstraint(red.modes),
             constraint_mode="project",
         )
         return red.span.coeffs(ts.simulate(cfg).final)

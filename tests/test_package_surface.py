@@ -18,9 +18,6 @@ SRC = ROOT / "src" / "cbfed"
 # interface members that nothing in src/ calls, and why each one stays
 KEPT = {
     "timestep.Trajectory.from_csv": "reads the trajectory.csv artifact, the twin of to_csv",
-    "convex.BallConstraint.contains": "part of the constraint interface (project, contains, "
-    "distance), which the tests' HalfSpace fixture also implements",
-    "convex.SpanConstraint.contains": "part of the same constraint interface",
 }
 
 

@@ -338,6 +338,26 @@ def test_snapshot_write_read_bitwise(tmp_path, d):
         assert np.array_equal(sp.read_snapshot(path).c, f.c)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_snapshot_roundtrip_keeps_signed_zeros(tmp_path, monkeypatch, d):
+    # zero parts of either sign (conj(0) = -0) come back with their sign,
+    # and the check sees a read that drops it
+    g = small_grid(d)
+    c = sp.random_solenoidal(g, seed=73).c.copy()
+    c[0, 0, 1] = complex(-0.0, -0.0)
+    c[1, 1, 0] = complex(0.5, -0.0)
+    c[1, 2, 1] = complex(-0.0, 0.25)
+    f = sp.SpectralField(g, c)
+    path = tmp_path / "zeros.cbfd"
+    sp.write_snapshot(f, path)
+    assert sp.read_snapshot(path).c.tobytes() == c.tobytes()
+    checks.snapshot_roundtrip(f, path)
+    read = sp.read_snapshot
+    monkeypatch.setattr(sp, "read_snapshot", lambda p: sp.SpectralField(g, read(p).c + 0.0))
+    with pytest.raises(checks.CheckFailed, match="bytes"):
+        checks.snapshot_roundtrip(f, path)
+
+
 def _parseval_full(a, b, weight):
     # L^d sum over the full spectrum of weight * Re(conj(b_k) a_k), with the
     # full spectra from the complex FFT of the nodal values

@@ -411,7 +411,7 @@ def test_gamma_term_on_finer_grid_reduces_aliasing(d):
 
 
 class _HiddenBandwidth:
-    """The span's three constraint methods without its bandwidth, so the
+    """The span's two constraint methods without its bandwidth, so the
     stepper keeps the damping and base grids: the reference run."""
 
     def __init__(self, span):
@@ -419,9 +419,6 @@ class _HiddenBandwidth:
 
     def project(self, x):
         return self._span.project(x)
-
-    def contains(self, x, tol=1e-10):
-        return self._span.contains(x, tol)
 
     def distance(self, x):
         return self._span.distance(x)
