@@ -71,9 +71,7 @@ def make_proportional_controller(grid, k_gain, mask):
     """Feedback z -> -k * Leray(mask * z), mask sampled on the grid nodes."""
     if k_gain < 0:
         raise ConfigError("k_gain must be nonnegative")
-    m = np.asarray(mask, dtype=float)
-    if m.shape != grid.shape:
-        raise ConfigError(f"mask shape {m.shape} does not match grid {grid.shape}")
+    m = sp.as_mask(mask, grid)
 
     def controller(z):
         return (-k_gain) * sp.masked_leray(grid, m, z.physical())

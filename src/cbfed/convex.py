@@ -5,8 +5,9 @@ time stepper calls both, and yosida_term calls project.  The two families
 used by the feedback laws are H-balls and spans of low eigenmodes; both
 contain 0 and are invariant under the Stokes resolvent.  A span also has a
 bandwidth, the largest |k_i| of its modes, which bounds every state
-projected onto it: the time stepper sizes its transform grids from it
-(timestep.simulate).
+projected onto it: op.span_nodes, the one rule for the grid of such a
+state, sizes from it the time stepper's transform grids and the Galerkin
+reduction's quadrature grid.
 """
 from __future__ import annotations
 

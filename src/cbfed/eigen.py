@@ -57,16 +57,9 @@ def box_indicator(grid: sp.TorusGrid, boxes) -> np.ndarray:
     return ind.astype(float)
 
 
-def _as_indicator(mask, grid: sp.TorusGrid) -> np.ndarray:
-    m = np.asarray(mask, dtype=float)
-    if m.shape != grid.shape:
-        raise ConfigError(f"mask shape {m.shape} does not match the grid {grid.shape}")
-    return m
-
-
 def apply_Ak(y: sp.SpectralField, k_gain: float, mask, mu: float, alpha: float):
     """Damped Stokes operator plus the gain-weighted masked coupling."""
-    m = _as_indicator(mask, y.grid)
+    m = sp.as_mask(mask, y.grid)
     out = mu * sp.stokes(y) + alpha * y
     if k_gain != 0.0:
         out = out + k_gain * sp.masked_leray(y.grid, m, y.physical())
@@ -149,7 +142,7 @@ def smallest_eigenvalue_Ak(
         raise ConfigError(f"eigen tolerance must be positive, got {tol}")
     if not k_gain >= 0.0:
         raise ConfigError(f"k_gain must be nonnegative, got {k_gain}")
-    m = _as_indicator(mask, grid)
+    m = sp.as_mask(mask, grid)
 
     def apply_op(c):
         return apply_Ak(sp.SpectralField(grid, c), k_gain, m, mu, alpha).c
@@ -226,7 +219,7 @@ def lambda_star_estimate(
     ``1 / k``; the last two rungs give the reported estimate.  The ladder of
     eigenvalues must be nondecreasing up to solver tolerance.
     """
-    m = _as_indicator(mask, grid)
+    m = sp.as_mask(mask, grid)
     comp = grid.L**grid.d - float(m.sum()) * grid.cell_volume
     if m.all():   # on the nodes: comp of a full mask is roundoff above 0 at N = 12
         raise ConfigError("complement empty: the gain limit needs an uncontrolled region")

@@ -13,19 +13,24 @@ or beyond a requested margin; the growth constants translate that margin
 into an attraction radius for the full nonlinear reduced system.
 
 Every pairing is a rectangle rule on one quadrature grid of quad_N nodes
-per axis (quadrature_nodes).  At y_e = 0 with every damping exponent an odd
-integer, each integrand is a trigonometric polynomial of degree at most
-(r+1) B per axis, B the largest |k_i| of the modes (span.bandwidth), and
-the grid is the smallest even quad_N > (r+1) B, at least 4
-(sp.alias_free_nodes): the rule is then exact, and at the defaults (r = 5,
-B = 1) it takes 8^d nodes instead of the 96^d of the damping grid.  The
-modes are sampled there from their stored spectra (sp.sample), which holds
-them exactly since B < quad_N/2.  In every other case (a fractional power
-or a nonzero equilibrium), and wherever the damping grid damping_factor N
-is no larger, the grid is the damping grid, and the tensors are bitwise
-those of the oversampled nodes.  The input coupling B
-and the controller stay on the base grid, where the physical-space
-controller pairs.
+per axis.  At y_e = 0 the modes' span holds every state the reduction
+pairs, so the grid is op.span_nodes of the span's bandwidth B (the largest
+|k_i| of the modes), the one rule for states held in a span: with every
+damping exponent an odd integer each integrand is a trigonometric
+polynomial of degree at most (r+1) B per axis, and the smallest even
+quad_N > (r+1) B, at least 4 and at most the damping grid, integrates it
+exactly.  At the defaults (r = 5, B = 1) that is 8^d nodes instead of the
+96^d of the damping grid.  The modes are sampled there from their stored
+spectra (sp.sample), which holds them exactly since B < quad_N/2.  A
+nonzero equilibrium is not held in the span, so it keeps the damping grid
+damping_factor N, as does a fractional or even exponent; the tensors are
+then bitwise those of the oversampled nodes.
+
+The input coupling is read off the controller's images Leray(mask w_j), taken
+once on the base grid where the physical-space controller pairs: Bmat holds
+their mode coefficients through the span's dual, and the controller applies
+the same images, so the coupling the reduction assumes is the one the full
+loop gets.
 
 N is computed as the difference C(y_e + z) - C(y_e) - C'(y_e) z paired
 with the modes, with C = beta C_r + gamma C_q: the first pairing from
@@ -48,9 +53,8 @@ coefficients (span.coeffs) and back (span.expand), the controller reads the
 coefficients through it, and the full closed loop projects onto it.  The
 span and the controller hold their stacks as (n, 2X) float views of the
 flattened spectra, so each of these maps is one real matmul.  Every state
-of the full loop has the span's bandwidth, so in the case of the small
-quadrature grid (y_e = 0, odd exponents) timestep.simulate steps it on
-grids sized from that bandwidth too.
+of the full loop at y_e = 0 is held in the span, so timestep.simulate steps
+it on the same op.span_nodes grid as the reduction pairs on.
 """
 from __future__ import annotations
 
@@ -79,42 +83,24 @@ class GalerkinReduction:
     Lmat: np.ndarray          # (n, n), acts as (Lmat @ v)
     g1: np.ndarray            # (n, n, n), b(w_i, w_j, w_k) with k the output index
     Bmat: np.ndarray          # (n, n), input coupling (m w_j, w_k)
-    quad_N: int               # nodes per axis of the quadrature grid (quadrature_nodes)
+    quad_N: int               # nodes per axis of the quadrature grid (op.span_nodes at 0)
     span: cx.SpanConstraint = dc_field(repr=False, default=None)  # the stacked modes
+    _images: np.ndarray = dc_field(repr=False, default=None)  # Leray(m w_j), stacked spectra
     _Wf: np.ndarray = dc_field(repr=False, default=None)   # mode samples on the quad_N grid
     _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium there; None at 0
     _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
     _D: np.ndarray = dc_field(repr=False, default=None)      # (C'(y_e) w_i, w_k), i the row
 
 
-def quadrature_nodes(y_e, bandwidth, params):
-    """Nodes per axis of the grid on which the reduction pairs its modes.
-
-    At y_e = 0 with every damping exponent an odd integer, each pairing is a
-    trigonometric polynomial of degree at most (r+1) B per axis, B the modes'
-    bandwidth (their largest |k_i|): the remainder and the linearized damping
-    reach (p+1) B, the quadratic tensor 3 B.  The rectangle rule on M > (r+1) B
-    nodes integrates it exactly, so M is the smallest even such integer
-    (sp.alias_free_nodes), at least 4 and never more than the damping grid.
-    Every other case keeps the damping grid, damping_factor N.
-    """
-    full = params.damping_factor * y_e.grid.N
-    if np.any(y_e.c) or not params.odd_integer_damping:
-        return full
-    return min(sp.alias_free_nodes((int(params.r) + 1) * bandwidth, 0), full)
-
-
 def assemble_reduction(y_e, n, params, mask=None):
     """Project the linearization about y_e onto the first n eigenmodes.
 
-    The modes are sampled on the quadrature_nodes grid.  The assembly runs one
-    mode at a time, so the only n-mode array it holds on that grid is _Wf, the
-    mode samples the reduction keeps.
+    The modes are sampled on the quad_N grid.  The assembly runs one mode at
+    a time, so the only n-mode array it holds on that grid is _Wf, the mode
+    samples the reduction keeps.
     """
     g = y_e.grid
-    m = np.ones(g.shape) if mask is None else np.asarray(mask, dtype=float)
-    if m.shape != g.shape:
-        raise ConfigError(f"mask shape {m.shape} does not match grid {g.shape}")
+    m = np.ones(g.shape) if mask is None else sp.as_mask(mask, g)
     if n < 1:
         raise ConfigError(f"the reduction needs at least one mode, got n={n}")
     try:
@@ -124,7 +110,8 @@ def assemble_reduction(y_e, n, params, mask=None):
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
     d = g.d
     span = cx.SpanConstraint(modes)
-    M = quadrature_nodes(y_e, span.bandwidth, params)
+    nonzero_eq = bool(np.any(y_e.c))
+    M = params.damping_factor * g.N if nonzero_eq else op.span_nodes(params, g, span.bandwidth)
     cell_f = (g.L / M) ** d
 
     def gradient(a):    # nodal values of all partials of a on the M grid
@@ -135,7 +122,6 @@ def assemble_reduction(y_e, n, params, mask=None):
         sp.sample(mode.field.c, g, M, out=Wf[j])
     Wf_ = Wf.reshape(n, d, -1)
     Yf_ = sp.sample(y_e.c, g, M).reshape(d, -1)
-    nonzero_eq = bool(np.any(y_e.c))
 
     # g1[i, j, k] = b(w_i, w_j, w_k); linearized convection
     # h1[i, k] = b(w_i, y_e, w_k) + b(y_e, w_i, w_k), zero at y_e = 0.
@@ -166,17 +152,16 @@ def assemble_reduction(y_e, n, params, mask=None):
 
     Lmat = np.diag(params.mu * lam + params.alpha) + h1.T + h2.T
 
-    # input coupling on the base grid so that it matches the discrete inner
-    # products of the physical-space controller exactly
-    cell = g.cell_volume
-    Wb_ = np.stack([mode.field.physical() for mode in modes]).reshape(n, d, -1)
-    Bmat = cell * np.einsum("jax,kax->jk", m.reshape(-1)[None, None] * Wb_, Wb_, optimize=True)
+    # input coupling (m w_j, w_k) = (Leray(m w_j), w_k): the mode coefficients
+    # of the controller's images, which the controller reuses
+    images = np.stack([sp.masked_leray(g, m, mode.field.physical()).c for mode in modes])
+    Bmat = np.stack([span.coeffs(sp.SpectralField(g, image)) for image in images])
     Bmat = 0.5 * (Bmat + Bmat.T)
 
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat, quad_N=M,
-        span=span, _Wf=Wf_,
+        span=span, _images=images, _Wf=Wf_,
         _Yf=Yf_ if nonzero_eq else None,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
     )
@@ -374,16 +359,14 @@ def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None
 def make_galerkin_controller(red, gain):
     """Feedback z -> Leray(mask * sum_j (G c)_j w_j), c = red.span.coeffs(z).
 
-    The spectra Leray(mask * w_j) are computed once and kept as an (n, 2X)
-    float view, as the span keeps its modes, so a call is the span's
-    coefficient matmul and one real matmul with the gain-weighted
-    coefficients.
+    The spectra Leray(mask * w_j) are the reduction's, from which its Bmat
+    was read, seen as an (n, 2X) float view, as the span keeps its modes, so
+    a call is the span's coefficient matmul and one real matmul with the
+    gain-weighted coefficients.
     """
     gain = np.asarray(gain, dtype=float)
-    images = np.stack([sp.masked_leray(red.grid, red.mask, m.field.physical()).c
-                       for m in red.modes])
-    shape = images.shape[1:]
-    images_f = images.reshape(len(images), -1).view(float)
+    shape = red._images.shape[1:]
+    images_f = red._images.reshape(len(red._images), -1).view(float)
 
     def controller(z):
         c = (gain @ red.span.coeffs(z)) @ images_f

@@ -18,27 +18,32 @@ grad(|y|^2/2).  |y|^2 has modes |k_i| <= 2 ((N-1)//3), whose aliases on the
 N-grid fall outside the dealias mask, so the kept coefficients of the
 difference are those of an exact gradient, and the Leray projection removes
 them: the two forms agree to roundoff.  The product runs on an M^d grid
-through sp.sample and sp.unsample, the base grid unless M is given;
-convection_nodes sizes a smaller one from a field's bandwidth so that the
-kept coefficients stay exact.
+through sp.sample and sp.unsample, the base grid unless M is given.
 
 The damping beta C_r + gamma C_q is evaluated on one oversampled grid,
 PhysicalParams.damping_factor (the C_r grid, the finer one), in the time
 stepper, the stationary solve and the reduced model.  damping_weight is its
 pointwise weight, the sum coef |y|^{p-1} from |y|^2; damping_from_nodal
 applies it to the nodal values on that grid, or on any even M^d grid, and
-does one transform back (sp.unsample), without the Leray projection.  With
-odd integer exponents (PhysicalParams.odd_integer_damping) the damping is a
-polynomial in y, and damping_nodes gives the grid, sized from a field's
-bandwidth, on which it is exact.  Each caller projects once: simulate projects
-the new state (the update is diagonal in k, so that projects its damping
-too), stationary._rhs its whole right-hand side, and power_damping its
-result.  The derivative C_p'(y) z has one kernel too, damping_derivative,
-shared by gateaux_first and galerkin.assemble_reduction; it takes the powers
-of |y| once and then serves any number of directions.  Powers of |y| follow
-_pow0: |y|^0 = 1, so C_1' = P needs no branch, and a negative power is 0
-where y = 0.
+does one transform back (sp.unsample), without the Leray projection.  Each
+caller projects once: simulate projects the new state (the update is
+diagonal in k, so that projects its damping too), stationary._rhs its whole
+right-hand side, and power_damping its result.  The derivative C_p'(y) z
+has one kernel too, damping_derivative, shared by gateaux_first and
+galerkin.assemble_reduction; it takes the powers of |y| once and then
+serves any number of directions.  Powers of |y| follow _pow0: |y|^0 = 1, so
+C_1' = P needs no branch, and a negative power is 0 where y = 0.
 power_damping evaluates a single term on its own grid.
+
+States held in a span.  span_nodes is the one rule for the grid of a state
+whose modes lie within |k_i| <= B, the bandwidth of a span (the Galerkin
+reduction's, and the full loop projected onto it): with odd integer
+exponents, the smallest even M > (r+1) B, at least 4 and at most the
+damping grid; otherwise the damping grid.  The damping's coefficients at
+|k_i| <= B, the rectangle rule for |y|^{r+1} and every pairing of the
+reduction are exact there, and the convection on min(M, N) nodes.  The
+damping's coefficients beyond B may alias; the projection onto the span
+drops them.
 """
 from __future__ import annotations
 
@@ -86,7 +91,7 @@ class PhysicalParams:
     @property
     def odd_integer_damping(self) -> bool:
         """Every exponent in damping_terms an odd integer: the damping is then a
-        polynomial in y, and grids sized from a field's bandwidth are exact."""
+        polynomial in y, and span_nodes sizes its grid from a bandwidth."""
         return all(p % 2 == 1 for _, p in self.damping_terms)
 
     @property
@@ -126,8 +131,8 @@ def convective(y: sp.SpectralField, M: int | None = None) -> sp.SpectralField:
     """B(y) = P[(y.grad) y] in rotational form, with 2/3-rule dealiasing.
 
     The product runs on the M^d grid, the base grid by default; a smaller M
-    (convection_nodes) is exact for a y whose modes lie within the bandwidth
-    that M was sized from.
+    is exact for a y whose modes lie within a bandwidth B when M > 4 B
+    (span_nodes).
     """
     g = y.grid
     M = M or g.N
@@ -161,17 +166,6 @@ def shifted_convective(z: sp.SpectralField, around, base=None, M=None) -> sp.Spe
     if base is None:
         base = convective(around, M)
     return convective(z + around, M) - base
-
-
-def convection_nodes(grid: sp.TorusGrid, bandwidth: int) -> int:
-    """Nodes per axis on which convective is exact for fields of the given
-    bandwidth (largest |k_i|): the dealiased field has bandwidth
-    b = min(bandwidth, (N-1)//3), its products 2b, and the coefficients kept
-    by the dealias mask reach min(2b, (N-1)//3) (sp.alias_free_nodes).
-    """
-    top = (grid.N - 1) // 3
-    b = min(bandwidth, top)
-    return sp.alias_free_nodes(2 * b, min(2 * b, top))
 
 
 def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> float:
@@ -217,17 +211,23 @@ def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.Spectr
     return sp.SpectralField(grid, sp.unsample(vals, grid))
 
 
-def damping_nodes(params: PhysicalParams, grid: sp.TorusGrid, bandwidth: int) -> int:
-    """Nodes per axis on which beta C_r + gamma C_q is exact for fields of the
-    given bandwidth B (largest |k_i|), when params.odd_integer_damping.
+def span_nodes(params: PhysicalParams, grid: sp.TorusGrid, bandwidth: int) -> int:
+    """Nodes per axis of the grid of a state whose modes lie within |k_i| <= B,
+    B = bandwidth: the smallest even M > (r+1) B, at least 4 and at most the
+    damping grid, when params.odd_integer_damping, and else the damping grid.
 
-    |y|^{p-1} y is then a polynomial in y of degree p, so the damping has
-    bandwidth rB and its coarse coefficients reach min(rB, N/2 - 1): the
-    grid is sp.alias_free_nodes of those.  There the rectangle rule for
-    |y|^{r+1} is exact too, since M > (r+1) B.
+    |y|^{p-1} y is then a polynomial in y of degree p <= r, so on M nodes the
+    damping's coefficients at |k_i| <= B are exact, and so is the rectangle
+    rule for |y|^{r+1} and for every pairing of the reduction, each of
+    degree at most (r+1) B (sp.alias_free_nodes).  The convection of the
+    state is exact on min(M, N) nodes: its dealiased product has degree
+    2b, b = min(B, (N-1)//3), and its kept coefficients reach
+    min(2b, (N-1)//3), so 4B < M nodes suffice (an odd r > q >= 1 is >= 3).
     """
-    rB = int(params.r) * bandwidth
-    return sp.alias_free_nodes(rB, min(rB, grid.N // 2 - 1))
+    full = params.damping_factor * grid.N
+    if not params.odd_integer_damping:
+        return full
+    return min(sp.alias_free_nodes((int(params.r) + 1) * bandwidth, 0), full)
 
 
 def damping_derivative(Y: np.ndarray, p: float):
@@ -238,7 +238,7 @@ def damping_derivative(Y: np.ndarray, p: float):
     powers of |Y| are taken once, here, and serve every direction.  The Leray
     projection is left to the caller.
     """
-    m2 = np.sum(Y**2, axis=0)
+    m2 = sp.sum_squares(Y)
     w1 = _pow0(m2, (p - 1) / 2.0)
     a2 = (p - 1) * _pow0(m2, (p - 3) / 2.0)
     del m2

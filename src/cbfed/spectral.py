@@ -42,9 +42,10 @@ and the stationary solve each hold one nodal array for the whole loop, so
 no step faults fresh zeroed pages in for its multi-MB fine-grid values.
 
 alias_free_nodes sizes a grid from a bandwidth: the smallest even M on
-which the kept coefficients of a trigonometric polynomial are exact.  It
-sizes the Galerkin reduction's quadrature grid and the time stepper's grids
-for states held in a span.
+which the kept coefficients of a trigonometric polynomial are exact.  Its
+one caller is op.span_nodes, the one rule for the grid of a state held in a
+span: the Galerkin reduction pairs its modes there, and the time stepper
+evaluates the full loop's damping and convection there.
 """
 from __future__ import annotations
 
@@ -52,6 +53,8 @@ import struct
 from itertools import product
 
 import numpy as np
+
+from .errors import ConfigError
 
 TWO_THIRDS = 2.0 / 3.0
 
@@ -308,6 +311,14 @@ def leray(a: SpectralField) -> SpectralField:
     return SpectralField(g, np.subtract(a.c, out, out=out))
 
 
+def as_mask(mask, grid: TorusGrid) -> np.ndarray:
+    """A control-region mask as a float array of nodal values on the grid."""
+    m = np.asarray(mask, dtype=float)
+    if m.shape != grid.shape:
+        raise ConfigError(f"mask shape {m.shape} does not match the grid {grid.shape}")
+    return m
+
+
 def masked_leray(grid: TorusGrid, mask: np.ndarray, values: np.ndarray) -> SpectralField:
     """Leray projection of nodal values multiplied pointwise by a scalar mask."""
     return leray(SpectralField.from_physical(grid, mask * values))
@@ -357,7 +368,7 @@ def enforce_real(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """
     plane = half[..., 0]
     half[..., 0] = 0.5 * (plane + np.conj(plane[(Ellipsis,) + grid.flip_lead]))
-    half *= grid.keep
+    np.copyto(half, 0, where=~grid.keep)
     return half
 
 

@@ -23,15 +23,16 @@ step uses it.
 
 States held in a span.  A project-mode constraint with a bandwidth B (a
 cx.SpanConstraint) leaves every evaluated state without modes beyond
-|k_i| = B.  With no reference state and every damping exponent an odd
-integer, simulate picks its grids once per run from B: the damping and the
-L^{r+1} norm on op.damping_nodes, the convection on op.convection_nodes,
-each where it is smaller than the damping grid or the base grid.  Both are
-exact there, so the run matches the one on the full grids to roundoff; at
-the stabilize-galerkin defaults (N = 32, r = 5, B = 1) that is 12^2 nodes
-instead of 96^2 for the damping and 6^2 instead of 32^2 for the convection.
+|k_i| = B.  With no reference state, simulate sizes its grids once per run
+from B by the one rule for such states, op.span_nodes: the damping and the
+L^{r+1} norm on its M, the convection on min(M, N).  The damping is exact
+there at |k_i| <= B, the only modes the projection keeps, and the norm and
+the convection are exact, so the run matches the one on the full grids to
+roundoff; at the stabilize-galerkin defaults (N = 32, r = 5, B = 1) that is
+8^2 nodes instead of 96^2 for the damping and of 32^2 for the convection.
 Every other case (a ball or no constraint, yosida mode, a reference state,
-a fractional or even exponent) keeps the damping and base grids.
+or an exponent that is not an odd integer, where op.span_nodes gives the
+damping grid) keeps the damping and base grids.
 """
 from __future__ import annotations
 
@@ -191,11 +192,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
     # every state is sampled into one nodal array, held for the whole run.
     # A span's bandwidth can shrink that grid and the convection's (see above)
     factor, terms = p.damping_factor, p.damping_terms
-    M, M_conv = factor * g.N, g.N
     bandwidth = getattr(K, "bandwidth", None) if project_mode and cfg.y_ref is None else None
-    if bandwidth is not None and p.odd_integer_damping:
-        M = min(M, op.damping_nodes(p, g, bandwidth))
-        M_conv = op.convection_nodes(g, bandwidth)
+    M = factor * g.N if bandwidth is None else op.span_nodes(p, g, bandwidth)
+    M_conv = min(M, g.N)
     banded = M < factor * g.N
     norm_on_grid = banded or sp.norm_factor(p.r + 1) == factor
     nodal = np.empty((g.d,) + (M,) * g.d)

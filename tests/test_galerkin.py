@@ -726,22 +726,22 @@ def test_run_galerkin_loop_report():
 
 
 def test_galerkin_loop_states_skip_the_damping_grid(monkeypatch):
-    # every state of the full loop is projected onto the span, so at y_e = 0
-    # with odd exponents its damping runs on the grid sized from the span's
-    # bandwidth, and no state is oversampled to the damping grid
+    # one grid rule for states held in the span: at y_e = 0 with odd exponents
+    # the full loop samples every state, for its damping and its convection,
+    # on the grid the reduction pairs its modes on, and none on the damping grid
     g = grid2()
     p = op.PhysicalParams(mu=1.0, alpha=0.3, beta=1.0, gamma=0.0, r=5, q=2)
     red = gk.assemble_reduction(sp.SpectralField.zero(g), 8, p)
-    factors = []
-    oversample = sp.oversample
+    grids = set()
+    sample = sp.sample
 
-    def counted(a, factor, out=None):
-        factors.append(factor)
-        return oversample(a, factor, out=out)
+    def counted(half, grid, M, out=None):
+        grids.add(M)
+        return sample(half, grid, M, out=out)
 
-    monkeypatch.setattr(sp, "oversample", counted)
+    monkeypatch.setattr(sp, "sample", counted)
     v0 = 0.01 * np.random.default_rng(71).standard_normal(red.n)
     sim = ts.SimConfig(grid=g, params=p, y0=None, T=0.05, dt=0.01)
     _, _, traj = gk.run_galerkin_loop(red, sigma=1.0, v0=v0, sim=sim)
     assert len(traj.t) == 6
-    assert p.damping_factor not in factors
+    assert grids == {red.quad_N}

@@ -477,11 +477,12 @@ def _banded(g, B, seed):
 @pytest.mark.parametrize("B", [1, 2, 3, 5])
 @pytest.mark.parametrize("d", [2, 3])
 def test_convection_on_the_bandwidth_grid(d, B):
-    # the kept coefficients of the product are exact on the bandwidth grid
+    # the kept coefficients of the product are exact on the span grid of the
+    # smallest odd r, 3, the one with the fewest nodes
     g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=0.8, gamma=-0.5, r=3, q=1)
     y = _banded(g, B, seed=96)
-    M = op.convection_nodes(g, B)
-    assert M <= g.N
+    M = min(op.span_nodes(p, g, B), g.N)
     assert _rel(op.convective(y, M), op.convective(y)) <= 1e-14
 
 
@@ -489,19 +490,24 @@ def test_convection_on_the_bandwidth_grid(d, B):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("r, q, gamma", [(5, 3, -0.4), (3, 1, -0.5), (7, 5, 0.0)])
 def test_damping_on_the_bandwidth_grid(d, B, r, q, gamma):
-    # odd exponents: the damping's kept coefficients and the L^{r+1} norm from
-    # the same values are those of the damping grid
+    # odd exponents, on the span grid: the damping's coefficients at |k_i| <= B
+    # (the ones a projection onto the span keeps; those beyond may alias) and
+    # the L^{r+1} norm from the same values are those of the damping grid,
+    # and the convection on min(M, N) nodes is that of the base grid
     g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
     p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=0.8, gamma=gamma, r=r, q=q)
     assert p.odd_integer_damping
     y = _banded(g, B, seed=97)
-    M = op.damping_nodes(p, g, B)
+    M = op.span_nodes(p, g, B)
     small = sp.sample(y.c, g, M)
     full = sp.oversample(y, p.damping_factor)
     lr1 = sp.norm_Lp_nodal(small, g, r + 1), sp.norm_Lp_nodal(full, g, r + 1)
     assert abs(lr1[0] - lr1[1]) <= 1e-14 * lr1[1]
+    held = np.all(np.abs(g.wave) <= B, axis=0)
     got = op.damping_from_nodal(small, g, p.damping_terms)
-    assert _rel(got, op.damping_from_nodal(full, g, p.damping_terms)) <= 1e-14
+    want = op.damping_from_nodal(full, g, p.damping_terms)
+    assert _rel(sp.SpectralField(g, got.c * held), sp.SpectralField(g, want.c * held)) <= 1e-14
+    assert _rel(op.convective(y, min(M, g.N)), op.convective(y)) <= 1e-14
 
 
 @pytest.mark.parametrize("r, q, gamma, odd", [

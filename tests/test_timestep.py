@@ -456,7 +456,7 @@ _SPANS = [(2, 6, 1, 3.0), (2, 14, 2, 3.0), (3, 15, 1, 5.0), (3, 56, 2, 5.0)]
 def test_span_states_on_bandwidth_grids_match_full_grids(d, n, bandwidth, amplitude, r, q, gamma):
     p = op.PhysicalParams(mu=0.7, alpha=0.2, beta=0.8, gamma=gamma, r=r, q=q)
     g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
-    assert op.damping_nodes(p, g, bandwidth) < p.damping_factor * g.N
+    assert op.span_nodes(p, g, bandwidth) < p.damping_factor * g.N
     got, want = _span_runs(d, n, p, bandwidth, amplitude)
     for name in ("t", "norm_H", "norm_gradH", "norm_V", "norm_Lr1", "norm_u"):
         a, b = getattr(got, name), getattr(want, name)
