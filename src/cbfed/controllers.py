@@ -32,39 +32,28 @@ def make_theta_controller(theta):
 
 
 def theta_threshold(params):
-    """Smallest feedback strength that certifies exponential decay.
+    """Smallest feedback strength that certifies exponential decay: the sum
+    of op.threshold_split at eps = 1/2, eps_tilde = 1.
 
     Supercritical damping (r > 3): the convection absorption constant plus
     the two pumping constants, taken at the edge of their admissible
-    windows, eps = 1/2 and eps_tilde = 1, where these decreasing constants
-    are smallest.  A constant beyond the float range (r very close to 3)
-    gives c_min = inf.  Where the pumping constant does not depend on its
-    splitting (gamma = 0 or q = 1), neither does c_min; eps_tilde is then
-    reported as 1e-3, the lower end of the range that earlier versions
-    searched, so that recorded artifacts stay unchanged.
+    windows, where these decreasing constants are smallest.  A constant
+    beyond the float range (r very close to 3) gives c_min = inf.  Where the
+    pumping constant does not depend on its splitting (gamma = 0 or q = 1),
+    neither does c_min; eps_tilde is then reported as 1e-3, the lower end of
+    the range that earlier versions searched, so that recorded artifacts stay
+    unchanged.
 
     Critical damping (r = 3, needs 2*beta*mu > 1): the two closed-form
     pumping constants, no free parameter.
 
     Returns {"c_min", "eps", "eps_tilde"}.
     """
-    p = params
-    if p.r > 3:
-        eps, eps_tilde = 0.5, 1.0
-        c_min = (
-            op.convection_rate(p.mu, p.beta, p.r, eps)
-            + op.pumping_rate(p.beta, p.gamma, p.r, p.q, eps_tilde)
-            + op.pumping_rate(p.beta, p.gamma, p.r, p.q, eps)
-        )
-        if c_min == np.inf:
-            return {"c_min": c_min, "eps": None, "eps_tilde": None}
-        if p.gamma == 0 or p.q == 1:
-            eps_tilde = 1e-3
-        return {"c_min": c_min, "eps": eps, "eps_tilde": eps_tilde}
-    if p.r == 3:
-        a, b = op.critical_pumping_rates(p)
-        return {"c_min": a + b, "eps": None, "eps_tilde": None}
-    raise RegimeError("damping feedback threshold needs r >= 3")
+    c_min = sum(op.threshold_split(params))
+    if params.regime == "critical" or c_min == np.inf:
+        return {"c_min": c_min, "eps": None, "eps_tilde": None}
+    eps_tilde = 1e-3 if params.gamma == 0 or params.q == 1 else 1.0
+    return {"c_min": c_min, "eps": 0.5, "eps_tilde": eps_tilde}
 
 
 def make_proportional_controller(grid, k_gain, mask):
@@ -74,7 +63,7 @@ def make_proportional_controller(grid, k_gain, mask):
     m = sp.as_mask(mask, grid)
 
     def controller(z):
-        return (-k_gain) * sp.masked_leray(grid, m, z.physical())
+        return (-k_gain) * sp.masked_leray(m, z)
 
     return controller
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators as op
 from . import spectral as sp
-from .errors import ConfigError, SolverDivergence
+from .errors import ConfigError, RegimeError, SolverDivergence
 
 
 def box_indicator(grid: sp.TorusGrid, boxes) -> np.ndarray:
@@ -62,7 +62,7 @@ def apply_Ak(y: sp.SpectralField, k_gain: float, mask, mu: float, alpha: float):
     m = sp.as_mask(mask, y.grid)
     out = mu * sp.stokes(y) + alpha * y
     if k_gain != 0.0:
-        out = out + k_gain * sp.masked_leray(y.grid, m, y.physical())
+        out = out + k_gain * sp.masked_leray(m, y)
     return out
 
 
@@ -303,14 +303,14 @@ def proportional_decay_constant(nu: float, params: op.PhysicalParams, eps: float
     """Certified decay rate for the proportional loop at eigenvalue level nu.
 
     Subtracts the slack eps and the absorption rates spent on convection and
-    on the sign-indefinite pumping term; only the supercritical damping range
-    can pay for convection this way.
+    on the sign-indefinite pumping term, op.threshold_split at (1, 2); only
+    the supercritical damping range can pay for convection this way.
     """
     if eps < 0.0:
         raise ConfigError("eps must be nonnegative")
-    rho_star = op.convection_rate(params.mu, params.beta, params.r, 1.0)
-    rho1 = op.pumping_rate(params.beta, params.gamma, params.r, params.q, 2.0)
-    rho2 = op.pumping_rate(params.beta, params.gamma, params.r, params.q, 1.0)
+    if not params.r > 3:
+        raise RegimeError("the proportional decay constant requires r > 3")
+    rho_star, rho1, rho2 = op.threshold_split(params, eps=1.0, eps_tilde=2.0)
     delta = float(nu) - float(eps) - rho_star - rho1 - rho2
     return {
         "nu": float(nu),

@@ -154,7 +154,7 @@ def assemble_reduction(y_e, n, params, mask=None):
 
     # input coupling (m w_j, w_k) = (Leray(m w_j), w_k): the mode coefficients
     # of the controller's images, which the controller reuses
-    images = np.stack([sp.masked_leray(g, m, mode.field.physical()).c for mode in modes])
+    images = np.stack([sp.masked_leray(m, mode.field).c for mode in modes])
     Bmat = np.stack([span.coeffs(sp.SpectralField(g, image)) for image in images])
     Bmat = 0.5 * (Bmat + Bmat.T)
 

@@ -216,18 +216,21 @@ def span_nodes(params: PhysicalParams, grid: sp.TorusGrid, bandwidth: int) -> in
     B = bandwidth: the smallest even M > (r+1) B, at least 4 and at most the
     damping grid, when params.odd_integer_damping, and else the damping grid.
 
-    |y|^{p-1} y is then a polynomial in y of degree p <= r, so on M nodes the
-    damping's coefficients at |k_i| <= B are exact, and so is the rectangle
-    rule for |y|^{r+1} and for every pairing of the reduction, each of
-    degree at most (r+1) B (sp.alias_free_nodes).  The convection of the
-    state is exact on min(M, N) nodes: its dealiased product has degree
-    2b, b = min(B, (N-1)//3), and its kept coefficients reach
-    min(2b, (N-1)//3), so 4B < M nodes suffice (an odd r > q >= 1 is >= 3).
+    |y|^{p-1} y is then a polynomial in y of degree p <= r.  On M nodes a
+    mode aliases onto k only from k + jM, j != 0, so on M > (r+1) B nodes
+    the damping, of degree at most r B per axis, has exact coefficients at
+    |k_i| <= B, and the rectangle rule is exact for |y|^{r+1} and for every
+    pairing of the reduction, each of degree at most (r+1) B.  The
+    convection of the state is exact on min(M, N) nodes: its dealiased
+    product has degree 2b, b = min(B, (N-1)//3), and its kept coefficients
+    reach min(2b, (N-1)//3), so 4B < M nodes suffice (an odd r > q >= 1 is
+    >= 3).
     """
     full = params.damping_factor * grid.N
     if not params.odd_integer_damping:
         return full
-    return min(sp.alias_free_nodes((int(params.r) + 1) * bandwidth, 0), full)
+    degree = (int(params.r) + 1) * bandwidth
+    return min(max(4, degree + 2 - degree % 2), full)
 
 
 def damping_derivative(Y: np.ndarray, p: float):
@@ -284,7 +287,7 @@ def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:
 #
 # Each constant is one Young bound C = sup_s (c1 s^b - c2 s^a), so c1 s^b <= c2 s^a + C:
 #   convection_rate  (1, 2, eps beta mu/2, r-1)/(2 mu): s^2/(2 mu) vs (eps beta/4) s^{r-1}
-#   eta_pair's eta2  (q|gamma|, q-1, beta/4, r-1): q|gamma| s^{q-1} vs (beta/4) s^{r-1}
+#   eta_pump         (q|gamma|, q-1, beta/4, r-1): q|gamma| s^{q-1} vs (beta/4) s^{r-1}
 #   galerkin C4, C5  (1, r-q, sigma/(4 gamma2), r-1), (1, r-3, sigma/(2 gamma0'), r-1)
 #   stationary K1    (|gamma|, q+1, beta/2, r+1): |gamma| s^{q+1} vs (beta/2) s^{r+1}
 #   pumping_rate     (1, q-1, eps beta/(2^q q|gamma|), r-1), and for r = 3 the
@@ -320,15 +323,6 @@ def pumping_rate(beta: float, gamma: float, r: float, q: float, eps: float) -> f
     return young_constant(1.0, q - 1, eps * beta / (2.0**q * q * abs(gamma)), r - 1)
 
 
-def eta_pair(params: PhysicalParams):
-    """Unit-eps convection rate and the companion pumping rate."""
-    eta1 = convection_rate(params.mu, params.beta, params.r, 1.0)
-    if params.gamma == 0:
-        return eta1, 0.0
-    q = params.q
-    return eta1, young_constant(q * abs(params.gamma), q - 1, params.beta / 4, params.r - 1)
-
-
 def critical_pumping_rates(params: PhysicalParams):
     """Absorption pair for r = 3 under 2 beta mu > 1."""
     if params.r != 3:
@@ -342,6 +336,30 @@ def critical_pumping_rates(params: PhysicalParams):
     r1 = young_constant(1.0, q - 1, 1.0 / gq / params.mu, 2.0)  # gq * mu may underflow to 0
     r2 = young_constant(1.0, q - 1, (params.beta - 1.0 / (2 * params.mu)) / gq, 2.0)
     return r1, r2
+
+
+def threshold_split(params: PhysicalParams, eps: float = 0.5, eps_tilde: float = 1.0):
+    """The Young split of the convection and the gamma-pumping against the
+    damping at (eps, eps_tilde): (convection at eps, pumping at eps_tilde,
+    pumping at eps) for r > 3, and (0, critical_pumping_rates) at r = 3 under
+    2 beta mu > 1, where the split has no free parameter.  A constant beyond
+    the float range is inf.  Every decay certificate reads it at its own
+    window: theta_threshold and growth_rate at (1/2, 1), threshold_rate at the
+    caller's, eigen.proportional_decay_constant at (1, 2).
+    """
+    regime = params.regime
+    if regime == "supercritical":
+        p = params
+        return (
+            convection_rate(p.mu, p.beta, p.r, eps),
+            pumping_rate(p.beta, p.gamma, p.r, p.q, eps_tilde),
+            pumping_rate(p.beta, p.gamma, p.r, p.q, eps),
+        )
+    if regime == "critical":
+        return (0.0, *critical_pumping_rates(params))
+    raise RegimeError(
+        "no closed-form constants outside r > 3 or (r = 3 with 2 beta mu > 1)"
+    )
 
 
 @dataclass(frozen=True)
@@ -364,10 +382,27 @@ def stability_constants(
 ) -> StabilityConstants:
     """Bundle of closed-form constants for the admissible (eps, eps_tilde) window.
 
-    Raises RegimeError naming the constants that are not finite (r just
-    above 3 puts the convection rate beyond the float range).
+    threshold_rate sums threshold_split at (eps, eps_tilde), growth_rate adds
+    M to the split at (1/2, 1).  Raises RegimeError naming the constants that
+    are not finite (r just above 3 puts the convection rate beyond the float
+    range).
     """
-    sc = _stability_constants(params, eps, eps_tilde, M)
+    if not (0 < eps <= 0.5):
+        raise ConfigError("eps must lie in (0, 1/2]")
+    if not (0 < eps_tilde <= 1.0):
+        raise ConfigError("eps_tilde must lie in (0, 1]")
+    split = threshold_split(params, eps, eps_tilde)
+    total = sum(split)
+    growth = M + total              # critical: the split is the same at every window
+    eta_conv = eta_pump = 0.0
+    if params.regime == "supercritical":
+        p = params
+        growth = sum(threshold_split(p), M)   # ((M + conv) + pump) + pump
+        eta_conv = convection_rate(p.mu, p.beta, p.r, 1.0)
+        if p.gamma != 0:
+            eta_pump = young_constant(p.q * abs(p.gamma), p.q - 1, p.beta / 4, p.r - 1)
+    shift = max(total, eta_conv + eta_pump)
+    sc = StabilityConstants(*split, total, eta_conv, eta_pump, shift, growth, growth + 1.0)
     bad = [f.name for f in fields(sc) if not np.isfinite(getattr(sc, f.name))]
     if bad:
         raise RegimeError(
@@ -375,34 +410,3 @@ def stability_constants(
             + ", ".join(bad)
         )
     return sc
-
-
-def _stability_constants(params, eps, eps_tilde, M) -> StabilityConstants:
-    if not (0 < eps <= 0.5):
-        raise ConfigError("eps must lie in (0, 1/2]")
-    if not (0 < eps_tilde <= 1.0):
-        raise ConfigError("eps_tilde must lie in (0, 1]")
-    regime = params.regime
-    if regime == "supercritical":
-        conv = convection_rate(params.mu, params.beta, params.r, eps)
-        pa = pumping_rate(params.beta, params.gamma, params.r, params.q, eps_tilde)
-        pb = pumping_rate(params.beta, params.gamma, params.r, params.q, eps)
-        eta1, eta2 = eta_pair(params)
-        total = conv + pa + pb
-        growth = (
-            M
-            + convection_rate(params.mu, params.beta, params.r, 0.5)
-            + pumping_rate(params.beta, params.gamma, params.r, params.q, 1.0)
-            + pumping_rate(params.beta, params.gamma, params.r, params.q, 0.5)
-        )
-        return StabilityConstants(
-            conv, pa, pb, total, eta1, eta2, max(total, eta1 + eta2), growth, growth + 1.0
-        )
-    if regime == "critical":
-        r1, r2 = critical_pumping_rates(params)
-        total = r1 + r2
-        growth = M + total
-        return StabilityConstants(0.0, r1, r2, total, 0.0, 0.0, total, growth, growth + 1.0)
-    raise RegimeError(
-        "no closed-form constants outside r > 3 or (r = 3 with 2 beta mu > 1)"
-    )

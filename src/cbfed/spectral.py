@@ -34,18 +34,14 @@ earlier axis and no cut line along a later one.  Each line that is
 transformed is the same 1-d transform, in the same axis order, that irfftn
 or rfftn on the whole M-grid half spectrum computes, so the results are
 bitwise those of a copy of the kept modes around one irfftn or rfftn.
+SpectralField.physical and from_physical are sample and unsample at M = N,
 oversample and gradient_physical are sample on the (factor*N)^d grid, and
-fine_to_coeffs is unsample.
+fine_to_coeffs is unsample.  op.span_nodes sizes the M of a state held in a
+span from its bandwidth.
 
 sample and oversample can write into a given array (out=): the time stepper
 and the stationary solve each hold one nodal array for the whole loop, so
 no step faults fresh zeroed pages in for its multi-MB fine-grid values.
-
-alias_free_nodes sizes a grid from a bandwidth: the smallest even M on
-which the kept coefficients of a trigonometric polynomial are exact.  Its
-one caller is op.span_nodes, the one rule for the grid of a state held in a
-span: the Galerkin reduction pairs its modes there, and the time stepper
-evaluates the full loop's damping and convection there.
 """
 from __future__ import annotations
 
@@ -119,9 +115,6 @@ class TorusGrid:
         x1 = np.arange(self.N) * (self.L / self.N)
         return np.stack(np.meshgrid(*([x1] * self.d), indexing="ij"))
 
-    def axes(self):
-        return tuple(range(1, self.d + 1))
-
     def __eq__(self, other):
         return (
             isinstance(other, TorusGrid)
@@ -148,14 +141,14 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.d,) + grid.shape:
             raise ValueError(f"expected shape {(grid.d,) + grid.shape}, got {values.shape}")
-        return cls(grid, enforce_real(_rfft(values, grid.d), grid))
+        return cls(grid, unsample(values, grid))
 
     @classmethod
     def zero(cls, grid: TorusGrid):
         return cls(grid, np.zeros((grid.d,) + grid.half_shape, dtype=complex))
 
     def physical(self) -> np.ndarray:
-        return _irfft(self.c, self.grid.shape)
+        return sample(self.c, self.grid, self.grid.N)
 
     def copy(self):
         return SpectralField(self.grid, self.c.copy())
@@ -319,9 +312,10 @@ def as_mask(mask, grid: TorusGrid) -> np.ndarray:
     return m
 
 
-def masked_leray(grid: TorusGrid, mask: np.ndarray, values: np.ndarray) -> SpectralField:
-    """Leray projection of nodal values multiplied pointwise by a scalar mask."""
-    return leray(SpectralField.from_physical(grid, mask * values))
+def masked_leray(mask: np.ndarray, field: SpectralField) -> SpectralField:
+    """Leray projection of a field multiplied pointwise by a scalar mask of
+    nodal values on its grid."""
+    return leray(SpectralField.from_physical(field.grid, mask * field.physical()))
 
 
 def stokes(a: SpectralField) -> SpectralField:
@@ -345,18 +339,6 @@ def gradient_physical(a: SpectralField, factor: int = 1) -> np.ndarray:
 # works on the half spectrum k_d = 0 .. M/2 of the last axis of an M^d grid.
 # norm="forward" puts the 1/M^d on the forward transform, which is the
 # normalization of the stored coefficients.
-
-
-def _rfft(vals: np.ndarray, d: int) -> np.ndarray:
-    """Half spectra of real nodal values over their last d axes."""
-    return np.fft.rfftn(vals, axes=tuple(range(vals.ndim - d, vals.ndim)), norm="forward")
-
-
-def _irfft(half: np.ndarray, shape, out=None) -> np.ndarray:
-    """Real nodal values of Hermitian spectra given by their last-axis halves."""
-    n = len(shape)
-    axes = tuple(range(half.ndim - n, half.ndim))
-    return np.fft.irfftn(half, s=shape, axes=axes, norm="forward", out=out)
 
 
 def enforce_real(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -409,18 +391,6 @@ def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> 
     return sample(a.c, a.grid, factor * a.grid.N, out)
 
 
-def alias_free_nodes(degree: int, kept: int) -> int:
-    """The smallest even M >= 4 with M > degree + kept.
-
-    On M nodes per axis the DFT of a trigonometric polynomial of degree
-    `degree` per axis gives its exact coefficients at every |k_i| <= kept:
-    a mode aliases onto k only from k + jM, j != 0, at least M - kept away.
-    With kept = 0 that is the rectangle rule's exact integral.
-    """
-    top = degree + kept
-    return max(4, top + 2 - top % 2)
-
-
 def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
     """Nodal values on the M^d grid (M even, >= 4) of the spectra whose stored
     halves on g are given, keeping their modes |k_i| < M/2.
@@ -436,7 +406,8 @@ def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
     exact when the spectra have no mode at |k_i| >= M/2.
     """
     if M == g.N:
-        return _irfft(half, g.shape, out)
+        axes = tuple(range(half.ndim - g.d, half.ndim))
+        return np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward", out=out)
     K = min(g.N, M) // 2
     x = half[..., :K]
     for axis in range(-g.d, -2):
@@ -457,11 +428,13 @@ def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     cut lines never feed a kept one, so the coefficients are bitwise those
     of rfftn on the whole grid followed by a copy of the kept modes.  They
     are exact when the values are of a trigonometric polynomial of degree D
-    per axis and M > D + min(D, N/2 - 1) (alias_free_nodes).
+    per axis and M > D + min(D, N/2 - 1): a mode aliases onto k only from
+    k + jM, j != 0.
     """
     M = vals.shape[-1]
     if M == g.N:
-        return enforce_real(_rfft(vals, g.d), g)
+        axes = tuple(range(vals.ndim - g.d, vals.ndim))
+        return enforce_real(np.fft.rfftn(vals, axes=axes, norm="forward"), g)
     K = min(g.N, M) // 2
     x = np.fft.rfft(vals, axis=-1, norm="forward")[..., :K]
     for axis in range(-2, -g.d - 1, -1):

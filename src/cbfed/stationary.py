@@ -64,32 +64,39 @@ def solve_stationary(
     # one right-hand side per iterate: the residual's is reused by the update.
     # All of them oversample into one nodal array, held for the whole solve.
     nodal = np.empty((grid.d,) + (params.damping_factor * grid.N,) * grid.d)
-    for it in range(max_iter + 1):
-        if it > 0:
-            update = sp.SpectralField(grid, rhs.c * inv)
-            y = (1 - omega) * y + omega * update
-        rhs = _rhs(y, params, f, nodal)
-        res = residual_norm(y, params, rhs)
-        history.append(res)
-        if not np.isfinite(res):
-            raise SolverDivergence("stationary iteration produced non-finite residual")
-        if res < tol:
-            return StationaryResult(y, res, it, omega, history)
-        if it == 0:   # stagnation is judged from the first update on
-            continue
-        if res >= best * 0.999:
-            stall += 1
-            if stall >= 5:
-                if halvings >= 4:
-                    raise SolverDivergence(
-                        f"stationary iteration stagnated at residual {res:.3e}"
-                    )
-                omega *= 0.5
-                halvings += 1
+    # a diverging iterate overflows to inf and nan; the finiteness check below
+    # reports it as a SolverDivergence, so numpy's warnings are not wanted
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iter + 1):
+            if it > 0:
+                update = sp.SpectralField(grid, rhs.c * inv)
+                y = (1 - omega) * y + omega * update
+            rhs = _rhs(y, params, f, nodal)
+            res = residual_norm(y, params, rhs)
+            history.append(res)
+            if not np.isfinite(res):
+                last = f"{history[-2]:.3e}" if it > 0 else "none"
+                raise SolverDivergence(
+                    f"stationary iteration produced a non-finite residual at iteration "
+                    f"{it} (last finite residual {last})"
+                )
+            if res < tol:
+                return StationaryResult(y, res, it, omega, history)
+            if it == 0:   # stagnation is judged from the first update on
+                continue
+            if res >= best * 0.999:
+                stall += 1
+                if stall >= 5:
+                    if halvings >= 4:
+                        raise SolverDivergence(
+                            f"stationary iteration stagnated at residual {res:.3e}"
+                        )
+                    omega *= 0.5
+                    halvings += 1
+                    stall = 0
+            else:
+                best = res
                 stall = 0
-        else:
-            best = res
-            stall = 0
     raise SolverDivergence(
         f"stationary iteration did not reach tol={tol:.1e} in {max_iter} steps "
         f"(residual {res:.3e})"

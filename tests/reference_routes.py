@@ -93,7 +93,8 @@ def identity_residual(y: sp.SpectralField, r: float) -> float:
     wpow = op._pow0(m2, (r + 1) / 4.0)
     cw = np.fft.rfftn(wpow, norm="forward")
     ik = gf.ik * (np.abs(gf.wave) != gf.N // 2)
-    gw = np.fft.irfftn(ik * cw[None], s=gf.shape, axes=gf.axes(), norm="forward")
+    axes = tuple(range(1, g.d + 1))
+    gw = np.fft.irfftn(ik * cw[None], s=gf.shape, axes=axes, norm="forward")
     rhs2 = 4 * (r - 1) / (r + 1) ** 2 * vol * float(np.sum(gw**2))
     return abs(lhs - (rhs1 + rhs2)) / max(1.0, abs(lhs))
 
@@ -104,7 +105,8 @@ def identity_residual(y: sp.SpectralField, r: float) -> float:
 
 def reality_defect(a: sp.SpectralField) -> float:
     """Largest imaginary residue of the complex inverse of the full spectrum."""
-    vals = np.fft.ifftn(sp.full_spectrum(a.c, a.grid), axes=a.grid.axes()) * a.grid.N**a.grid.d
+    g = a.grid
+    vals = np.fft.ifftn(sp.full_spectrum(a.c, g), axes=tuple(range(1, g.d + 1))) * g.N**g.d
     return float(np.max(np.abs(vals.imag)))
 
 

@@ -433,6 +433,24 @@ def test_reduced_divergence_is_one_stderr_line(tmp_path, capfd):
     assert len(lines) == 1 and lines[0].startswith("error: reduced state exploded"), lines
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment, extra", [
+    ("stationary", []),
+    ("stabilize-theta", ["equilibrium.kind=solve", "integrator.T=0.05"]),
+])
+def test_diverging_stationary_solve_is_one_stderr_line(tmp_path, capsys, experiment, extra):
+    # the Picard iterate overflows here; numpy's RuntimeWarnings used to precede
+    # the exit 3, or, as errors, turn it into an internal error (exit 5)
+    argv = [experiment, "--output-dir", str(tmp_path / "o")]
+    for item in ["grid.N=16", "forcing.kind=random", "forcing.amplitude=20", *extra]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert re.match(r"error: stationary iteration produced a non-finite residual at "
+                    r"iteration \d+ \(last finite residual \S+\)$", lines[0]), lines
+
+
 def test_huge_even_norm_exponent_returns(tmp_path):
     # r + 1 = 1e308 has an integer half; the L^{r+1} norm once took that many
     # repeated products, so the run never returned

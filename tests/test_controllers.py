@@ -111,6 +111,23 @@ def test_theta_threshold_matches_grid_search():
         got, want = ct.theta_threshold(p), grid_search_threshold(p)
         assert got.keys() == want.keys()
         assert all(same_bits(got[k], want[k]) for k in want), (p, got, want)
+        # every certificate reads the one split: the energy bundle at the same
+        # window, where it is finite, and the proportional rate at (1, 2)
+        try:
+            sc = op.stability_constants(p)
+        except RegimeError:
+            sc = None
+        if sc is not None:
+            assert same_bits(sc.threshold_rate, got["c_min"]), p
+            assert same_bits(sc.growth_rate, sc.threshold_rate), p
+        if p.regime == "supercritical":
+            dec = eg.proportional_decay_constant(1.0, p)
+            rhos = dec["rho_star"], dec["rho1_star"], dec["rho2_star"]
+            split = op.threshold_split(p, eps=1.0, eps_tilde=2.0)
+            assert all(same_bits(a, b) for a, b in zip(rhos, split)), p
+        else:
+            with pytest.raises(RegimeError):
+                eg.proportional_decay_constant(1.0, p)
     assert min(regimes.values()) > 0, regimes
 
 

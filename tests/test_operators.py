@@ -299,12 +299,13 @@ def test_pumping_rate_frozen():
 
 
 def test_eta_pair_frozen():
+    # the unit-eps convection rate and its companion pumping rate of the bundle
     p = op.PhysicalParams(mu=1, alpha=0.1, beta=1, gamma=-2.0, r=5, q=1)
-    eta1, eta2 = op.eta_pair(p)
-    assert abs(eta1 - 0.25) < 1e-12
-    assert abs(eta2 - 2.0) < 1e-12
+    sc = op.stability_constants(p)
+    assert abs(sc.eta_conv - 0.25) < 1e-12
+    assert abs(sc.eta_pump - 2.0) < 1e-12
     p0 = op.PhysicalParams(mu=1, alpha=0.1, beta=1, gamma=0.0, r=5, q=1)
-    assert op.eta_pair(p0)[1] == 0.0
+    assert op.stability_constants(p0).eta_pump == 0.0
 
 
 def test_critical_pumping_frozen():
@@ -419,21 +420,21 @@ def test_convective_one_base_inverse_transform(d, monkeypatch):
     g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
     y = sp.random_solenoidal(g, seed=93)
     inverse, gradients = [], []
-    irfft, gradient_physical = sp._irfft, sp.gradient_physical
+    sample, gradient_physical = sp.sample, sp.gradient_physical
 
-    def counted_irfft(half, shape, out=None):
-        inverse.append(half.shape)
-        return irfft(half, shape, out)
+    def counted_sample(half, grid, M, out=None):
+        inverse.append((half.shape, M))
+        return sample(half, grid, M, out)
 
     def counted_gradient(*args, **kwargs):
         gradients.append(args)
         return gradient_physical(*args, **kwargs)
 
-    monkeypatch.setattr(sp, "_irfft", counted_irfft)
+    monkeypatch.setattr(sp, "sample", counted_sample)
     monkeypatch.setattr(sp, "gradient_physical", counted_gradient)
     op.convective(y)
     # y and the d(d-1)/2 components of its vorticity tensor, in one stack
-    assert inverse == [(d + d * (d - 1) // 2,) + g.half_shape]
+    assert inverse == [((d + d * (d - 1) // 2,) + g.half_shape, g.N)]
     assert gradients == []
 
 
@@ -472,6 +473,14 @@ def _banded(g, B, seed):
     """A random solenoidal field with no mode beyond |k_i| = B, not small."""
     y = 3.0 * sp.random_solenoidal(g, seed=seed, decay=0.5)
     return sp.leray(sp.SpectralField(g, y.c * np.all(np.abs(g.wave) <= B, axis=0)))
+
+
+@pytest.mark.parametrize("r, B, M", [(3, 1, 6), (5, 1, 8), (5, 2, 14), (3, 3, 14), (7, 0, 4)])
+def test_span_nodes(r, B, M):
+    # the smallest even M > (r+1) B, at least 4; the damping grid is far larger
+    p = op.PhysicalParams(mu=1.0, alpha=0.5, beta=1.0, gamma=0.0, r=r, q=1)
+    g = sp.TorusGrid(d=2, N=32)
+    assert op.span_nodes(p, g, B) == M < p.damping_factor * g.N
 
 
 @pytest.mark.parametrize("B", [1, 2, 3, 5])

@@ -632,13 +632,6 @@ def test_oversampled_values_restrict_to_base_nodes(d, N, factor, seed):
         np.testing.assert_allclose(fine, base, rtol=0, atol=1e-12 * np.max(np.abs(base)))
 
 
-@pytest.mark.parametrize("degree, kept, M", [
-    (0, 0, 4), (2, 0, 4), (3, 0, 4), (6, 0, 8), (4, 4, 10), (5, 5, 12), (10, 7, 18),
-])
-def test_alias_free_nodes(degree, kept, M):
-    assert sp.alias_free_nodes(degree, kept) == M
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_unsample_inverts_sample(d):
     g = small_grid(d)
