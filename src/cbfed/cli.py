@@ -433,13 +433,14 @@ def _run_theta(cfg, outdir, h):
     theta = knobs["theta"]
     if theta is None:
         theta = max(0.0, floor + float(knobs["delta_target"]))
-    elif np.isfinite(floor) and not (theta >= 0 and theta > floor):  # inf: exit 4 below
+    elif not (theta >= 0 and theta > floor):
         raise ConfigError(
             f"config key 'controller.theta' must be nonnegative and above "
             f"c_min - alpha = {floor:.6g}, got {theta!r}"
         )
     report, traj = ct.run_theta_loop(
-        _sim_config(cfg, grid, params, seeds), float(theta), slack=float(knobs["slack"])
+        _sim_config(cfg, grid, params, seeds), float(theta), th["c_min"],
+        slack=float(knobs["slack"]),
     )
     traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     return report, {"threshold": th}, ["trajectory.csv"]

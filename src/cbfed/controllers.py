@@ -22,8 +22,6 @@ _POINTWISE_REL_TOL = 1e-9
 
 def make_theta_controller(theta):
     """Feedback z -> -theta * z."""
-    if theta < 0:
-        raise ConfigError("theta must be nonnegative")
 
     def controller(z):
         return (-theta) * z
@@ -37,8 +35,7 @@ def theta_threshold(params):
 
     Supercritical damping (r > 3): the convection absorption constant plus
     the two pumping constants, taken at the edge of their admissible
-    windows, where these decreasing constants are smallest.  A constant
-    beyond the float range (r very close to 3) gives c_min = inf.  Where the
+    windows, where these decreasing constants are smallest.  Where the
     pumping constant does not depend on its splitting (gamma = 0 or q = 1),
     neither does c_min; eps_tilde is then reported as 1e-3, the lower end of
     the range that earlier versions searched, so that recorded artifacts stay
@@ -47,10 +44,16 @@ def theta_threshold(params):
     Critical damping (r = 3, needs 2*beta*mu > 1): the two closed-form
     pumping constants, no free parameter.
 
-    Returns {"c_min", "eps", "eps_tilde"}.
+    Returns {"c_min", "eps", "eps_tilde"}.  Raises RegimeError when c_min is
+    not finite (a constant of the split beyond the float range, as just above
+    r = 3), since no finite theta then certifies decay.
     """
     c_min = sum(op.threshold_split(params))
-    if params.regime == "critical" or c_min == np.inf:
+    if not np.isfinite(c_min):
+        raise RegimeError(
+            f"theta threshold c_min is not finite at r={params.r:g}, q={params.q:g}"
+        )
+    if params.regime == "critical":
         return {"c_min": c_min, "eps": None, "eps_tilde": None}
     eps_tilde = 1e-3 if params.gamma == 0 or params.q == 1 else 1.0
     return {"c_min": c_min, "eps": 0.5, "eps_tilde": eps_tilde}
@@ -58,8 +61,6 @@ def theta_threshold(params):
 
 def make_proportional_controller(grid, k_gain, mask):
     """Feedback z -> -k * Leray(mask * z), mask sampled on the grid nodes."""
-    if k_gain < 0:
-        raise ConfigError("k_gain must be nonnegative")
     m = sp.as_mask(mask, grid)
 
     def controller(z):
@@ -76,8 +77,6 @@ def decay_rate_fit(times, norms):
     """
     t = np.asarray(times, dtype=float)
     h = np.asarray(norms, dtype=float)
-    if t.shape != h.shape or t.ndim != 1 or t.size < 2:
-        raise ConfigError("need matching 1-d times and norms with at least 2 samples")
     t0 = t[-1] - _FIT_WINDOW * (t[-1] - t[0])
     keep = (t >= t0 - 1e-12) & (h > 0)
     if np.count_nonzero(keep) < 2:
@@ -111,25 +110,18 @@ def _closed_loop(sim, delta_claim):
     return report, traj
 
 
-def run_theta_loop(sim, theta, slack=0.9):
+def run_theta_loop(sim, theta, c_min, slack=0.9):
     """Closed loop of `sim` under u = -theta * z, with its convex state constraint.
 
-    The claimed rate is slack * (theta + alpha - c_min); the report says
+    `c_min` is the threshold certified upstream (theta_threshold); the
+    claimed rate is slack * (theta + alpha - c_min), and the report says
     whether the trajectory met it pointwise and stayed in the set.
-    Raises RegimeError when the threshold c_min is not finite (r just above
-    3), since no finite theta then certifies decay.
     """
-    params = sim.params
-    th = theta_threshold(params)
-    if not np.isfinite(th["c_min"]):
-        raise RegimeError(
-            f"theta threshold c_min is not finite at r={params.r:g}, q={params.q:g}"
-        )
     report, traj = _closed_loop(
         replace(sim, controller=make_theta_controller(theta), control_bound=theta),
-        slack * (theta + params.alpha - th["c_min"]),
+        slack * (theta + sim.params.alpha - c_min),
     )
-    return {"theta": float(theta), "c_min": float(th["c_min"]), **report}, traj
+    return {"theta": float(theta), "c_min": float(c_min), **report}, traj
 
 
 def run_proportional_loop(sim, k_gain, mask, delta, c_min, slack=0.9):

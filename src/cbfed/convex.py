@@ -20,8 +20,6 @@ class BallConstraint:
     """{x : ||x||_H <= R}."""
 
     def __init__(self, radius: float):
-        if not (radius > 0):
-            raise ValueError("ball radius must be positive")
         self.radius = float(radius)
 
     def project(self, x: sp.SpectralField) -> sp.SpectralField:
@@ -45,24 +43,20 @@ class SpanConstraint:
     coefficient map, its expansion and its controller go through it.
 
     Both maps are real matmuls on float views of flattened spectra, each
-    complex number read as two floats.  Re(dual @ x) is the dot product of
-    conj(dual) and x in that view, so the dual is kept conjugated as one
-    (n, 2X) float array; a real combination v of the modes is v @ the (n, 2X)
-    view of spectra, read back as complex.  spectra itself stays for the
-    callers that write the modes out.
+    complex number read as two floats: the coefficients are the (n, 2X)
+    parseval_dual rows @ the view of x, and a real combination v of the modes
+    is v @ the (n, 2X) view of spectra, read back as complex.  spectra itself
+    stays for the callers that write the modes out.
     """
 
     def __init__(self, modes):
         fields = [m.field for m in modes]
-        if not fields:
-            raise ValueError("span constraint needs at least one mode")
         self.grid = fields[0].grid
         self.spectra = np.stack([w.c for w in fields])          # (n, d, N, ..., N/2+1)
         # the largest |k_i| of any mode: a projected state has no mode beyond it
         held = np.any(self.spectra != 0, axis=(0, 1))
         self.bandwidth = int(np.max(np.abs(self.grid.wave[:, held]), initial=0))
-        dual = sp.parseval_dual(self.spectra, self.grid)
-        self._dual_f = np.conjugate(dual, out=dual).view(float)            # (n, 2X)
+        self._dual_f = sp.parseval_dual(self.spectra, self.grid)            # (n, 2X)
         self._spectra_f = self.spectra.reshape(len(fields), -1).view(float)  # (n, 2X)
 
     def coeffs(self, x: sp.SpectralField) -> np.ndarray:
@@ -93,6 +87,4 @@ class SpanConstraint:
 
 def yosida_term(K, x: sp.SpectralField, lam: float) -> sp.SpectralField:
     """Yosida approximation of the normal-cone term: (x - P_K x)/lam."""
-    if not (lam > 0):
-        raise ValueError("Yosida parameter must be positive")
     return (1.0 / lam) * (x - K.project(x))

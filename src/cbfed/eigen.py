@@ -94,10 +94,8 @@ def _rayleigh_ritz(grid, basis, images):
     not positive definite the third basis vector is dropped, so the
     coefficients may be one shorter than the basis.
     """
-    # Re(dual @ x) is the dot product of conj(dual) and x viewed as float
-    # pairs; real matmuls at this shape are several times faster than complex
+    # real matmuls on float views: at this shape several times faster than complex
     dual = sp.parseval_dual(basis, grid)
-    dual = np.conjugate(dual, out=dual).view(float)
     gram_b = dual @ basis.reshape(len(basis), -1).view(float).T
     gram_a = dual @ images.reshape(len(basis), -1).view(float).T
     try:
@@ -220,9 +218,9 @@ def lambda_star_estimate(
     eigenvalues must be nondecreasing up to solver tolerance.
     """
     m = sp.as_mask(mask, grid)
-    comp = grid.L**grid.d - float(m.sum()) * grid.cell_volume
     if m.all():   # on the nodes: comp of a full mask is roundoff above 0 at N = 12
         raise ConfigError("complement empty: the gain limit needs an uncontrolled region")
+    comp = grid.L**grid.d - float(m.sum()) * grid.cell_volume
     ks = [float(k) for k in k_ladder]
     if len(ks) < 4:
         raise ConfigError("gain ladder needs at least four values")
@@ -254,27 +252,9 @@ def lambda_star_estimate(
     }
 
 
-# first positive zeros j_{m,1} of the Bessel functions J_m of the orders
-# m = d/2 - 1 the bounds use: d = 2 and d = 3 (J_{1/2}(x) ~ sin(x) / sqrt(x))
-_BESSEL_FIRST_ZEROS = {0.0: 2.404825557695773, 0.5: math.pi}
-
-
-def bessel_first_zero(m: float) -> float:
-    """Smallest positive root of the order-m Bessel function, for m in {0, 1/2}.
-
-    Both values are tabulated to double precision.
-    """
-    if m not in _BESSEL_FIRST_ZEROS:
-        raise ConfigError(f"Bessel zero available for orders 0 and 1/2 only, not {m}")
-    return _BESSEL_FIRST_ZEROS[m]
-
-
-def _ball_volume(d: int) -> float:
-    if d == 2:
-        return math.pi
-    if d == 3:
-        return 4.0 * math.pi / 3.0
-    raise ConfigError("dimension must be 2 or 3")
+# per dimension d: the volume of the unit ball, and the first positive zero
+# of the Bessel function J_{d/2-1} (J_{1/2}(x) ~ sin(x) / sqrt(x) at d = 3)
+_BALL = {2: (math.pi, 2.404825557695773), 3: (4.0 * math.pi / 3.0, math.pi)}
 
 
 def rfk_bound(volume: float, d: int) -> float:
@@ -284,19 +264,14 @@ def rfk_bound(volume: float, d: int) -> float:
     eigenvalue, which ties the large-gain limit to the first Bessel zero of
     order d/2 - 1 scaled by the ball of the same volume.
     """
-    if not (volume > 0.0):
-        raise ConfigError("uncontrolled volume must be positive")
-    omega = _ball_volume(d)
-    return (omega / volume) ** (2.0 / d) * bessel_first_zero(d / 2.0 - 1.0)
+    omega, zero = _BALL[d]
+    return (omega / volume) ** (2.0 / d) * zero
 
 
 def rfk_bound_scaled(volume: float, d: int, mu: float, alpha: float) -> float:
     """Dimensionally consistent companion: mu times the squared zero, plus drag."""
-    if not (volume > 0.0):
-        raise ConfigError("uncontrolled volume must be positive")
-    omega = _ball_volume(d)
-    z = bessel_first_zero(d / 2.0 - 1.0)
-    return mu * z * z * (omega / volume) ** (2.0 / d) + alpha
+    omega, zero = _BALL[d]
+    return mu * zero * zero * (omega / volume) ** (2.0 / d) + alpha
 
 
 def proportional_decay_constant(nu: float, params: op.PhysicalParams, eps: float = 0.0):
@@ -304,13 +279,20 @@ def proportional_decay_constant(nu: float, params: op.PhysicalParams, eps: float
 
     Subtracts the slack eps and the absorption rates spent on convection and
     on the sign-indefinite pumping term, op.threshold_split at (1, 2); only
-    the supercritical damping range can pay for convection this way.
+    the supercritical damping range can pay for convection this way.  Raises
+    RegimeError when their sum is not finite (a constant beyond the float
+    range, as just above r = 3): no eigenvalue then certifies decay.
     """
     if eps < 0.0:
         raise ConfigError("eps must be nonnegative")
     if not params.r > 3:
         raise RegimeError("the proportional decay constant requires r > 3")
-    rho_star, rho1, rho2 = op.threshold_split(params, eps=1.0, eps_tilde=2.0)
+    split = op.threshold_split(params, eps=1.0, eps_tilde=2.0)
+    if not np.isfinite(sum(split)):
+        raise RegimeError(
+            f"proportional absorption constants not finite at r={params.r:g}, q={params.q:g}"
+        )
+    rho_star, rho1, rho2 = split
     delta = float(nu) - float(eps) - rho_star - rho1 - rho2
     return {
         "nu": float(nu),

@@ -275,9 +275,9 @@ def growth_constants(red, sigma):
 
     Certified regimes: cubic damping without pumping (r = 3, gamma = 0), and
     supercritical damping with negative pumping of order q in [3, r).
+    Raises RegimeError outside them, and where gamma2 is not finite (2^(r-2)
+    beyond the float range).
     """
-    if sigma <= 0:
-        raise ConfigError("margin sigma must be positive")
     p, g, n = red.params, red.grid, red.n
     L, d = g.L, g.d
     gamma0 = quadratic_gamma0(L, d)
@@ -296,11 +296,14 @@ def growth_constants(red, sigma):
     if p.r > 3 and p.gamma < 0.0 and 3 <= p.q < p.r:
         C2 = sp.norm_Lp(red.y_e, p.r - 2) ** (p.r - 2)
         C3 = sp.norm_Lp(red.y_e, p.q - 2) ** (p.q - 2)
-        pump = (2 * n / L**d) ** ((p.r - 2) / 2.0)
-        gamma2 = (
-            2.0 ** (p.r - 2) * p.r * (p.r - 1) * (4 * n / L**d) ** 1.5
-            * max(p.beta * C2 + abs(p.gamma) * C3, p.beta * pump, abs(p.gamma) * pump)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = nan
+            pump = np.float64(2 * n / L**d) ** ((p.r - 2) / 2.0)
+            gamma2 = (
+                np.float64(2.0) ** (p.r - 2) * p.r * (p.r - 1) * (4 * n / L**d) ** 1.5
+                * max(p.beta * C2 + abs(p.gamma) * C3, p.beta * pump, abs(p.gamma) * pump)
+            )
+        if not np.isfinite(gamma2):
+            raise RegimeError(f"growth constant gamma2 not finite at r={p.r:g}, q={p.q:g}")
         g0p = gamma0 + gamma2
         C4 = op.young_constant(1.0, p.r - p.q, sigma / (4 * gamma2), p.r - 1)
         C5 = op.young_constant(1.0, p.r - 3, sigma / (2 * g0p), p.r - 1)

@@ -291,8 +291,8 @@ def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:
 #   galerkin C4, C5  (1, r-q, sigma/(4 gamma2), r-1), (1, r-3, sigma/(2 gamma0'), r-1)
 #   stationary K1    (|gamma|, q+1, beta/2, r+1): |gamma| s^{q+1} vs (beta/2) s^{r+1}
 #   pumping_rate     (1, q-1, eps beta/(2^q q|gamma|), r-1), and for r = 3 the
-#                    critical_pumping_rates (1, q-1, 1/(2^q q|gamma| mu), 2) and
-#                    (1, q-1, (beta - 1/(2 mu))/(2^q q|gamma|), 2). With c1 = 1 these
+#                    critical branch of threshold_split (1, q-1, 1/(2^q q|gamma| mu), 2)
+#                    and (1, q-1, (beta - 1/(2 mu))/(2^q q|gamma|), 2). With c1 = 1 these
 #                    lack a power of |gamma| (ROADMAP item 1); they keep today's values
 #                    until its derivation and a re-recorded benchmark reference land.
 # A pumping constant is 0 outright when gamma = 0; with b = 0 the bound is c1.
@@ -300,7 +300,8 @@ def shifted_damping(z: sp.SpectralField, around, p: float) -> sp.SpectralField:
 
 def young_constant(c1: float, b: float, c2: float, a: float) -> float:
     """sup_{s >= 0} (c1 s^b - c2 s^a), c1, c2 > 0, 0 <= b < a; inf or 0 beyond float range."""
-    with np.errstate(over="ignore"):  # one power of one bracket: never nan
+    # c2 = 0 (its weight beyond float range): b/0 = inf, or 0/0 = nan with nan**0 = 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # never nan out
         bracket = c1 * (np.float64(b) / (a * c2)) ** (b / a)
         return (a - b) / a * bracket ** (a / (a - b))
 
@@ -309,54 +310,47 @@ def convection_rate(mu: float, beta: float, r: float, eps: float) -> float:
     """Convection rate absorbed by the eps-weighted damping; inf just above r = 3."""
     if not (r > 3):
         raise RegimeError("convection absorption constant requires r > 3")
-    if not (eps > 0):
-        raise ConfigError("eps must be positive")
     return young_constant(1.0, 2.0, eps * beta * mu / 2, r - 1) / (2 * mu)
+
+
+def _pumping_weight(gamma: float, q: float) -> float:
+    """2^q q |gamma|, the weight of the pumping term in its Young split; inf beyond float range."""
+    with np.errstate(over="ignore"):
+        return np.float64(2.0) ** q * q * abs(gamma)
 
 
 def pumping_rate(beta: float, gamma: float, r: float, q: float, eps: float) -> float:
     """Rate absorbed when splitting the gamma-pumping term against damping."""
-    if not (eps > 0):
-        raise ConfigError("eps must be positive")
     if gamma == 0:
         return 0.0
-    return young_constant(1.0, q - 1, eps * beta / (2.0**q * q * abs(gamma)), r - 1)
-
-
-def critical_pumping_rates(params: PhysicalParams):
-    """Absorption pair for r = 3 under 2 beta mu > 1."""
-    if params.r != 3:
-        raise RegimeError("critical absorption constants require r = 3")
-    if not (2 * params.beta * params.mu > 1):
-        raise RegimeError("critical regime needs 2 beta mu > 1")
-    if params.gamma == 0:
-        return 0.0, 0.0
-    q = params.q
-    gq = 2.0**q * q * abs(params.gamma)
-    r1 = young_constant(1.0, q - 1, 1.0 / gq / params.mu, 2.0)  # gq * mu may underflow to 0
-    r2 = young_constant(1.0, q - 1, (params.beta - 1.0 / (2 * params.mu)) / gq, 2.0)
-    return r1, r2
+    return young_constant(1.0, q - 1, eps * beta / _pumping_weight(gamma, q), r - 1)
 
 
 def threshold_split(params: PhysicalParams, eps: float = 0.5, eps_tilde: float = 1.0):
     """The Young split of the convection and the gamma-pumping against the
     damping at (eps, eps_tilde): (convection at eps, pumping at eps_tilde,
-    pumping at eps) for r > 3, and (0, critical_pumping_rates) at r = 3 under
+    pumping at eps) for r > 3, and (0, rho~1, rho~2) at r = 3 under
     2 beta mu > 1, where the split has no free parameter.  A constant beyond
     the float range is inf.  Every decay certificate reads it at its own
     window: theta_threshold and growth_rate at (1/2, 1), threshold_rate at the
     caller's, eigen.proportional_decay_constant at (1, 2).
     """
-    regime = params.regime
-    if regime == "supercritical":
-        p = params
+    p = params
+    if p.regime == "supercritical":
         return (
             convection_rate(p.mu, p.beta, p.r, eps),
             pumping_rate(p.beta, p.gamma, p.r, p.q, eps_tilde),
             pumping_rate(p.beta, p.gamma, p.r, p.q, eps),
         )
-    if regime == "critical":
-        return (0.0, *critical_pumping_rates(params))
+    if p.regime == "critical":
+        if p.gamma == 0:
+            return 0.0, 0.0, 0.0
+        gq = _pumping_weight(p.gamma, p.q)
+        return (
+            0.0,
+            young_constant(1.0, p.q - 1, 1.0 / gq / p.mu, 2.0),  # gq * mu may underflow to 0
+            young_constant(1.0, p.q - 1, (p.beta - 1.0 / (2 * p.mu)) / gq, 2.0),
+        )
     raise RegimeError(
         "no closed-form constants outside r > 3 or (r = 3 with 2 beta mu > 1)"
     )

@@ -205,12 +205,15 @@ def _pairing(x: np.ndarray, y: np.ndarray, grid: TorusGrid) -> float:
 
 
 def parseval_dual(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Rows that pair with a flattened stored spectrum x to give the inner
-    products (x, w_k) as their real parts; coeffs stacks the spectra w_k."""
-    dual = np.conj(coeffs)
-    dual *= 2.0 * grid.L**grid.d
+    """Rows whose real dot products with the float view of a flattened stored
+    spectrum x are the inner products (x, w_k); coeffs stacks the spectra w_k.
+
+    Re(conj(w) x) = w.real x.real + w.imag x.imag, so a row is the
+    Parseval-weighted w_k itself, flattened and viewed as floats, two per
+    complex number: an (n, 2X) float array."""
+    dual = coeffs * (2.0 * grid.L**grid.d)
     dual[..., 0] *= 0.5
-    return dual.reshape(len(coeffs), -1)
+    return dual.reshape(len(coeffs), -1).view(float)
 
 
 def inner(a: SpectralField, b: SpectralField) -> float:

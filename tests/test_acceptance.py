@@ -168,7 +168,7 @@ def test_05_theta_feedback_decay_and_invariance():
     z0 = K.project(0.3 * sp.random_solenoidal(g, seed=14, decay=2.0))
     T = 20.0 / delta1
     sim = ts.SimConfig(grid=g, params=p, y0=z0, T=T, dt=0.02, constraint=K, record_every=4)
-    report, traj = ct.run_theta_loop(sim, theta)
+    report, traj = ct.run_theta_loop(sim, theta, th["c_min"])
 
     assert traj.t[-1] >= T - 1e-9
     assert np.max(traj.dist_K) < 1e-13          # never leaves the ball

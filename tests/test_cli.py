@@ -520,6 +520,42 @@ def test_constants_overflow_is_regime_violation(tmp_path, capsys):
         assert cli.main(args) == 4
 
 
+# every experiment that reads params (verify does not), at r just above 3,
+# where the convection rate leaves the float range, and at (r, q, gamma) =
+# (2000, 1500, -1), where 2^q does; stabilize-galerkin also at (1100, 4, -1),
+# where its growth constant's 2^(r-2) does.  The certificates of the theta
+# and proportional loops and the constants refuse such a constant (exit 4);
+# the other runs report it null or inf, and go on.
+_BEYOND_FLOAT_RANGE = {
+    "r=3.001": ["params.r=3.001"],
+    "q=1500": ["params.r=2000", "params.q=1500", "params.gamma=-1"],
+    "r=1100": ["params.r=1100", "params.q=4", "params.gamma=-1"],
+}
+_REFUSING = ("stabilize-theta", "stabilize-proportional", "constants")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment, case, code", [
+    *((e, case, 4 if e in _REFUSING else 0)
+      for e in cli._EXPERIMENTS if e != "verify" for case in ("r=3.001", "q=1500")),
+    ("stabilize-galerkin", "r=1100", 0),
+])
+def test_constant_beyond_float_range_is_refused_or_reported(
+    tmp_path, capsys, experiment, case, code
+):
+    # a RuntimeWarning or a Python OverflowError here would be exit 5
+    out = tmp_path / "out"
+    argv = [experiment, "--output-dir", str(out)]
+    for item in ["grid.N=8", "integrator.T=0.05", "mask.boxes=[[[0.0,3.14],[0.0,6.28]]]",
+                 *_BEYOND_FLOAT_RANGE[case]]:
+        argv += ["--set", item]
+    assert cli.main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == (code != 0), lines
+    if experiment == "eigen":
+        assert load_report(only_run_dir(out))["extra"]["decay"] is None
+
+
 def test_constants_uniqueness_overflow_reports_null(tmp_path):
     # q just below r, outside the damping regimes: K1 and K2 leave the float
     # range and are reported as null like the other out-of-regime constants

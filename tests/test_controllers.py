@@ -78,8 +78,12 @@ def grid_search_threshold(params, points=16):
                 if c < best[0]:
                     best = (c, e, et)
         return {"c_min": best[0], "eps": best[1], "eps_tilde": best[2]}
-    if params.r == 3:
-        a, b = op.critical_pumping_rates(params)
+    if params.r == 3 and 2 * params.beta * params.mu > 1:
+        if params.gamma == 0:
+            return {"c_min": 0.0, "eps": None, "eps_tilde": None}
+        gq = 2.0**params.q * params.q * abs(params.gamma)
+        a = op.young_constant(1.0, params.q - 1, 1.0 / gq / params.mu, 2.0)
+        b = op.young_constant(1.0, params.q - 1, (params.beta - 1.0 / (2 * params.mu)) / gq, 2.0)
         return {"c_min": a + b, "eps": None, "eps_tilde": None}
     raise RegimeError("damping feedback threshold needs r >= 3")
 
@@ -132,16 +136,21 @@ def test_theta_threshold_matches_grid_search():
 
 
 def test_theta_threshold_near_critical_matches_grid_search():
-    # r just above 3: the convection constant can exceed the float range
-    # (c_min = inf, eps None) or swamp the pumping terms so far that the
-    # grid search's eps_tilde was decided by rounding ties; c_min and eps
-    # still match bitwise
+    # r just above 3: the convection constant can exceed the float range,
+    # where the grid search gives c_min = inf and the threshold refuses it,
+    # or swamp the pumping terms so far that the grid search's eps_tilde was
+    # decided by rounding ties; c_min and eps still match bitwise
     infinite = 0
     for p in sweep_params((3.001, 3.003, 3.01)):
         with np.errstate(over="ignore", under="ignore"):
-            got, want = ct.theta_threshold(p), grid_search_threshold(p)
+            want = grid_search_threshold(p)
+            if want["c_min"] == np.inf:
+                with pytest.raises(RegimeError, match="c_min"):
+                    ct.theta_threshold(p)
+                infinite += 1
+                continue
+            got = ct.theta_threshold(p)
         assert same_bits(got["c_min"], want["c_min"]) and same_bits(got["eps"], want["eps"]), p
-        infinite += got["c_min"] == np.inf
     assert infinite > 0
 
 
@@ -189,7 +198,8 @@ def test_theta_closed_loop_report():
     th = ct.theta_threshold(p)
     theta = th["c_min"] - p.alpha + 0.4  # delta1 = 0.4
     report, traj = ct.run_theta_loop(
-        ts.SimConfig(grid=g, params=p, y0=z0, T=5.0, dt=0.01, constraint=K), theta=theta
+        ts.SimConfig(grid=g, params=p, y0=z0, T=5.0, dt=0.01, constraint=K), theta=theta,
+        c_min=th["c_min"],
     )
     assert set(report) == {"theta", "c_min", "delta_claim", "delta_fit", "pointwise_ok", "invariance_ok"}
     assert report["invariance_ok"] and report["pointwise_ok"]
@@ -199,13 +209,11 @@ def test_theta_closed_loop_report():
 
 
 def test_theta_loop_refuses_infinite_threshold():
-    # r just above 3: c_min = inf, so no finite theta certifies decay
-    g = grid2(N=8)
+    # r just above 3: c_min = inf, so no finite theta certifies decay; the
+    # threshold the loop takes refuses it
     p = op.PhysicalParams(mu=1, alpha=0.3, beta=1, gamma=0.0, r=3.001, q=2)
-    assert ct.theta_threshold(p)["c_min"] == np.inf
-    z0 = sp.random_solenoidal(g, seed=12)
     with pytest.raises(RegimeError, match="c_min"):
-        ct.run_theta_loop(ts.SimConfig(grid=g, params=p, y0=z0, T=0.1, dt=0.01), theta=1.0)
+        ct.theta_threshold(p)
 
 
 def test_proportional_closed_loop_report():

@@ -310,12 +310,13 @@ def test_eta_pair_frozen():
 
 def test_critical_pumping_frozen():
     p = op.PhysicalParams(mu=1, alpha=0.1, beta=1, gamma=-1.0, r=3, q=2)
-    r1, r2 = op.critical_pumping_rates(p)
+    conv, r1, r2 = op.threshold_split(p)
+    assert conv == 0.0
     assert abs(r1 - 2.0) < 1e-12
     assert abs(r2 - 4.0) < 1e-12
     bad = op.PhysicalParams(mu=0.2, alpha=0.1, beta=1, gamma=-1.0, r=3, q=2)
     with pytest.raises(RegimeError):
-        op.critical_pumping_rates(bad)
+        op.threshold_split(bad)
 
 
 def test_stability_constants_bundle():

@@ -386,7 +386,7 @@ def test_half_parseval_matches_full_layout(d, N, seed):
     ng2 = _parseval_full(a, a, lap)
     # the inner products relative to their Cauchy-Schwarz bound
     want = _parseval_full(a, b, 1.0)
-    dual = np.real(sp.parseval_dual(b.c[None], g) @ a.c.ravel())[0]
+    dual = np.real(np.conj(sp.parseval_dual(b.c[None], g).view(complex)) @ a.c.ravel())[0]
     for got in (sp.inner(a, b), dual):
         assert abs(got - want) <= 1e-13 * np.sqrt(na2 * nb2)
     assert abs(sp.norm_H(a) ** 2 - na2) <= 1e-13 * na2
