@@ -334,17 +334,26 @@ def _sim_config(cfg, grid, params, seeds, initial=True) -> ts.SimConfig:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
+    """obj as plain JSON values: numpy scalars and arrays made Python ones,
+    and every non-finite number made None, so it is written as null."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(value) for value in obj]
+    if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
+    return obj
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable) + "\n")
+    """The one writer of reports and manifests: standard JSON, in which a
+    non-finite number is null; allow_nan=False fails on any that slips by."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 # ---------------------------------------------------------------- runners
@@ -362,9 +371,6 @@ def _run_constants(cfg, outdir, h):
             return fn(*a, **kw)
         except RegimeError:
             return None
-
-    def _finite(x):
-        return x if np.isfinite(x) else None
 
     # outside the regime the constants are reported as null; inside it, a
     # constant beyond the float range is a RegimeError of its own (exit 4).
@@ -385,8 +391,8 @@ def _run_constants(cfg, outdir, h):
         "feedback_shift": sc.growth_rate if sc else None,
         "rho_half": _try(op.convection_rate, params.mu, params.beta, params.r, 0.5),
         "rho_one": _try(op.convection_rate, params.mu, params.beta, params.r, 1.0),
-        "K1": _finite(st.uniqueness_K1(params.beta, params.gamma, params.r, params.q)),
-        "K2": _finite(st.uniqueness_K2(params.beta, params.gamma, params.r, params.q)),
+        "K1": st.uniqueness_K1(params.beta, params.gamma, params.r, params.q),
+        "K2": st.uniqueness_K2(params.beta, params.gamma, params.r, params.q),
         "gamma0": gk.quadratic_gamma0(L, d),
         "c_min": th["c_min"] if th else None,
     }

@@ -186,28 +186,43 @@ def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> 
 # power damping and its derivatives
 
 
-def damping_weight(m2: np.ndarray, terms) -> np.ndarray:
-    """Pointwise weight sum coef |v|^{p-1} over terms [(coef, p), ...], from m2 = |v|^2."""
-    (coef0, p0), *rest = terms
-    w = _pow0(m2, (p0 - 1) / 2.0)
-    w *= coef0                      # scaled in place, as every term below
-    for coef, p in rest:            # in place: a second term costs no extra array
-        t = _pow0(m2, (p - 1) / 2.0)
-        t *= coef
-        w += t
+def damping_weight(m2: np.ndarray, terms, out=None) -> np.ndarray:
+    """Pointwise weight sum coef |v|^{p-1} over terms [(coef, p), ...], p >= 1,
+    from m2 = |v|^2.
+
+    With out the weight is written there, and out may be m2 itself: the last
+    term is formed in it once the others have read m2, so the other terms
+    cost one array and a single term none.  The terms are summed in either
+    order to the same bits.
+    """
+    *head, (coef, p) = terms
+    rest = damping_weight(m2, head) if head else None
+    expo = (p - 1) / 2.0
+    if out is None:
+        w = _pow0(m2, expo)
+    elif expo == 0.5:               # the sqrt that m2**0.5 runs, twice as fast as np.power
+        w = np.sqrt(m2, out=out)
+    else:
+        w = np.power(m2, expo, out=out)
+    w *= coef                       # scaled in place, as every term
+    if rest is not None:
+        w += rest
     return w
 
 
-def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms) -> sp.SpectralField:
+def damping_from_nodal(vals: np.ndarray, grid: sp.TorusGrid, terms, mag2=None) -> sp.SpectralField:
     """sum coef |v|^{p-1} v over terms [(coef, p), ...], truncated to the coarse
     spectrum and not Leray-projected, from the nodal values v of the argument
     on the oversampled grid that the terms share.  Each caller projects once.
 
-    The summed weight times v is written over vals (component axis first),
-    and |v|^2 is gone before the transform back, so no fine array but vals
-    lives through it.
+    |v|^2 is formed in mag2, a float array of one component's shape, when it
+    is given, and the weight over it; the weight times v is written over
+    vals (component axis first).  So a loop that passes the same mag2 each
+    step allocates one fine array for a two-term damping, for the first
+    term, and none for one term.
     """
-    np.multiply(damping_weight(sp.sum_squares(vals), terms), vals, out=vals)
+    m2 = sp.sum_squares(vals, out=mag2)
+    np.multiply(damping_weight(m2, terms, out=m2), vals, out=vals)
     return sp.SpectralField(grid, sp.unsample(vals, grid))
 
 

@@ -26,25 +26,61 @@ mode coefficients a reduction writes out.
 
 sample gives nodal values on any even M^d grid, M above or below N, and
 unsample takes nodal values on such a grid back to the stored halves; both
-keep the modes |k_i| < min(N, M)/2.  At M = N they are one irfftn and one
-rfftn.  For every other M they run one axis at a time and resize each axis
-(zero-pad or cut it, _resize_axis) just before its inverse transform or just
-after its forward one, so no line of padded zeros is transformed along an
-earlier axis and no cut line along a later one.  Each line that is
-transformed is the same 1-d transform, in the same axis order, that irfftn
-or rfftn on the whole M-grid half spectrum computes, so the results are
-bitwise those of a copy of the kept modes around one irfftn or rfftn.
+keep the modes |k_i| < K = min(N, M)/2.  At M = N they are one irfftn and
+one rfftn.  For every other M they go one field (leading index) at a time,
+so their temporaries are of one component's size, and take one of two
+routes, chosen by K alone:
+
+- K <= DFT_MAX_K = 16, the DFT-matrix route: one matrix product per axis
+  with cached, read-only DFT matrices (_dft_matrices) between the kept rows
+  and the M nodes, so the pruned transform (only the kept columns go in,
+  only the kept ones come out) runs on BLAS.  The leading axes use complex
+  matrices; the last axis is one real matrix on the (re, im) pairs of the
+  kept columns, a single dgemm, which sample writes straight into out.
+  The results agree with a copy of the kept modes around one irfftn or
+  rfftn to 1e-14 of the largest value, not bitwise.
+- K > 16, the line-pruned FFT route: one axis at a time, each axis resized
+  (zero-padded or cut, _resize_axis) just before its inverse transform or
+  just after its forward one, so no line of padded zeros is transformed
+  along an earlier axis and no cut line along a later one.  Each line that
+  is transformed is the same 1-d transform, in the same axis order, that
+  irfftn or rfftn on the whole M-grid half spectrum computes, so the
+  results are bitwise those of a copy of the kept modes around one irfftn
+  or rfftn.
+
+The rule is the crossover of the two routes, timed on one BLAS thread
+(best of 100 sample + unsample round trips of a d-component field, in
+microseconds, numpy 2.4 with OpenBLAS 0.3.31 on an AVX-512 x86-64 host):
+
+    d    N -> M     K   FFT route        matrix route
+    3    8 -> 24     4     127 + 135          32 + 39
+    3   16 -> 48     8     618 + 605         299 + 318
+    3   24 -> 72    12    2385 + 2190       1300 + 1436
+    3   32 -> 96    16    5848 + 5681       3950 + 5236
+    3   40 -> 120   20   13435 + 13647     12263 + 12589
+    2   32 -> 96    16      41 + 51           24 + 29
+    2   40 -> 120   20      58 + 67           40 + 48
+    2   56 -> 168   28     120 + 138         115 + 126
+    2   64 -> 192   32     124 + 144         169 + 182
+    2  128 -> 384   64     507 + 563        1184 + 1267
+
+The matrix route keeps ahead here up to about K = 28 in 2-d and K = 20 in
+3-d; the rule stops at 16, where it still saves a fifth or more, to keep a
+margin on hosts whose BLAS is slower against their FFT.
+
 SpectralField.physical and from_physical are sample and unsample at M = N,
 oversample and gradient_physical are sample on the (factor*N)^d grid, and
 fine_to_coeffs is unsample.  op.span_nodes sizes the M of a state held in a
 span from its bandwidth.
 
-sample and oversample can write into a given array (out=): the time stepper
-and the stationary solve each hold one nodal array for the whole loop, so
+sample and oversample can write into a given array (out=), and sum_squares
+and norm_Lp_nodal can form |v|^2 in one: the time stepper and the stationary
+solve each hold one nodal array and one |v|^2 array for the whole loop, so
 no step faults fresh zeroed pages in for its multi-MB fine-grid values.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from itertools import product
 
@@ -251,19 +287,22 @@ def norm_factor(p: float) -> int:
     return oversample_factor(p)
 
 
-def sum_squares(vals: np.ndarray) -> np.ndarray:
+def sum_squares(vals: np.ndarray, out=None) -> np.ndarray:
     """|v|^2 over the leading (component) axis, one component at a time:
-    bitwise np.sum(vals**2, axis=0) without its (d, M, ..., M) temporary."""
-    out = np.square(vals[0])
+    bitwise np.sum(vals**2, axis=0) without its (d, M, ..., M) temporary;
+    written into out when it is given."""
+    out = np.square(vals[0], out=out)
     for comp in vals[1:]:
         out += np.square(comp)
     return out
 
 
-def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float) -> float:
-    """L^p norm by rectangle rule from nodal values on any (M, ..., M) grid."""
+def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float, mag2=None) -> float:
+    """L^p norm by rectangle rule from nodal values on any (M, ..., M) grid;
+    |v|^2 is formed in mag2, a float array of one component's shape, when it
+    is given."""
     M = vals.shape[-1]
-    mag2 = sum_squares(vals)
+    mag2 = sum_squares(vals, out=mag2)
     # a small integer p/2: repeated products, about twice as fast as the
     # generic pow; past 4 their count grows with p, and pow's does not
     half = p / 2.0
@@ -388,6 +427,93 @@ def _resize_axis(x: np.ndarray, axis: int, M: int) -> np.ndarray:
     return out
 
 
+# The largest K = min(N, M)/2 at which sample and unsample take the DFT-matrix
+# route; beyond it the FFT route is faster (the crossover in the module text).
+DFT_MAX_K = 16
+
+
+@functools.lru_cache(maxsize=16)
+def _dft_matrices(N: int, M: int):
+    """Read-only DFT matrices between the kept rows |k| < K = min(N, M)/2 of
+    an N-row axis (in FFT order) and M nodes, normalized as the transforms:
+
+    E (M, N), complex: the inverse along a leading axis, nodes from rows;
+    F (N, M), complex: the forward one, rows from nodes, with its 1/M;
+    R (2K, M), real: the inverse along the last axis, nodes from the (re, im)
+        pairs of the columns k = 0 .. K-1, each k > 0 weighed twice for its
+        mirror and the imaginary part of k = 0 dropped, as irfft does;
+    Rf (M, 2K), real: the forward one, those pairs from nodes, with its 1/M.
+
+    The columns of E and the rows of F of the rows that are not kept are
+    zero, so each product pads or cuts the axis too.  Each phase is reduced
+    to (j k) mod M before it is scaled, which keeps it exact in the integers.
+    """
+    K = min(N, M) // 2
+    k = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
+    nodes = np.arange(M)
+    phase = (2 * np.pi / M) * ((nodes[:, None] * k) % M)
+    kept = np.abs(k) < K
+    E = np.where(kept, np.exp(1j * phase), 0)
+    F = np.where(kept[:, None], np.exp(-1j * phase.T) / M, 0)
+    cols = (2 * np.pi / M) * ((np.arange(K)[:, None] * nodes) % M)
+    weight = np.where(np.arange(K) == 0, 1.0, 2.0)[:, None]
+    R = np.empty((2 * K, M))
+    R[0::2] = weight * np.cos(cols)
+    R[1::2] = -weight * np.sin(cols)
+    Rf = np.empty((M, 2 * K))
+    Rf[:, 0::2] = np.cos(cols).T / M
+    Rf[:, 1::2] = -np.sin(cols).T / M
+    for matrix in (E, F, R, Rf):
+        matrix.flags.writeable = False
+    return E, F, R, Rf
+
+
+def _sample_dft(x: np.ndarray, N: int, M: int, out: np.ndarray) -> None:
+    """One field's nodal values into out, (M, ..., M), from its columns
+    k_d < K, shape (N, ..., N, K): one DFT-matrix product per axis."""
+    K = x.shape[-1]
+    E, _, R, _ = _dft_matrices(N, M)
+    if x.ndim == 3:
+        x = (E @ x.reshape(N, N * K)).reshape(M, N, K)
+    x = np.matmul(E, x)
+    np.matmul(x.view(float).reshape(-1, 2 * K), R, out=out.reshape(-1, M))
+
+
+def _sample_fft(x: np.ndarray, N: int, M: int, out: np.ndarray) -> None:
+    """_sample_dft by the line-pruned FFTs: the leading axes in irfftn's
+    order, each resized to M rows just before its ifft, the last of them
+    written into its columns of a zeroed (M, ..., M/2+1) spectrum, so one
+    length-M irfft along the last axis reads whole lines."""
+    K = x.shape[-1]
+    for axis in range(-x.ndim, -2):
+        x = np.fft.ifft(_resize_axis(x, axis, M), axis=axis, norm="forward")
+    spec = np.zeros(x.shape[:-2] + (M, M // 2 + 1), dtype=complex)
+    np.fft.ifft(_resize_axis(x, -2, M), axis=-2, norm="forward", out=spec[..., :K])
+    np.fft.irfft(spec, n=M, axis=-1, norm="forward", out=out)
+
+
+def _unsample_dft(vals: np.ndarray, N: int, K: int) -> np.ndarray:
+    """One field's columns k_d < K, shape (N, ..., N, K), from its nodal
+    values, (M, ..., M): one DFT-matrix product per axis."""
+    M = vals.shape[-1]
+    _, F, _, Rf = _dft_matrices(N, M)
+    x = (vals.reshape(-1, M) @ Rf).view(complex).reshape(vals.shape[:-1] + (K,))
+    x = np.matmul(F, x)
+    if vals.ndim == 3:
+        x = (F @ x.reshape(M, N * K)).reshape(N, N, K)
+    return x
+
+
+def _unsample_fft(vals: np.ndarray, N: int, K: int) -> np.ndarray:
+    """_unsample_dft by the line-pruned FFTs: an rfft along the last axis
+    keeps the columns k_d < K, and the leading axes follow in rfftn's order,
+    each resized to N rows just after its fft."""
+    x = np.fft.rfft(vals, axis=-1, norm="forward")[..., :K]
+    for axis in range(-2, -vals.ndim - 1, -1):
+        x = _resize_axis(np.fft.fft(x, axis=axis, norm="forward"), axis, N)
+    return x
+
+
 def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Nodal values on the refined (factor*N)^d grid (exact interpolation):
     sample at M = factor*N, into out when it is given."""
@@ -396,54 +522,57 @@ def oversample(a: SpectralField, factor: int, out: np.ndarray | None = None) -> 
 
 def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
     """Nodal values on the M^d grid (M even, >= 4) of the spectra whose stored
-    halves on g are given, keeping their modes |k_i| < M/2.
+    halves on g are given, keeping their modes |k_i| < K = min(N, M)/2.
 
-    When out, a float array of shape (..., M, ..., M), is given, the values
-    are written into it and it is returned.  At M = N this is one irfftn.
-    Otherwise only the columns k_d < min(N, M)/2 are transformed along the
-    leading axes, in irfftn's order (first to last), each axis resized to M
-    rows just before its ifft; the last of them is written into those
-    columns of a zeroed (..., M, M/2+1) array, so one length-M irfft along
-    the last axis reads whole lines.  The values are bitwise those of
-    irfftn on the kept modes copied into a zeroed M-grid half spectrum, and
-    exact when the spectra have no mode at |k_i| >= M/2.
+    When out, a C-contiguous float array of shape (..., M, ..., M), is
+    given, the values are written into it and it is returned.  At M = N
+    this is one irfftn.  Otherwise the fields go one at a time, and only
+    their columns k_d < K enter: through DFT-matrix products for
+    K <= DFT_MAX_K, whose values agree with irfftn on the kept modes copied
+    into a zeroed M-grid half spectrum to 1e-14 of their largest, and
+    through line-pruned FFTs beyond, whose values are bitwise those of that
+    irfftn.  Both are exact when the spectra have no mode at |k_i| >= M/2.
     """
     if M == g.N:
         axes = tuple(range(half.ndim - g.d, half.ndim))
         return np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward", out=out)
     K = min(g.N, M) // 2
-    x = half[..., :K]
-    for axis in range(-g.d, -2):
-        x = np.fft.ifft(_resize_axis(x, axis, M), axis=axis, norm="forward")
-    spec = np.zeros(x.shape[:-2] + (M, M // 2 + 1), dtype=complex)
-    np.fft.ifft(_resize_axis(x, -2, M), axis=-2, norm="forward", out=spec[..., :K])
-    return np.fft.irfft(spec, n=M, axis=-1, norm="forward", out=out)
+    lead = half.shape[: -g.d]
+    if out is None:
+        out = np.empty(lead + (M,) * g.d)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    one = _sample_dft if K <= DFT_MAX_K else _sample_fft
+    for i in np.ndindex(lead):
+        one(half[i][..., :K], g.N, M, out[i])
+    return out
 
 
 def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     """Stored halves on g of real nodal values on any even M^d grid: the
-    inverse of sample, keeping the modes |k_i| < min(N, M)/2, made those of
-    real fields (enforce_real).
+    inverse of sample, keeping the modes |k_i| < K = min(N, M)/2, made those
+    of real fields (enforce_real).
 
-    At M = N this is one rfftn.  Otherwise an rfft along the last axis keeps
-    the columns k_d < min(N, M)/2, and the leading axes follow in rfftn's
-    order (last to first), each resized to N rows just after its fft.  The
-    cut lines never feed a kept one, so the coefficients are bitwise those
-    of rfftn on the whole grid followed by a copy of the kept modes.  They
-    are exact when the values are of a trigonometric polynomial of degree D
-    per axis and M > D + min(D, N/2 - 1): a mode aliases onto k only from
-    k + jM, j != 0.
+    At M = N this is one rfftn.  Otherwise the fields go one at a time, and
+    only their columns k_d < K are formed: through DFT-matrix products for
+    K <= DFT_MAX_K, whose coefficients agree with rfftn on the whole grid
+    followed by a copy of the kept modes to 1e-14 of their largest, and
+    through line-pruned FFTs beyond, where the cut lines never feed a kept
+    one and the coefficients are bitwise those of that rfftn and copy.
+    They are exact when the values are of a trigonometric polynomial of
+    degree D per axis and M > D + min(D, N/2 - 1): a mode aliases onto k
+    only from k + jM, j != 0.
     """
     M = vals.shape[-1]
     if M == g.N:
         axes = tuple(range(vals.ndim - g.d, vals.ndim))
         return enforce_real(np.fft.rfftn(vals, axes=axes, norm="forward"), g)
     K = min(g.N, M) // 2
-    x = np.fft.rfft(vals, axis=-1, norm="forward")[..., :K]
-    for axis in range(-2, -g.d - 1, -1):
-        x = _resize_axis(np.fft.fft(x, axis=axis, norm="forward"), axis, g.N)
-    half = np.zeros(x.shape[:-1] + (g.N // 2 + 1,), dtype=complex)
-    half[..., :K] = x
+    lead = vals.shape[: -g.d]
+    half = np.zeros(lead + g.half_shape, dtype=complex)
+    one = _unsample_dft if K <= DFT_MAX_K else _unsample_fft
+    for i in np.ndindex(lead):
+        half[i][..., :K] = one(vals[i], g.N, K)
     return enforce_real(half, g)
 
 

@@ -30,11 +30,12 @@ class StationaryResult:
     residual_history: list = field(default_factory=list)
 
 
-def _rhs(y, params, f, nodal):
+def _rhs(y, params, f, nodal, mag2=None):
     """Right-hand side at y, Leray-projected once as a whole; nodal, of the
-    damping grid's shape, is overwritten."""
+    damping grid's shape, is overwritten, and so is mag2, of one component's,
+    when it is given."""
     vals = sp.oversample(y, params.damping_factor, out=nodal)
-    damping = op.damping_from_nodal(vals, y.grid, params.damping_terms)
+    damping = op.damping_from_nodal(vals, y.grid, params.damping_terms, mag2)
     return sp.leray(f - op.convective(y) - damping)
 
 
@@ -62,8 +63,10 @@ def solve_stationary(
     stall = 0
     history = []
     # one right-hand side per iterate: the residual's is reused by the update.
-    # All of them oversample into one nodal array, held for the whole solve.
+    # All of them oversample into one nodal array, and take |v|^2 in one
+    # scalar array, both held for the whole solve.
     nodal = np.empty((grid.d,) + (params.damping_factor * grid.N,) * grid.d)
+    mag2 = np.empty(nodal.shape[1:])
     # a diverging iterate overflows to inf and nan; the finiteness check below
     # reports it as a SolverDivergence, so numpy's warnings are not wanted
     with np.errstate(over="ignore", invalid="ignore"):
@@ -71,7 +74,7 @@ def solve_stationary(
             if it > 0:
                 update = sp.SpectralField(grid, rhs.c * inv)
                 y = (1 - omega) * y + omega * update
-            rhs = _rhs(y, params, f, nodal)
+            rhs = _rhs(y, params, f, nodal, mag2)
             res = residual_norm(y, params, rhs)
             history.append(res)
             if not np.isfinite(res):

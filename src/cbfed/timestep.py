@@ -189,7 +189,11 @@ def simulate(cfg: SimConfig) -> Trajectory:
     yosida_mode = K is not None and cfg.constraint_mode == "yosida"
 
     # beta C_r + gamma C_q on one grid, whose values give the L^{r+1} norm too;
-    # every state is sampled into one nodal array, held for the whole run.
+    # every state is sampled into one nodal array, and the norm and the damping
+    # weight take |v|^2 in one scalar array, both held for the whole run.  On
+    # small grids the transforms free no multi-MB temporary, so glibc's heap
+    # trim threshold stays near two fine scalar arrays: two fine temporaries
+    # live at once would be trimmed every step and faulted back in the next.
     # A span's bandwidth can shrink that grid and the convection's (see above)
     factor, terms = p.damping_factor, p.damping_terms
     bandwidth = getattr(K, "bandwidth", None) if project_mode and cfg.y_ref is None else None
@@ -198,6 +202,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     banded = M < factor * g.N
     norm_on_grid = banded or sp.norm_factor(p.r + 1) == factor
     nodal = np.empty((g.d,) + (M,) * g.d)
+    mag2 = np.empty((M,) * g.d)
 
     # B and the damping at the reference state are constant over the run, and
     # so (oversampling is linear) are its nodal values, in an array of their own
@@ -246,12 +251,12 @@ def simulate(cfg: SimConfig) -> Trajectory:
         recorded = m % cfg.record_every == 0 or m == nsteps
         vals = sp.sample(z.c, g, M, out=nodal) if banded else sp.oversample(z, factor, out=nodal)
         if recorded:
-            lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
+            lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1, mag2) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
         if y_ref is None:
-            damp = op.damping_from_nodal(vals, g, terms)
+            damp = op.damping_from_nodal(vals, g, terms, mag2)
         else:
             vals += y_nodal
-            damp = op.damping_from_nodal(vals, g, terms) - d_ref
+            damp = op.damping_from_nodal(vals, g, terms, mag2) - d_ref
         if recorded:
             gh = sp.norm_grad(z)
             rows.append((

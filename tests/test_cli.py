@@ -568,6 +568,30 @@ def test_constants_uniqueness_overflow_reports_null(tmp_path):
     assert rep["K1"] is None and rep["K2"] is None
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("experiment, overrides, path", [
+    # K2 beyond the float range: the smallness test's right-hand side
+    ("stationary", ["params.r=2000", "params.q=1500", "params.gamma=-1"],
+     ("uniqueness_report", "rhs")),
+    # no finite energy constant just above r = 3
+    ("simulate", ["integrator.T=0.05", "params.r=3.001"], ("max_energy_defect",)),
+])
+def test_report_writes_non_finite_numbers_as_null(tmp_path, experiment, overrides, path):
+    out = tmp_path / "out"
+    args = [experiment, "--set", "grid.N=8"]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args + ["--output-dir", str(out)]) == 0
+    text = (only_run_dir(out) / "report.json").read_text()
+    value = json.loads(text, parse_constant=_refuse_constant)["report"]
+    for key in path:
+        value = value[key]
+    assert value is None
+
+
 def test_exit_code_solver_divergence(tmp_path):
     cfg = write_config(
         tmp_path,

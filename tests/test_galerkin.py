@@ -177,7 +177,12 @@ def test_assembly_matches_stacked_formulas(d, equilibrium, params):
     # at y_e = 0 with odd exponents the reduction samples its modes on its own,
     # smaller quadrature grid; the tensors are still those of the damping grid
     want_Wf = _modes_on_grid(red.modes, red.quad_N) if equilibrium == "zero" else Wf_
-    assert np.array_equal(red._Wf, want_Wf)
+    N, M = y_e.grid.N, red.quad_N
+    if equilibrium == "zero" and M != N and min(N, M) // 2 <= sp.DFT_MAX_K:
+        # sampled by the DFT-matrix route, which agrees with irfftn to 1e-14
+        assert np.max(np.abs(red._Wf - want_Wf)) <= 1e-14 * np.max(np.abs(want_Wf))
+    else:
+        assert np.array_equal(red._Wf, want_Wf)
     for got, want in ((red.g1, g1), (red.Lmat, Lmat), (red._D, h2), (red._c_ref, c_ref)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -382,6 +382,28 @@ def test_damping_weight_bitwise_matches_earlier_formula(d, q):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("terms", [
+    [(0.8, 5.0), (-0.3, 2.0)], [(0.8, 5.0), (-0.3, 1.0)], [(0.8, 5.0), (-0.3, 3.0)],
+    [(0.8, 5.0)], [(0.8, 4.5), (-0.3, 1.5)],
+])
+@pytest.mark.parametrize("d", [2, 3])
+def test_weight_formed_in_held_array_is_bitwise(d, terms):
+    # the weight formed over |v|^2 in place, and the damping and the L^p norm
+    # taking |v|^2 in a held array, give the bits of the fresh-array route
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    vals = sp.oversample(offset_field(g, (0.9, 0.2, -0.4)[:d], seed=84), 3)
+    m2 = sp.sum_squares(vals)
+    held = np.full_like(m2, np.nan)
+    assert sp.sum_squares(vals, out=held) is held and held.tobytes() == m2.tobytes()
+    want = op.damping_weight(m2, terms)
+    got = op.damping_weight(held, terms, out=held)
+    assert got is held and held.tobytes() == np.broadcast_to(want, m2.shape).tobytes()
+    want = op.damping_from_nodal(vals.copy(), g, terms).c
+    got = op.damping_from_nodal(vals.copy(), g, terms, np.full_like(m2, np.nan)).c
+    assert got.tobytes() == want.tobytes()
+    assert sp.norm_Lp_nodal(vals, g, 6.0, held) == sp.norm_Lp_nodal(vals, g, 6.0)
+
+
 # ---------------------------------------------------------------------------
 # the explicit term: rotational convection, unprojected damping
 

@@ -496,11 +496,25 @@ def test_fine_to_coeffs_matches_complex_route(d):
 
 
 # ---------------------------------------------------------------------------
-# zero-padded transforms against the full-pad route, bitwise
+# zero-padded transforms against the full-pad route
 #
-# The reference pads the whole spectrum and transforms every line; the code
-# under test skips the lines that are zero or discarded, and computes each
-# remaining line the same way, so the two agree exactly.
+# The reference pads the whole spectrum and transforms every line.  The FFT
+# routes of the code under test skip the lines that are zero or discarded,
+# and compute each remaining line the same way, so the two agree exactly.
+# The DFT-matrix route (M != N, K = min(N, M)/2 <= sp.DFT_MAX_K) sums in
+# another order and agrees to 1e-14 of the largest value, the bound of
+# test_unsample_inverts_sample.
+
+
+def _matrix_route(N, M):
+    return M != N and min(N, M) // 2 <= sp.DFT_MAX_K
+
+
+def _assert_route_match(got, want, N, M, same=np.array_equal):
+    if _matrix_route(N, M):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    else:
+        assert same(got, want)
 
 
 def _oversample_full_pad(f, factor):
@@ -520,22 +534,24 @@ def _fine_to_coeffs_full_pad(vals, g, factor):
     return sp.enforce_real(half, g)
 
 
+# 2-d N = 40 keeps the FFT route (K = 20 > sp.DFT_MAX_K) pinned bitwise
+_PIN_GRIDS = [(2, 4), (2, 8), (2, 16), (2, 40), (3, 4), (3, 8), (3, 16)]
+
+
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])
-@pytest.mark.parametrize("N", [4, 8, 16])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d, N", _PIN_GRIDS)
 def test_oversample_bitwise_matches_full_pad(d, N, factor):
     f = sp.random_field(sp.TorusGrid(d=d, N=N), seed=66 + N, decay=1.0)
-    assert np.array_equal(sp.oversample(f, factor), _oversample_full_pad(f, factor))
+    _assert_route_match(sp.oversample(f, factor), _oversample_full_pad(f, factor), N, factor * N)
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])
-@pytest.mark.parametrize("N", [4, 8, 16])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d, N", _PIN_GRIDS)
 def test_fine_to_coeffs_bitwise_matches_full_pad(d, N, factor):
     g = sp.TorusGrid(d=d, N=N)
     vals = np.random.default_rng(67 + N).standard_normal((d,) + (factor * N,) * d)
     out = sp.fine_to_coeffs(vals, g)
-    assert np.array_equal(out, _fine_to_coeffs_full_pad(vals, g, factor))
+    _assert_route_match(out, _fine_to_coeffs_full_pad(vals, g, factor), N, factor * N)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -566,10 +582,63 @@ def test_padded_transforms_keep_no_state_between_calls(d):
         assert np.array_equal(va, fa) and np.array_equal(vb, fb)
         assert np.array_equal(cb, sp.fine_to_coeffs(fb.copy(), g))
         assert np.array_equal(ca, sp.fine_to_coeffs(fa.copy(), g))
+    # on both sides of N, no result shares memory with another or with the
+    # cached DFT matrices
+    for M in (g.N - 2, 2 * g.N, 3 * g.N):
+        results = [sp.sample(a.c, g, M), sp.sample(b.c, g, M)]
+        results += [sp.unsample(v, g) for v in results]
+        for x, y in itertools.combinations(results + list(sp._dft_matrices(g.N, M)), 2):
+            assert not np.shares_memory(x, y), M
 
 
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("N, M", [(16, 48), (8, 6), (40, 12)])
+def test_dft_matrices_are_cached_and_read_only(N, M):
+    matrices = sp._dft_matrices(N, M)
+    assert sp._dft_matrices(N, M) is matrices
+    for matrix in matrices:
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+
+@st.composite
+def _transform_case(draw):
+    """(d, N, M, leading shape): N from 4 to 40, so K = min(N, M)/2 falls on
+    both sides of sp.DFT_MAX_K, and M below, at or above N (in 3-d at most
+    N + 8, to keep the grids small)."""
+    d = draw(st.sampled_from([2, 3]))
+    # half the draws past N = 32, the only grids where K > sp.DFT_MAX_K can be
+    N = draw(st.sampled_from(range(4, 41, 2)) | st.sampled_from(range(34, 41, 2)))
+    side = draw(st.sampled_from(["below", "at", "above"]))
+    if side == "below" and N > 4:
+        M = draw(st.sampled_from(range(4, N, 2)))
+    elif side == "above":
+        M = draw(st.sampled_from(range(N + 2, 2 * N + 3 if d == 2 else N + 9, 2)))
+    else:
+        M = N
+    return d, N, M, draw(st.sampled_from([(), (d,), (2, d)]))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(case=_transform_case(), seed=st.integers(0, 2**32 - 1))
+def test_sample_unsample_match_kept_mode_routes(case, seed):
+    # either route agrees with the kept modes copied around one irfftn/rfftn
+    # to 1e-14, stacked fields too, and sample into out= gives the same bits
+    d, N, M, lead = case
+    g = sp.TorusGrid(d=d, N=N)
+    rng = np.random.default_rng(seed)
+    shape = lead + g.half_shape
+    half = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * g.keep
+    got, want = sp.sample(half, g, M), ref.sample_kept_modes(half, g, M)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    buf = np.full(got.shape, np.nan)
+    assert sp.sample(half, g, M, out=buf) is buf and _same_bits(buf, got)
+    vals = rng.standard_normal(lead + (M,) * d)
+    got, want = sp.unsample(vals, g), ref.unsample_kept_modes(vals, g)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -646,18 +715,19 @@ def test_unsample_inverts_sample(d):
         assert np.array_equal(sp.unsample(vals, g), sp.fine_to_coeffs(vals, g))
 
 
-@pytest.mark.parametrize("N", [8, 12, 16])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d, N", [(2, 8), (2, 12), (2, 16), (2, 40), (3, 8), (3, 12), (3, 16)])
 def test_sample_unsample_bitwise_match_kept_mode_route(d, N):
     # the reference copies the kept modes around one irfftn/rfftn over every
-    # line; sample and unsample skip lines, so the bits must still agree
+    # line; the FFT routes of sample and unsample skip lines, so the bits must
+    # still agree, and the DFT-matrix route agrees to 1e-14
     g = sp.TorusGrid(d=d, N=N)
     f = sp.random_field(g, seed=75 + N, decay=1.0).c
     rng = np.random.default_rng(76 + N)
     for c in (f, np.stack([f, (0.5 - 0.3j) * f])):
         for M in (4, N - 2, N, N + 2, 3 * N + 2):
-            assert _same_bits(sp.sample(c, g, M), ref.sample_kept_modes(c, g, M)), M
+            got, want = sp.sample(c, g, M), ref.sample_kept_modes(c, g, M)
+            _assert_route_match(got, want, N, M, _same_bits)
             lead = c.shape[: -d]
             for vals in (rng.standard_normal(lead + (M,) * d), sp.sample(c, g, M)):
                 got, want = sp.unsample(vals, g), ref.unsample_kept_modes(vals, g)
-                assert _same_bits(got, want), M
+                _assert_route_match(got, want, N, M, _same_bits)
