@@ -464,7 +464,7 @@ def _run_proportional(cfg, outdir, h):
     dec = eg.proportional_decay_constant(nu, params, eps=float(knobs["eps"]))
     c_min = dec["rho_star"] + dec["rho1_star"] + dec["rho2_star"]
     report, traj = ct.run_proportional_loop(
-        _sim_config(cfg, grid, params, seeds), k_gain, mask, delta=dec["delta"],
+        _sim_config(cfg, grid, params, seeds), k_gain, mask, nu, delta=dec["delta"],
         c_min=c_min, slack=float(knobs["slack"]),
     )
     traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")

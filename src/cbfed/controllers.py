@@ -97,8 +97,19 @@ def pointwise_decay_ok(times, norms, delta):
     return bool(np.all(h <= bound))
 
 
-def _closed_loop(sim, delta_claim):
-    """Simulate one closed loop, fit its decay and check the claim and the constraint."""
+def _closed_loop(sim, delta_claim, linear_rate):
+    """Simulate one closed loop, fit its decay and check the claim and the constraint.
+
+    At y_e = 0 (no reference state) a small state decays no faster than the
+    linear rate, linear_rate + gamma [q = 1] (C_r'(0) = 0, C_q'(0) = [q = 1] P),
+    so a claim above it is refused before stepping.  A solved equilibrium's
+    linearization is not symmetric; a claim around one stays unchecked.
+    """
+    if sim.y_ref is None:
+        linear_rate += sim.params.gamma if sim.params.q == 1 else 0.0
+        if delta_claim > linear_rate:
+            raise RegimeError(f"claimed decay rate {delta_claim:.6g} exceeds the linear "
+                              f"rate {linear_rate:.6g} of the loop at y_e = 0")
     traj = simulate(sim)
     delta_fit, _ = decay_rate_fit(traj.t, traj.norm_H)
     report = {
@@ -119,20 +130,20 @@ def run_theta_loop(sim, theta, c_min, slack=0.9):
     """
     report, traj = _closed_loop(
         replace(sim, controller=make_theta_controller(theta), control_bound=theta),
-        slack * (theta + sim.params.alpha - c_min),
+        slack * (theta + sim.params.alpha - c_min), sim.params.alpha + theta,
     )
     return {"theta": float(theta), "c_min": float(c_min), **report}, traj
 
 
-def run_proportional_loop(sim, k_gain, mask, delta, c_min, slack=0.9):
+def run_proportional_loop(sim, k_gain, mask, nu, delta, c_min, slack=0.9):
     """Closed loop of `sim` under u = -k * Leray(mask * z).
 
-    `delta` is the decay rate certified upstream (principal eigenvalue of
-    the damped Stokes operator minus the absorption total `c_min`); the
-    report records slack * delta as the claim and checks it pointwise.
+    `delta` is the decay rate certified upstream (nu, the smallest
+    eigenvalue of mu A + alpha + k P mask P, minus the absorption total
+    `c_min`); the report records slack * delta as the claim and checks it.
     """
     controller = make_proportional_controller(sim.grid, k_gain, mask)
     report, traj = _closed_loop(
-        replace(sim, controller=controller, control_bound=k_gain), slack * delta
+        replace(sim, controller=controller, control_bound=k_gain), slack * delta, nu
     )
     return {"k_gain": float(k_gain), "c_min": float(c_min), **report}, traj

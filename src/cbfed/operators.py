@@ -27,23 +27,19 @@ pointwise weight, the sum coef |y|^{p-1} from |y|^2; damping_from_nodal
 applies it to the nodal values on that grid, or on any even M^d grid, and
 does one transform back (sp.unsample), without the Leray projection.  Each
 caller projects once: simulate projects the new state (the update is
-diagonal in k, so that projects its damping too), stationary._rhs its whole
-right-hand side, and power_damping its result.  The derivative C_p'(y) z
-has one kernel too, damping_derivative, shared by gateaux_first and
-galerkin.assemble_reduction; it takes the powers of |y| once and then
+diagonal in k, so that projects its damping too), the stationary solve its
+whole right-hand side, and power_damping its result.  The derivative
+C_p'(y) z has one kernel too, damping_derivative, shared by gateaux_first
+and galerkin.assemble_reduction; it takes the powers of |y| once and then
 serves any number of directions.  Powers of |y| follow _pow0: |y|^0 = 1, so
 C_1' = P needs no branch, and a negative power is 0 where y = 0.
 power_damping evaluates a single term on its own grid.
 
-States held in a span.  span_nodes is the one rule for the grid of a state
-whose modes lie within |k_i| <= B, the bandwidth of a span (the Galerkin
-reduction's, and the full loop projected onto it): with odd integer
-exponents, the smallest even M > (r+1) B, at least 4 and at most the
-damping grid; otherwise the damping grid.  The damping's coefficients at
-|k_i| <= B, the rectangle rule for |y|^{r+1} and every pairing of the
-reduction are exact there, and the convection on min(M, N) nodes.  The
-damping's coefficients beyond B may alias; the projection onto the span
-drops them.
+explicit_term is the one right-hand side f - B~ - beta C~_r - gamma C~_q of
+the time stepper and the stationary solve, the one holder of the damping
+grid's arrays, and the one place that picks the grids: span_nodes is the
+rule for a state held in a span (the Galerkin reduction's, and the full
+loop projected onto it).
 """
 from __future__ import annotations
 
@@ -246,6 +242,64 @@ def span_nodes(params: PhysicalParams, grid: sp.TorusGrid, bandwidth: int) -> in
         return full
     degree = (int(params.r) + 1) * bandwidth
     return min(max(4, degree + 2 - degree % 2), full)
+
+
+def explicit_term(grid, params: PhysicalParams, f: sp.SpectralField, around=None, bandwidth=None):
+    """The explicit right-hand side z -> f - B~(z) - beta C~_r(z) - gamma C~_q(z),
+    not Leray-projected, with B~, C~ shifted around `around` (plain B, C when
+    None), as evaluate(z, term=True, norm=False) -> (term, ||z||_{L^{r+1}}),
+    each None when not asked for.
+
+    One sample of z serves both; the norm is taken before the nodal values
+    of `around`, constant like B(around) and its damping, are added in place.
+    Every z is sampled into one nodal array and takes |v|^2 in one scalar
+    array, both held by evaluate: fresh fine temporaries would be trimmed
+    by glibc's heap after each call and faulted back in by the next.  The
+    damping runs on damping_factor, the norm there too when
+    norm_factor(r + 1) agrees, and the convection on the base grid.
+
+    States held in a span.  A bandwidth B, that of a span holding every z,
+    with no `around` (not held there), puts the damping and the norm on
+    M = span_nodes and the convection on min(M, N): exact at the modes the
+    span keeps, so a run matches the full grids' to roundoff, on 8^2 nodes
+    instead of 96^2 and 32^2 at the stabilize-galerkin defaults.
+    """
+    factor, terms = params.damping_factor, params.damping_terms
+    held = around is None and bandwidth is not None     # every z in the span
+    M = span_nodes(params, grid, bandwidth) if held else factor * grid.N
+    banded = M < factor * grid.N
+    M_conv = min(M, grid.N)
+    norm_on_grid = banded or sp.norm_factor(params.r + 1) == factor
+    nodal = np.empty((grid.d,) + (M,) * grid.d)
+    mag2 = np.empty((M,) * grid.d)
+    b_ref = y_nodal = d_ref = None
+    if around is not None:
+        b_ref = convective(around)
+        y_nodal = sp.oversample(around, factor)
+        d_ref = damping_from_nodal(y_nodal.copy(), grid, terms)
+
+    p = params.r + 1
+
+    def evaluate(z, term=True, norm=False):
+        if not term and not (norm and norm_on_grid):     # no sample needed
+            return None, sp.norm_Lp(z, p) if norm else None
+        # the convection first: its temporaries, taken after the damping's
+        # fine ones, raised the process's peak resident set in some runs
+        rest = f - shifted_convective(z, around, b_ref, M_conv) if term else None
+        vals = sp.sample(z.c, grid, M, out=nodal) if banded else sp.oversample(z, factor, out=nodal)
+        lr1 = None
+        if norm:
+            lr1 = sp.norm_Lp_nodal(vals, grid, p, mag2) if norm_on_grid else sp.norm_Lp(z, p)
+        if not term:
+            return None, lr1
+        if around is None:
+            damp = damping_from_nodal(vals, grid, terms, mag2)
+        else:
+            vals += y_nodal
+            damp = damping_from_nodal(vals, grid, terms, mag2) - d_ref
+        return rest - damp, lr1
+
+    return evaluate
 
 
 def damping_derivative(Y: np.ndarray, p: float):

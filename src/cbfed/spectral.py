@@ -74,9 +74,9 @@ fine_to_coeffs is unsample.  op.span_nodes sizes the M of a state held in a
 span from its bandwidth.
 
 sample and oversample can write into a given array (out=), and sum_squares
-and norm_Lp_nodal can form |v|^2 in one: the time stepper and the stationary
-solve each hold one nodal array and one |v|^2 array for the whole loop, so
-no step faults fresh zeroed pages in for its multi-MB fine-grid values.
+and norm_Lp_nodal can form |v|^2 in one: op.explicit_term holds one nodal
+array and one |v|^2 array for a whole loop, so no step faults fresh zeroed
+pages in for its multi-MB fine-grid values.
 """
 from __future__ import annotations
 
@@ -319,8 +319,8 @@ def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float, mag2=None) -> flo
 def norm_Lp(a: SpectralField, p: float) -> float:
     """L^p norm by rectangle rule on the factor-norm_factor(p) nodal grid.
 
-    simulate, which holds the nodal values on the damping grid, passes them to
-    norm_Lp_nodal instead when norm_factor(r + 1) is PhysicalParams.damping_factor.
+    op.explicit_term, holding the nodal values on the damping grid, passes them
+    to norm_Lp_nodal instead when norm_factor(r + 1) is its factor.
     """
     return norm_Lp_nodal(oversample(a, norm_factor(p)), a.grid, p)
 

@@ -6,9 +6,10 @@ The fixed point solved is
 
 iterated with under-relaxation that halves itself (up to four times) when the
 residual stagnates.  The residual is measured in H on the discrete equation
-itself, so a converged state satisfies the same operators the time stepper
-uses.  solve_stationary returns only a state whose residual is below tol;
-every other exit raises SolverDivergence.
+itself, with the time stepper's right-hand side (op.explicit_term), so a
+converged state is a fixed point of the unshifted stepper with its forcing.
+solve_stationary returns only a state whose residual is below tol; every
+other exit raises SolverDivergence.
 """
 from __future__ import annotations
 
@@ -30,21 +31,6 @@ class StationaryResult:
     residual_history: list = field(default_factory=list)
 
 
-def _rhs(y, params, f, nodal, mag2=None):
-    """Right-hand side at y, Leray-projected once as a whole; nodal, of the
-    damping grid's shape, is overwritten, and so is mag2, of one component's,
-    when it is given."""
-    vals = sp.oversample(y, params.damping_factor, out=nodal)
-    damping = op.damping_from_nodal(vals, y.grid, params.damping_terms, mag2)
-    return sp.leray(f - op.convective(y) - damping)
-
-
-def residual_norm(y, params, rhs) -> float:
-    """||(mu A + alpha) y - rhs||_H, for rhs = _rhs(y, params, f, nodal)."""
-    lin = sp.SpectralField(y.grid, y.c * (params.mu * y.grid.lap + params.alpha))
-    return sp.norm_H(lin - rhs)
-
-
 def solve_stationary(
     grid: sp.TorusGrid,
     params: op.PhysicalParams,
@@ -55,18 +41,17 @@ def solve_stationary(
 ) -> StationaryResult:
     """Solve the stationary equation for the projected forcing."""
     f = sp.leray(forcing)
-    inv = 1.0 / (params.mu * grid.lap + params.alpha)
+    lin = params.mu * grid.lap + params.alpha
+    inv = 1.0 / lin
     y = sp.SpectralField(grid, f.c * inv)
     omega = relax
     halvings = 0
     best = np.inf
     stall = 0
     history = []
-    # one right-hand side per iterate: the residual's is reused by the update.
-    # All of them oversample into one nodal array, and take |v|^2 in one
-    # scalar array, both held for the whole solve.
-    nodal = np.empty((grid.d,) + (params.damping_factor * grid.N,) * grid.d)
-    mag2 = np.empty(nodal.shape[1:])
+    # one right-hand side per iterate, the time stepper's explicit term
+    # Leray-projected once as a whole: the residual's is reused by the update
+    explicit = op.explicit_term(grid, params, f)
     # a diverging iterate overflows to inf and nan; the finiteness check below
     # reports it as a SolverDivergence, so numpy's warnings are not wanted
     with np.errstate(over="ignore", invalid="ignore"):
@@ -74,8 +59,8 @@ def solve_stationary(
             if it > 0:
                 update = sp.SpectralField(grid, rhs.c * inv)
                 y = (1 - omega) * y + omega * update
-            rhs = _rhs(y, params, f, nodal, mag2)
-            res = residual_norm(y, params, rhs)
+            rhs = sp.leray(explicit(y)[0])
+            res = sp.norm_H(sp.SpectralField(grid, y.c * lin) - rhs)    # ||(mu A + alpha) y - rhs||
             history.append(res)
             if not np.isfinite(res):
                 last = f"{history[-2]:.3e}" if it > 0 else "none"

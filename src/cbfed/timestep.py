@@ -16,27 +16,15 @@ Two schemes: backward Euler on the linear part with explicit everything else
 `simulate` makes one pass per state m = 0..nsteps.  A pass with m > 0 first
 steps from the previous state, Leray-projects, applies the constraint and
 checks for blow-up (the initial state is not checked).  Every pass then
-evaluates the feedback and, from one sample, the explicit damping and the
-L^{r+1} norm, and records the state when m is a multiple of record_every or
-the last one.  The final state's damping is computed like any other, but no
-step uses it.
-
-States held in a span.  A project-mode constraint with a bandwidth B (a
-cx.SpanConstraint) leaves every evaluated state without modes beyond
-|k_i| = B.  With no reference state, simulate sizes its grids once per run
-from B by the one rule for such states, op.span_nodes: the damping and the
-L^{r+1} norm on its M, the convection on min(M, N).  The damping is exact
-there at |k_i| <= B, the only modes the projection keeps, and the norm and
-the convection are exact, so the run matches the one on the full grids to
-roundoff; at the stabilize-galerkin defaults (N = 32, r = 5, B = 1) that is
-8^2 nodes instead of 96^2 for the damping and of 32^2 for the convection.
-Every other case (a ball or no constraint, yosida mode, a reference state,
-or an exponent that is not an odd integer, where op.span_nodes gives the
-damping grid) keeps the damping and base grids.
+evaluates the feedback and, through op.explicit_term, the explicit term
+f - B~ - beta C~_r - gamma C~_q and the L^{r+1} norm from one sample, and
+records the state when m is a multiple of record_every or the last one.
+The final state, which no step uses, gets only its norm.  A project-mode
+span (cx.SpanConstraint) holds every state, so simulate passes its bandwidth
+on to op.explicit_term, which picks the grids.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,18 +99,6 @@ class Trajectory:
     def to_csv(self, path, comment=None) -> None:
         write_csv(path, COLUMNS, zip(*(getattr(self, name) for name in COLUMNS)), comment)
 
-    @classmethod
-    def from_csv(cls, path) -> "Trajectory":
-        # drop comment lines ourselves: genfromtxt(names=True) would read a
-        # leading "# ..." line as the header row
-        with open(path) as fh:
-            lines = [ln for ln in fh if not ln.lstrip().startswith("#")]
-        data = np.genfromtxt(io.StringIO("".join(lines)), delimiter=",", names=True)
-        data = np.atleast_1d(data)
-        if set(data.dtype.names) != set(COLUMNS):
-            raise ConfigError(f"unexpected trajectory columns in {path}")
-        return cls(*[np.asarray(data[name], dtype=float) for name in COLUMNS])
-
 
 def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) -> float:
     """min(0.25/(mu lam_max), 0.5/(||y0 + y_ref||_inf k_max 2 pi / L))."""
@@ -188,30 +164,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
     project_mode = K is not None and cfg.constraint_mode == "project"
     yosida_mode = K is not None and cfg.constraint_mode == "yosida"
 
-    # beta C_r + gamma C_q on one grid, whose values give the L^{r+1} norm too;
-    # every state is sampled into one nodal array, and the norm and the damping
-    # weight take |v|^2 in one scalar array, both held for the whole run.  On
-    # small grids the transforms free no multi-MB temporary, so glibc's heap
-    # trim threshold stays near two fine scalar arrays: two fine temporaries
-    # live at once would be trimmed every step and faulted back in the next.
-    # A span's bandwidth can shrink that grid and the convection's (see above)
-    factor, terms = p.damping_factor, p.damping_terms
-    bandwidth = getattr(K, "bandwidth", None) if project_mode and cfg.y_ref is None else None
-    M = factor * g.N if bandwidth is None else op.span_nodes(p, g, bandwidth)
-    M_conv = min(M, g.N)
-    banded = M < factor * g.N
-    norm_on_grid = banded or sp.norm_factor(p.r + 1) == factor
-    nodal = np.empty((g.d,) + (M,) * g.d)
-    mag2 = np.empty((M,) * g.d)
-
-    # B and the damping at the reference state are constant over the run, and
-    # so (oversampling is linear) are its nodal values, in an array of their own
-    y_ref = cfg.y_ref
-    b_ref = y_nodal = d_ref = None
-    if y_ref is not None:
-        b_ref = op.convective(y_ref)
-        y_nodal = sp.oversample(y_ref, factor)
-        d_ref = op.damping_from_nodal(y_nodal.copy(), g, terms)
+    # a project-mode span holds every state, and its bandwidth sizes the grids
+    bandwidth = getattr(K, "bandwidth", None) if project_mode else None
+    explicit = op.explicit_term(g, p, f, cfg.y_ref, bandwidth)
 
     z = K.project(cfg.y0) if project_mode else cfg.y0.copy()
     nh = sp.norm_H(z)
@@ -222,7 +177,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
     half = 0.5 * dt * lin
     for m in range(nsteps + 1):
         if m > 0:
-            N = f - op.shifted_convective(z, y_ref, b_ref, M_conv) - damp
             if u is not None:
                 N = N + u
             if yosida_mode:
@@ -244,19 +198,12 @@ def simulate(cfg: SimConfig) -> Trajectory:
             if not np.isfinite(nh) or nh > guard:
                 raise SolverDivergence(f"state norm {nh:.3e} exploded at t={m * dt:.4g}")
         # one feedback and one evaluation per state, shared by its record and
-        # the explicit term of the next step: the shifted damping from one
-        # sample, not Leray-projected (the next Leray step does it), and
-        # ||z||_{L^{r+1}}, taken before the reference values are added in place
+        # the next step: the explicit term, not Leray-projected (the next
+        # Leray step does it), and ||z||_{L^{r+1}} when recorded; the final
+        # state, which no step uses, gets its norm alone
         u = cfg.controller(z) if cfg.controller is not None else None
         recorded = m % cfg.record_every == 0 or m == nsteps
-        vals = sp.sample(z.c, g, M, out=nodal) if banded else sp.oversample(z, factor, out=nodal)
-        if recorded:
-            lr1 = sp.norm_Lp_nodal(vals, g, p.r + 1, mag2) if norm_on_grid else sp.norm_Lp(z, p.r + 1)
-        if y_ref is None:
-            damp = op.damping_from_nodal(vals, g, terms, mag2)
-        else:
-            vals += y_nodal
-            damp = op.damping_from_nodal(vals, g, terms, mag2) - d_ref
+        N, lr1 = explicit(z, term=m < nsteps, norm=recorded)
         if recorded:
             gh = sp.norm_grad(z)
             rows.append((

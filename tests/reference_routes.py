@@ -5,12 +5,13 @@ experiment evaluates: strong monotonicity of the damping, its second Gateaux
 derivative, the integration-by-parts identity of the damped Laplacian
 pairing, invariance of a constraint set under the Stokes resolvent, and the
 reality of the stored spectra.  The routes that check them numerically live
-here, next to the tests that call them, with a state recorder for the
-time-stepper tests.
+here, next to the tests that call them, with a state recorder and a reader
+of the trajectory.csv artifact for the time-stepper and CLI tests.
 """
 from __future__ import annotations
 
 import dataclasses
+import io
 
 import numpy as np
 
@@ -209,3 +210,15 @@ def sup_state_distance(a: list, b: list) -> float:
             raise ValueError("trajectories sampled at different times")
         worst = max(worst, sp.norm_H(za - zb))
     return worst
+
+
+def trajectory_from_csv(path) -> ts.Trajectory:
+    """The trajectory.csv artifact read back: the twin of Trajectory.to_csv."""
+    # drop comment lines first: genfromtxt(names=True) would read a leading
+    # "# ..." line as the header row
+    with open(path) as fh:
+        lines = [ln for ln in fh if not ln.lstrip().startswith("#")]
+    data = np.atleast_1d(np.genfromtxt(io.StringIO("".join(lines)), delimiter=",", names=True))
+    if set(data.dtype.names) != set(ts.COLUMNS):
+        raise ValueError(f"unexpected trajectory columns in {path}")
+    return ts.Trajectory(*[np.asarray(data[name], dtype=float) for name in ts.COLUMNS])

@@ -270,7 +270,7 @@ def test_07_eigen_ladder_and_proportional_feedback():
     c_min = dec["rho_star"] + dec["rho1_star"] + dec["rho2_star"]
     z0 = 0.1 * sp.random_solenoidal(g, seed=9, decay=2.5)
     report, _ = ct.run_proportional_loop(
-        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain, dm,
+        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain, dm, nu,
         delta=dec["delta"], c_min=c_min,
     )
     assert report["pointwise_ok"]           # |z(t)| <= e^{-0.9 delta t} |z0|

@@ -14,8 +14,9 @@ import pytest
 from cbfed import checks, cli
 from cbfed import spectral as sp
 from cbfed import stationary as st
-from cbfed import timestep as ts
 from cbfed.errors import SolverDivergence
+
+import reference_routes as ref
 
 
 def write_config(tmp_path, body, name="cfg.json"):
@@ -90,7 +91,7 @@ def test_same_config_twice_identical_csv(tmp_path, experiment):
     assert {name: (outdir / name).read_bytes() for name in files} == first
     checks.artifact_hashes(outdir)
     if "trajectory.csv" in files:
-        assert len(ts.Trajectory.from_csv(outdir / "trajectory.csv").t) > 1
+        assert len(ref.trajectory_from_csv(outdir / "trajectory.csv").t) > 1
 
 
 def test_simulate_reports_steps_taken(tmp_path):
@@ -104,7 +105,7 @@ def test_simulate_reports_steps_taken(tmp_path):
     assert cli.main(argv) == 0
     outdir = only_run_dir(out)
     assert load_report(outdir)["report"]["steps"] == 15
-    traj = ts.Trajectory.from_csv(outdir / "trajectory.csv")
+    traj = ref.trajectory_from_csv(outdir / "trajectory.csv")
     assert np.allclose(traj.t, [0.0, 0.02, 0.03], rtol=0, atol=1e-15)
 
 
@@ -120,7 +121,7 @@ def test_simulate_default_dt_lands_on_T(tmp_path):
     report = load_report(outdir)["report"]
     assert abs(report["dt"] - 0.0125) < 1e-15
     assert report["steps"] == 4
-    traj = ts.Trajectory.from_csv(outdir / "trajectory.csv")
+    traj = ref.trajectory_from_csv(outdir / "trajectory.csv")
     assert abs(traj.t[-1] - 0.05) < 1e-15
 
 
@@ -282,7 +283,7 @@ def test_loops_stabilize_a_flow_unstable_without_feedback(tmp_path, d):
         assert cli.main(argv) == 0
         return only_run_dir(out)
 
-    traj = ts.Trajectory.from_csv(report("simulate") / "trajectory.csv")
+    traj = ref.trajectory_from_csv(report("simulate") / "trajectory.csv")
     assert traj.norm_H[-1] > traj.norm_H[0]
     box = json.dumps([[[0.785, 6.28]] + [[0.0, 6.28]] * (d - 1)])
     for experiment, items in [
@@ -556,6 +557,26 @@ def test_constant_beyond_float_range_is_refused_or_reported(
         assert load_report(only_run_dir(out))["extra"]["decay"] is None
 
 
+# strong linear pumping, q = 1 and gamma = -5: the loops' certificates at
+# y_e = 0 claim more than the linear rate there, alpha + theta + gamma (theta)
+# or nu + gamma (proportional), so each run is refused before it steps
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment, items, claim, rate", [
+    ("stabilize-theta", ["grid.N=16", "integrator.T=2"], "0.225", "-2.25"),
+    ("stabilize-proportional", ["grid.N=16", "mask.boxes=[[[0.785,6.28],[0.0,6.28]]]",
+                                "initial.amplitude=0.1", "integrator.T=1"], "4.42063", "2.16181"),
+], ids=["theta", "proportional"])
+def test_claim_above_the_linear_rate_is_refused(tmp_path, capsys, experiment, items, claim, rate):
+    argv = [experiment, "--output-dir", str(tmp_path / "o")]
+    for item in ["params.q=1", "params.gamma=-5", *items]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: claimed decay rate {claim} exceeds the linear rate {rate} "
+                     f"of the loop at y_e = 0"]
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
 def test_constants_uniqueness_overflow_reports_null(tmp_path):
     # q just below r, outside the damping regimes: K1 and K2 leave the float
     # range and are reported as null like the other out-of-regime constants
@@ -714,7 +735,7 @@ def test_theta_subcommand(tmp_path):
     }
     assert body["pointwise_ok"] and body["invariance_ok"]
     assert abs(body["delta_claim"] - 0.9 * 0.3) < 1e-12
-    traj = ts.Trajectory.from_csv(outdir / "trajectory.csv")
+    traj = ref.trajectory_from_csv(outdir / "trajectory.csv")
     assert traj.norm_H[-1] < traj.norm_H[0]
 
 

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cbfed import controllers as ct
 from cbfed import convex as cx
@@ -223,8 +225,42 @@ def test_proportional_closed_loop_report():
     z0 = 0.3 * sp.random_solenoidal(g, seed=12, decay=2.5)
     report, traj = ct.run_proportional_loop(
         ts.SimConfig(grid=g, params=p, y0=z0, T=4.0, dt=0.005),
-        k_gain=2.0, mask=mask, delta=1.0, c_min=0.8,
+        k_gain=2.0, mask=mask, nu=p.alpha + 2.0, delta=1.0, c_min=0.8,
     )
     assert set(report) == {"k_gain", "c_min", "delta_claim", "delta_fit", "pointwise_ok", "invariance_ok"}
     assert report["pointwise_ok"]
     assert report["delta_fit"] > 0.9
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    r=hst.floats(4.0, 8.0),
+    q=hst.sampled_from([1.0, 2.0, 3.0]),
+    gamma=hst.floats(-8.0, -1.0) | hst.floats(-1.0, 1.0),
+    gain=hst.floats(0.0, 20.0),
+    proportional=hst.booleans(),
+)
+def test_no_claim_above_the_linear_rate(r, q, gamma, gain, proportional):
+    # at y_e = 0 a small state decays at the linear rate, alpha + theta +
+    # gamma [q = 1] (theta) or nu + gamma [q = 1] (proportional), and no
+    # faster: a claim the loops issue stays at or below it, or is refused
+    g = grid2(N=8)
+    p = op.PhysicalParams(mu=1.0, alpha=0.3, beta=1.0, gamma=gamma, r=r, q=q)
+    sim = ts.SimConfig(grid=g, params=p, y0=1e-4 * sp.random_solenoidal(g, seed=5), T=0.02, dt=0.01)
+    pumping = gamma if q == 1 else 0.0
+    try:
+        if proportional:
+            mask = eg.box_indicator(g, [((0.785, 6.28), (0.0, 6.28))])
+            nu, _, _ = eg.smallest_eigenvalue_Ak(g, gain, mask, mu=p.mu, alpha=p.alpha)
+            dec = eg.proportional_decay_constant(nu, p)
+            c_min = dec["rho_star"] + dec["rho1_star"] + dec["rho2_star"]
+            report, _ = ct.run_proportional_loop(sim, gain, mask, nu, dec["delta"], c_min)
+            rate = nu + pumping
+        else:
+            c_min = ct.theta_threshold(p)["c_min"]
+            theta = max(0.0, c_min - p.alpha) + gain
+            report, _ = ct.run_theta_loop(sim, theta, c_min)
+            rate = p.alpha + theta + pumping
+    except RegimeError:     # no claim issued
+        return
+    assert report["delta_claim"] <= rate

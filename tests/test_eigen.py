@@ -253,7 +253,7 @@ def test_localized_proportional_loop_decays():
     assert rep["positive"]
     z0 = 0.1 * sp.random_solenoidal(g, seed=9, decay=2.5)
     report, _ = ct.run_proportional_loop(
-        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain=k, mask=dm,
+        ts.SimConfig(grid=g, params=p, y0=z0, T=3.0, dt=2e-3), k_gain=k, mask=dm, nu=nu,
         delta=rep["delta"], c_min=rep["rho_star"] + rep["rho1_star"] + rep["rho2_star"],
     )
     assert report["pointwise_ok"]

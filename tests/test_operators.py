@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cbfed import checks
 from cbfed import operators as op
 from cbfed import spectral as sp
-from cbfed import stationary
 from cbfed import timestep as ts
 from cbfed.errors import ConfigError, RegimeError
 
@@ -472,9 +471,11 @@ def test_damping_projected_once_by_each_caller(d):
     # the damping's own gradient part is left for the caller's one projection
     assert sp.divergence_max(raw) > 1e-3 * scale
     assert sp.divergence_max(op.power_damping(y, p.r)) < 1e-13 * scale
+    # the explicit term too; the stationary solve projects it once as a whole
     f = sp.leray(0.5 * sp.random_field(g, seed=95))
-    nodal = np.empty((d,) + (factor * g.N,) * d)
-    rhs = stationary._rhs(y, p, f, nodal)
+    term, _ = op.explicit_term(g, p, f)(y)
+    assert sp.divergence_max(term) > 1e-3 * scale
+    rhs = sp.leray(term)
     residual = sp.SpectralField(g, y.c * (p.mu * g.lap + p.alpha)) - rhs
     assert sp.divergence_max(rhs) < 1e-13 * scale
     assert sp.divergence_max(residual) < 1e-13 * scale

@@ -17,12 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cbfed"
 
-# interface members that nothing in src/ calls, and why each one stays
-KEPT = {
-    "timestep.Trajectory.from_csv": "reads the trajectory.csv artifact, the twin of to_csv",
-}
-
-
 def _definitions(tree, prefix):
     """(qualified name, name, is a method) of every def in tree, nested ones
     included."""
@@ -63,4 +57,4 @@ def _unreferenced():
 
 
 def test_every_package_function_is_reached_from_src():
-    assert _unreferenced() == set(KEPT)
+    assert _unreferenced() == set()

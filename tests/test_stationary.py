@@ -10,6 +10,7 @@ from cbfed import checks
 from cbfed import operators as op
 from cbfed import spectral as sp
 from cbfed import stationary as st
+from cbfed import timestep as ts
 from cbfed.errors import SolverDivergence
 
 
@@ -72,16 +73,37 @@ def test_one_rhs_per_picard_iterate(monkeypatch):
     p = op.PhysicalParams(mu=1, alpha=0.5, beta=1, gamma=-0.1, r=5, q=2)
     forcing = 0.5 * sp.random_solenoidal(g, seed=7)
     calls = []
-    rhs = st._rhs
+    explicit_term = op.explicit_term
 
-    def counted(*args):
-        calls.append(1)
-        return rhs(*args)
+    def counted_term(*args, **kwargs):
+        explicit = explicit_term(*args, **kwargs)
 
-    monkeypatch.setattr(st, "_rhs", counted)
+        def counted(*a, **kw):
+            calls.append(1)
+            return explicit(*a, **kw)
+
+        return counted
+
+    monkeypatch.setattr(op, "explicit_term", counted_term)
     res = st.solve_stationary(g, p, forcing)
     assert res.residual < 1e-11 and res.iterations > 2
     assert len(calls) == res.iterations + 1
+
+
+@pytest.mark.parametrize("scheme", ["imex1", "cnab2"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_solved_equilibrium_is_a_fixed_point_of_the_stepper(d, scheme):
+    # the solve and the stepper evaluate one right-hand side, so the unshifted
+    # stepper started from y_e with its forcing stays there
+    g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
+    p = op.PhysicalParams(mu=1, alpha=0.5, beta=1, gamma=-0.1, r=5, q=2)
+    forcing = 0.5 * sp.random_solenoidal(g, seed=7)
+    y_e = st.solve_stationary(g, p, forcing).field
+    assert sp.norm_H(y_e) > 0.1
+    cfg = ts.SimConfig(grid=g, params=p, y0=y_e, T=0.05, dt=0.01, scheme=scheme, forcing=forcing)
+    traj = ts.simulate(cfg)
+    assert sp.norm_H(traj.final - y_e) < 1e-10
+    assert np.max(np.abs(traj.norm_H - sp.norm_H(y_e))) < 1e-10
 
 
 def test_iterates_oversample_into_one_array(monkeypatch):

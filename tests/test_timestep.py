@@ -81,7 +81,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     traj.to_csv(path)
     text = path.read_text()
     assert text.splitlines()[0] == "t,norm_H,norm_gradH,norm_V,norm_Lr1,dist_K,norm_u,energy_defect"
-    back = ts.Trajectory.from_csv(path)
+    back = ref.trajectory_from_csv(path)
     for name in ts.COLUMNS:
         np.testing.assert_allclose(getattr(back, name), getattr(traj, name), rtol=0, atol=0)
     # determinism: a rerun emits identical bytes
