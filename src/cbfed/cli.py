@@ -326,7 +326,7 @@ def _sim_config(cfg, grid, params, seeds, initial=True) -> ts.SimConfig:
         record_every=int(it["record_every"]),
     )
     # The stabilizers run imex1 whatever the (validated) scheme says: honoring
-    # it moves the recorded prop-3d-n16 benchmark reference (ROADMAP item 3).
+    # it moves the recorded prop-3d-n16 benchmark reference (ROADMAP item 2).
     return sim if cfg["experiment"] == "simulate" else replace(sim, scheme="imex1")
 
 

@@ -27,42 +27,47 @@ mode coefficients a reduction writes out.
 sample gives nodal values on any even M^d grid, M above or below N, and
 unsample takes nodal values on such a grid back to the stored halves; both
 keep the modes |k_i| < K = min(N, M)/2.  At M = N they are one irfftn and
-one rfftn.  For every other M they go one field (leading index) at a time,
-so their temporaries are of one component's size, and take one of two
-routes, chosen by K alone:
+one rfftn.  For every other M they take one of two routes, chosen by K
+alone:
 
 - K <= DFT_MAX_K = 16, the DFT-matrix route: one matrix product per axis
   with cached, read-only DFT matrices (_dft_matrices) between the kept rows
   and the M nodes, so the pruned transform (only the kept columns go in,
-  only the kept ones come out) runs on BLAS.  The leading axes use complex
-  matrices; the last axis is one real matrix on the (re, im) pairs of the
-  kept columns, a single dgemm, which sample writes straight into out.
-  The results agree with a copy of the kept modes around one irfftn or
-  rfftn to 1e-14 of the largest value, not bitwise.
-- K > 16, the line-pruned FFT route: one axis at a time, each axis resized
-  (zero-padded or cut, _resize_axis) just before its inverse transform or
-  just after its forward one, so no line of padded zeros is transformed
-  along an earlier axis and no cut line along a later one.  Each line that
-  is transformed is the same 1-d transform, in the same axis order, that
-  irfftn or rfftn on the whole M-grid half spectrum computes, so the
-  results are bitwise those of a copy of the kept modes around one irfftn
-  or rfftn.
+  only the kept ones come out) runs on BLAS.  The whole stack of fields
+  (the leading indices) goes through one product chain: np.matmul
+  broadcasts the complex matrices of the leading axes over it, and the last
+  axis is one real matrix on the (re, im) pairs of the kept columns of all
+  fields, a single dgemm, which sample writes straight into out.  Each
+  field's values are bitwise those of its own products, and agree with a
+  copy of the kept modes around one irfftn or rfftn to 1e-14 of the
+  largest value, not bitwise.
+- K > 16, the line-pruned FFT route, one field (leading index) at a time,
+  so that its multi-MB temporaries are of one component's size, and one
+  axis at a time, each axis resized (zero-padded or cut, _resize_axis)
+  just before its inverse transform or just after its forward one, so no
+  line of padded zeros is transformed along an earlier axis and no cut
+  line along a later one.  Each line that is transformed is the same 1-d
+  transform, in the same axis order, that irfftn or rfftn on the whole
+  M-grid half spectrum computes, so the results are bitwise those of a
+  copy of the kept modes around one irfftn or rfftn.
 
 The rule is the crossover of the two routes, timed on one BLAS thread
-(best of 100 sample + unsample round trips of a d-component field, in
-microseconds, numpy 2.4 with OpenBLAS 0.3.31 on an AVX-512 x86-64 host):
+(best of three passes of 300 sample + unsample round trips of a d-component
+field, 100 for 3-d N >= 24, in microseconds, numpy 2.4 with OpenBLAS 0.3.31
+on a shared 2-vCPU AVX-512 x86-64 host), with the stack of fields batched
+on the matrix route:
 
     d    N -> M     K   FFT route        matrix route
-    3    8 -> 24     4     127 + 135          32 + 39
-    3   16 -> 48     8     618 + 605         299 + 318
-    3   24 -> 72    12    2385 + 2190       1300 + 1436
-    3   32 -> 96    16    5848 + 5681       3950 + 5236
-    3   40 -> 120   20   13435 + 13647     12263 + 12589
-    2   32 -> 96    16      41 + 51           24 + 29
-    2   40 -> 120   20      58 + 67           40 + 48
-    2   56 -> 168   28     120 + 138         115 + 126
-    2   64 -> 192   32     124 + 144         169 + 182
-    2  128 -> 384   64     507 + 563        1184 + 1267
+    3    8 -> 24     4     231 + 246          62 + 65
+    3   16 -> 48     8    1309 + 1232        627 + 555
+    3   24 -> 72    12    4733 + 4155       2516 + 2373
+    3   32 -> 96    16   13083 + 10131      6863 + 7012
+    3   40 -> 120   20   29357 + 22576     26135 + 20553
+    2   32 -> 96    16      82 + 100          35 + 43
+    2   40 -> 120   20     112 + 127          71 + 82
+    2   56 -> 168   28     230 + 255         171 + 183
+    2   64 -> 192   32     240 + 250         252 + 272
+    2  128 -> 384   64    1060 + 1105       1827 + 1960
 
 The matrix route keeps ahead here up to about K = 28 in 2-d and K = 20 in
 3-d; the rule stops at 16, where it still saves a fifth or more, to keep a
@@ -92,7 +97,16 @@ TWO_THIRDS = 2.0 / 3.0
 
 
 class TorusGrid:
-    """Uniform N^d collocation grid on [0, L]^d with cached wavenumber arrays."""
+    """Uniform N^d collocation grid on [0, L]^d with cached wavenumber arrays.
+
+    Each array is of the stored halves, (..., N, ..., N/2+1): the integer
+    wavevectors wave, |k|^2 (k2), the gradient and -Laplacian symbols ik and
+    lap, the masks keep (no Nyquist component), its complement nyquist and
+    dealias (the 2/3 rule).  leray multiplies wave and 1/|k|^2 into complex
+    spectra, where numpy would cast them to complex on every call, so they
+    are held complex-typed: wave_c beside wave, and inv_k2 (0 at k = 0)
+    only so.
+    """
 
     def __init__(self, d: int, N: int, L: float = 2 * np.pi):
         # each message opens with the argument it rejects, so a caller can name its source
@@ -120,10 +134,12 @@ class TorusGrid:
         self.k2 = np.sum(self.wave**2, axis=0)         # |k|^2, integer
         self.lap = (2 * np.pi / L) ** 2 * self.k2      # -Laplacian symbol
         self.keep = np.all(np.abs(self.wave) != N // 2, axis=0)
+        self.nyquist = ~self.keep
         # 2/3 rule, strict: kept |k_i| < N/3 so quadratic aliases fall outside
         kmax_dealias = (N - 1) // 3
         self.dealias = np.all(np.abs(self.wave) <= kmax_dealias, axis=0) & self.keep
-        inv = np.zeros_like(self.lap)
+        self.wave_c = self.wave.astype(complex)
+        inv = np.zeros(self.k2.shape, dtype=complex)
         nz = self.k2 > 0
         inv[nz] = 1.0 / self.k2[nz]
         self.inv_k2 = inv
@@ -338,11 +354,11 @@ def divergence_max(a: SpectralField) -> float:
 def leray(a: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: c_k -> c_k - k (k.c_k)/|k|^2."""
     g = a.grid
-    dot = g.wave[0] * a.c[0]        # k.c one component at a time, then scaled, in place
-    for k, comp in zip(g.wave[1:], a.c[1:]):
+    dot = g.wave_c[0] * a.c[0]      # k.c one component at a time, then scaled, in place
+    for k, comp in zip(g.wave_c[1:], a.c[1:]):
         dot += k * comp
     dot *= g.inv_k2
-    out = np.multiply(g.wave, dot)  # the one array of the result
+    out = np.multiply(g.wave_c, dot)  # the one array of the result
     return SpectralField(g, np.subtract(a.c, out, out=out))
 
 
@@ -392,7 +408,7 @@ def enforce_real(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """
     plane = half[..., 0]
     half[..., 0] = 0.5 * (plane + np.conj(plane[(Ellipsis,) + grid.flip_lead]))
-    np.copyto(half, 0, where=~grid.keep)
+    np.copyto(half, 0, where=grid.nyquist)
     return half
 
 
@@ -468,22 +484,26 @@ def _dft_matrices(N: int, M: int):
     return E, F, R, Rf
 
 
-def _sample_dft(x: np.ndarray, N: int, M: int, out: np.ndarray) -> None:
-    """One field's nodal values into out, (M, ..., M), from its columns
-    k_d < K, shape (N, ..., N, K): one DFT-matrix product per axis."""
+def _sample_dft(x: np.ndarray, d: int, N: int, M: int, out: np.ndarray) -> None:
+    """The nodal values of a stack of fields into out, lead + (M, ..., M),
+    from their columns k_d < K, lead + (N, ..., N, K): one DFT-matrix
+    product per axis over the whole stack.  np.matmul runs the same complex
+    gemm on each field's slice as on the field alone, and the last axis is
+    one dgemm over the rows of all fields, so the values are bitwise those
+    of each field sampled by itself."""
     K = x.shape[-1]
     E, _, R, _ = _dft_matrices(N, M)
-    if x.ndim == 3:
-        x = (E @ x.reshape(N, N * K)).reshape(M, N, K)
+    if d == 3:
+        x = (E @ x.reshape(-1, N, N * K)).reshape(x.shape[:-3] + (M, N, K))
     x = np.matmul(E, x)
     np.matmul(x.view(float).reshape(-1, 2 * K), R, out=out.reshape(-1, M))
 
 
 def _sample_fft(x: np.ndarray, N: int, M: int, out: np.ndarray) -> None:
-    """_sample_dft by the line-pruned FFTs: the leading axes in irfftn's
-    order, each resized to M rows just before its ifft, the last of them
-    written into its columns of a zeroed (M, ..., M/2+1) spectrum, so one
-    length-M irfft along the last axis reads whole lines."""
+    """One field's _sample_dft by the line-pruned FFTs: the leading axes in
+    irfftn's order, each resized to M rows just before its ifft, the last of
+    them written into its columns of a zeroed (M, ..., M/2+1) spectrum, so
+    one length-M irfft along the last axis reads whole lines."""
     K = x.shape[-1]
     for axis in range(-x.ndim, -2):
         x = np.fft.ifft(_resize_axis(x, axis, M), axis=axis, norm="forward")
@@ -492,22 +512,23 @@ def _sample_fft(x: np.ndarray, N: int, M: int, out: np.ndarray) -> None:
     np.fft.irfft(spec, n=M, axis=-1, norm="forward", out=out)
 
 
-def _unsample_dft(vals: np.ndarray, N: int, K: int) -> np.ndarray:
-    """One field's columns k_d < K, shape (N, ..., N, K), from its nodal
-    values, (M, ..., M): one DFT-matrix product per axis."""
+def _unsample_dft(vals: np.ndarray, d: int, N: int, K: int) -> np.ndarray:
+    """The columns k_d < K, lead + (N, ..., N, K), of a stack of fields from
+    their nodal values, lead + (M, ..., M): one DFT-matrix product per axis
+    over the whole stack, bitwise each field's by itself, as in _sample_dft."""
     M = vals.shape[-1]
     _, F, _, Rf = _dft_matrices(N, M)
     x = (vals.reshape(-1, M) @ Rf).view(complex).reshape(vals.shape[:-1] + (K,))
     x = np.matmul(F, x)
-    if vals.ndim == 3:
-        x = (F @ x.reshape(M, N * K)).reshape(N, N, K)
+    if d == 3:
+        x = (F @ x.reshape(-1, M, N * K)).reshape(x.shape[:-3] + (N, N, K))
     return x
 
 
 def _unsample_fft(vals: np.ndarray, N: int, K: int) -> np.ndarray:
-    """_unsample_dft by the line-pruned FFTs: an rfft along the last axis
-    keeps the columns k_d < K, and the leading axes follow in rfftn's order,
-    each resized to N rows just after its fft."""
+    """One field's _unsample_dft by the line-pruned FFTs: an rfft along the
+    last axis keeps the columns k_d < K, and the leading axes follow in
+    rfftn's order, each resized to N rows just after its fft."""
     x = np.fft.rfft(vals, axis=-1, norm="forward")[..., :K]
     for axis in range(-2, -vals.ndim - 1, -1):
         x = _resize_axis(np.fft.fft(x, axis=axis, norm="forward"), axis, N)
@@ -526,14 +547,21 @@ def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
 
     When out, a C-contiguous float array of shape (..., M, ..., M), is
     given, the values are written into it and it is returned.  At M = N
-    this is one irfftn.  Otherwise the fields go one at a time, and only
-    their columns k_d < K enter: through DFT-matrix products for
-    K <= DFT_MAX_K, whose values agree with irfftn on the kept modes copied
-    into a zeroed M-grid half spectrum to 1e-14 of their largest, and
-    through line-pruned FFTs beyond, whose values are bitwise those of that
+    this is one irfftn.  Otherwise only the columns k_d < K enter: through
+    DFT-matrix products over the whole stack of fields for K <= DFT_MAX_K,
+    whose values agree with irfftn on the kept modes copied into a zeroed
+    M-grid half spectrum to 1e-14 of their largest, and through line-pruned
+    FFTs one field at a time beyond, whose values are bitwise those of that
     irfftn.  Both are exact when the spectra have no mode at |k_i| >= M/2.
     """
     if M == g.N:
+        # irfftn (and rfftn in unsample), not the DFT-matrix route, although
+        # that samples six 16^3 fields in about two thirds of irfftn's time: its
+        # roundoff differs, and galerkin.assemble_reduction's images
+        # masked_leray(m, w_j) at 2-d N = 32 go through here.  On that route
+        # Bmat moves by 4.4e-16 (Lmat not at all), and M_hat, the condition
+        # number of the eigenvectors of Lmat - Bmat G, jumps from 1.0 to 1.695:
+        # that spectrum repeats eigenvalues, where M_hat is not continuous.
         axes = tuple(range(half.ndim - g.d, half.ndim))
         return np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward", out=out)
     K = min(g.N, M) // 2
@@ -542,9 +570,11 @@ def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
         out = np.empty(lead + (M,) * g.d)
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    one = _sample_dft if K <= DFT_MAX_K else _sample_fft
-    for i in np.ndindex(lead):
-        one(half[i][..., :K], g.N, M, out[i])
+    if K <= DFT_MAX_K:
+        _sample_dft(half[..., :K], g.d, g.N, M, out)
+    else:
+        for i in np.ndindex(lead):
+            _sample_fft(half[i][..., :K], g.N, M, out[i])
     return out
 
 
@@ -553,12 +583,13 @@ def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     inverse of sample, keeping the modes |k_i| < K = min(N, M)/2, made those
     of real fields (enforce_real).
 
-    At M = N this is one rfftn.  Otherwise the fields go one at a time, and
-    only their columns k_d < K are formed: through DFT-matrix products for
+    At M = N this is one rfftn.  Otherwise only the columns k_d < K are
+    formed: through DFT-matrix products over the whole stack of fields for
     K <= DFT_MAX_K, whose coefficients agree with rfftn on the whole grid
     followed by a copy of the kept modes to 1e-14 of their largest, and
-    through line-pruned FFTs beyond, where the cut lines never feed a kept
-    one and the coefficients are bitwise those of that rfftn and copy.
+    through line-pruned FFTs one field at a time beyond, where the cut lines
+    never feed a kept one and the coefficients are bitwise those of that
+    rfftn and copy.
     They are exact when the values are of a trigonometric polynomial of
     degree D per axis and M > D + min(D, N/2 - 1): a mode aliases onto k
     only from k + jM, j != 0.
@@ -570,9 +601,11 @@ def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     K = min(g.N, M) // 2
     lead = vals.shape[: -g.d]
     half = np.zeros(lead + g.half_shape, dtype=complex)
-    one = _unsample_dft if K <= DFT_MAX_K else _unsample_fft
-    for i in np.ndindex(lead):
-        half[i][..., :K] = one(vals[i], g.N, K)
+    if K <= DFT_MAX_K:
+        half[..., :K] = _unsample_dft(vals, g.d, g.N, K)
+    else:
+        for i in np.ndindex(lead):
+            half[i][..., :K] = _unsample_fft(vals[i], g.N, K)
     return enforce_real(half, g)
 
 

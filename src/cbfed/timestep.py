@@ -75,13 +75,14 @@ class SimConfig:
 
 
 def write_csv(path, columns, rows, comment=None) -> None:
-    """Numeric rows at 17 significant digits under a header, after an optional '# ' line."""
+    """Numeric rows at 17 significant digits under a header, after an optional
+    '# ' line: one "%.17g,..." line per row, written as the rows come."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 @dataclass

@@ -641,6 +641,53 @@ def test_sample_unsample_match_kept_mode_routes(case, seed):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _sample_one_field(x, N, M):
+    # one field's nodal values from its columns k_d < K, one product per axis
+    K = x.shape[-1]
+    E, _, R, _ = sp._dft_matrices(N, M)
+    if x.ndim == 3:
+        x = (E @ x.reshape(N, N * K)).reshape(M, N, K)
+    x = np.matmul(E, x)
+    return (x.view(float).reshape(-1, 2 * K) @ R).reshape(x.shape[:-1] + (M,))
+
+
+def _unsample_one_field(vals, N, K):
+    # one field's columns k_d < K from its nodal values, one product per axis
+    M = vals.shape[-1]
+    _, F, _, Rf = sp._dft_matrices(N, M)
+    x = (vals.reshape(-1, M) @ Rf).view(complex).reshape(vals.shape[:-1] + (K,))
+    x = np.matmul(F, x)
+    if vals.ndim == 3:
+        x = (F @ x.reshape(M, N * K)).reshape(N, N, K)
+    return x
+
+
+@pytest.mark.parametrize("d, N, M", [(2, 32, 8), (2, 32, 16), (2, 32, 96), (2, 16, 6),
+                                     (2, 16, 48), (3, 8, 4), (3, 8, 24), (3, 16, 8), (3, 16, 48)])
+def test_batched_dft_route_is_bitwise_per_field(d, N, M):
+    # the DFT-matrix route takes a whole stack of fields in one product chain
+    # per axis; each field's values and coefficients must be bitwise those of
+    # its own products.  The stacks: one field, a vector field, op.convective's
+    # velocity and vorticity pairs, gradient_physical's partials and the modes
+    # of galerkin.assemble_reduction
+    g = sp.TorusGrid(d=d, N=N)
+    rng = np.random.default_rng(77 + N + M)
+    pairs = d * (d - 1) // 2
+    K = min(N, M) // 2
+    assert M != N and K <= sp.DFT_MAX_K
+    for lead in [(), (d,), (d + pairs,), (d, d), (5, d)]:
+        shape = lead + g.half_shape
+        half = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * g.keep
+        got = sp.sample(half, g, M)
+        for i in np.ndindex(lead):
+            assert _same_bits(got[i], _sample_one_field(half[i][..., :K], N, M)), lead
+        vals = rng.standard_normal(lead + (M,) * d)
+        want = np.zeros(shape, dtype=complex)
+        for i in np.ndindex(lead):
+            want[i][..., :K] = _unsample_one_field(vals[i], N, K)
+        assert _same_bits(sp.unsample(vals, g), sp.enforce_real(want, g)), lead
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_oversample_into_out_is_bitwise(d):
     g = small_grid(d)

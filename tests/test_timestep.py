@@ -91,6 +91,20 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert path2.read_bytes() == path.read_bytes()
 
 
+def test_write_csv_bytes_match_per_value_format(tmp_path):
+    # the bytes of each value formatted by itself, f"{v:.17g}", for the rows of
+    # a trajectory (a zip of arrays) and of reduced.csv (ndarray rows)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-310, -5e-324,
+                        np.finfo(float).max, 0.1, 1 / 3, -2.5e17, 7.0])
+    cols = [np.roll(special, i) for i in range(3)]
+    for rows, as_rows in ((zip(*cols), list(zip(*cols))), (np.column_stack(cols),) * 2):
+        path = tmp_path / "out.csv"
+        ts.write_csv(path, ["a", "b", "c"], rows, comment="x=1")
+        want = "# x=1\na,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                          for row in as_rows)
+        assert path.read_bytes() == want.encode()
+
+
 def test_projection_mode_keeps_ball():
     g = grid2()
     p = smooth_params()
