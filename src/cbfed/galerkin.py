@@ -224,7 +224,9 @@ def synthesize_gain(Lmat, Bmat, sigma):
     stabilizing solution of the Riccati equation A'X + XA - XBB'X = 0 is
     read off the stable invariant subspace of the Hamiltonian matrix, and
     the half gain G = -B'X/2 reflects the sub-margin eigenvalues onto the
-    margin line while leaving the rest untouched.
+    margin line while leaving the rest untouched.  M_hat is the constant of
+    the transient bound ||exp(-(L - BG) t)|| <= M_hat exp(-(sigma - tol) t),
+    tol = 1e-8 max(1, sigma), the tolerance of the margin check.
     """
     Lmat = np.asarray(Lmat, dtype=float)
     Bmat = np.asarray(Bmat, dtype=float)
@@ -254,14 +256,19 @@ def synthesize_gain(Lmat, Bmat, sigma):
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(closed))):
         raise SolverDivergence(f"gain synthesis overflowed at sigma={sigma:g}")
     spectrum, vecs = np.linalg.eig(closed)
-    if spectrum.real.min() < sigma - 1e-8 * max(1.0, sigma):
+    floor = sigma - 1e-8 * max(1.0, sigma)
+    if spectrum.real.min() < floor:
         raise SolverDivergence(
             f"closed-loop margin {spectrum.real.min():.3e} fell short of {sigma}"
         )
-    return GainSynthesis(
-        G=G, X=X, sigma=float(sigma), M_hat=float(np.linalg.cond(vecs)),
-        spectrum=spectrum, rank=rank,
-    )
+    # when the symmetric part of closed is at least floor, the identity is a
+    # Lyapunov matrix; cond of the eigenvectors is not continuous where
+    # eigenvalues repeat, so it is read only otherwise
+    if np.linalg.eigvalsh(0.5 * (closed + closed.T))[0] >= floor:
+        M_hat = 1.0
+    else:
+        M_hat = float(np.linalg.cond(vecs))
+    return GainSynthesis(G=G, X=X, sigma=float(sigma), M_hat=M_hat, spectrum=spectrum, rank=rank)
 
 
 def quadratic_gamma0(L: float, d: int) -> float:

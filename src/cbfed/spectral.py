@@ -24,11 +24,10 @@ full spectrum is rebuilt (full_spectrum) only where one is promised: the
 snapshot format (version 1), which stays the full spectrum on disk, and the
 mode coefficients a reduction writes out.
 
-sample gives nodal values on any even M^d grid, M above or below N, and
+sample gives nodal values on any even M^d grid, M above, at or below N, and
 unsample takes nodal values on such a grid back to the stored halves; both
-keep the modes |k_i| < K = min(N, M)/2.  At M = N they are one irfftn and
-one rfftn.  For every other M they take one of two routes, chosen by K
-alone:
+keep the modes |k_i| < K = min(N, M)/2.  They take one of two routes,
+chosen by K alone, M = N included:
 
 - K <= DFT_MAX_K = 16, the DFT-matrix route: one matrix product per axis
   with cached, read-only DFT matrices (_dft_matrices) between the kept rows
@@ -41,37 +40,54 @@ alone:
   field's values are bitwise those of its own products, and agree with a
   copy of the kept modes around one irfftn or rfftn to 1e-14 of the
   largest value, not bitwise.
-- K > 16, the line-pruned FFT route, one field (leading index) at a time,
-  so that its multi-MB temporaries are of one component's size, and one
-  axis at a time, each axis resized (zero-padded or cut, _resize_axis)
-  just before its inverse transform or just after its forward one, so no
-  line of padded zeros is transformed along an earlier axis and no cut
-  line along a later one.  Each line that is transformed is the same 1-d
-  transform, in the same axis order, that irfftn or rfftn on the whole
-  M-grid half spectrum computes, so the results are bitwise those of a
-  copy of the kept modes around one irfftn or rfftn.
+- K > 16, the FFT route.  At M = N it is one irfftn and one rfftn over the
+  whole stack.  For every other M it is line-pruned, one field (leading
+  index) at a time, so that its multi-MB temporaries are of one
+  component's size, and one axis at a time, each axis resized (zero-padded
+  or cut, _resize_axis) just before its inverse transform or just after its
+  forward one, so no line of padded zeros is transformed along an earlier
+  axis and no cut line along a later one.  Each line that is transformed is
+  the same 1-d transform, in the same axis order, that irfftn or rfftn on
+  the whole M-grid half spectrum computes, so the results are bitwise those
+  of a copy of the kept modes around one irfftn or rfftn.  At M = N the
+  pruning would skip nothing and only copy each line to resize it, so the
+  one irfftn/rfftn is kept there.  The values are bitwise the same either
+  way; with the pruned route at M = N a round trip of a 2-component 2-d
+  N = 64 field took 69 + 87 us against 47 + 62 us, and the whole
+  theta-2d-n128 benchmark run 3% more CPU time.
 
 The rule is the crossover of the two routes, timed on one BLAS thread
 (best of three passes of 300 sample + unsample round trips of a d-component
-field, 100 for 3-d N >= 24, in microseconds, numpy 2.4 with OpenBLAS 0.3.31
-on a shared 2-vCPU AVX-512 x86-64 host), with the stack of fields batched
-on the matrix route:
+field, 100 for 3-d N >= 24 and 30 for 3-d N = 40, in microseconds, numpy
+2.4 with OpenBLAS 0.3.31 on a shared 2-vCPU AVX-512 x86-64 host), with the
+stack of fields batched on the matrix route; at M = N the FFT route is the
+one irfftn/rfftn:
 
     d    N -> M     K   FFT route        matrix route
-    3    8 -> 24     4     231 + 246          62 + 65
-    3   16 -> 48     8    1309 + 1232        627 + 555
-    3   24 -> 72    12    4733 + 4155       2516 + 2373
-    3   32 -> 96    16   13083 + 10131      6863 + 7012
-    3   40 -> 120   20   29357 + 22576     26135 + 20553
-    2   32 -> 96    16      82 + 100          35 + 43
-    2   40 -> 120   20     112 + 127          71 + 82
-    2   56 -> 168   28     230 + 255         171 + 183
-    2   64 -> 192   32     240 + 250         252 + 272
-    2  128 -> 384   64    1060 + 1105       1827 + 1960
+    3    8 -> 8      4      61 + 97           31 + 51
+    3    8 -> 24     4     395 + 409          91 + 108
+    3   16 -> 16     8     189 + 234         117 + 140
+    3   16 -> 48     8    1714 + 1480        761 + 662
+    3   24 -> 24    12     309 + 373         238 + 276
+    3   24 -> 72    12    5353 + 4743       3023 + 2594
+    3   32 -> 32    16     756 + 856         726 + 916
+    3   32 -> 96    16   16670 + 15534      9433 + 9498
+    3   40 -> 40    20    1697 + 1726       1690 + 1871
+    3   40 -> 120   20   31139 + 27081     29074 + 24621
+    2   32 -> 32    16      21 + 35           12 + 21
+    2   32 -> 96    16      85 + 97           34 + 43
+    2   40 -> 120   20     114 + 132          71 + 86
+    2   56 -> 168   28     232 + 255         174 + 192
+    2   64 -> 64    32      42 + 60           51 + 65
+    2   64 -> 192   32     251 + 267         256 + 284
+    2  128 -> 128   64     140 + 159         376 + 426
+    2  128 -> 384   64    1231 + 1419       1935 + 2109
 
-The matrix route keeps ahead here up to about K = 28 in 2-d and K = 20 in
-3-d; the rule stops at 16, where it still saves a fifth or more, to keep a
-margin on hosts whose BLAS is slower against their FFT.
+Off M = N the matrix route keeps ahead here up to about K = 28 in 2-d and
+K = 20 in 3-d.  At M = N, where the FFT transforms no padding, it is ahead
+up to K = 12 in 3-d and ties at 16, and in 2-d it is ahead at 16 and
+behind at 32.  The rule stops at 16 for every M: one threshold, where the
+matrix route saves a fifth or more off M = N and ties at worst at M = N.
 
 SpectralField.physical and from_physical are sample and unsample at M = N,
 oversample and gradient_physical are sample on the (factor*N)^d grid, and
@@ -101,11 +117,10 @@ class TorusGrid:
 
     Each array is of the stored halves, (..., N, ..., N/2+1): the integer
     wavevectors wave, |k|^2 (k2), the gradient and -Laplacian symbols ik and
-    lap, the masks keep (no Nyquist component), its complement nyquist and
-    dealias (the 2/3 rule).  leray multiplies wave and 1/|k|^2 into complex
-    spectra, where numpy would cast them to complex on every call, so they
-    are held complex-typed: wave_c beside wave, and inv_k2 (0 at k = 0)
-    only so.
+    lap, the masks keep (no Nyquist component) and dealias (the 2/3 rule).
+    leray multiplies wave and 1/|k|^2 into complex spectra, where numpy
+    would cast them to complex on every call, so they are held
+    complex-typed: wave_c beside wave, and inv_k2 (0 at k = 0) only so.
     """
 
     def __init__(self, d: int, N: int, L: float = 2 * np.pi):
@@ -134,7 +149,6 @@ class TorusGrid:
         self.k2 = np.sum(self.wave**2, axis=0)         # |k|^2, integer
         self.lap = (2 * np.pi / L) ** 2 * self.k2      # -Laplacian symbol
         self.keep = np.all(np.abs(self.wave) != N // 2, axis=0)
-        self.nyquist = ~self.keep
         # 2/3 rule, strict: kept |k_i| < N/3 so quadratic aliases fall outside
         kmax_dealias = (N - 1) // 3
         self.dealias = np.all(np.abs(self.wave) <= kmax_dealias, axis=0) & self.keep
@@ -408,7 +422,10 @@ def enforce_real(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """
     plane = half[..., 0]
     half[..., 0] = 0.5 * (plane + np.conj(plane[(Ellipsis,) + grid.flip_lead]))
-    np.copyto(half, 0, where=grid.nyquist)
+    nyq = grid.N // 2        # each Nyquist plane by a slice, no mask over the half
+    half[..., nyq].fill(0)
+    for axis in range(-grid.d, -1):
+        half[(Ellipsis, nyq) + (slice(None),) * (-1 - axis)].fill(0)
     return half
 
 
@@ -546,24 +563,15 @@ def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
     halves on g are given, keeping their modes |k_i| < K = min(N, M)/2.
 
     When out, a C-contiguous float array of shape (..., M, ..., M), is
-    given, the values are written into it and it is returned.  At M = N
-    this is one irfftn.  Otherwise only the columns k_d < K enter: through
-    DFT-matrix products over the whole stack of fields for K <= DFT_MAX_K,
-    whose values agree with irfftn on the kept modes copied into a zeroed
-    M-grid half spectrum to 1e-14 of their largest, and through line-pruned
-    FFTs one field at a time beyond, whose values are bitwise those of that
-    irfftn.  Both are exact when the spectra have no mode at |k_i| >= M/2.
+    given, the values are written into it and it is returned.  For
+    K <= DFT_MAX_K, at every M, only the columns k_d < K enter, through
+    DFT-matrix products over the whole stack of fields, whose values agree
+    with irfftn on the kept modes copied into a zeroed M-grid half spectrum
+    to 1e-14 of their largest.  Beyond, the values are bitwise those of that
+    irfftn: one irfftn at M = N, line-pruned FFTs one field at a time
+    otherwise.  Both routes are exact when the spectra have no mode at
+    |k_i| >= M/2.
     """
-    if M == g.N:
-        # irfftn (and rfftn in unsample), not the DFT-matrix route, although
-        # that samples six 16^3 fields in about two thirds of irfftn's time: its
-        # roundoff differs, and galerkin.assemble_reduction's images
-        # masked_leray(m, w_j) at 2-d N = 32 go through here.  On that route
-        # Bmat moves by 4.4e-16 (Lmat not at all), and M_hat, the condition
-        # number of the eigenvectors of Lmat - Bmat G, jumps from 1.0 to 1.695:
-        # that spectrum repeats eigenvalues, where M_hat is not continuous.
-        axes = tuple(range(half.ndim - g.d, half.ndim))
-        return np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward", out=out)
     K = min(g.N, M) // 2
     lead = half.shape[: -g.d]
     if out is None:
@@ -572,6 +580,9 @@ def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
         raise ValueError("out must be C-contiguous")
     if K <= DFT_MAX_K:
         _sample_dft(half[..., :K], g.d, g.N, M, out)
+    elif M == g.N:      # the line-pruned route would prune nothing here
+        axes = tuple(range(half.ndim - g.d, half.ndim))
+        np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward", out=out)
     else:
         for i in np.ndindex(lead):
             _sample_fft(half[i][..., :K], g.N, M, out[i])
@@ -583,23 +594,22 @@ def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     inverse of sample, keeping the modes |k_i| < K = min(N, M)/2, made those
     of real fields (enforce_real).
 
-    At M = N this is one rfftn.  Otherwise only the columns k_d < K are
-    formed: through DFT-matrix products over the whole stack of fields for
-    K <= DFT_MAX_K, whose coefficients agree with rfftn on the whole grid
-    followed by a copy of the kept modes to 1e-14 of their largest, and
-    through line-pruned FFTs one field at a time beyond, where the cut lines
-    never feed a kept one and the coefficients are bitwise those of that
-    rfftn and copy.
+    For K <= DFT_MAX_K, at every M, only the columns k_d < K are formed,
+    through DFT-matrix products over the whole stack of fields, whose
+    coefficients agree with rfftn on the whole grid followed by a copy of the
+    kept modes to 1e-14 of their largest.  Beyond, they are bitwise those of
+    that rfftn and copy: one rfftn at M = N, line-pruned FFTs one field at a
+    time otherwise, where the cut lines never feed a kept one.
     They are exact when the values are of a trigonometric polynomial of
     degree D per axis and M > D + min(D, N/2 - 1): a mode aliases onto k
     only from k + jM, j != 0.
     """
     M = vals.shape[-1]
-    if M == g.N:
-        axes = tuple(range(vals.ndim - g.d, vals.ndim))
-        return enforce_real(np.fft.rfftn(vals, axes=axes, norm="forward"), g)
     K = min(g.N, M) // 2
     lead = vals.shape[: -g.d]
+    if K > DFT_MAX_K and M == g.N:      # as in sample
+        axes = tuple(range(vals.ndim - g.d, vals.ndim))
+        return enforce_real(np.fft.rfftn(vals, axes=axes, norm="forward"), g)
     half = np.zeros(lead + g.half_shape, dtype=complex)
     if K <= DFT_MAX_K:
         half[..., :K] = _unsample_dft(vals, g.d, g.N, K)

@@ -1,6 +1,7 @@
 """Command line harness: config plumbing, artifacts, exit codes, verify."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -450,6 +451,32 @@ def test_diverging_stationary_solve_is_one_stderr_line(tmp_path, capsys, experim
     assert len(lines) == 1, lines
     assert re.match(r"error: stationary iteration produced a non-finite residual at "
                     r"iteration \d+ \(last finite residual \S+\)$", lines[0]), lines
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    # the 3-d path runs its transforms as BLAS products on the DFT-matrix route
+    ("stabilize-proportional", ["grid.d=3", "grid.N=8", "integrator.T=0.05",
+                                "mask.boxes=[[[0.785,6.28],[0.0,6.28],[0.0,6.28]]]"]),
+    ("stabilize-galerkin", ["integrator.T=0.05"]),
+])
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path, experiment, overrides):
+    # the same config run at one and at two BLAS threads, into the same output
+    # directory: every artifact must be byte-identical
+    out = tmp_path / "o"
+    argv = [sys.executable, "-m", "cbfed.cli", experiment, "--output-dir", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**_cli_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append({path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in sorted(out.rglob("*")) if path.is_file()})
+    assert any(name.endswith("trajectory.csv") for name in digests[0])
+    assert digests[0] == digests[1]
 
 
 def test_huge_even_norm_exponent_returns(tmp_path):

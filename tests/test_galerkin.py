@@ -9,7 +9,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import reference_routes as ref
 from cbfed import checks
+from cbfed import cli
 from cbfed import controllers as ct
 from cbfed import convex as cx
 from cbfed import galerkin as gk
@@ -178,7 +180,7 @@ def test_assembly_matches_stacked_formulas(d, equilibrium, params):
     # smaller quadrature grid; the tensors are still those of the damping grid
     want_Wf = _modes_on_grid(red.modes, red.quad_N) if equilibrium == "zero" else Wf_
     N, M = y_e.grid.N, red.quad_N
-    if equilibrium == "zero" and M != N and min(N, M) // 2 <= sp.DFT_MAX_K:
+    if equilibrium == "zero" and min(N, M) // 2 <= sp.DFT_MAX_K:
         # sampled by the DFT-matrix route, which agrees with irfftn to 1e-14
         assert np.max(np.abs(red._Wf - want_Wf)) <= 1e-14 * np.max(np.abs(want_Wf))
     else:
@@ -372,6 +374,60 @@ def test_semigroup_bound_random():
             v = rng.standard_normal(6)
             lhs = np.linalg.norm(prop @ v)
             assert lhs <= gs.M_hat * np.exp(-(sigma - 1e-8) * t) * np.linalg.norm(v) * (1 + 1e-6)
+
+
+def _default_pair_by_route(route):
+    """(Lmat, Bmat, sigma) of the default stabilize-galerkin run (2-d N = 32),
+    with Bmat read off the images Leray(m w_j) taken through `route`: "fft",
+    the kept modes around one irfftn/rfftn, or "dft", the DFT-matrix
+    products of sp._sample_dft/_unsample_dft, both at M = N."""
+    cfg = cli.load_effective_config("stabilize-galerkin")
+    g, params, _ = cli._setup(cfg)
+    mask = cli._build_mask(cfg, g)
+    red = gk.assemble_reduction(sp.SpectralField.zero(g), int(cfg["controller"]["n"]), params, mask)
+    K = g.N // 2
+
+    def masked(c):
+        if route == "fft":
+            return ref.unsample_kept_modes(mask * ref.sample_kept_modes(c, g, g.N), g)
+        vals = np.empty((g.d,) + g.shape)
+        sp._sample_dft(c[..., :K], g.d, g.N, g.N, vals)
+        half = np.zeros_like(c)
+        half[..., :K] = sp._unsample_dft(mask * vals, g.d, g.N, K)
+        return sp.enforce_real(half, g)
+
+    images = [sp.leray(sp.SpectralField(g, masked(mode.field.c))) for mode in red.modes]
+    Bmat = np.stack([red.span.coeffs(image) for image in images])
+    return red.Lmat, 0.5 * (Bmat + Bmat.T), float(cfg["controller"]["sigma"])
+
+
+def test_M_hat_does_not_hang_on_the_transform_route():
+    # the two routes move Bmat by roundoff; the default closed loop has
+    # repeated eigenvalues, where cond of eig's eigenvectors jumps (1.0 against
+    # 1.695), so M_hat must not be read off them there
+    (L1, B1, sigma), (L2, B2, _) = _default_pair_by_route("fft"), _default_pair_by_route("dft")
+    assert np.array_equal(L1, L2) and 0 < np.max(np.abs(B1 - B2)) < 1e-14
+    M1 = gk.synthesize_gain(L1, B1, sigma).M_hat
+    M2 = gk.synthesize_gain(L2, B2, sigma).M_hat
+    assert abs(M1 - M2) <= 1e-12 and M1 == 1.0
+
+
+def test_M_hat_bounds_a_non_normal_closed_loop():
+    # around a solved equilibrium with a partial mask the closed loop is not
+    # normal and its symmetric part dips below the margin, so M_hat > 1 is
+    # the eigenvector condition number; it must still bound the transient
+    p = _ASSEMBLY_PARAMS["r5q3"]
+    g = grid2()
+    red = gk.assemble_reduction(_assembly_case(2, "solved", p), 8, p, thin_complement_mask(g))
+    for sigma in (1.0, 2.0):
+        gs = gk.synthesize_gain(red.Lmat, red.Bmat, sigma)
+        closed = red.Lmat - red.Bmat @ gs.G
+        assert np.linalg.norm(closed @ closed.T - closed.T @ closed) > 1e-2
+        assert np.linalg.eigvalsh(0.5 * (closed + closed.T))[0] < sigma - 1e-8 * sigma
+        assert gs.M_hat > 1
+        for t in np.linspace(0.0, 3.0, 31):
+            norm = np.linalg.norm(scipy.linalg.expm(-closed * t), 2)
+            assert norm <= gs.M_hat * np.exp(-(sigma - 1e-8 * sigma) * t) * (1 + 1e-12)
 
 
 def test_quadratic_coupling_bound_random_v():

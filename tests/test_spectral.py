@@ -501,13 +501,13 @@ def test_fine_to_coeffs_matches_complex_route(d):
 # The reference pads the whole spectrum and transforms every line.  The FFT
 # routes of the code under test skip the lines that are zero or discarded,
 # and compute each remaining line the same way, so the two agree exactly.
-# The DFT-matrix route (M != N, K = min(N, M)/2 <= sp.DFT_MAX_K) sums in
-# another order and agrees to 1e-14 of the largest value, the bound of
-# test_unsample_inverts_sample.
+# The DFT-matrix route (K = min(N, M)/2 <= sp.DFT_MAX_K, M = N included)
+# sums in another order and agrees to 1e-14 of the largest value, the bound
+# of test_unsample_inverts_sample.
 
 
 def _matrix_route(N, M):
-    return M != N and min(N, M) // 2 <= sp.DFT_MAX_K
+    return min(N, M) // 2 <= sp.DFT_MAX_K
 
 
 def _assert_route_match(got, want, N, M, same=np.array_equal):
@@ -662,19 +662,20 @@ def _unsample_one_field(vals, N, K):
     return x
 
 
-@pytest.mark.parametrize("d, N, M", [(2, 32, 8), (2, 32, 16), (2, 32, 96), (2, 16, 6),
-                                     (2, 16, 48), (3, 8, 4), (3, 8, 24), (3, 16, 8), (3, 16, 48)])
+@pytest.mark.parametrize("d, N, M", [(2, 32, 8), (2, 32, 16), (2, 32, 32), (2, 32, 96),
+                                     (2, 16, 6), (2, 16, 48), (3, 8, 4), (3, 8, 8), (3, 8, 24),
+                                     (3, 16, 8), (3, 16, 16), (3, 16, 48)])
 def test_batched_dft_route_is_bitwise_per_field(d, N, M):
     # the DFT-matrix route takes a whole stack of fields in one product chain
     # per axis; each field's values and coefficients must be bitwise those of
-    # its own products.  The stacks: one field, a vector field, op.convective's
-    # velocity and vorticity pairs, gradient_physical's partials and the modes
-    # of galerkin.assemble_reduction
+    # its own products, M = N included.  The stacks: one field, a vector
+    # field, op.convective's velocity and vorticity pairs, gradient_physical's
+    # partials and the modes of galerkin.assemble_reduction
     g = sp.TorusGrid(d=d, N=N)
     rng = np.random.default_rng(77 + N + M)
     pairs = d * (d - 1) // 2
     K = min(N, M) // 2
-    assert M != N and K <= sp.DFT_MAX_K
+    assert K <= sp.DFT_MAX_K
     for lead in [(), (d,), (d + pairs,), (d, d), (5, d)]:
         shape = lead + g.half_shape
         half = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * g.keep
