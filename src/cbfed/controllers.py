@@ -59,12 +59,11 @@ def theta_threshold(params):
     return {"c_min": c_min, "eps": 0.5, "eps_tilde": eps_tilde}
 
 
-def make_proportional_controller(grid, k_gain, mask):
+def make_proportional_controller(k_gain, mask):
     """Feedback z -> -k * Leray(mask * z), mask sampled on the grid nodes."""
-    m = sp.as_mask(mask, grid)
 
     def controller(z):
-        return (-k_gain) * sp.masked_leray(m, z)
+        return (-k_gain) * sp.masked_leray(mask, z)
 
     return controller
 
@@ -142,7 +141,7 @@ def run_proportional_loop(sim, k_gain, mask, nu, delta, c_min, slack=0.9):
     eigenvalue of mu A + alpha + k P mask P, minus the absorption total
     `c_min`); the report records slack * delta as the claim and checks it.
     """
-    controller = make_proportional_controller(sim.grid, k_gain, mask)
+    controller = make_proportional_controller(k_gain, mask)
     report, traj = _closed_loop(
         replace(sim, controller=controller, control_bound=k_gain), slack * delta, nu
     )

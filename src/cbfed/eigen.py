@@ -59,10 +59,9 @@ def box_indicator(grid: sp.TorusGrid, boxes) -> np.ndarray:
 
 def apply_Ak(y: sp.SpectralField, k_gain: float, mask, mu: float, alpha: float):
     """Damped Stokes operator plus the gain-weighted masked coupling."""
-    m = sp.as_mask(mask, y.grid)
     out = mu * sp.stokes(y) + alpha * y
     if k_gain != 0.0:
-        out = out + k_gain * sp.masked_leray(m, y)
+        out = out + k_gain * sp.masked_leray(mask, y)
     return out
 
 
@@ -140,13 +139,12 @@ def smallest_eigenvalue_Ak(
         raise ConfigError(f"eigen tolerance must be positive, got {tol}")
     if not k_gain >= 0.0:
         raise ConfigError(f"k_gain must be nonnegative, got {k_gain}")
-    m = sp.as_mask(mask, grid)
 
     def apply_op(c):
-        return apply_Ak(sp.SpectralField(grid, c), k_gain, m, mu, alpha).c
+        return apply_Ak(sp.SpectralField(grid, c), k_gain, mask, mu, alpha).c
 
     # k P(m .) at its constant-coefficient part k mean(m) joins the diagonal
-    precond = 1.0 / (mu * grid.lap + alpha + k_gain * float(np.mean(m)))
+    precond = 1.0 / (mu * grid.lap + alpha + k_gain * float(np.mean(mask)))
 
     base = np.zeros((grid.d,) + grid.shape)
     base[0] = 1.0
@@ -217,10 +215,9 @@ def lambda_star_estimate(
     ``1 / k``; the last two rungs give the reported estimate.  The ladder of
     eigenvalues must be nondecreasing up to solver tolerance.
     """
-    m = sp.as_mask(mask, grid)
-    if m.all():   # on the nodes: comp of a full mask is roundoff above 0 at N = 12
+    if mask.all():   # on the nodes: comp of a full mask is roundoff above 0 at N = 12
         raise ConfigError("complement empty: the gain limit needs an uncontrolled region")
-    comp = grid.L**grid.d - float(m.sum()) * grid.cell_volume
+    comp = grid.L**grid.d - float(mask.sum()) * grid.cell_volume
     ks = [float(k) for k in k_ladder]
     if len(ks) < 4:
         raise ConfigError("gain ladder needs at least four values")
@@ -229,7 +226,7 @@ def lambda_star_estimate(
     nus = []
     iters = []
     for k in ks:
-        nu, _, it = smallest_eigenvalue_Ak(grid, k, m, mu=mu, alpha=alpha, tol=tol, seed=seed)
+        nu, _, it = smallest_eigenvalue_Ak(grid, k, mask, mu=mu, alpha=alpha, tol=tol, seed=seed)
         nus.append(nu)
         iters.append(it)
     arr = np.asarray(nus)

@@ -100,7 +100,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     samples the reduction keeps.
     """
     g = y_e.grid
-    m = np.ones(g.shape) if mask is None else sp.as_mask(mask, g)
+    m = np.ones(g.shape) if mask is None else mask
     if n < 1:
         raise ConfigError(f"the reduction needs at least one mode, got n={n}")
     try:

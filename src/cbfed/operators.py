@@ -10,7 +10,7 @@ power-law products are evaluated pointwise on oversampled nodal grids so the
 discrete pairings reproduce the continuous integral identities to roundoff
 at the tested powers.
 
-convective evaluates B in rotational form, P[sum_a y_a Omega_ab] with
+convective evaluates B in rotational form, sum_a y_a Omega_ab before P, with
 Omega_ab = d_a y_b - d_b y_a, from the 2/3-rule dealiased y: one inverse
 transform of y and the d(d-1)/2 components Omega_ab (a < b) stacked, one
 forward transform of the product.  The advective form differs by
@@ -25,15 +25,15 @@ PhysicalParams.damping_factor (the C_r grid, the finer one), in the time
 stepper, the stationary solve and the reduced model.  damping_weight is its
 pointwise weight, the sum coef |y|^{p-1} from |y|^2; damping_from_nodal
 applies it to the nodal values on that grid, or on any even M^d grid, and
-does one transform back (sp.unsample), without the Leray projection.  Each
-caller projects once: simulate projects the new state (the update is
-diagonal in k, so that projects its damping too), the stationary solve its
-whole right-hand side, and power_damping its result.  The derivative
-C_p'(y) z has one kernel too, damping_derivative, shared by gateaux_first
-and galerkin.assemble_reduction; it takes the powers of |y| once and then
-serves any number of directions.  Powers of |y| follow _pow0: |y|^0 = 1, so
-C_1' = P needs no branch, and a negative power is 0 where y = 0.
-power_damping evaluates a single term on its own grid.
+does one transform back (sp.unsample), without the Leray projection, like
+convective.  Each caller projects both once: simulate projects the new state
+(the update is diagonal in k, so that projects its convection and damping
+too), the stationary solve its whole right-hand side, and power_damping its
+result.  The derivative C_p'(y) z has one kernel too, damping_derivative,
+shared by gateaux_first and galerkin.assemble_reduction; it takes the powers
+of |y| once and then serves any number of directions.  Powers of |y| follow
+_pow0: |y|^0 = 1, so C_1' = P needs no branch, and a negative power is 0
+where y = 0.  power_damping evaluates a single term on its own grid.
 
 explicit_term is the one right-hand side f - B~ - beta C~_r - gamma C~_q of
 the time stepper and the stationary solve, the one holder of the damping
@@ -124,7 +124,8 @@ def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
 
 
 def convective(y: sp.SpectralField, M: int | None = None) -> sp.SpectralField:
-    """B(y) = P[(y.grad) y] in rotational form, with 2/3-rule dealiasing.
+    """sum_a y_a Omega_ab, the rotational form of (y.grad) y, with 2/3-rule
+    dealiasing and not Leray-projected: its projection is B(y) = P[(y.grad) y].
 
     The product runs on the M^d grid, the base grid by default; a smaller M
     is exact for a y whose modes lie within a bandwidth B when M > 4 B
@@ -149,13 +150,14 @@ def convective(y: sp.SpectralField, M: int | None = None) -> sp.SpectralField:
         adv[a] -= yv[b] * w
     ch = sp.unsample(adv, g)
     ch *= g.dealias
-    return sp.leray(sp.SpectralField(g, ch))
+    return sp.SpectralField(g, ch)
 
 
 def shifted_convective(z: sp.SpectralField, around, base=None, M=None) -> sp.SpectralField:
-    """B(around + z) - B(around); plain B(z) when around is None.
+    """convective(around + z) - convective(around), unprojected; plain
+    convective(z) when around is None.
 
-    base, when given, is a precomputed B(around); M is passed to convective.
+    base, when given, is a precomputed convective(around); M is passed on.
     """
     if around is None:
         return convective(z, M)
@@ -246,12 +248,12 @@ def span_nodes(params: PhysicalParams, grid: sp.TorusGrid, bandwidth: int) -> in
 
 def explicit_term(grid, params: PhysicalParams, f: sp.SpectralField, around=None, bandwidth=None):
     """The explicit right-hand side z -> f - B~(z) - beta C~_r(z) - gamma C~_q(z),
-    not Leray-projected, with B~, C~ shifted around `around` (plain B, C when
+    all of it unprojected, with B~, C~ shifted around `around` (plain B, C when
     None), as evaluate(z, term=True, norm=False) -> (term, ||z||_{L^{r+1}}),
     each None when not asked for.
 
     One sample of z serves both; the norm is taken before the nodal values
-    of `around`, constant like B(around) and its damping, are added in place.
+    of `around`, constant like its convection and damping, are added in place.
     Every z is sampled into one nodal array and takes |v|^2 in one scalar
     array, both held by evaluate: fresh fine temporaries would be trimmed
     by glibc's heap after each call and faulted back in by the next.  The

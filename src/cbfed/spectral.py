@@ -19,10 +19,10 @@ half and makes it exactly that of a real field (enforce_real): the k_d = 0
 plane, which holds both k and -k, is replaced by its Hermitian part, and the
 Nyquist planes are zeroed.  In a Parseval sum over the half the k_d = 0
 plane counts once and every other column twice, for itself and its mirror:
-inner, the norms and the mode duals (parseval_dual) weigh it that way.  The
-full spectrum is rebuilt (full_spectrum) only where one is promised: the
-snapshot format (version 1), which stays the full spectrum on disk, and the
-mode coefficients a reduction writes out.
+inner, the norms and the mode duals (parseval_dual) weigh it that way, all
+with TorusGrid.parseval.  The full spectrum is rebuilt (full_spectrum) only
+where one is promised: the snapshot format (version 1), which stays the full
+spectrum on disk, and the mode coefficients a reduction writes out.
 
 sample gives nodal values on any even M^d grid, M above, at or below N, and
 unsample takes nodal values on such a grid back to the stored halves; both
@@ -107,8 +107,6 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError
-
 TWO_THIRDS = 2.0 / 3.0
 
 
@@ -121,6 +119,9 @@ class TorusGrid:
     leray multiplies wave and 1/|k|^2 into complex spectra, where numpy
     would cast them to complex on every call, so they are held
     complex-typed: wave_c beside wave, and inv_k2 (0 at k = 0) only so.
+    parseval, flat, weighs each float of a field's (d, N, ..., N/2+1)
+    spectrum viewed as floats: L^d on the k_d = 0 plane, which counts once,
+    and 2 L^d on every other column, which stands for k and its mirror -k.
     """
 
     def __init__(self, d: int, N: int, L: float = 2 * np.pi):
@@ -153,6 +154,9 @@ class TorusGrid:
         kmax_dealias = (N - 1) // 3
         self.dealias = np.all(np.abs(self.wave) <= kmax_dealias, axis=0) & self.keep
         self.wave_c = self.wave.astype(complex)
+        weight = np.full(self.half_shape + (2,), 2.0 * self.L**d)
+        weight[..., 0, :] = self.L**d
+        self.parseval = np.tile(weight.reshape(-1), d)
         inv = np.zeros(self.k2.shape, dtype=complex)
         nz = self.k2 > 0
         inv[nz] = 1.0 / self.k2[nz]
@@ -258,28 +262,26 @@ class EigenMode:
 # inner products and norms
 
 
-# Parseval over the stored half: the k_d = 0 plane counts once and every
-# other column twice, for k and its mirror -k.  _pairing sums that way with
-# two dot products; parseval_dual puts the same weights into its rows.
+# Re(conj(w) x) = w.real x.real + w.imag x.imag: a Parseval sum over the
+# stored half is a dot product of float views weighed by TorusGrid.parseval.
 
 
 def _pairing(x: np.ndarray, y: np.ndarray, grid: TorusGrid) -> float:
-    """L^d Re sum_k conj(x_k) y_k over the full spectrum, from stored halves."""
-    total = np.vdot(x, y).real
-    plane = np.vdot(x[..., 0], y[..., 0]).real
-    return float(grid.L**grid.d * (2.0 * total - plane))
+    """L^d Re sum_k conj(x_k) y_k over the full spectrum, from stored halves.
+
+    Summed in numpy's own einsum loop: a BLAS dot product (np.vdot runs
+    OpenBLAS zdotc) splits a long sum across threads, so its last bits would
+    hang on the thread count."""
+    return float(np.einsum("i,i,i->", grid.parseval, x.ravel().view(float), y.ravel().view(float)))
 
 
 def parseval_dual(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Rows whose real dot products with the float view of a flattened stored
     spectrum x are the inner products (x, w_k); coeffs stacks the spectra w_k.
 
-    Re(conj(w) x) = w.real x.real + w.imag x.imag, so a row is the
-    Parseval-weighted w_k itself, flattened and viewed as floats, two per
-    complex number: an (n, 2X) float array."""
-    dual = coeffs * (2.0 * grid.L**grid.d)
-    dual[..., 0] *= 0.5
-    return dual.reshape(len(coeffs), -1).view(float)
+    A row is w_k itself, flattened, viewed as floats and weighed by
+    grid.parseval: an (n, 2X) float array."""
+    return coeffs.reshape(len(coeffs), -1).view(float) * grid.parseval
 
 
 def inner(a: SpectralField, b: SpectralField) -> float:
@@ -374,14 +376,6 @@ def leray(a: SpectralField) -> SpectralField:
     dot *= g.inv_k2
     out = np.multiply(g.wave_c, dot)  # the one array of the result
     return SpectralField(g, np.subtract(a.c, out, out=out))
-
-
-def as_mask(mask, grid: TorusGrid) -> np.ndarray:
-    """A control-region mask as a float array of nodal values on the grid."""
-    m = np.asarray(mask, dtype=float)
-    if m.shape != grid.shape:
-        raise ConfigError(f"mask shape {m.shape} does not match the grid {grid.shape}")
-    return m
 
 
 def masked_leray(mask: np.ndarray, field: SpectralField) -> SpectralField:

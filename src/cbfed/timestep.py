@@ -14,8 +14,9 @@ Two schemes: backward Euler on the linear part with explicit everything else
 ("imex1"), and Crank-Nicolson / Adams-Bashforth 2 ("cnab2").
 
 `simulate` makes one pass per state m = 0..nsteps.  A pass with m > 0 first
-steps from the previous state, Leray-projects, applies the constraint and
-checks for blow-up (the initial state is not checked).  Every pass then
+steps from the previous state, Leray-projects (once: the explicit term comes
+unprojected), applies the constraint and checks for blow-up (the initial
+state is not checked).  Every pass then
 evaluates the feedback and, through op.explicit_term, the explicit term
 f - B~ - beta C~_r - gamma C~_q and the L^{r+1} norm from one sample, and
 records the state when m is a multiple of record_every or the last one.
@@ -189,10 +190,10 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 znew = sp.SpectralField(g, num / (1.0 + half))
             if cfg.scheme == "cnab2":
                 prev_N = N
-            # this projects the explicit damping, left unprojected because the
-            # update is diagonal in k; it also drops roundoff gradient content,
-            # which a Leray-projected feedback cannot see, so it would decay only
-            # at the bare rate alpha + mu |k|^2
+            # the step's one projection, of the explicit convection and damping
+            # too (the update is diagonal in k); it also drops roundoff gradient
+            # content, which a Leray-projected feedback cannot see, so it would
+            # decay only at the bare rate alpha + mu |k|^2
             znew = sp.leray(znew)
             z = K.project(znew) if project_mode else znew
             nh = sp.norm_H(z)

@@ -458,6 +458,9 @@ def test_diverging_stationary_solve_is_one_stderr_line(tmp_path, capsys, experim
     ("stabilize-proportional", ["grid.d=3", "grid.N=8", "integrator.T=0.05",
                                 "mask.boxes=[[[0.785,6.28],[0.0,6.28],[0.0,6.28]]]"]),
     ("stabilize-galerkin", ["integrator.T=0.05"]),
+    # 2-d N = 128: the stored spectrum is long enough for a BLAS dot product
+    # to split its sum across threads, and the Parseval pairings must not
+    ("stabilize-theta", ["grid.N=128", "integrator.T=0.01", "integrator.dt=0.002"]),
 ])
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path, experiment, overrides):
     # the same config run at one and at two BLAS threads, into the same output

@@ -159,7 +159,7 @@ def test_theta_threshold_near_critical_matches_grid_search():
 def test_proportional_controller_mask_one_is_scaling():
     g = grid2()
     z = sp.random_solenoidal(g, seed=2)
-    u = ct.make_proportional_controller(g, 1.5, np.ones(g.shape))(z)
+    u = ct.make_proportional_controller(1.5, np.ones(g.shape))(z)
     assert sp.norm_H(u + 1.5 * z) < 1e-13
 
 
@@ -169,7 +169,7 @@ def test_proportional_controller_dissipates_on_box():
     mask = ((x[0] > 1.0) & (x[0] < 5.0)).astype(float)
     z = sp.random_solenoidal(g, seed=3, decay=1.5)
     k = 2.0
-    u = ct.make_proportional_controller(g, k, mask)(z)
+    u = ct.make_proportional_controller(k, mask)(z)
     zv = z.physical()
     ref = -k * np.sum(mask * np.sum(zv**2, axis=0)) * g.cell_volume
     assert abs(sp.inner(u, z) - ref) < 1e-12 * max(1.0, abs(ref))

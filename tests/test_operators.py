@@ -67,13 +67,13 @@ def test_params_regime():
 
 def test_taylor_green_advection_is_gradient():
     # y = (sin x cos y, -cos x sin y): (y.grad)y = grad of a scalar, so the
-    # solenoidal projection of the advection term vanishes identically
+    # solenoidal projection of the advection term, B(y), vanishes identically
     g = grid2()
     x = g.nodes()
     u = np.stack([np.sin(x[0]) * np.cos(x[1]), -np.cos(x[0]) * np.sin(x[1])])
     y = sp.SpectralField.from_physical(g, u)
     assert sp.divergence_max(y) < 1e-12
-    b = op.convective(y)
+    b = sp.leray(op.convective(y))
     assert sp.norm_H(b) < 1e-12
 
 
@@ -404,7 +404,7 @@ def test_weight_formed_in_held_array_is_bitwise(d, terms):
 
 
 # ---------------------------------------------------------------------------
-# the explicit term: rotational convection, unprojected damping
+# the explicit term: rotational convection and damping, both unprojected
 
 
 def _convective_advective(y):
@@ -426,15 +426,16 @@ def _rel(got, want):
 @pytest.mark.parametrize("d", [2, 3])
 def test_convective_matches_advective_form(d, shifted):
     # the rotational form drops grad |y|^2/2, whose kept coefficients are those
-    # of an exact gradient; Leray removes them, so the forms agree to roundoff
+    # of an exact gradient; Leray removes them, so the projected forms agree to
+    # roundoff
     g = sp.TorusGrid(d=d, N=32 if d == 2 else 16)
     z = sp.random_field(g, seed=91, decay=1.0)       # not solenoidal: the form must not need it
     if not shifted:
-        assert _rel(op.convective(z), _convective_advective(z)) <= 1e-14
+        assert _rel(sp.leray(op.convective(z)), _convective_advective(z)) <= 1e-14
         return
     around = offset_field(g, (0.5, -0.2, 0.3)[:d], seed=92)
     want = _convective_advective(z + around) - _convective_advective(around)
-    assert _rel(op.shifted_convective(z, around), want) <= 1e-14
+    assert _rel(sp.leray(op.shifted_convective(z, around)), want) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -490,7 +491,7 @@ def test_damping_projected_once_by_each_caller(d):
 )
 def test_rotational_and_advective_convection_agree(d, N, L, seed):
     y = sp.random_field(sp.TorusGrid(d=d, N=N, L=L), seed, decay=1.0)
-    assert _rel(op.convective(y), _convective_advective(y)) <= 1e-13
+    assert _rel(sp.leray(op.convective(y)), _convective_advective(y)) <= 1e-13
 
 
 def _banded(g, B, seed):
