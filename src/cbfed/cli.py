@@ -207,15 +207,7 @@ def _setup(cfg):
 
 
 def _build_params(cfg) -> op.PhysicalParams:
-    p = cfg["params"]
-    return op.PhysicalParams(
-        mu=float(p["mu"]),
-        alpha=float(p["alpha"]),
-        beta=float(p["beta"]),
-        gamma=float(p["gamma"]),
-        r=float(p["r"]),
-        q=float(p["q"]),
-    )
+    return op.PhysicalParams(**{key: float(val) for key, val in cfg["params"].items()})
 
 
 def _build_field(spec: dict, grid: sp.TorusGrid, seed: int, what: str):
@@ -226,7 +218,7 @@ def _build_field(spec: dict, grid: sp.TorusGrid, seed: int, what: str):
         decay = float(spec["decay"])
         try:
             f = sp.random_solenoidal(grid, seed=seed, decay=decay)
-        except ValueError:
+        except FloatingPointError:
             raise ConfigError(
                 f"config key '{what}.decay' gives a draw of zero or non-finite norm, got {decay!r}"
             ) from None

@@ -31,9 +31,9 @@ convective.  Each caller projects both once: simulate projects the new state
 too), the stationary solve its whole right-hand side, and power_damping its
 result.  The derivative C_p'(y) z has one kernel too, damping_derivative,
 shared by gateaux_first and galerkin.assemble_reduction; it takes the powers
-of |y| once and then serves any number of directions.  Powers of |y| follow
-_pow0: |y|^0 = 1, so C_1' = P needs no branch, and a negative power is 0
-where y = 0.  power_damping evaluates a single term on its own grid.
+of |y| once and then serves any number of directions.  Its powers of |y|
+follow _pow0: |y|^0 = 1, so C_1' = P needs no branch, and a negative power
+is 0 where y = 0.  power_damping evaluates a single term on its own grid.
 
 explicit_term is the one right-hand side f - B~ - beta C~_r - gamma C~_q of
 the time stepper and the stationary solve, the one holder of the damping
@@ -186,19 +186,17 @@ def trilinear(y: sp.SpectralField, z: sp.SpectralField, w: sp.SpectralField) -> 
 
 def damping_weight(m2: np.ndarray, terms, out=None) -> np.ndarray:
     """Pointwise weight sum coef |v|^{p-1} over terms [(coef, p), ...], p >= 1,
-    from m2 = |v|^2.
+    from m2 = |v|^2: an array of m2's shape, p = 1 included (|v|^0 = 1).
 
-    With out the weight is written there, and out may be m2 itself: the last
-    term is formed in it once the others have read m2, so the other terms
-    cost one array and a single term none.  The terms are summed in either
-    order to the same bits.
+    Each term's power is one ufunc call, m2^{(p-1)/2}, into out or a fresh
+    array.  out may be m2 itself: the last term is formed in it once the
+    others have read m2, so the other terms cost one array and a single term
+    none.  The terms are summed in either order to the same bits.
     """
     *head, (coef, p) = terms
     rest = damping_weight(m2, head) if head else None
     expo = (p - 1) / 2.0
-    if out is None:
-        w = _pow0(m2, expo)
-    elif expo == 0.5:               # the sqrt that m2**0.5 runs, twice as fast as np.power
+    if expo == 0.5:                 # the sqrt that m2**0.5 runs, twice as fast as np.power
         w = np.sqrt(m2, out=out)
     else:
         w = np.power(m2, expo, out=out)

@@ -94,10 +94,11 @@ oversample and gradient_physical are sample on the (factor*N)^d grid, and
 fine_to_coeffs is unsample.  op.span_nodes sizes the M of a state held in a
 span from its bandwidth.
 
-sample and oversample can write into a given array (out=), and sum_squares
-and norm_Lp_nodal can form |v|^2 in one: op.explicit_term holds one nodal
-array and one |v|^2 array for a whole loop, so no step faults fresh zeroed
-pages in for its multi-MB fine-grid values.
+sample, oversample and sum_squares (|v|^2 in one np.einsum pass) can write
+into a given array (out=), and norm_Lp_nodal can form |v|^2 in one:
+op.explicit_term holds one nodal array and one |v|^2 array for a whole
+loop, so no step faults fresh zeroed pages in for its multi-MB fine-grid
+values.
 """
 from __future__ import annotations
 
@@ -320,13 +321,10 @@ def norm_factor(p: float) -> int:
 
 
 def sum_squares(vals: np.ndarray, out=None) -> np.ndarray:
-    """|v|^2 over the leading (component) axis, one component at a time:
-    bitwise np.sum(vals**2, axis=0) without its (d, M, ..., M) temporary;
-    written into out when it is given."""
-    out = np.square(vals[0], out=out)
-    for comp in vals[1:]:
-        out += np.square(comp)
-    return out
+    """|v|^2 over the leading (component) axis in one einsum pass: bitwise
+    np.sum(vals**2, axis=0) without its (d, M, ..., M) temporary; written
+    into out when it is given."""
+    return np.einsum("a...,a...->...", vals, vals, out=out)
 
 
 def norm_Lp_nodal(vals: np.ndarray, grid: TorusGrid, p: float, mag2=None) -> float:
@@ -722,12 +720,12 @@ def random_field(grid: TorusGrid, seed: int, decay: float = 2.0) -> SpectralFiel
 
 def random_solenoidal(grid: TorusGrid, seed: int, decay: float = 2.0) -> SpectralField:
     """Divergence-free unit-H-norm random field, deterministic per seed; a draw
-    of zero or non-finite norm (an overflowing decay) is a ValueError."""
+    of zero or non-finite norm (an overflowing decay) is a FloatingPointError."""
     with np.errstate(over="ignore", invalid="ignore"):
         f = leray(random_field(grid, seed, decay))
         nrm = norm_H(f)
     if not 0 < nrm < np.inf:
-        raise ValueError("degenerate random draw")
+        raise FloatingPointError("degenerate random draw")
     return (1.0 / nrm) * f
 
 

@@ -108,7 +108,7 @@ def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) ->
     dt = 0.25 / (params.mu * lam_max)
     total = y0 if y_ref is None else y0 + y_ref
     with np.errstate(over="ignore"):    # an infinite speed gives dt = 0, which step_size refuses
-        vmax = float(np.max(np.sqrt(np.sum(total.physical() ** 2, axis=0))))
+        vmax = float(np.max(np.sqrt(sp.sum_squares(total.physical()))))
     if vmax > 0:
         kmax = grid.N // 2 - 1
         dt = min(dt, 0.5 / (vmax * kmax * 2 * np.pi / grid.L))

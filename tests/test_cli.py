@@ -461,6 +461,13 @@ def test_diverging_stationary_solve_is_one_stderr_line(tmp_path, capsys, experim
     # 2-d N = 128: the stored spectrum is long enough for a BLAS dot product
     # to split its sum across threads, and the Parseval pairings must not
     ("stabilize-theta", ["grid.N=128", "integrator.T=0.01", "integrator.dt=0.002"]),
+    # the reduction's einsums and span maps on the 3-d path
+    ("reduce", ["grid.d=3", "grid.N=16"]),
+    # the reduction of the damping grid around a solved equilibrium
+    ("stabilize-galerkin", ["forcing.kind=random", "forcing.amplitude=0.5",
+                            "equilibrium.kind=solve", "integrator.T=0.05"]),
+    # the LOBPCG Gram products
+    ("eigen", ["grid.d=3", "grid.N=16", "mask.boxes=[[[0.0,3.14],[0.0,6.28],[0.0,6.28]]]"]),
 ])
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path, experiment, overrides):
     # the same config run at one and at two BLAS threads, into the same output
@@ -478,7 +485,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path, experiment, overrides
         assert proc.returncode == 0, proc.stderr
         digests.append({path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in sorted(out.rglob("*")) if path.is_file()})
-    assert any(name.endswith("trajectory.csv") for name in digests[0])
+    assert any(name.endswith("report.json") for name in digests[0])
     assert digests[0] == digests[1]
 
 
@@ -991,6 +998,19 @@ def test_overflowing_decay_is_config_error(tmp_path, capsys, key):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"'{key}.decay'" in err
+
+
+def test_defect_inside_the_random_draw_is_internal_error(tmp_path, capsys, monkeypatch):
+    # only the draw's degenerate norm is a config error: any other ValueError
+    # raised inside it is a defect, not a bad 'initial.decay'
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(sp, "random_field", broken)
+    argv = ["simulate", "--set", "grid.N=8", "--set", "integrator.T=0.05",
+            "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 5
+    assert capsys.readouterr().err == "error: internal error: ValueError: boom\n"
 
 
 @pytest.mark.parametrize("experiment, items, key", [

@@ -6,6 +6,8 @@ forms for the absorption/growth constants.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,23 @@ def test_damping_weight_bitwise_matches_earlier_formula(d, q):
     got = op.damping_weight(m2, terms)
     want = _damping_weight_earlier(m2, terms)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("terms", [
+    [(0.8, 5.0)], [(-0.3, 1.0)], [(0.8, 3.0)], [(0.8, 5.0), (-0.3, 1.0)],
+    [(0.8, 5.0), (-0.3, 2.0)], [(0.8, 4.5), (-0.3, 1.5)],
+])
+@pytest.mark.parametrize("inplace", [False, True])
+def test_damping_weight_is_bitwise_sum_of_powers(terms, inplace):
+    # sum coef m2**((p - 1)/2) in term order, zeros of m2 and q = 1 included,
+    # whether the weight is formed in a fresh array or over m2 itself
+    g = sp.TorusGrid(d=2, N=16)
+    m2 = sp.sum_squares(sp.oversample(offset_field(g, (0.9, 0.2), seed=85), 3))
+    m2.flat[::7] = 0.0
+    want = functools.reduce(np.add, [coef * m2 ** ((p - 1) / 2.0) for coef, p in terms])
+    got = op.damping_weight(m2, terms, out=m2 if inplace else None)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("terms", [

@@ -701,8 +701,17 @@ def test_oversample_into_out_is_bitwise(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_sum_squares_is_bitwise_sum_of_squares(d):
+    # the layouts its callers pass: nodal fields, into a held array, and the
+    # Galerkin pairing's strided view with batch axes, components moved first;
+    # einsum must not fuse the multiply-add on any numpy build
     vals = sp.oversample(sp.random_field(small_grid(d), seed=72, decay=1.0), 3)
-    assert _same_bits(sp.sum_squares(vals), np.sum(vals**2, axis=0))
+    want = np.sum(vals**2, axis=0)
+    assert _same_bits(sp.sum_squares(vals), want)
+    held = np.full_like(want, np.nan)
+    assert sp.sum_squares(vals, out=held) is held and _same_bits(held, want)
+    A = np.random.default_rng(72).standard_normal((5, 4, d, 64))
+    for view in (np.moveaxis(A, -2, 0), np.moveaxis(A[0, 0], -2, 0)):
+        assert _same_bits(sp.sum_squares(view), np.sum(view**2, axis=0))
 
 
 def _norm_Lp_nodal_earlier(vals, grid, p):
