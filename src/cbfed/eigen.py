@@ -74,10 +74,10 @@ def _scrub(field: sp.SpectralField) -> sp.SpectralField:
 
     The coupling is blind to imaginary and to gradient content, so a
     roundoff leak of either kind would otherwise be amplified into a fake
-    pure Stokes mode.  The real part is taken in spectral space, as the
-    forward transform does (sp.enforce_real): a physical() round trip would
-    only drop the same anti-Hermitian part of the k_d = 0 plane and zero
-    the Nyquist planes.
+    pure Stokes mode.  The real part is taken in spectral space
+    (sp.enforce_real), as the FFT routes of the forward transform take it:
+    a physical() round trip would only drop the same anti-Hermitian part of
+    the k_d = 0 plane and zero the Nyquist planes.
     """
     g = field.grid
     w = sp.leray(sp.SpectralField(g, sp.enforce_real(field.c.copy(), g)))

@@ -91,6 +91,14 @@ class GalerkinReduction:
     _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
     _D: np.ndarray = dc_field(repr=False, default=None)      # (C'(y_e) w_i, w_k), i the row
 
+    def __post_init__(self):
+        # views the reduced right-hand side reads on every call, rebuilt
+        # whenever dataclasses.replace swaps the arrays they are read off
+        n = self.n
+        self._g1_flat = self.g1.reshape(n, n * n)     # g1[i, (j, k)]
+        self._W_flat = None if self._Wf is None else self._Wf.reshape(n, -1)
+        self._cell_f = (self.grid.L / self.quad_N) ** self.grid.d
+
 
 def assemble_reduction(y_e, n, params, mask=None):
     """Project the linearization about y_e onto the first n eigenmodes.
@@ -169,32 +177,39 @@ def assemble_reduction(y_e, n, params, mask=None):
 
 def _damping_pairing(A, W, terms, cell_f):
     """(C(a), w_k) on the quadrature nodes: A holds a there, shape (..., d, X),
-    W the modes, shape (n, d, X).  A is overwritten."""
-    A *= op.damping_weight(sp.sum_squares(np.moveaxis(A, -2, 0)), terms)[..., None, :]
+    W the modes, shape (n, d, X) or flattened to (n, d X).  A is overwritten."""
+    A *= op.damping_weight(np.einsum("...ax,...ax->...x", A, A), terms)[..., None, :]
     return cell_f * (A.reshape(A.shape[:-2] + (-1,)) @ W.reshape(len(W), -1).T)
 
 
 def quadratic_term(red, v):
-    """Q(v)_k = sum_ij b(w_i, w_j, w_k) v_i v_j; v may carry batch axes."""
+    """Q(v)_k = sum_ij b(w_i, w_j, w_k) v_i v_j; v may carry batch axes.
+
+    Two matmuls: v with g1 flattened to (n, n^2) gives T_jk = sum_i v_i g1_ijk,
+    then v with T sums over j.  Equal to the three-operand einsum to roundoff.
+    """
     v = np.asarray(v, dtype=float)
-    return np.einsum("ijk,...i,...j->...k", red.g1, v, v)
+    n = red.n
+    T = (v @ red._g1_flat).reshape(v.shape[:-1] + (n, n))
+    return (v[..., None, :] @ T)[..., 0, :]
 
 
 def nonlinear_term(red, v):
     """Remainder N(v)_k = (C(y_e + z) - C(y_e) - C'(y_e) z, w_k) of the damping
     C = beta C_r + gamma C_q beyond its linearization, z = sum_i v_i w_i.
 
-    The first pairing is taken on the precomputed quadrature nodes; the
-    other two are the run constants _c_ref and v @ _D.  At y_e = 0 (no _Yf)
-    nothing is added to z.  v may carry batch axes.
+    The first pairing is taken on the precomputed quadrature nodes: z there
+    is one matmul of v with the modes flattened to (n, d X), |z|^2 one
+    einsum, and the pairing one matmul with them again.  The other two are
+    the run constants _c_ref and v @ _D.  At y_e = 0 (no _Yf) nothing is
+    added to z.  v may carry batch axes.
     """
     v = np.asarray(v, dtype=float)
-    W = red._Wf    # one matmul with the modes flattened to (n, d X), then (..., d, X)
-    A = (v @ W.reshape(len(W), -1)).reshape(v.shape[:-1] + W.shape[1:])
+    A = (v @ red._W_flat).reshape(v.shape[:-1] + red._Wf.shape[1:])
     if red._Yf is not None:
         A += red._Yf
-    cell_f = (red.grid.L / red.quad_N) ** red.grid.d
-    return _damping_pairing(A, red._Wf, red.params.damping_terms, cell_f) - red._c_ref - v @ red._D
+    paired = _damping_pairing(A, red._W_flat, red.params.damping_terms, red._cell_f)
+    return paired - red._c_ref - v @ red._D
 
 
 def controllability_rank(Lmat, Bmat):

@@ -14,10 +14,12 @@ polynomial with modes |k_i| <= N/2 - 1.
 Storage is the half spectrum of the last axis, shape (d, N, ..., N/2+1):
 the columns k_d = 0 .. N/2, as rfftn returns them.  The other half is
 c(-k) = conj c(k) and is never stored, so every diagonal operator, update,
-sum and norm touches about half the data.  A forward transform keeps its
-half and makes it exactly that of a real field (enforce_real): the k_d = 0
-plane, which holds both k and -k, is replaced by its Hermitian part, and the
-Nyquist planes are zeroed.  In a Parseval sum over the half the k_d = 0
+sum and norm touches about half the data.  A forward transform returns
+exactly the half of a real field: the k_d = 0 plane, which holds both k and
+-k, satisfies c(-k) = conj c(k) exactly, and the Nyquist planes are zero.
+The DFT-matrix route (below) gives such halves by construction; the FFT
+routes replace the k_d = 0 plane by its Hermitian part and zero the Nyquist
+planes afterwards (enforce_real).  In a Parseval sum over the half the k_d = 0
 plane counts once and every other column twice, for itself and its mirror:
 inner, the norms and the mode duals (parseval_dual) weigh it that way, all
 with TorusGrid.parseval.  The full spectrum is rebuilt (full_spectrum) only
@@ -39,7 +41,9 @@ chosen by K alone, M = N included:
   fields, a single dgemm, which sample writes straight into out.  Each
   field's values are bitwise those of its own products, and agree with a
   copy of the kept modes around one irfftn or rfftn to 1e-14 of the
-  largest value, not bitwise.
+  largest value, not bitwise.  The forward matrix's row of each k < 0 is
+  the conjugate of the row of -k, so unsample's coefficients are those of
+  real fields with no enforce_real pass.
 - K > 16, the FFT route.  At M = N it is one irfftn and one rfftn over the
   whole stack.  For every other M it is line-pruned, one field (leading
   index) at a time, so that its multi-MB temporaries are of one
@@ -411,6 +415,7 @@ def enforce_real(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     The k_d = 0 plane holds both k and -k, so it is replaced by its
     Hermitian part 0.5 (c(k) + conj c(-k)); the Nyquist planes are zeroed.
     The columns k_d > 0 stand for their mirrors too and are left as they are.
+    The FFT routes of unsample end with it; the DFT-matrix route needs none.
     """
     plane = half[..., 0]
     half[..., 0] = 0.5 * (plane + np.conj(plane[(Ellipsis,) + grid.flip_lead]))
@@ -463,7 +468,8 @@ def _dft_matrices(N: int, M: int):
     an N-row axis (in FFT order) and M nodes, normalized as the transforms:
 
     E (M, N), complex: the inverse along a leading axis, nodes from rows;
-    F (N, M), complex: the forward one, rows from nodes, with its 1/M;
+    F (N, M), complex: the forward one, rows from nodes, with its 1/M, the
+        row of each k < 0 the conjugate of the row of -k;
     R (2K, M), real: the inverse along the last axis, nodes from the (re, im)
         pairs of the columns k = 0 .. K-1, each k > 0 weighed twice for its
         mirror and the imaginary part of k = 0 dropped, as irfft does;
@@ -472,6 +478,17 @@ def _dft_matrices(N: int, M: int):
     The columns of E and the rows of F of the rows that are not kept are
     zero, so each product pads or cuts the axis too.  Each phase is reduced
     to (j k) mod M before it is scaled, which keeps it exact in the integers.
+
+    Rf gives the k_d = 0 column of real values an imaginary part that is a
+    sum of products with 0, so exactly 0.  Each F product along a leading
+    axis keeps the k_d = 0 plane Hermitian: its lines come in conjugate
+    pairs (real ones to begin with), the row of -k is the conjugate of the
+    row of k, conj(a) conj(b) is conj(ab) exactly, and both sums run in the
+    same order.  So unsample's coefficients are those of real fields,
+    c(-k) = conj c(k) exactly with a zero imaginary part at k = 0, and no
+    enforce_real pass follows them
+    (test_dft_route_coefficients_are_exactly_hermitian, at one and two BLAS
+    threads).
     """
     K = min(N, M) // 2
     k = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
@@ -480,6 +497,7 @@ def _dft_matrices(N: int, M: int):
     kept = np.abs(k) < K
     E = np.where(kept, np.exp(1j * phase), 0)
     F = np.where(kept[:, None], np.exp(-1j * phase.T) / M, 0)
+    F[k < 0] = np.conj(F[-k[k < 0]])    # the row of -k, conjugated: c(-k) = conj c(k)
     cols = (2 * np.pi / M) * ((np.arange(K)[:, None] * nodes) % M)
     weight = np.where(np.arange(K) == 0, 1.0, 2.0)[:, None]
     R = np.empty((2 * K, M))
@@ -583,15 +601,17 @@ def sample(half: np.ndarray, g: TorusGrid, M: int, out=None) -> np.ndarray:
 
 def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
     """Stored halves on g of real nodal values on any even M^d grid: the
-    inverse of sample, keeping the modes |k_i| < K = min(N, M)/2, made those
-    of real fields (enforce_real).
+    inverse of sample, keeping the modes |k_i| < K = min(N, M)/2, exactly
+    those of real fields.
 
     For K <= DFT_MAX_K, at every M, only the columns k_d < K are formed,
     through DFT-matrix products over the whole stack of fields, whose
-    coefficients agree with rfftn on the whole grid followed by a copy of the
-    kept modes to 1e-14 of their largest.  Beyond, they are bitwise those of
+    coefficients are those of real fields by construction (_dft_matrices)
+    and agree with rfftn on the whole grid followed by a copy of the kept
+    modes to 1e-14 of their largest.  Beyond, they are bitwise those of
     that rfftn and copy: one rfftn at M = N, line-pruned FFTs one field at a
-    time otherwise, where the cut lines never feed a kept one.
+    time otherwise, where the cut lines never feed a kept one; these two
+    routes then make their halves real with enforce_real.
     They are exact when the values are of a trigonometric polynomial of
     degree D per axis and M > D + min(D, N/2 - 1): a mode aliases onto k
     only from k + jM, j != 0.
@@ -603,11 +623,11 @@ def unsample(vals: np.ndarray, g: TorusGrid) -> np.ndarray:
         axes = tuple(range(vals.ndim - g.d, vals.ndim))
         return enforce_real(np.fft.rfftn(vals, axes=axes, norm="forward"), g)
     half = np.zeros(lead + g.half_shape, dtype=complex)
-    if K <= DFT_MAX_K:
+    if K <= DFT_MAX_K:      # real by construction (_dft_matrices)
         half[..., :K] = _unsample_dft(vals, g.d, g.N, K)
-    else:
-        for i in np.ndindex(lead):
-            half[i][..., :K] = _unsample_fft(vals[i], g.N, K)
+        return half
+    for i in np.ndindex(lead):
+        half[i][..., :K] = _unsample_fft(vals[i], g.N, K)
     return enforce_real(half, g)
 
 

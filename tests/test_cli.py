@@ -614,6 +614,22 @@ def test_claim_above_the_linear_rate_is_refused(tmp_path, capsys, experiment, it
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
+def test_non_positive_claim_is_refused(tmp_path, capsys):
+    # mu = 0.05 with a half-box mask: the absorption total c_min = 100 exceeds
+    # the certified nu, so the proportional loop claims -89.69; it used to
+    # exit 0 with pointwise_ok true while the state grew tenfold (delta_fit
+    # -7.25), since a negative claim admits any growth up to its rate
+    argv = ["stabilize-proportional", "--output-dir", str(tmp_path / "o")]
+    for item in ["params.mu=0.05", "grid.N=16", "integrator.T=0.5",
+                 "mask.boxes=[[[0.0,3.14],[0.0,6.28]]]"]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: claimed decay rate -89.6926 is not positive: "
+                     "the loop certifies no decay"]
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
 def test_constants_uniqueness_overflow_reports_null(tmp_path):
     # q just below r, outside the damping regimes: K1 and K2 leave the float
     # range and are reported as null like the other out-of-regime constants

@@ -441,6 +441,18 @@ def test_quadratic_coupling_bound_random_v():
     assert np.all(lhs <= rhs * (1 + 1e-12))
 
 
+@pytest.mark.parametrize("shape", [(8,), (5, 8), (2, 3, 8)])
+def test_quadratic_term_matches_einsum_on_batch_axes(shape):
+    # quadratic_term contracts g1 by two matmuls; the three-operand einsum it
+    # replaced sums the same products in another order
+    red = cubic_reduction()
+    v = np.random.default_rng(97).standard_normal(shape)
+    got = gk.quadratic_term(red, v)
+    want = np.einsum("ijk,...i,...j->...k", red.g1, v, v)
+    assert got.shape == shape
+    assert _rel_diff(got, want) <= 1e-14
+
+
 def test_quadratic_term_matches_fft_route():
     red = cubic_reduction()
     rng = np.random.default_rng(17)

@@ -662,21 +662,27 @@ def _unsample_one_field(vals, N, K):
     return x
 
 
-@pytest.mark.parametrize("d, N, M", [(2, 32, 8), (2, 32, 16), (2, 32, 32), (2, 32, 96),
-                                     (2, 16, 6), (2, 16, 48), (3, 8, 4), (3, 8, 8), (3, 8, 24),
-                                     (3, 16, 8), (3, 16, 16), (3, 16, 48)])
+_BATCHED_GRIDS = [(2, 32, 8), (2, 32, 16), (2, 32, 32), (2, 32, 96), (2, 16, 6), (2, 16, 48),
+                  (3, 8, 4), (3, 8, 8), (3, 8, 24), (3, 16, 8), (3, 16, 16), (3, 16, 48)]
+
+
+def _batched_leads(d):
+    # one field, a vector field, op.convective's velocity and vorticity
+    # pairs, gradient_physical's partials and the modes of
+    # galerkin.assemble_reduction
+    return [(), (d,), (d + d * (d - 1) // 2,), (d, d), (5, d)]
+
+
+@pytest.mark.parametrize("d, N, M", _BATCHED_GRIDS)
 def test_batched_dft_route_is_bitwise_per_field(d, N, M):
     # the DFT-matrix route takes a whole stack of fields in one product chain
     # per axis; each field's values and coefficients must be bitwise those of
-    # its own products, M = N included.  The stacks: one field, a vector
-    # field, op.convective's velocity and vorticity pairs, gradient_physical's
-    # partials and the modes of galerkin.assemble_reduction
+    # its own products, M = N included, with no Hermitian pass on the way
     g = sp.TorusGrid(d=d, N=N)
     rng = np.random.default_rng(77 + N + M)
-    pairs = d * (d - 1) // 2
     K = min(N, M) // 2
     assert K <= sp.DFT_MAX_K
-    for lead in [(), (d,), (d + pairs,), (d, d), (5, d)]:
+    for lead in _batched_leads(d):
         shape = lead + g.half_shape
         half = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * g.keep
         got = sp.sample(half, g, M)
@@ -686,7 +692,22 @@ def test_batched_dft_route_is_bitwise_per_field(d, N, M):
         want = np.zeros(shape, dtype=complex)
         for i in np.ndindex(lead):
             want[i][..., :K] = _unsample_one_field(vals[i], N, K)
-        assert _same_bits(sp.unsample(vals, g), sp.enforce_real(want, g)), lead
+        assert _same_bits(sp.unsample(vals, g), want), lead
+
+
+@pytest.mark.parametrize("d, N, M", _BATCHED_GRIDS)
+def test_dft_route_coefficients_are_exactly_hermitian(d, N, M):
+    # the k < 0 rows of the forward matrix F are the conjugates of the k > 0
+    # rows, so the raw products of the matrix route are those of real fields
+    # with no Hermitian pass: c(-k) = conj c(k) exactly on the k_d = 0 plane,
+    # which holds both k and -k, and the mean's imaginary part is 0
+    g = sp.TorusGrid(d=d, N=N)
+    rng = np.random.default_rng(78 + N + M)
+    K = min(N, M) // 2
+    for lead in _batched_leads(d):
+        plane = sp._unsample_dft(rng.standard_normal(lead + (M,) * d), d, N, K)[..., 0]
+        assert np.array_equal(plane[(Ellipsis,) + g.flip_lead], np.conj(plane)), lead
+        assert np.all(plane[(Ellipsis,) + (0,) * (d - 1)].imag == 0), lead
 
 
 @pytest.mark.parametrize("d", [2, 3])
