@@ -198,16 +198,12 @@ def _setup(cfg):
         grid = sp.TorusGrid(d=int(g["d"]), N=int(g["N"]), L=float(g["L"]))
     except ValueError as exc:       # the message opens with the rejected argument
         raise ConfigError(f"grid.{exc}") from None
-    params = _build_params(cfg)
+    params = op.PhysicalParams(**{key: float(val) for key, val in cfg["params"].items()})
     rng = np.random.Generator(np.random.Philox(int(cfg["seed"])))
     seeds = {
         name: int(rng.integers(0, 2**31)) for name in ("initial", "forcing", "coeffs", "eigen")
     }
     return grid, params, seeds
-
-
-def _build_params(cfg) -> op.PhysicalParams:
-    return op.PhysicalParams(**{key: float(val) for key, val in cfg["params"].items()})
 
 
 def _build_field(spec: dict, grid: sp.TorusGrid, seed: int, what: str):
@@ -352,9 +348,7 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _run_constants(cfg, outdir, h):
-    params = _build_params(cfg)
-    grid_spec = cfg["grid"]
-    L, d = float(grid_spec["L"]), int(grid_spec["d"])
+    grid, params, _ = _setup(cfg)
     eps_split = float(cfg["controller"]["eps_split"])
     eps_tilde = float(cfg["controller"]["eps_tilde"])
 
@@ -385,7 +379,7 @@ def _run_constants(cfg, outdir, h):
         "rho_one": _try(op.convection_rate, params.mu, params.beta, params.r, 1.0),
         "K1": st.uniqueness_K1(params.beta, params.gamma, params.r, params.q),
         "K2": st.uniqueness_K2(params.beta, params.gamma, params.r, params.q),
-        "gamma0": gk.quadratic_gamma0(L, d),
+        "gamma0": gk.quadratic_gamma0(grid.L, grid.d),
         "c_min": th["c_min"] if th else None,
     }
     return body, {}, []

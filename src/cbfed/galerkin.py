@@ -24,7 +24,10 @@ exactly.  At the defaults (r = 5, B = 1) that is 8^d nodes instead of the
 spectra (sp.sample), which holds them exactly since B < quad_N/2.  A
 nonzero equilibrium is not held in the span, so it keeps the damping grid
 damping_factor N, as does a fractional or even exponent; the tensors are
-then bitwise those of the oversampled nodes.
+then bitwise those of the oversampled nodes.  The grid is the one thing
+that reads whether y_e = 0: every other step runs the same at any
+equilibrium, and at y_e = 0 its samples _Yf, its gradient and its pairings
+are exact zeros.
 
 The input coupling is read off the controller's images Leray(mask w_j), taken
 once on the base grid where the physical-space controller pairs: Bmat holds
@@ -39,8 +42,8 @@ constants of the reduction.  At y_e = 0 it is exact to roundoff in the
 pairing.  Otherwise the subtraction leaves an absolute floor of about
 10 eps max|(C(y_e), w_k)|, which for small |v| is many orders below |L v|.
 
-assemble_reduction runs one mode at a time: each mode is sampled into its
-row of _Wf, each mode gradient lives only while its column of the
+assemble_reduction samples the span's stacked spectra into _Wf with one
+sp.sample; then each mode gradient lives only while its column of the
 quadratic tensor and its row of the linearized convection are taken, and
 the damping derivative, its powers of |y_e| taken once per term, is paired
 one mode at a time.  So the only n-mode array on the quadrature grid is
@@ -84,28 +87,28 @@ class GalerkinReduction:
     g1: np.ndarray            # (n, n, n), b(w_i, w_j, w_k) with k the output index
     Bmat: np.ndarray          # (n, n), input coupling (m w_j, w_k)
     quad_N: int               # nodes per axis of the quadrature grid (op.span_nodes at 0)
-    span: cx.SpanConstraint = dc_field(repr=False, default=None)  # the stacked modes
-    _images: np.ndarray = dc_field(repr=False, default=None)  # Leray(m w_j), stacked spectra
-    _Wf: np.ndarray = dc_field(repr=False, default=None)   # mode samples on the quad_N grid
-    _Yf: np.ndarray = dc_field(repr=False, default=None)   # equilibrium there; None at 0
-    _c_ref: np.ndarray = dc_field(repr=False, default=None)  # (C(y_e), w_k)
-    _D: np.ndarray = dc_field(repr=False, default=None)      # (C'(y_e) w_i, w_k), i the row
+    span: cx.SpanConstraint = dc_field(repr=False)  # the stacked modes
+    _images: np.ndarray = dc_field(repr=False)  # Leray(m w_j), stacked spectra
+    _Wf: np.ndarray = dc_field(repr=False)      # mode samples on the quad_N grid
+    _Yf: np.ndarray = dc_field(repr=False)      # equilibrium there, zeros at y_e = 0
+    _c_ref: np.ndarray = dc_field(repr=False)   # (C(y_e), w_k)
+    _D: np.ndarray = dc_field(repr=False)       # (C'(y_e) w_i, w_k), i the row
 
     def __post_init__(self):
         # views the reduced right-hand side reads on every call, rebuilt
         # whenever dataclasses.replace swaps the arrays they are read off
         n = self.n
         self._g1_flat = self.g1.reshape(n, n * n)     # g1[i, (j, k)]
-        self._W_flat = None if self._Wf is None else self._Wf.reshape(n, -1)
+        self._W_flat = self._Wf.reshape(n, -1)
         self._cell_f = (self.grid.L / self.quad_N) ** self.grid.d
 
 
 def assemble_reduction(y_e, n, params, mask=None):
     """Project the linearization about y_e onto the first n eigenmodes.
 
-    The modes are sampled on the quad_N grid.  The assembly runs one mode at
-    a time, so the only n-mode array it holds on that grid is _Wf, the mode
-    samples the reduction keeps.
+    The modes are sampled on the quad_N grid, all at once.  The rest of the
+    assembly runs one mode at a time, so the only n-mode array it holds on
+    that grid is _Wf, the mode samples the reduction keeps.
     """
     g = y_e.grid
     m = np.ones(g.shape) if mask is None else mask
@@ -118,40 +121,32 @@ def assemble_reduction(y_e, n, params, mask=None):
     lam = np.array([mode.eigenvalue - 1.0 for mode in modes])
     d = g.d
     span = cx.SpanConstraint(modes)
-    nonzero_eq = bool(np.any(y_e.c))
-    M = params.damping_factor * g.N if nonzero_eq else op.span_nodes(params, g, span.bandwidth)
+    # op.span_nodes is exact only for a state held in the span: y_e = 0
+    M = params.damping_factor * g.N if np.any(y_e.c) else op.span_nodes(params, g, span.bandwidth)
     cell_f = (g.L / M) ** d
 
     def gradient(a):    # nodal values of all partials of a on the M grid
         return sp.sample(g.ik[:, None] * a.c[None], g, M).reshape(d, d, -1)
 
-    Wf = np.empty((n, d) + (M,) * d)
-    for j, mode in enumerate(modes):
-        sp.sample(mode.field.c, g, M, out=Wf[j])
-    Wf_ = Wf.reshape(n, d, -1)
+    Wf_ = sp.sample(span.spectra, g, M).reshape(n, d, -1)
     Yf_ = sp.sample(y_e.c, g, M).reshape(d, -1)
 
     # g1[i, j, k] = b(w_i, w_j, w_k); linearized convection
-    # h1[i, k] = b(w_i, y_e, w_k) + b(y_e, w_i, w_k), zero at y_e = 0.
+    # h1[i, k] = b(w_i, y_e, w_k) + b(y_e, w_i, w_k), exact zeros at y_e = 0.
     # Each gradient is dropped once its einsums are taken, before the next.
     g1 = np.empty((n, n, n))
-    h1 = np.zeros((n, n))
-    if nonzero_eq:
-        DYf_ = gradient(y_e)
-        h1 += np.einsum("iax,abx,kbx->ik", Wf_, DYf_, Wf_)
-        del DYf_
+    h1 = np.einsum("iax,abx,kbx->ik", Wf_, gradient(y_e), Wf_)
     for j, mode in enumerate(modes):
         D_j = gradient(mode.field)
         g1[:, j] = np.einsum("iax,abx,kbx->ik", Wf_, D_j, Wf_)
-        if nonzero_eq:
-            h1[j] += np.einsum("ax,abx,kbx->k", Yf_, D_j, Wf_)
+        h1[j] += np.einsum("ax,abx,kbx->k", Yf_, D_j, Wf_)
         del D_j
     g1 *= cell_f
     h1 *= cell_f
     # linearized damping: beta (C_r'(y_e) w_i, w_k) + gamma (C_q'(y_e) w_i, w_k),
     # with the powers of |y_e| taken once per term
     h2 = np.zeros((n, n))
-    W_flat = Wf.reshape(n, -1)
+    W_flat = Wf_.reshape(n, -1)
     for coef, p in params.damping_terms:
         kernel = op.damping_derivative(Yf_, p)
         for i in range(n):
@@ -169,8 +164,7 @@ def assemble_reduction(y_e, n, params, mask=None):
     return GalerkinReduction(
         grid=g, params=params, y_e=y_e, n=n, mask=m, modes=modes, lam=lam,
         Lmat=Lmat, g1=g1, Bmat=Bmat, quad_N=M,
-        span=span, _images=images, _Wf=Wf_,
-        _Yf=Yf_ if nonzero_eq else None,
+        span=span, _images=images, _Wf=Wf_, _Yf=Yf_,
         _c_ref=_damping_pairing(Yf_.copy(), Wf_, params.damping_terms, cell_f), _D=h2,
     )
 
@@ -201,25 +195,30 @@ def nonlinear_term(red, v):
     The first pairing is taken on the precomputed quadrature nodes: z there
     is one matmul of v with the modes flattened to (n, d X), |z|^2 one
     einsum, and the pairing one matmul with them again.  The other two are
-    the run constants _c_ref and v @ _D.  At y_e = 0 (no _Yf) nothing is
-    added to z.  v may carry batch axes.
+    the run constants _c_ref and v @ _D.  v may carry batch axes.
     """
     v = np.asarray(v, dtype=float)
     A = (v @ red._W_flat).reshape(v.shape[:-1] + red._Wf.shape[1:])
-    if red._Yf is not None:
-        A += red._Yf
+    A += red._Yf
     paired = _damping_pairing(A, red._W_flat, red.params.damping_terms, red._cell_f)
     return paired - red._c_ref - v @ red._D
 
 
 def controllability_rank(Lmat, Bmat):
-    """Numerical rank of the Kalman matrix [B, LB, ..., L^{n-1}B]."""
+    """Numerical rank of the Kalman matrix [B, LB, ..., L^{n-1}B].
+
+    Raises SolverDivergence where the powers of L leave the float range.
+    """
     n = Lmat.shape[0]
     blocks, cur = [], np.asarray(Bmat, dtype=float)
-    for _ in range(n):
-        blocks.append(cur)
-        cur = Lmat @ cur
-    return int(np.linalg.matrix_rank(np.hstack(blocks), rtol=n * 1e-12))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
+        for _ in range(n):
+            blocks.append(cur)
+            cur = Lmat @ cur
+    kalman = np.hstack(blocks)
+    if not np.all(np.isfinite(kalman)):
+        raise SolverDivergence(f"Kalman matrix not finite at max|L| = {np.max(np.abs(Lmat)):.3g}")
+    return int(np.linalg.matrix_rank(kalman, rtol=n * 1e-12))
 
 
 @dataclass
@@ -419,7 +418,7 @@ def run_galerkin_loop(red, sigma, v0, sim):
     )
     fit_reduced, _ = decay_rate_fit(t_r, np.linalg.norm(V, axis=-1))
     traj = ts.simulate(replace(
-        sim, y0=red.span.expand(v0), y_ref=red.y_e if sp.norm_H(red.y_e) > 0 else None,
+        sim, y0=red.span.expand(v0), y_ref=red.y_e if np.any(red.y_e.c) else None,
         controller=make_galerkin_controller(red, gs.G),
         constraint=red.span, constraint_mode="project",
         control_bound=float(np.linalg.norm(gs.G, 2)),

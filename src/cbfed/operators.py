@@ -32,8 +32,9 @@ too), the stationary solve its whole right-hand side, and power_damping its
 result.  The derivative C_p'(y) z has one kernel too, damping_derivative,
 shared by gateaux_first and galerkin.assemble_reduction; it takes the powers
 of |y| once and then serves any number of directions.  Its powers of |y|
-follow _pow0: |y|^0 = 1, so C_1' = P needs no branch, and a negative power
-is 0 where y = 0.  power_damping evaluates a single term on its own grid.
+follow _pow0: |y|^0 = 1, 0^0 included, so C_1' = P needs no branch, and a
+negative power is 0 where y = 0.  power_damping evaluates a single term on
+its own grid.
 
 explicit_term is the one right-hand side f - B~ - beta C~_r - gamma C~_q of
 the time stepper and the stationary solve, the one holder of the damping
@@ -106,13 +107,10 @@ class PhysicalParams:
 def _pow0(base: np.ndarray, expo: float) -> np.ndarray:
     """base**expo for base >= 0, elementwise, with 0**e = 0 for e < 0.
 
-    For e = 0 it is the scalar np.float64(1.0), so |y|^0 = 1 everywhere
-    (C_1' = P) and a zero exponent costs no pass over the array.
+    For e = 0 it is base**0 = 1 everywhere, 0**0 included (C_1' = P).
     """
-    if expo > 0.0:
+    if expo >= 0.0:
         return base**expo
-    if expo == 0.0:
-        return np.float64(1.0)
     out = np.zeros_like(base)
     nz = base > 0
     out[nz] = base[nz] ** expo
@@ -379,7 +377,8 @@ def convection_rate(mu: float, beta: float, r: float, eps: float) -> float:
     """Convection rate absorbed by the eps-weighted damping; inf just above r = 3."""
     if not (r > 3):
         raise RegimeError("convection absorption constant requires r > 3")
-    return young_constant(1.0, 2.0, eps * beta * mu / 2, r - 1) / (2 * mu)
+    with np.errstate(over="ignore"):    # inf at a tiny mu; the certificates refuse it
+        return young_constant(1.0, 2.0, eps * beta * mu / 2, r - 1) / (2 * mu)
 
 
 def _pumping_weight(gamma: float, q: float) -> float:

@@ -423,6 +423,20 @@ def test_gain_synthesis_overflow_is_solver_divergence(tmp_path, capsys):
     assert "gain synthesis overflowed" in capsys.readouterr().err
 
 
+# alpha = 1e200: the powers of L in the Kalman matrix leave the float range,
+# and the rank of what is left is no answer
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment", ["reduce", "stabilize-galerkin"])
+def test_kalman_overflow_is_solver_divergence(tmp_path, capsys, experiment):
+    out = tmp_path / "o"
+    argv = [experiment, "--set", "grid.N=8", "--set", "params.alpha=1e200",
+            "--output-dir", str(out)]
+    assert cli.main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: Kalman matrix not finite at max|L| = 1e+200"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_reduced_divergence_is_one_stderr_line(tmp_path, capfd):
     # a child interpreter, so numpy's RuntimeWarnings would reach stderr as they do
     # for a user; the guard's SolverDivergence is the one line printed
@@ -558,6 +572,33 @@ def test_constants_overflow_is_regime_violation(tmp_path, capsys):
         assert cli.main(args) == 4
 
 
+# mu = 1e-300: the convection rate 1/(2 mu) times its Young bound is inf,
+# which the certificates refuse; no RuntimeWarning may precede that line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment, message", [
+    ("constants", "error: closed-form constants not finite at r=5, q=2: conv_rate, "
+                  "threshold_rate, eta_conv, shift_rate, growth_rate, energy_rate"),
+    ("stabilize-theta", "error: theta threshold c_min is not finite at r=5, q=2"),
+], ids=["constants", "theta"])
+def test_tiny_viscosity_is_regime_violation(tmp_path, capsys, experiment, message):
+    argv = [experiment, "--set", "params.mu=1e-300", "--set", "grid.N=8",
+            "--output-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+# constants builds its grid as every run does, so a bad grid key is a config
+# error naming it; it used to read grid.L and grid.d by hand, so L = 0 was a
+# ZeroDivisionError (exit 5) and the other three ran (exit 0)
+@pytest.mark.parametrize("item", ["grid.L=0", "grid.L=-1", "grid.d=5", "grid.N=3"])
+def test_constants_validates_the_grid(tmp_path, capsys, item):
+    out = tmp_path / "o"
+    assert cli.main(["constants", "--set", item, "--output-dir", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {item}:"), lines
+    assert not out.exists() or not any(out.iterdir())
+
+
 # every experiment that reads params (verify does not), at r just above 3,
 # where the convection rate leaves the float range, and at (r, q, gamma) =
 # (2000, 1500, -1), where 2^q does; stabilize-galerkin also at (1100, 4, -1),
@@ -612,6 +653,34 @@ def test_claim_above_the_linear_rate_is_refused(tmp_path, capsys, experiment, it
     assert lines == [f"error: claimed decay rate {claim} exceeds the linear rate {rate} "
                      f"of the loop at y_e = 0"]
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+# the other side of the oracle: a state small enough that the damping is
+# negligible decays at the linear rate l itself, alpha + theta + gamma[q = 1]
+# (theta) or nu + gamma[q = 1] (proportional), so its fit lies within 5% of
+# l; 3-d theta needs T = 6 for the mean mode, which decays at l, to dominate
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment, items", [
+    ("stabilize-theta", []),
+    ("stabilize-theta", ["params.q=1", "params.gamma=-0.1"]),
+    ("stabilize-theta", ["grid.d=3", "integrator.T=6"]),
+    ("stabilize-proportional", ["mask.boxes=[[[0.785,6.28],[0.0,6.28]]]"]),
+    ("stabilize-proportional", ["grid.d=3", "mask.boxes=[[[0.785,6.28],[0.0,6.28],[0.0,6.28]]]"]),
+], ids=["theta", "theta-q1", "theta-d3", "proportional", "proportional-d3"])
+def test_small_state_decays_at_the_linear_rate(tmp_path, experiment, items):
+    out = tmp_path / "o"
+    argv = [experiment, "--output-dir", str(out)]
+    for item in ["grid.N=8", "initial.amplitude=1e-4", *items]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    rep = load_report(only_run_dir(out))
+    p = rep["config"]["params"]
+    if experiment == "stabilize-theta":
+        rate = p["alpha"] + rep["report"]["theta"]
+    else:
+        rate = rep["extra"]["nu"]
+    rate += p["gamma"] if p["q"] == 1 else 0.0
+    assert abs(rep["report"]["delta_fit"] / rate - 1) < 0.05, (rep["report"]["delta_fit"], rate)
 
 
 def test_non_positive_claim_is_refused(tmp_path, capsys):

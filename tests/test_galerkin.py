@@ -224,7 +224,9 @@ def test_zero_equilibrium_pairs_exactly_on_a_smaller_grid(r, q, gamma, d, n):
     assert np.max(np.abs(red.g1 - g1)) <= 1e-13 * g1_bound
     for got, want in ((red.Lmat, Lmat), (red._D, h2), (red._c_ref, c_ref)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    on_damping_grid = dataclasses.replace(red, _Wf=Wf_, quad_N=full, _D=h2, _c_ref=c_ref)
+    on_damping_grid = dataclasses.replace(
+        red, _Wf=Wf_, _Yf=np.zeros_like(Wf_[0]), quad_N=full, _D=h2, _c_ref=c_ref
+    )
     rng = np.random.default_rng(101)
     for size in (1e-3, 1.0, 10.0):
         v = size * rng.standard_normal((3, n))
@@ -611,17 +613,16 @@ def test_nonlinear_term_bitwise_matches_earlier_contractions(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_nonlinear_term_zero_equilibrium_matches_general_path(d):
-    # at y_e = 0 the reduction keeps no oversampled equilibrium, and the
-    # y_e terms drop out; the general path with explicit zeros agrees
+    # at y_e = 0 the reduction holds the equilibrium as zeros on its quadrature
+    # grid, and the one path adds them: bitwise the earlier contractions
     g = sp.TorusGrid(d=d, N=16 if d == 2 else 8)
     p = op.PhysicalParams(mu=1.0, alpha=0.1, beta=0.8, gamma=-0.4, r=5, q=3)
     red = gk.assemble_reduction(sp.SpectralField.zero(g), 8, p)
-    assert red._Yf is None
-    general = dataclasses.replace(red, _Yf=np.zeros_like(red._Wf[0]))
+    assert red._Yf.shape == red._Wf.shape[1:] and not np.any(red._Yf)
     V = 0.5 * np.random.default_rng(89).standard_normal((5, 8))
-    assert _rel_diff(gk.nonlinear_term(red, V), gk.nonlinear_term(general, V)) < 1e-14
+    assert np.array_equal(gk.nonlinear_term(red, V), _nonlinear_term_earlier(red, V))
     for v in V:
-        assert _rel_diff(gk.nonlinear_term(red, v), gk.nonlinear_term(general, v)) < 1e-14
+        assert np.array_equal(gk.nonlinear_term(red, v), _nonlinear_term_earlier(red, v))
 
 
 def test_nonlinear_term_exponents_use_own_rules():
