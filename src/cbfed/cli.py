@@ -209,7 +209,7 @@ def _setup(cfg):
 def _build_field(spec: dict, grid: sp.TorusGrid, seed: int, what: str):
     kind = spec["kind"]
     if kind == "zero":
-        return None
+        return sp.SpectralField.zero(grid)
     if kind == "random":
         decay = float(spec["decay"])
         try:
@@ -266,30 +266,23 @@ def _build_mask(cfg, grid):
 
 
 def _states(cfg, grid, params, seeds, initial=True):
-    """(initial state, forcing, reference state) of a run.
+    """(initial state, forcing, reference state) of a run, all fields.
 
-    The initial state is the zero field for kind 'zero', and None when
-    `initial` is false (the section is then not read).  A solved equilibrium
-    absorbs the forcing: the shifted dynamics around it sees none.
+    The initial state is None when `initial` is false (the section is then
+    not read).  The reference state is the zero field for kind 'zero' and
+    the converged stationary solve for kind 'solve', which absorbs the
+    forcing: the shifted dynamics around it sees a zero one.  ts.SimConfig
+    alone decides whether a reference state is y_e = 0.
     """
-    y0 = None
-    if initial:
-        y0 = _build_field(cfg["initial"], grid, seeds["initial"], "initial")
-        if y0 is None:
-            y0 = sp.SpectralField.zero(grid)
+    y0 = _build_field(cfg["initial"], grid, seeds["initial"], "initial") if initial else None
     forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
     kind = cfg["equilibrium"]["kind"]
     if kind == "zero":
-        return y0, forcing, None
+        return y0, forcing, sp.SpectralField.zero(grid)
     if kind == "solve":
-        return y0, None, _stationary(grid, params, forcing)[0].field
+        y_e = st.solve_stationary(grid, params, forcing).field
+        return y0, sp.SpectralField.zero(grid), y_e
     raise ConfigError(f"unknown equilibrium kind {kind!r}")
-
-
-def _stationary(grid, params, forcing):
-    """Converged stationary solve for a forcing (zero when None), and that forcing."""
-    f = forcing if forcing is not None else sp.SpectralField.zero(grid)
-    return st.solve_stationary(grid, params, f), f
 
 
 def _sim_config(cfg, grid, params, seeds, initial=True) -> ts.SimConfig:
@@ -387,8 +380,8 @@ def _run_constants(cfg, outdir, h):
 
 def _run_stationary(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
-    forcing = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
-    res, f = _stationary(grid, params, forcing)
+    f = _build_field(cfg["forcing"], grid, seeds["forcing"], "forcing")
+    res = st.solve_stationary(grid, params, f)
     body = {
         "residual": float(res.residual),
         "iterations": int(res.iterations),
@@ -494,8 +487,7 @@ def _run_eigen(cfg, outdir, h):
 def _run_reduce(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
     mask = _build_mask(cfg, grid)
-    _, _, y_ref = _states(cfg, grid, params, seeds, initial=False)
-    y_e = y_ref if y_ref is not None else sp.SpectralField.zero(grid)
+    _, _, y_e = _states(cfg, grid, params, seeds, initial=False)
     red = gk.assemble_reduction(y_e, int(cfg["controller"]["n"]), params, mask=mask)
     rank = gk.controllability_rank(red.Lmat, red.Bmat)
     np.savez(

@@ -99,13 +99,17 @@ def pointwise_decay_ok(times, norms, delta):
 def _closed_loop(sim, delta_claim, linear_rate):
     """Simulate one closed loop, fit its decay and check the claim and the constraint.
 
-    A claim at or below 0 certifies no decay, whatever the run does, so it
-    is refused before stepping.  At y_e = 0 (no reference state) a small
+    A run from zero has no decay to fit, and a claim at or below 0 certifies
+    no decay, whatever the run does, so both are refused before stepping.
+    At y_e = 0 (y_ref None, as ts.SimConfig makes an all-zero one) a small
     state decays no faster than the linear rate, linear_rate + gamma [q = 1]
     (C_r'(0) = 0, C_q'(0) = [q = 1] P), so a claim above it is refused too.
     A solved equilibrium's linearization is not symmetric; a claim around
     one is checked for its sign only.
     """
+    if not np.any(sim.y0.c):
+        raise ConfigError("the loop starts at zero, which leaves no decay to fit; "
+                          "start it off zero with initial.kind and initial.amplitude")
     if not delta_claim > 0:
         raise RegimeError(f"claimed decay rate {delta_claim:.6g} is not positive: "
                           "the loop certifies no decay")

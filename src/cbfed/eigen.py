@@ -58,11 +58,9 @@ def box_indicator(grid: sp.TorusGrid, boxes) -> np.ndarray:
 
 
 def apply_Ak(y: sp.SpectralField, k_gain: float, mask, mu: float, alpha: float):
-    """Damped Stokes operator plus the gain-weighted masked coupling."""
-    out = mu * sp.stokes(y) + alpha * y
-    if k_gain != 0.0:
-        out = out + k_gain * sp.masked_leray(mask, y)
-    return out
+    """Damped Stokes operator plus the gain-weighted masked coupling, which
+    is an exact zero at k = 0."""
+    return mu * sp.stokes(y) + alpha * y + k_gain * sp.masked_leray(mask, y)
 
 
 # LOBPCG iterations before giving up; 3-d N=12 at k=800 needs ~1400

@@ -343,7 +343,8 @@ def growth_constants(red, sigma):
 def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None):
     """Classical RK4 on the reduced ODE; v0 may be (n,) or a batch (B, n).
 
-    Returns (times, V) with V[j] the state at times[j].
+    Returns (times, V) with V[j] the state at times[j].  A step count above
+    ts.MAX_STEPS is a ConfigError before any step.
     """
     v = np.asarray(v0, dtype=float).copy()
     if warn_radius is not None:
@@ -359,6 +360,7 @@ def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None
     def rhs(u):
         return u @ lin_t - quadratic_term(red, u) - nonlinear_term(red, u)
 
+    ts.check_step_count(T, dt)
     nsteps = max(1, int(round(T / dt)))
     guard = 1e6 * max(1.0, float(np.max(np.abs(v))))
     times, states = [0.0], [v.copy()]
@@ -404,8 +406,16 @@ def run_galerkin_loop(red, sigma, v0, sim):
 
     The full loop is `sim` started at red.span.expand(v0), shifted around the
     reduction's equilibrium and projected onto red.span; the reduced model
-    steps at dt/4 (2e-3 when sim.dt is None).
+    steps at dt/4 (2e-3 when sim.dt is None).  A zero v0, which has no decay
+    to fit, and a step count of either loop above ts.MAX_STEPS are refused
+    before any stepping.
     """
+    if not np.any(v0):
+        raise ConfigError("the loop starts at zero, which leaves no decay to fit; "
+                          "set a nonzero controller.v0_scale")
+    full = replace(sim, y0=red.span.expand(v0), y_ref=red.y_e,
+                   constraint=red.span, constraint_mode="project")
+    ts.step_size(full)
     gs = synthesize_gain(red.Lmat, red.Bmat, sigma)
     try:
         gc = growth_constants(red, sigma)
@@ -418,9 +428,7 @@ def run_galerkin_loop(red, sigma, v0, sim):
     )
     fit_reduced, _ = decay_rate_fit(t_r, np.linalg.norm(V, axis=-1))
     traj = ts.simulate(replace(
-        sim, y0=red.span.expand(v0), y_ref=red.y_e if np.any(red.y_e.c) else None,
-        controller=make_galerkin_controller(red, gs.G),
-        constraint=red.span, constraint_mode="project",
+        full, controller=make_galerkin_controller(red, gs.G),
         control_bound=float(np.linalg.norm(gs.G, 2)),
     ))
     fit_full, _ = decay_rate_fit(traj.t, traj.norm_H)

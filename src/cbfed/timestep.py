@@ -38,10 +38,18 @@ from .errors import ConfigError, RegimeError, SolverDivergence
 COLUMNS = ("t", "norm_H", "norm_gradH", "norm_V", "norm_Lr1", "dist_K", "norm_u", "energy_defect")
 
 _BLOWUP_FACTOR = 1e6
+# far more steps than any experiment takes (the benchmark workloads take at
+# most 1800): a count above it is refused before stepping, not run for days
+MAX_STEPS = 10**7
 
 
 @dataclass
 class SimConfig:
+    """The settings of one run.  A y_ref whose coefficients are all zero is
+    dropped to None, so "y_e = 0" has one reader: the unshifted explicit
+    term, default_dt and the loops' linear-rate oracle all see y_ref is None.
+    """
+
     grid: sp.TorusGrid
     params: op.PhysicalParams
     y0: sp.SpectralField | None        # None only until a loop sets its own
@@ -73,6 +81,8 @@ class SimConfig:
             raise ConfigError(f"time step dt={self.dt:g} does not divide T={self.T:g}")
         if not (self.record_every >= 1):
             raise ConfigError("record_every must be at least 1")
+        if self.y_ref is not None and not np.any(self.y_ref.c):
+            self.y_ref = None
 
 
 def write_csv(path, columns, rows, comment=None) -> None:
@@ -115,16 +125,27 @@ def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) ->
     return dt
 
 
+def check_step_count(T: float, dt: float) -> None:
+    """A ConfigError if stepping to T at dt takes more than MAX_STEPS steps."""
+    if not T / dt <= MAX_STEPS:
+        raise ConfigError(f"T={T:g} at dt={dt:.3g} takes {T / dt:.3g} steps, more than "
+                          f"{MAX_STEPS:.0e}; raise integrator.dt or lower integrator.T")
+
+
 def step_size(cfg: SimConfig) -> float:
     """cfg.dt, or else T over the fewest equal steps no longer than default_dt
     (the 1e-12 keeps an exact T/default_dt from gaining a step by roundoff);
-    a ConfigError if default_dt is not positive or T/default_dt is not finite."""
+    a ConfigError if default_dt is not positive or T/default_dt is not finite,
+    and if the step count exceeds MAX_STEPS."""
     if cfg.dt is not None:
-        return cfg.dt
-    cap = default_dt(cfg.grid, cfg.params, cfg.y0, cfg.y_ref)
-    if not (cap > 0 and np.isfinite(cfg.T / cap)):
-        raise ConfigError(f"no default step for T={cfg.T:g} (got {cap:g}); set integrator.dt")
-    return cfg.T / np.ceil(cfg.T / cap * (1 - 1e-12))
+        dt = cfg.dt
+    else:
+        cap = default_dt(cfg.grid, cfg.params, cfg.y0, cfg.y_ref)
+        if not (cap > 0 and np.isfinite(cfg.T / cap)):
+            raise ConfigError(f"no default step for T={cfg.T:g} (got {cap:g}); set integrator.dt")
+        dt = cfg.T / np.ceil(cfg.T / cap * (1 - 1e-12))
+    check_step_count(cfg.T, dt)
+    return dt
 
 
 def energy_defects(t, h, gh, lr1, params, forcing_norm, control_bound) -> np.ndarray:

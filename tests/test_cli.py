@@ -514,6 +514,26 @@ def test_huge_even_norm_exponent_returns(tmp_path):
     assert proc.returncode in (0, 2), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "params.mu=1e300", "integrator.T=0.05"],         # default dt about 1e-302
+    ["simulate", "integrator.dt=1e-300", "integrator.T=1e-290"],  # 1e10 steps
+    ["simulate", "integrator.T=1e300"],
+    ["stabilize-theta", "integrator.T=1e300"],
+    ["stabilize-galerkin", "integrator.T=1e7"],  # the reduced RK4 alone: 5e9 steps
+], ids=["tiny-default-dt", "tiny-dt", "simulate-huge-T", "theta-huge-T", "galerkin-huge-T"])
+def test_step_count_above_the_cap_is_refused(tmp_path, argv):
+    # each of these once stepped for days; in a child, so that a regression
+    # fails by timeout instead of hanging the suite
+    cmd = [sys.executable, "-m", "cbfed.cli", argv[0], "--output-dir", str(tmp_path / "o")]
+    for item in ["grid.N=8", *argv[1:]]:
+        cmd += ["--set", item]
+    proc = subprocess.run(cmd, env=_cli_env(), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "integrator.dt" in lines[0] and "integrator.T" in lines[0], lines
+
+
 @pytest.mark.parametrize("experiment, n", [("reduce", 500), ("stabilize-galerkin", 0)])
 def test_controller_n_out_of_range_is_config_error(tmp_path, capsys, experiment, n):
     out = tmp_path / "o"
@@ -639,11 +659,17 @@ def test_constant_beyond_float_range_is_refused_or_reported(
 # y_e = 0 claim more than the linear rate there, alpha + theta + gamma (theta)
 # or nu + gamma (proportional), so each run is refused before it steps
 @pytest.mark.filterwarnings("error")
+# at zero forcing a solved equilibrium is exactly zero, so it is y_e = 0 too
 @pytest.mark.parametrize("experiment, items, claim, rate", [
     ("stabilize-theta", ["grid.N=16", "integrator.T=2"], "0.225", "-2.25"),
     ("stabilize-proportional", ["grid.N=16", "mask.boxes=[[[0.785,6.28],[0.0,6.28]]]",
                                 "initial.amplitude=0.1", "integrator.T=1"], "4.42063", "2.16181"),
-], ids=["theta", "proportional"])
+    ("stabilize-theta", ["grid.N=16", "integrator.T=2", "equilibrium.kind=solve"],
+     "0.225", "-2.25"),
+    ("stabilize-proportional", ["grid.N=16", "mask.boxes=[[[0.785,6.28],[0.0,6.28]]]",
+                                "initial.amplitude=0.1", "integrator.T=1",
+                                "equilibrium.kind=solve"], "4.42063", "2.16181"),
+], ids=["theta", "proportional", "theta-solved-zero", "proportional-solved-zero"])
 def test_claim_above_the_linear_rate_is_refused(tmp_path, capsys, experiment, items, claim, rate):
     argv = [experiment, "--output-dir", str(tmp_path / "o")]
     for item in ["params.q=1", "params.gamma=-5", *items]:
@@ -697,6 +723,33 @@ def test_non_positive_claim_is_refused(tmp_path, capsys):
     assert lines == ["error: claimed decay rate -89.6926 is not positive: "
                      "the loop certifies no decay"]
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("experiment, items, key", [
+    ("stabilize-theta", ["initial.kind=zero"], "initial.kind"),
+    ("stabilize-proportional", ["initial.amplitude=0", "mask.boxes=[[[0.785,6.28],[0.0,6.28]]]"],
+     "initial.amplitude"),
+    ("stabilize-galerkin", ["controller.v0_scale=0"], "controller.v0_scale"),
+], ids=["theta", "proportional", "galerkin"])
+def test_loop_from_zero_is_refused(tmp_path, capsys, experiment, items, key):
+    # a zero start has no decay to fit; it used to step to T before a fit
+    # error that named no key
+    argv = [experiment, "--output-dir", str(tmp_path / "o")]
+    for item in ["grid.N=8", "integrator.T=0.1", *items]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the loop starts at zero"), lines
+    assert key in lines[0]
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_simulate_from_zero_runs(tmp_path):
+    out = tmp_path / "o"
+    argv = ["simulate", "--set", "grid.N=8", "--set", "initial.kind=zero",
+            "--set", "integrator.T=0.1", "--output-dir", str(out)]
+    assert cli.main(argv) == 0
+    assert load_report(only_run_dir(out))["report"]["final_norm_H"] == 0.0
 
 
 def test_constants_uniqueness_overflow_reports_null(tmp_path):

@@ -185,6 +185,19 @@ def test_record_every_below_one_rejected(record_every):
         )
 
 
+def test_all_zero_reference_state_is_dropped():
+    # "y_e = 0" has one reader: an all-zero y_ref becomes None, a nonzero one
+    # stays, also when dataclasses.replace builds the config anew
+    g = grid2()
+    y_e = shear_mode(g)
+    cfg = ts.SimConfig(grid=g, params=smooth_params(), y0=shear_mode(g), T=1.0,
+                       y_ref=sp.SpectralField.zero(g))
+    assert cfg.y_ref is None
+    assert replace(cfg, y_ref=y_e).y_ref is y_e
+    assert replace(replace(cfg, y_ref=y_e), y_ref=0.0 * y_e).y_ref is None
+    assert replace(replace(cfg, y_ref=y_e), T=2.0).y_ref is y_e
+
+
 @pytest.mark.parametrize("scheme", ["imex1", "cnab2"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_one_controller_call_per_state(d, scheme, monkeypatch):
