@@ -395,15 +395,14 @@ def _run_stationary(cfg, outdir, h):
 def _run_simulate(cfg, outdir, h):
     grid, params, seeds = _setup(cfg)
     sim = _sim_config(cfg, grid, params, seeds)
-    dt = ts.step_size(sim)
     traj = ts.simulate(sim)
     traj.to_csv(outdir / "trajectory.csv", f"config_hash={h}")
     sp.write_snapshot(traj.final, outdir / "final.cbfd")
     body = {
         "scheme": sim.scheme,
         "T": sim.T,
-        "dt": dt,
-        "steps": int(round(traj.t[-1] / dt)),
+        "dt": sim.step,
+        "steps": sim.nsteps,
         "final_norm_H": float(traj.norm_H[-1]),
         "max_energy_defect": float(np.max(traj.energy_defect)),
     }

@@ -4,6 +4,11 @@ Two of the three stabilizers live here: the plain damping feedback
 u = -theta * z (with the threshold constant that certifies a decay rate)
 and the localized proportional feedback u = -k * P(indicator * z).  The
 finite-dimensional Galerkin feedback has its own module.
+
+A loop's decay is read off a least-squares fit over the last half of its
+run (decay_rate_fit); check_fit_window refuses, before any stepping, a time
+grid that would record only the final state there, from the same window
+rule (_window_start).
 """
 from __future__ import annotations
 
@@ -68,16 +73,37 @@ def make_proportional_controller(k_gain, mask):
     return controller
 
 
+def _window_start(t_first, t_last):
+    """First time of the fit window: the last _FIT_WINDOW fraction of
+    [t_first, t_last], less a 1e-12 slack for the roundoff of m * dt."""
+    return t_last - _FIT_WINDOW * (t_last - t_first) - 1e-12
+
+
+def check_fit_window(dt, nsteps, every):
+    """A ConfigError unless a run of nsteps steps of dt, recorded at every
+    multiple of `every` and at its last step, records two states in the fit
+    window: the last one, and the last recorded below it, at step
+    every * ((nsteps - 1) // every).  decay_rate_fit reads the same window
+    off the same times, so the two cannot disagree."""
+    last = every * ((nsteps - 1) // every)
+    if last * dt < _window_start(0.0, nsteps * dt):
+        raise ConfigError(
+            f"{nsteps} step(s) of {dt:.3g}, recorded every {every}, leave only the final state "
+            f"in the fit window (the last {_FIT_WINDOW:.0%} of the run), and a decay fit needs "
+            "two; raise integrator.T, or lower integrator.dt or integrator.record_every"
+        )
+
+
 def decay_rate_fit(times, norms):
     """Least-squares exponential rate over the trailing part of a norm history.
 
-    Fits -log(norms) = a + delta * t on samples with t in the last
-    _FIT_WINDOW fraction of the time span.  Returns (delta, r_squared).
+    Fits -log(norms) = a + delta * t on the positive samples in the last
+    _FIT_WINDOW fraction of the time span (_window_start).  Returns
+    (delta, r_squared).
     """
     t = np.asarray(times, dtype=float)
     h = np.asarray(norms, dtype=float)
-    t0 = t[-1] - _FIT_WINDOW * (t[-1] - t[0])
-    keep = (t >= t0 - 1e-12) & (h > 0)
+    keep = (t >= _window_start(t[0], t[-1])) & (h > 0)
     if np.count_nonzero(keep) < 2:
         raise ConfigError("not enough positive samples in the fit window")
     ts, ys = t[keep], -np.log(h[keep])
@@ -99,8 +125,10 @@ def pointwise_decay_ok(times, norms, delta):
 def _closed_loop(sim, delta_claim, linear_rate):
     """Simulate one closed loop, fit its decay and check the claim and the constraint.
 
-    A run from zero has no decay to fit, and a claim at or below 0 certifies
-    no decay, whatever the run does, so both are refused before stepping.
+    A run from zero has no decay to fit, a time grid that records one state
+    in the fit window leaves none to fit either (check_fit_window), and a
+    claim at or below 0 certifies no decay, whatever the run does, so all
+    three are refused before stepping.
     At y_e = 0 (y_ref None, as ts.SimConfig makes an all-zero one) a small
     state decays no faster than the linear rate, linear_rate + gamma [q = 1]
     (C_r'(0) = 0, C_q'(0) = [q = 1] P), so a claim above it is refused too.
@@ -110,6 +138,7 @@ def _closed_loop(sim, delta_claim, linear_rate):
     if not np.any(sim.y0.c):
         raise ConfigError("the loop starts at zero, which leaves no decay to fit; "
                           "start it off zero with initial.kind and initial.amplitude")
+    check_fit_window(sim.step, sim.nsteps, sim.record_every)
     if not delta_claim > 0:
         raise RegimeError(f"claimed decay rate {delta_claim:.6g} is not positive: "
                           "the loop certifies no decay")

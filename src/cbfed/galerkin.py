@@ -70,7 +70,7 @@ from . import convex as cx
 from . import operators as op
 from . import spectral as sp
 from . import timestep as ts
-from .controllers import decay_rate_fit
+from .controllers import check_fit_window, decay_rate_fit
 from .errors import ConfigError, RegimeError, SolverDivergence
 
 
@@ -343,8 +343,9 @@ def growth_constants(red, sigma):
 def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None):
     """Classical RK4 on the reduced ODE; v0 may be (n,) or a batch (B, n).
 
-    Returns (times, V) with V[j] the state at times[j].  A step count above
-    ts.MAX_STEPS is a ConfigError before any step.
+    Returns (times, V) with V[j] the state at times[j].  The grid is
+    ts.time_grid(T, dt): a dt that does not land on T, or a step count above
+    ts.MAX_STEPS, is a ConfigError before any step.
     """
     v = np.asarray(v0, dtype=float).copy()
     if warn_radius is not None:
@@ -360,8 +361,7 @@ def reduced_simulate(red, v0, T, dt, gain=None, record_every=1, warn_radius=None
     def rhs(u):
         return u @ lin_t - quadratic_term(red, u) - nonlinear_term(red, u)
 
-    ts.check_step_count(T, dt)
-    nsteps = max(1, int(round(T / dt)))
+    dt, nsteps = ts.time_grid(T, dt)
     guard = 1e6 * max(1.0, float(np.max(np.abs(v))))
     times, states = [0.0], [v.copy()]
     # a diverging state overflows inside the right-hand side; the guard after
@@ -405,17 +405,22 @@ def run_galerkin_loop(red, sigma, v0, sim):
     """Synthesize the gain, run reduced and full closed loops, report both fits.
 
     The full loop is `sim` started at red.span.expand(v0), shifted around the
-    reduction's equilibrium and projected onto red.span; the reduced model
-    steps at dt/4 (2e-3 when sim.dt is None).  A zero v0, which has no decay
-    to fit, and a step count of either loop above ts.MAX_STEPS are refused
-    before any stepping.
+    reduction's equilibrium and projected onto red.span, on the grid its
+    ts.SimConfig fixes.  The reduced model covers the same [0, T] on a grid
+    of the same rule, ts.time_grid: steps of sim.dt/4, or with sim.dt None T
+    over the fewest equal steps no longer than 2e-3.  A zero v0, which has no
+    decay to fit, a grid that records too little for a fit (check_fit_window)
+    and a step count above ts.MAX_STEPS, of either loop, are refused before
+    any stepping.
     """
     if not np.any(v0):
         raise ConfigError("the loop starts at zero, which leaves no decay to fit; "
                           "set a nonzero controller.v0_scale")
     full = replace(sim, y0=red.span.expand(v0), y_ref=red.y_e,
                    constraint=red.span, constraint_mode="project")
-    ts.step_size(full)
+    check_fit_window(full.step, full.nsteps, sim.record_every)
+    dt_r, nsteps_r = ts.time_grid(sim.T, None if sim.dt is None else sim.dt / 4, cap=2e-3)
+    check_fit_window(dt_r, nsteps_r, sim.record_every)
     gs = synthesize_gain(red.Lmat, red.Bmat, sigma)
     try:
         gc = growth_constants(red, sigma)
@@ -423,7 +428,7 @@ def run_galerkin_loop(red, sigma, v0, sim):
         gc = {"gamma0": None, "gamma1_or_2": None, "C4": None, "C5": None, "rho1": None}
     warn_radius = None if gc["rho1"] is None else gc["rho1"] / gs.M_hat
     t_r, V = reduced_simulate(
-        red, v0, T=sim.T, dt=sim.dt / 4 if sim.dt else 2e-3, gain=gs.G,
+        red, v0, T=sim.T, dt=dt_r, gain=gs.G,
         record_every=sim.record_every, warn_radius=warn_radius,
     )
     fit_reduced, _ = decay_rate_fit(t_r, np.linalg.norm(V, axis=-1))

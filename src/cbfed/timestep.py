@@ -13,11 +13,15 @@ every step (catching-up) or through its Yosida relaxation with parameter lam.
 Two schemes: backward Euler on the linear part with explicit everything else
 ("imex1"), and Crank-Nicolson / Adams-Bashforth 2 ("cnab2").
 
-`simulate` makes one pass per state m = 0..nsteps.  A pass with m > 0 first
-steps from the previous state, Leray-projects (once: the explicit term comes
-unprojected), applies the constraint and checks for blow-up (the initial
-state is not checked).  Every pass then
-evaluates the feedback and, through op.explicit_term, the explicit term
+Every run's time grid comes from time_grid, the one rule that turns T into
+a step and a step count; SimConfig fixes its own when it is built, and the
+Galerkin reduced model takes its grid from the same rule.
+
+`simulate` makes one pass per state m = 0..cfg.nsteps, at cfg.step.  A
+pass with m > 0 first steps from the previous state, Leray-projects (once:
+the explicit term comes unprojected), applies the constraint and checks for
+blow-up (the initial state is not checked).  Every pass then evaluates the
+feedback and, through op.explicit_term, the explicit term
 f - B~ - beta C~_r - gamma C~_q and the L^{r+1} norm from one sample, and
 records the state when m is a multiple of record_every or the last one.
 The final state, which no step uses, gets only its norm.  A project-mode
@@ -26,7 +30,7 @@ on to op.explicit_term, which picks the grids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +52,12 @@ class SimConfig:
     """The settings of one run.  A y_ref whose coefficients are all zero is
     dropped to None, so "y_e = 0" has one reader: the unshifted explicit
     term, default_dt and the loops' linear-rate oracle all see y_ref is None.
+
+    The run's time grid is fixed when the config is built: step and nsteps
+    are time_grid(T, dt), or with dt None time_grid capped at default_dt of
+    y0 and y_ref, so a grid no run can take is refused here.  They stay None
+    while neither dt nor y0 is known.  dataclasses.replace builds anew, so a
+    new y0 gets its own default step.
     """
 
     grid: sp.TorusGrid
@@ -64,6 +74,8 @@ class SimConfig:
     controller: object | None = None   # callable z -> feedback field
     control_bound: float = 0.0
     record_every: int = 1
+    step: float | None = field(init=False, default=None)
+    nsteps: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.scheme not in ("imex1", "cnab2"):
@@ -75,14 +87,15 @@ class SimConfig:
                 raise ConfigError("yosida mode needs a positive yosida_lam")
         if not (self.T > 0):
             raise ConfigError("final time must be positive")
-        if self.dt is not None and not (self.dt > 0 and np.isfinite(self.T / self.dt)):
-            raise ConfigError(f"time step dt={self.dt:g} must be positive, with T/dt finite")
-        if self.dt is not None and abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
-            raise ConfigError(f"time step dt={self.dt:g} does not divide T={self.T:g}")
         if not (self.record_every >= 1):
             raise ConfigError("record_every must be at least 1")
         if self.y_ref is not None and not np.any(self.y_ref.c):
             self.y_ref = None
+        if self.dt is not None:
+            self.step, self.nsteps = time_grid(self.T, self.dt)
+        elif self.y0 is not None:
+            cap = default_dt(self.grid, self.params, self.y0, self.y_ref)
+            self.step, self.nsteps = time_grid(self.T, cap=cap)
 
 
 def write_csv(path, columns, rows, comment=None) -> None:
@@ -117,7 +130,7 @@ def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) ->
     lam_max = (2 * np.pi / grid.L) ** 2 * float(np.max(grid.k2[grid.keep]))
     dt = 0.25 / (params.mu * lam_max)
     total = y0 if y_ref is None else y0 + y_ref
-    with np.errstate(over="ignore"):    # an infinite speed gives dt = 0, which step_size refuses
+    with np.errstate(over="ignore"):    # an infinite speed gives dt = 0, which time_grid refuses
         vmax = float(np.max(np.sqrt(sp.sum_squares(total.physical()))))
     if vmax > 0:
         kmax = grid.N // 2 - 1
@@ -125,27 +138,28 @@ def default_dt(grid: sp.TorusGrid, params: op.PhysicalParams, y0, y_ref=None) ->
     return dt
 
 
-def check_step_count(T: float, dt: float) -> None:
-    """A ConfigError if stepping to T at dt takes more than MAX_STEPS steps."""
+def time_grid(T: float, dt: float | None = None, cap: float | None = None) -> tuple[float, int]:
+    """(step, nsteps) of a run to T: the one rule that turns T into steps.
+
+    A given dt must be positive with T/dt finite, and its steps must land on
+    T (round(T/dt) dt within 1e-9 T of it).  Otherwise the step is T over the
+    fewest equal steps no longer than cap (the 1e-12 keeps an exact T/cap
+    from gaining a step by roundoff), and cap must be positive with T/cap
+    finite.  Either way a count above MAX_STEPS is a ConfigError.
+    """
+    if dt is not None:
+        if not (dt > 0 and np.isfinite(T / dt)):
+            raise ConfigError(f"time step dt={dt:g} must be positive, with T/dt finite")
+        if abs(round(T / dt) * dt - T) > 1e-9 * T:
+            raise ConfigError(f"time step dt={dt:g} does not divide T={T:g}")
+    else:
+        if not (cap > 0 and np.isfinite(T / cap)):
+            raise ConfigError(f"no default step for T={T:g} (got {cap:g}); set integrator.dt")
+        dt = T / np.ceil(T / cap * (1 - 1e-12))
     if not T / dt <= MAX_STEPS:
         raise ConfigError(f"T={T:g} at dt={dt:.3g} takes {T / dt:.3g} steps, more than "
                           f"{MAX_STEPS:.0e}; raise integrator.dt or lower integrator.T")
-
-
-def step_size(cfg: SimConfig) -> float:
-    """cfg.dt, or else T over the fewest equal steps no longer than default_dt
-    (the 1e-12 keeps an exact T/default_dt from gaining a step by roundoff);
-    a ConfigError if default_dt is not positive or T/default_dt is not finite,
-    and if the step count exceeds MAX_STEPS."""
-    if cfg.dt is not None:
-        dt = cfg.dt
-    else:
-        cap = default_dt(cfg.grid, cfg.params, cfg.y0, cfg.y_ref)
-        if not (cap > 0 and np.isfinite(cfg.T / cap)):
-            raise ConfigError(f"no default step for T={cfg.T:g} (got {cap:g}); set integrator.dt")
-        dt = cfg.T / np.ceil(cfg.T / cap * (1 - 1e-12))
-    check_step_count(cfg.T, dt)
-    return dt
+    return dt, max(1, int(round(T / dt)))
 
 
 def energy_defects(t, h, gh, lr1, params, forcing_norm, control_bound) -> np.ndarray:
@@ -178,8 +192,7 @@ def energy_defects(t, h, gh, lr1, params, forcing_norm, control_bound) -> np.nda
 
 def simulate(cfg: SimConfig) -> Trajectory:
     g, p = cfg.grid, cfg.params
-    dt = step_size(cfg)
-    nsteps = max(1, int(round(cfg.T / dt)))
+    dt, nsteps = cfg.step, cfg.nsteps
     lin = p.mu * g.lap + p.alpha
     f = sp.leray(cfg.forcing) if cfg.forcing is not None else sp.SpectralField.zero(g)
     fnorm = sp.norm_H(f)

@@ -186,7 +186,7 @@ def record_states(cfg: ts.SimConfig):
     cfg.controller, which the stepper calls once per state after the
     constraint, and whose None result it skips.
     """
-    dt = ts.step_size(cfg)
+    dt = cfg.step
     feedback = cfg.controller
     seen = []
 

@@ -534,6 +534,42 @@ def test_step_count_above_the_cap_is_refused(tmp_path, argv):
     assert len(lines) == 1 and "integrator.dt" in lines[0] and "integrator.T" in lines[0], lines
 
 
+@pytest.mark.parametrize("T", ["0.0111", "0.003"])
+def test_galerkin_models_end_at_the_same_T(tmp_path, T):
+    # T is no multiple of 2e-3: the reduced model takes T over the fewest
+    # equal steps no longer than it, as the full loop does with its own cap
+    out = tmp_path / "o"
+    argv = ["stabilize-galerkin", "--set", "grid.N=32", "--set", f"integrator.T={T}",
+            "--output-dir", str(out)]
+    assert cli.main(argv) == 0
+    outdir = only_run_dir(out)
+    t_reduced = np.loadtxt(outdir / "reduced.csv", delimiter=",", skiprows=2)[:, 0]
+    t_full = ref.trajectory_from_csv(outdir / "trajectory.csv").t
+    assert t_reduced[-1] == t_full[-1] == pytest.approx(float(T), rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize-theta", "grid.N=8", "integrator.T=0.001"],       # one step
+    ["stabilize-theta", "grid.N=8", "integrator.T=0.05", "integrator.record_every=100"],
+    ["stabilize-galerkin", "grid.N=8", "integrator.T=0.05", "integrator.record_every=100"],
+    ["stabilize-galerkin", "grid.N=4", "integrator.T=0.05"],     # the default step is T
+    ["stabilize-galerkin", "grid.N=32", "integrator.T=0.001"],   # the reduced model: one step
+], ids=["theta-one-step", "theta-sparse", "galerkin-sparse", "galerkin-one-step",
+        "galerkin-reduced-one-step"])
+def test_grid_that_cannot_be_fitted_is_refused(tmp_path, capsys, argv):
+    # refused before any stepping, with one line naming the keys that widen the window
+    out = tmp_path / "o"
+    cmd = [argv[0], "--output-dir", str(out)]
+    for item in argv[1:]:
+        cmd += ["--set", item]
+    assert cli.main(cmd) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "fit window" in lines[0], lines
+    for key in ("integrator.T", "integrator.dt", "integrator.record_every"):
+        assert key in lines[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("experiment, n", [("reduce", 500), ("stabilize-galerkin", 0)])
 def test_controller_n_out_of_range_is_config_error(tmp_path, capsys, experiment, n):
     out = tmp_path / "o"

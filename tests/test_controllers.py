@@ -14,7 +14,7 @@ from cbfed import eigen as eg
 from cbfed import operators as op
 from cbfed import spectral as sp
 from cbfed import timestep as ts
-from cbfed.errors import RegimeError
+from cbfed.errors import ConfigError, RegimeError
 
 
 def grid2(N=16):
@@ -183,6 +183,26 @@ def test_decay_rate_fit_exact_exponential():
     delta, r2 = ct.decay_rate_fit(t, norms)
     assert abs(delta - 0.7) < 1e-10
     assert r2 > 1 - 1e-12
+
+
+@pytest.mark.parametrize("dt", [1e-14, 3e-13, 1e-12, 7e-4, 0.0125, 0.002, 1 / 3, 2.5])
+def test_fit_window_gate_agrees_with_the_fit(dt):
+    # the gate refuses a grid exactly where the fit of its recorded times
+    # m * dt (m a multiple of every, or the last step) finds one sample
+    for nsteps, every in itertools.product(range(1, 80), range(1, 20)):
+        steps = [m for m in range(nsteps + 1) if m % every == 0 or m == nsteps]
+        t = np.array([m * dt for m in steps])
+        try:
+            ct.decay_rate_fit(t, np.exp(-t))
+            fits = True
+        except ConfigError:
+            fits = False
+        try:
+            ct.check_fit_window(dt, nsteps, every)
+            passes = True
+        except ConfigError:
+            passes = False
+        assert passes == fits, (nsteps, every)
 
 
 def test_pointwise_decay_check():

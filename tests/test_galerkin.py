@@ -18,7 +18,7 @@ from cbfed import galerkin as gk
 from cbfed import operators as op
 from cbfed import spectral as sp
 from cbfed import timestep as ts
-from cbfed.errors import RegimeError
+from cbfed.errors import ConfigError, RegimeError
 from cbfed.stationary import solve_stationary
 
 
@@ -684,6 +684,12 @@ def test_reduced_simulate_warns_outside_radius():
     red = cubic_reduction()
     with pytest.warns(UserWarning):
         gk.reduced_simulate(red, np.ones(8), T=0.01, dt=1e-3, warn_radius=0.1)
+
+
+def test_reduced_simulate_refuses_a_dt_that_misses_T():
+    # its grid is ts.time_grid(T, dt), as the full loop's: 0.3 / 0.04 = 7.5 steps
+    with pytest.raises(ConfigError, match="does not divide"):
+        gk.reduced_simulate(cubic_reduction(), np.ones(8), T=0.3, dt=0.04)
 
 
 def test_reduced_simulate_batch_matches_loop():

@@ -185,6 +185,40 @@ def test_record_every_below_one_rejected(record_every):
         )
 
 
+def test_sim_config_fixes_its_time_grid_at_build():
+    # step and nsteps come from ts.time_grid when the config is built; with
+    # no dt they wait for y0, and a new y0 gets its own default step
+    g = grid2()
+    p = smooth_params()
+    bare = ts.SimConfig(grid=g, params=p, y0=None, T=1.0)
+    assert bare.step is None and bare.nsteps is None
+    slow = replace(bare, y0=shear_mode(g, amp=0.5))
+    fast = replace(slow, y0=shear_mode(g, amp=50.0))
+    for cfg in (slow, fast):
+        cap = ts.default_dt(g, p, cfg.y0)
+        assert (cfg.step, cfg.nsteps) == ts.time_grid(1.0, cap=cap)
+        assert cfg.step <= cap * (1 + 1e-12)
+        assert cfg.nsteps * cfg.step == pytest.approx(1.0, rel=1e-15)
+    assert fast.nsteps > slow.nsteps
+    given = ts.SimConfig(grid=g, params=p, y0=None, T=0.3, dt=0.02)
+    assert (given.step, given.nsteps) == (0.02, 15)
+
+
+def test_step_count_above_the_cap_is_refused_at_build():
+    g = grid2()
+    with pytest.raises(ConfigError, match="more than"):
+        ts.SimConfig(grid=g, params=smooth_params(), y0=shear_mode(g), T=1e-290, dt=1e-300)
+
+
+@pytest.mark.parametrize("T, cap, want", [
+    (1.0, 2e-3, (2e-3, 500)),      # an exact multiple keeps the cap, bitwise
+    (0.0111, 2e-3, (0.0111 / 6, 6)),
+    (0.001, 2e-3, (0.001, 1)),
+])
+def test_time_grid_without_dt_takes_the_fewest_equal_steps(T, cap, want):
+    assert ts.time_grid(T, cap=cap) == want
+
+
 def test_all_zero_reference_state_is_dropped():
     # "y_e = 0" has one reader: an all-zero y_ref becomes None, a nonzero one
     # stays, also when dataclasses.replace builds the config anew
